@@ -34,7 +34,8 @@ rows = [
     (f"lineage (alpha={params.alpha})", eg_lineage(params, path, u)),
     ("social welfare", ew_social(params, path, u)),
 ]
-print(f"{'perspective':<22s} {'value':>12s} {'terms':>7s} {'tail bound':>11s}")
+# closed forms: the prefix is summed term by term, the tail exactly
+print(f"{'perspective':<22s} {'value':>12s} {'prefix':>7s} {'bound':>11s}")
 for name, res in rows:
     print(f"{name:<22s} {res.value:>12.6f} {res.truncation_index + 1:>7d} "
           f"{res.tail_bound:>11.2e}")

@@ -1,10 +1,11 @@
 """Command-line front end: config ingestion, scenario runs, CSV/JSON output.
 
 Subcommands: eval, simulate, sweep, profile, sensitivity, table1, verify.
-Configs are JSON (nested key/value); results are written atomically (temp
-file + rename) as CSV tables or JSON documents. Exit codes: 0 success,
-1 malformed config, 2 divergent grid point under --strict, 3 failed
-simulation reproducibility self-check.
+Configs are JSON (nested key/value; NaN and Infinity are rejected); results
+are written atomically (temp file + rename, mode 0666 less the umask) as CSV
+tables or JSON documents. Exit codes: 0 success, 1 malformed config,
+2 divergent grid point under --strict, 3 failed simulation reproducibility
+self-check, 4 a verify comparison outside 3 SE under --strict.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -214,8 +216,8 @@ class RunConfig:
         if "grid" not in raw:
             raise ConfigError("grid: required")
         tolerance = raw.get("tolerance", DEFAULT_TOLERANCE)
-        if not isinstance(tolerance, (int, float)) or tolerance <= 0:
-            raise ConfigError("tolerance: expected a positive number")
+        if not isinstance(tolerance, (int, float)) or not _positive_finite(tolerance):
+            raise ConfigError("tolerance: expected a finite positive number")
         horizon = raw.get("horizon", 2100)
         if not isinstance(horizon, int) or horizon < 1:
             raise ConfigError("horizon: expected a positive integer")
@@ -243,7 +245,15 @@ class RunConfig:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read {path}: {exc}")
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(json.loads(text, parse_constant=_reject_constant))
+
+
+def _reject_constant(name: str) -> Any:
+    raise ConfigError(f"{name} is not a number extrisk accepts (non-finite)")
+
+
+def _positive_finite(x: float) -> bool:
+    return x > 0 and math.isfinite(x)
 
 
 def _default_config() -> RunConfig:
@@ -267,8 +277,8 @@ def _load_config(args: argparse.Namespace, required: bool) -> RunConfig:
     else:
         cfg = RunConfig.from_file(args.config)
     if args.tolerance is not None:
-        if args.tolerance <= 0:
-            raise ConfigError("--tolerance must be > 0")
+        if not _positive_finite(args.tolerance):
+            raise ConfigError("--tolerance must be finite and > 0")
         cfg.tolerance = args.tolerance
     sim_kwargs = {}
     if args.reps is not None:
@@ -300,6 +310,9 @@ def _atomic_write(target: Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; give what open() would
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
@@ -553,7 +566,7 @@ def _cmd_verify(args: argparse.Namespace, out_dir: Path) -> int:
     for f in _write_rows(out_dir, "verify", list(rows[0].to_dict().keys()) if rows else [],
                          [r.to_dict() for r in rows], args.format):
         print(f"wrote {f}")
-    return 0
+    return 4 if (args.strict and failures) else 0
 
 
 # --- entry point ---------------------------------------------------------------
@@ -581,7 +594,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the simulation seed")
         p.add_argument("--reps", type=int, default=None, help="override the replication count")
         p.add_argument("--tolerance", type=float, default=None, help="series tolerance override")
-        p.add_argument("--strict", action="store_true", help="exit 2 on any divergent grid point")
+        p.add_argument("--strict", action="store_true",
+                       help="exit 4 on any comparison outside 3 SE" if name == "verify"
+                       else "exit 2 on any divergent grid point")
         p.add_argument("--format", choices=("csv", "json", "both"), default="both",
                        help="output file format(s)")
         if name == "sensitivity":

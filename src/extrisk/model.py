@@ -86,14 +86,14 @@ class HazardParams:
     def __post_init__(self) -> None:
         _check_prob("m", self.m)
         _check_prob("M", self.M)
-        if self.b < 0.0:
-            raise ValueError(f"b must be >= 0, got {self.b!r}")
+        if not (self.b >= 0.0 and math.isfinite(self.b)):
+            raise ValueError(f"b must be finite and >= 0, got {self.b!r}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must lie in [0, 1], got {self.theta!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not self.N0 > 0.0:
-            raise ValueError(f"N0 must be > 0, got {self.N0!r}")
+        if not (self.N0 > 0.0 and math.isfinite(self.N0)):
+            raise ValueError(f"N0 must be finite and > 0, got {self.N0!r}")
 
     @property
     def gross_growth(self) -> float:
@@ -132,9 +132,8 @@ class ConsumptionPath:
 
     Beyond the prefix the path either stays at the last prefix value
     (tail="constant") or decays geometrically, c_t = c_last * ratio**(t-last),
-    with ratio in [0, 1). The ratio bound keeps every implemented utility
-    integrable against geometric survival weights, so truncated sums get
-    rigorous tail bounds.
+    with ratio in [0, 1). Either rule gives every implemented utility a
+    tail that sums in closed form against geometric survival weights.
     """
 
     prefix: tuple
@@ -146,8 +145,8 @@ class ConsumptionPath:
         object.__setattr__(self, "prefix", prefix)
         if len(prefix) == 0:
             raise ValueError("prefix must contain at least one period")
-        if any(not c > 0.0 for c in prefix):
-            raise ValueError("all prefix consumptions must be strictly positive")
+        if any(not (c > 0.0 and math.isfinite(c)) for c in prefix):
+            raise ValueError("all prefix consumptions must be finite and strictly positive")
         if self.tail == "constant":
             if self.ratio is not None:
                 raise ValueError("constant tail takes no ratio")
@@ -209,8 +208,8 @@ class UtilitySpec:
         if self.family not in ("log", "crra", "linear"):
             raise ValueError(f"unknown utility family {self.family!r}")
         if self.family == "crra":
-            if self.sigma is None or self.sigma <= 0.0:
-                raise ValueError("crra needs sigma > 0")
+            if self.sigma is None or not (self.sigma > 0.0 and math.isfinite(self.sigma)):
+                raise ValueError("crra needs a finite sigma > 0")
             if self.sigma == 1.0:
                 raise ValueError("crra sigma = 1 is the log family; use log")
         elif self.sigma is not None:

@@ -1,4 +1,4 @@
-"""Expected-utility functionals as truncated series with rigorous tail bounds.
+"""Expected-utility functionals as closed-form series with rigorous rounding bounds.
 
 Every functional here has the shape  sum_t w_t u(c_t)  where the weights w_t
 encode survival odds and population weighting:
@@ -10,20 +10,33 @@ encode survival odds and population weighting:
     social welfare    w_t = N0 (1+b)/b ((1-M)(1+n))**t (1 - (1+b)**-(t+1))
     known date T      w_t = (1-m)**t  for t <= T, finite sum
 
-Infinite sums are truncated once a rigorous bound on the omitted tail falls
-below the requested absolute tolerance. The bound combines the geometric
-weight envelope with an envelope on |u(c_t)| of the form a + b*k + c*gamma**k,
-which covers constant tails (bounded u), geometric tails under log utility
-(linear growth of |u|) and under CRRA (geometric growth when sigma > 1). A
-small rounding envelope, 16*eps*sum|w_t u_t|, is folded into the reported
-bound so it also dominates floating-point accumulation error.
+The infinite ones are all  pref * sum_t r**t (1 - q**(t+1)) u(c_t):  the
+modifier is 1 except for social welfare (q = 1/(1+b)) and its n = 0 form
+(q = 1-m). Past the explicit prefix of p periods the consumption path is
+constant or geometric, so the tail is summed exactly:
+
+    constant tail, or linear / CRRA utility on a geometric tail:  geometric
+    log utility on a geometric tail:                              arithmetico-geometric
+
+and an evaluation costs O(p) whatever the hazards. The modifier's tail
+  sum_{t>=p} R**t (1 - q**(t+1)) = R**p [(1-R) a_p + R (1-q)] / ((1-R)(1-Rq)),
+with a_p = 1 - q**(p+1) = -expm1((p+1) log q), has no subtraction, so small
+birth rates lose no digits. Every 1-R is computed as -expm1(log R), with
+log R summed from log1p of the hazard factors, never by forming R first.
+
+tail_bound is a running rounding-error bound (Higham, Accuracy and Stability
+of Numerical Algorithms, ch. 3): each piece of the closed form is a product
+of factors with known relative error, the libm functions are taken to be
+accurate to 2 ulp, and first-order error counts e are made rigorous as
+expm1(e / (1 - e)). It bounds |exact - value| for the exact sum at the given
+float inputs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,9 +78,12 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = 1e-10
-MAX_TERMS = 1_000_000
+MAX_TERMS = 1_000_000  # cap of the truncated extinction-date mixture
 _BLOCK = 512
 _EPS = float(np.finfo(float).eps)
+_U = _EPS / 2.0  # unit roundoff
+_LIBM = 4.0 * _U  # relative error of one libm call: log, log1p, exp, expm1, pow
+_DENORM = 2.0**-1074  # absolute error of a result that underflows
 
 _CASE_KINDS = (
     "individual",
@@ -114,10 +130,12 @@ def known_extinction(T: int) -> Scenario:
 
 @dataclass(frozen=True)
 class SeriesResult:
-    """Truncated series value.
+    """Series value.
 
-    tail_bound is a rigorous upper bound on |true value - value|: analytic
-    bound on the omitted terms plus the rounding envelope of the summation.
+    tail_bound is a rigorous upper bound on |true value - value|: for the
+    closed forms the rounding error, for the truncated mixture the omitted
+    terms plus the rounding envelope. truncation_index is the last summed
+    term; for the closed forms that is the last explicit prefix period.
     converged means tail_bound <= the requested tolerance.
     """
 
@@ -193,7 +211,227 @@ def weight_sequence(case: Scenario, params: HazardParams, length: int) -> np.nda
     return w
 
 
-# --- tail machinery ---------------------------------------------------------
+# --- closed-form core ---------------------------------------------------------
+
+
+def _log1m(x: float) -> float:
+    """log(1 - x) for x in [0, 1]; -inf at x = 1."""
+    return -math.inf if x == 1.0 else math.log1p(-x)
+
+
+def _scaled(k: float, x: float) -> float:
+    """k * x with 0 * -inf = 0, as 0.0**0.0 = 1 in weight_ratio."""
+    return 0.0 if k == 0.0 else k * x
+
+
+def _log_parts(case: Scenario, params: HazardParams) -> List[float]:
+    """log of the case's weight ratio as summands, one per hazard factor."""
+    lm, lM = _log1m(params.m), _log1m(params.M)
+    if case.kind == "individual":
+        return [lm, lM]
+    lb = math.log1p(params.b)
+    if case.kind == "dynasty_theta":
+        return [lM, _scaled(params.theta, lb), _scaled(params.theta, lm)]
+    if case.kind == "lineage":
+        return [lM, _scaled(params.alpha, lb), lm]
+    return [lM, lb, lm]  # dynasty, social welfare
+
+
+def _log_sum(parts: Sequence[float]) -> Tuple[float, float]:
+    """fsum of log-ratio parts and a bound on its absolute error.
+
+    Each part is a libm log or log1p, possibly scaled by a float exponent, so
+    it is off by at most _LIBM + 2u relative; fsum rounds once. A -inf part
+    makes the ratio exactly 0.
+    """
+    total = math.fsum(parts)
+    if total == -math.inf:
+        return total, 0.0
+    return total, (_LIBM + 2.0 * _U) * math.fsum(map(abs, parts)) + _U * abs(total)
+
+
+def _rigorous(e: float) -> float:
+    """Relative error of a chain of products and quotients whose first-order errors add to e."""
+    return math.expm1(e / (1.0 - e)) if e < 1.0 else math.inf
+
+
+def _utility(u: UtilitySpec, c: float) -> Tuple[float, float]:
+    """u(c) and its relative error; CRRA goes through expm1, so c near 1 keeps every digit."""
+    if u.family == "linear":
+        return c, 0.0
+    if u.family == "log":
+        return math.log(c), _LIBM
+    s1 = 1.0 - u.sigma
+    x = s1 * math.log(c)
+    # expm1 passes a relative error of x on amplified by x e^x / expm1(x) <= 1 + max(x, 0)
+    return math.expm1(x) / s1, _LIBM + (1.0 + max(x, 0.0)) * (_LIBM + 2.0 * _U) + 2.0 * _U
+
+
+class _Modifier(NamedTuple):
+    """The factor 1 - q**(t+1) of the social-welfare series."""
+
+    log_q: float
+    one_minus_q: float
+    one_minus_q_err: float  # relative
+    rq_parts: List[float]  # log-ratio parts of r*q
+
+
+def _kernel(
+    parts: List[float], extra: List[float], mod: Optional[_Modifier],
+    a_p: float, e_a: float, need_h2: bool,
+) -> Optional[Tuple[float, float, float, float]]:
+    """H1 = sum_j R**j m_j and H2 = sum_j (j+1) R**j m_j with their relative errors.
+
+    log R = fsum(parts + extra); m_j = 1 - q**(p+1+j), or 1 without a modifier,
+    and a_p = m_0. None when R >= 1.
+    """
+    LR, dR = _log_sum(parts + extra)
+    om = -math.expm1(LR)
+    if not om > 0.0:
+        return None
+    R = math.exp(LR)
+    e_om = _LIBM + R * dR / om
+    if mod is None:
+        h1, e1 = 1.0 / om, e_om + _U
+        return h1, e1, h1 * h1, 2.0 * e1 + _U
+    e_R = _LIBM + dR
+    LRq, dRq = _log_sum(mod.rq_parts + extra)
+    omq = -math.expm1(LRq)
+    e_omq = _LIBM + R * dRq / omq
+    e_b = mod.one_minus_q_err
+    Rb = R * mod.one_minus_q
+    n1 = om * a_p + Rb
+    d1 = om * omq
+    e_d1 = e_om + e_omq + _U
+    h1 = n1 / d1
+    e1 = max(e_om + e_a, e_R + e_b) + 3.0 * _U + _DENORM / n1 + e_d1
+    if not need_h2:
+        return h1, e1, 0.0, 0.0
+    n2 = a_p * om * om + Rb * (om + omq)
+    e_n2 = (max(e_a + 2.0 * e_om + 2.0 * _U, e_R + e_b + max(e_om, e_omq) + 3.0 * _U)
+            + _U + _DENORM / n2)
+    return h1, e1, n2 / (d1 * d1), e_n2 + 2.0 * e_d1 + 2.0 * _U
+
+
+def _closed_sum(
+    parts: List[float],
+    path: ConsumptionPath,
+    u: UtilitySpec,
+    tol: float,
+    mod: Optional[_Modifier] = None,
+    pref: float = 1.0,
+    e_pref: float = 0.0,
+) -> SeriesResult:
+    """pref * sum_t r**t m_t u(c_t) with log r = fsum(parts), summed in closed form.
+
+    m_t = 1 - q**(t+1) under a modifier, else 1; pref carries relative error
+    e_pref. Raises DivergenceError when r >= 1 or a CRRA tail outgrows the
+    weights.
+    """
+    if not tol > 0.0:
+        raise ValueError("tolerance must be > 0")
+    if not math.isfinite(pref):
+        raise ValueError(f"the prefactor {pref!r} leaves float range")
+    try:
+        return _closed_sum_checked(parts, path, u, tol, mod, pref, e_pref)
+    except OverflowError as exc:
+        raise ValueError(f"the series leaves float range: {exc}") from None
+
+
+def _closed_sum_checked(
+    parts: List[float],
+    path: ConsumptionPath,
+    u: UtilitySpec,
+    tol: float,
+    mod: Optional[_Modifier],
+    pref: float,
+    e_pref: float,
+) -> SeriesResult:
+    L, dL = _log_sum(parts)
+    if not L < 0.0:
+        raise DivergenceError(f"weight ratio {math.exp(L):.6g} >= 1")
+    zero_ratio = L == -math.inf  # only the date-0 term survives
+    step = 0.0 if zero_ratio else dL + _U * abs(L)  # r**t gains this relative error per period
+    vals: List[float] = []
+    errs: List[float] = []
+    slack = 0.0  # absolute, from weights that underflow
+
+    def add(value: float, e: float) -> None:
+        vals.append(pref * value)
+        errs.append(e + e_pref + _U)
+
+    for t, c in enumerate(path.prefix[:1] if zero_ratio else path.prefix):
+        term, e = _utility(u, c)
+        if mod is not None:
+            term *= -math.expm1((t + 1) * mod.log_q)
+            e += 2.0 * _LIBM + 2.0 * _U
+        if t:
+            slack += _DENORM * abs(term)
+            term *= math.exp(t * L)
+            e += _LIBM + t * step + _U
+        add(term, e)
+
+    if not zero_ratio:
+        p = path.prefix_len
+        rp = math.exp(p * L)
+        e_rp = _LIBM + p * step
+        a_p, e_a = 1.0, 0.0
+        if mod is not None:
+            a_p, e_a = -math.expm1((p + 1) * mod.log_q), 2.0 * _LIBM + _U
+
+        def add_tail(coef: float, e_coef: float, h: float, e_h: float) -> None:
+            nonlocal slack
+            slack += _DENORM * abs(coef * h)
+            add(coef * rp * h, e_coef + e_rp + e_h + 2.0 * _U)
+
+        c_last = path.prefix[-1]
+        if path.tail == "constant":
+            h1, e1, _, _ = _kernel(parts, [], mod, a_p, e_a, False)
+            add_tail(*_utility(u, c_last), h1, e1)
+        elif path.ratio == 0.0:
+            if u.family != "linear":
+                raise ValueError(f"{u.family} utility is undefined on a ratio-0 tail (c = 0)")
+            # c_t = 0 past the prefix: linear utility adds nothing
+        elif u.family == "linear":
+            # u(c_t) = c_last g**(t-p+1): one geometric series of ratio r g
+            h1, e1, _, _ = _kernel(parts, [math.log(path.ratio)], mod, a_p, e_a, False)
+            add_tail(c_last * path.ratio, _U, h1, e1)
+        elif u.family == "log":
+            # u(c_t) = log c_last + (t-p+1) log g: arithmetico-geometric
+            h1, e1, h2, e2 = _kernel(parts, [], mod, a_p, e_a, True)
+            add_tail(math.log(c_last), _LIBM, h1, e1)
+            add_tail(math.log(path.ratio), _LIBM, h2, e2)
+        else:
+            # u(c_t) = ((c_last g)**s1 gamma**(t-p) - 1) / s1, gamma = g**s1, s1 = 1-sigma
+            s1 = 1.0 - u.sigma
+            log_gamma = s1 * math.log(path.ratio)
+            grow = _kernel(parts, [log_gamma], mod, a_p, e_a, False)
+            if grow is None:
+                raise DivergenceError(
+                    f"utility tail grows at rate exp({log_gamma:.6g}) against weight ratio "
+                    f"{math.exp(L):.6g}: log(rho*gamma) = {L + log_gamma:.6g} >= 0, "
+                    f"the series diverges"
+                )
+            x = s1 * math.log(c_last * path.ratio)
+            e_x = abs(s1) * _U + abs(x) * (_LIBM + 2.0 * _U)
+            add_tail(math.exp(x) / s1, _LIBM + e_x + 2.0 * _U, grow[0], grow[1])
+            h1, e1, _, _ = _kernel(parts, [], mod, a_p, e_a, False)
+            add_tail(-1.0 / s1, 2.0 * _U, h1, e1)
+
+    value = math.fsum(vals)
+    bound = math.fsum(abs(v) * _rigorous(e) for v, e in zip(vals, errs) if v)
+    bound = (bound + abs(pref) * slack + _U * abs(value)) * (1.0 + 16.0 * _U)
+    if not math.isfinite(value):
+        raise ValueError("the series value leaves float range")
+    return SeriesResult(
+        value=value,
+        truncation_index=path.prefix_len - 1,
+        tail_bound=bound,
+        converged=bound <= tol,
+    )
+
+
+# --- cross-check machinery: the truncated extinction-date mixture --------------
 
 
 class _KahanAccumulator:
@@ -278,56 +516,6 @@ class _TailBounder:
         return min(MAX_TERMS, self.anchor + max(int(j_max), 1))
 
 
-def _truncated_sum(
-    rho: float,
-    path: ConsumptionPath,
-    u: UtilitySpec,
-    tol: float,
-    prefactor: float = 1.0,
-    modifier: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> SeriesResult:
-    """Sum prefactor * rho**t * modifier(t) * u(c_t) until the tail bound <= tol.
-
-    modifier, when given, must map into [0, 1] so the geometric envelope stays
-    valid. The bound is checked before each block past the prefix, so terms
-    beyond the stopping point are never evaluated. Capped at MAX_TERMS; a
-    capped sum is returned with converged=False.
-    """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be > 0")
-    if rho >= 1.0:
-        raise DivergenceError(f"weight ratio {rho:.6g} >= 1")
-    bounder = _TailBounder(rho, path, u, prefactor)
-    limit = max(bounder.evaluation_limit, path.prefix_len)
-    block_sums = []
-    abs_sum = 0.0
-    t0 = 0
-    block = 32
-    bound = math.inf
-    while True:
-        if t0 >= path.prefix_len:
-            bound = float(bounder.bound(t0) + 16.0 * _EPS * abs_sum)
-            if bound <= tol or t0 >= limit:
-                break
-        stop = min(max(t0 + block, path.prefix_len), limit)
-        block = min(2 * block, _BLOCK)
-        t = np.arange(t0, stop)
-        uu = np.asarray(u(path.values(t0, stop)), dtype=float)
-        w = prefactor * np.power(rho, t)
-        if modifier is not None:
-            w = w * modifier(t)
-        block_sums.append(float(np.dot(w, uu)))
-        abs_sum += float(np.dot(np.abs(w), np.abs(uu)))
-        t0 = stop
-    value = math.fsum(block_sums)
-    return SeriesResult(
-        value=value,
-        truncation_index=t0 - 1,
-        tail_bound=bound,
-        converged=bound <= tol,
-    )
-
-
 # --- the functionals ---------------------------------------------------------
 
 
@@ -347,7 +535,7 @@ def eu_individual(
         raise DivergenceError(
             "m = M = 0: joint survival is 1 and expected lifetime utility diverges"
         )
-    return _truncated_sum(weight_ratio(INDIVIDUAL, params), path, u, tol)
+    return _closed_sum(_log_parts(INDIVIDUAL, params), path, u, tol)
 
 
 def _require_extinction(params: HazardParams) -> None:
@@ -379,8 +567,8 @@ def ev_dynasty(
     this reduces exactly to the individual functional.
     """
     _require_extinction(params)
-    rho = _require_finite(DYNASTY, params)
-    return _truncated_sum(rho, path, u, tol)
+    _require_finite(DYNASTY, params)
+    return _closed_sum(_log_parts(DYNASTY, params), path, u, tol)
 
 
 def ev_dynasty_theta(
@@ -396,8 +584,8 @@ def ev_dynasty_theta(
     Finite iff (1-M)(1+n)**theta < 1.
     """
     _require_extinction(params)
-    rho = _require_finite(DYNASTY_THETA, params)
-    return _truncated_sum(rho, path, u, tol)
+    _require_finite(DYNASTY_THETA, params)
+    return _closed_sum(_log_parts(DYNASTY_THETA, params), path, u, tol)
 
 
 def eg_lineage(
@@ -413,8 +601,8 @@ def eg_lineage(
     only partially. Finite iff (1-M)(1+b)**alpha (1-m) < 1.
     """
     _require_extinction(params)
-    rho = _require_finite(LINEAGE, params)
-    return _truncated_sum(rho, path, u, tol)
+    _require_finite(LINEAGE, params)
+    return _closed_sum(_log_parts(LINEAGE, params), path, u, tol)
 
 
 def eu_known_T(
@@ -532,14 +720,14 @@ def ew_social(
     population simplification is evaluated as well and must agree to 1e-10
     relative.
     """
-    rho = _ew_preconditions(params)
-    q = 1.0 / (1.0 + params.b)
-    pref = params.N0 * (1.0 + params.b) / params.b
-    result = _truncated_sum(
-        rho, path, u, tol, prefactor=pref,
-        modifier=lambda t: 1.0 - np.power(q, t + 1),
-    )
-    if abs(params.n) <= 1e-12:
+    _ew_preconditions(params)
+    b = params.b
+    mod = _Modifier(log_q=-math.log1p(b), one_minus_q=b / (1.0 + b), one_minus_q_err=2.0 * _U,
+                    rq_parts=_log_parts(INDIVIDUAL, params))  # r q = (1-M)(1-m)
+    pref = params.N0 * (1.0 + b) / b
+    result = _closed_sum(_log_parts(SOCIAL_WELFARE, params), path, u, tol, mod, pref, 3.0 * _U)
+    # b (1-m) - m is n without the cancellation of (1+b)(1-m) - 1
+    if abs(b * (1.0 - params.m) - params.m) <= 4.0 * _EPS * (b + params.m):
         simplified = ew_social_n0_form(params, path, u, tol)
         scale = max(abs(result.value), abs(simplified.value), 1.0)
         slack = result.tail_bound + simplified.tail_bound
@@ -565,12 +753,9 @@ def ew_social_n0_form(
     if params.m <= 0.0:
         raise ValueError("the n = 0 simplification divides by m; needs m > 0")
     _require_extinction(params)
-    sm = 1.0 - params.m
-    return _truncated_sum(
-        1.0 - params.M, path, u, tol,
-        prefactor=params.N0 / params.m,
-        modifier=lambda t: 1.0 - np.power(sm, t + 1),
-    )
+    mod = _Modifier(log_q=_log1m(params.m), one_minus_q=params.m, one_minus_q_err=0.0,
+                    rq_parts=_log_parts(INDIVIDUAL, params))  # r q = (1-M)(1-m)
+    return _closed_sum([_log1m(params.M)], path, u, tol, mod, params.N0 / params.m, _U)
 
 
 def ew_social_mixture(

@@ -1,0 +1,111 @@
+"""Exact values of the series functionals: stdlib decimal at 50 digits.
+
+Every float input is converted to Decimal exactly, so the reference is the
+true sum at the given floats, not at nearby values. The infinite sums use
+the plain closed forms
+
+    S(r) = sum_{t<p} r**t u(c_t) + (tail summed as a geometric or
+           arithmetico-geometric series)
+    EW   = N0 (1+b)/b (S(rho) - q S(rho q)),      q = 1/(1+b)
+    EW0  = N0/m (S(1-M) - (1-m) S((1-M)(1-m)))
+
+whose subtractions cost at most a dozen of the 50 digits. A sum diverges
+when its weight ratio r >= 1, or, for CRRA utility on a geometric tail of
+ratio g, when r g**(1-sigma) >= 1.
+"""
+
+from decimal import Context, Decimal, localcontext
+from typing import Optional, Tuple
+
+CTX = Context(prec=50, Emin=-999999, Emax=999999)
+ONE = Decimal(1)
+FUNCTIONALS = ("individual", "dynasty", "dynasty_theta", "lineage", "social_welfare",
+               "n0_form")
+
+
+def _d(x) -> Decimal:
+    return Decimal(float(x))
+
+
+def _pow(x: Decimal, e: float) -> Decimal:
+    if e == 0.0:
+        return ONE
+    return x ** _d(e)
+
+
+def _utility(u, c: Decimal) -> Decimal:
+    if u.family == "linear":
+        return c
+    if u.family == "log":
+        return c.ln()
+    s1 = ONE - _d(u.sigma)
+    return (c ** s1 - ONE) / s1
+
+
+def _growth(path, u) -> Optional[Decimal]:
+    """Per-period growth factor of u's geometric component along the tail, if any."""
+    if path.tail == "constant" or u.family == "log":
+        return None
+    g = _d(path.ratio)
+    return g if u.family == "linear" else g ** (ONE - _d(u.sigma))
+
+
+def _path_sum(r: Decimal, path, u) -> Decimal:
+    """S(r) = sum_t r**t u(c_t); the caller has checked convergence."""
+    total = Decimal(0)
+    rt = ONE
+    for c in path.prefix:
+        total += rt * _utility(u, _d(c))
+        rt *= r  # ends as r**p
+    c_last = _d(path.prefix[-1])
+    if path.tail == "constant":
+        return total + rt * _utility(u, c_last) / (ONE - r)
+    g = _d(path.ratio)
+    if u.family == "linear":  # c_t = c_last g**(t-p+1)
+        return total + rt * c_last * g / (ONE - r * g)
+    if u.family == "log":  # u_t = log c_last + (t-p+1) log g
+        return total + rt * (c_last.ln() / (ONE - r) + g.ln() / (ONE - r) ** 2)
+    s1 = ONE - _d(u.sigma)
+    gamma = g ** s1
+    return total + rt * ((c_last * g) ** s1 / (ONE - r * gamma) - ONE / (ONE - r)) / s1
+
+
+def _ratios(kind: str, params) -> Tuple[Decimal, Decimal]:
+    """(r, prefactor) of  pref * sum_t r**t (1 - q**(t+1)) u(c_t)."""
+    m, M, b = _d(params.m), _d(params.M), _d(params.b)
+    sm, sM, gb = ONE - m, ONE - M, ONE + b
+    if kind == "individual":
+        return sM * sm, ONE
+    if kind in ("dynasty", "social_welfare"):
+        return sM * gb * sm, _d(params.N0) * gb / b if kind == "social_welfare" else ONE
+    if kind == "dynasty_theta":
+        return sM * _pow(gb * sm, params.theta), ONE
+    if kind == "lineage":
+        return sM * _pow(gb, params.alpha) * sm, ONE
+    if kind == "n0_form":
+        return sM, _d(params.N0) / m
+    raise ValueError(f"unknown functional {kind!r}")
+
+
+def margin(kind: str, params, path, u) -> Decimal:
+    """Distance of the binding convergence ratio from 1; finite iff positive."""
+    with localcontext(CTX):
+        r, _ = _ratios(kind, params)
+        gamma = _growth(path, u)
+        worst = r if gamma is None or gamma <= ONE else r * gamma
+        return ONE - worst
+
+
+def exact(kind: str, params, path, u) -> Optional[Decimal]:
+    """The exact value of the functional, or None when it diverges."""
+    with localcontext(CTX):
+        if margin(kind, params, path, u) <= 0:
+            return None
+        r, pref = _ratios(kind, params)
+        if kind == "social_welfare":
+            q = ONE / (ONE + _d(params.b))
+        elif kind == "n0_form":
+            q = ONE - _d(params.m)
+        else:
+            return _path_sum(r, path, u)
+        return pref * (_path_sum(r, path, u) - q * _path_sum(r * q, path, u))

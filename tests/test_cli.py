@@ -2,6 +2,8 @@
 
 import csv
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -13,8 +15,10 @@ from extrisk import (
     evaluate,
     known_extinction,
 )
+from extrisk import cli
 from extrisk.cli import run as cli_run
 from extrisk.series import Scenario
+from extrisk.simulate import VERIFY_GRID, VerifyRow
 
 
 def write_config(tmp_path: Path, payload) -> str:
@@ -70,6 +74,29 @@ def test_invalid_hazard_value_is_reported(tmp_path, capsys):
     code = cli_run(["eval", "--config", cfg, "--out", str(tmp_path)])
     assert code == 1
     assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"grid": {"m": [0.1], "M": [0.1], "b": [NaN]}}',
+        '{"grid": {"m": [0.1], "M": [0.1], "b": [Infinity]}}',
+        '{"grid": {"m": [0.1], "M": [0.1]}, "tolerance": NaN}',
+    ],
+)
+def test_non_finite_config_numbers_exit_one(tmp_path, capsys, payload):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli_run(["eval", "--strict", "--config", cfg, "--out", str(out)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "eval.json").exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_bad_tolerance_flag_exits_one(tmp_path, capsys, tol):
+    cfg = write_config(tmp_path, BASE_CONFIG)
+    assert cli_run(["eval", "--config", cfg, "--out", str(tmp_path), "--tolerance", tol]) == 1
+    assert "--tolerance" in capsys.readouterr().err
 
 
 def test_missing_config_for_eval(tmp_path, capsys):
@@ -235,6 +262,22 @@ def test_verify_small_run(tmp_path, capsys):
     assert (out / "verify.csv").exists() and (out / "verify.json").exists()
 
 
+def _verify_row(ok: bool) -> VerifyRow:
+    mc = 1.0 if ok else 1.1
+    return VerifyRow(functional="eu_individual", point=0, params=VERIFY_GRID[0],
+                     analytic=1.0, mc_mean=mc, mc_se=0.01, abs_error=abs(mc - 1.0),
+                     ok=ok, truncated_mass=0.0)
+
+
+def test_verify_strict_exits_four_on_a_failed_comparison(tmp_path, monkeypatch):
+    rows = [_verify_row(True), _verify_row(False)]
+    monkeypatch.setattr(cli, "verify_oracle_grid", lambda replications, seed: rows)
+    assert cli_run(["verify", "--out", str(tmp_path / "a")]) == 0
+    assert cli_run(["verify", "--strict", "--out", str(tmp_path / "b")]) == 4
+    rows.pop()
+    assert cli_run(["verify", "--strict", "--out", str(tmp_path / "c")]) == 0
+
+
 def test_verify_reruns_byte_identical(tmp_path):
     out_a, out_b = tmp_path / "va", tmp_path / "vb"
     cli_run(["verify", "--reps", "5000", "--seed", "11", "--out", str(out_a)])
@@ -248,6 +291,17 @@ def test_out_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("EXTRISK_OUT", str(env_dir))
     assert cli_run(["table1", "--format", "csv"]) == 0
     assert (env_dir / "table1.csv").exists()
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o002, 0o664), (0o077, 0o600)])
+def test_outputs_get_the_umask_mode(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        assert cli_run(["table1", "--out", str(tmp_path)]) == 0
+    finally:
+        os.umask(old)
+    for name in ("table1.csv", "table1.json"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
 
 
 def test_format_csv_only(tmp_path):

@@ -58,6 +58,9 @@ def test_growth_identity_holds_for_random_params(m, b):
         dict(m=0.1, M=0.1, alpha=0.0),
         dict(m=0.1, M=0.1, alpha=1.0),
         dict(m=0.1, M=0.1, N0=0.0),
+        dict(m=0.1, M=0.1, b=math.nan),
+        dict(m=0.1, M=0.1, b=math.inf),
+        dict(m=0.1, M=0.1, N0=math.inf),
     ],
 )
 def test_invalid_params_rejected(kwargs):
@@ -279,6 +282,7 @@ def test_vectorised_values_match_scalar(start, length):
         dict(prefix=()),
         dict(prefix=(1.0, -2.0)),
         dict(prefix=(1.0, 0.0)),
+        dict(prefix=(1.0, math.inf)),
         dict(prefix=(1.0,), tail="geometric"),
         dict(prefix=(1.0,), tail="geometric", ratio=1.0),
         dict(prefix=(1.0,), tail="weird"),
@@ -303,6 +307,8 @@ def test_crra_sigma_one_redirects_to_log():
         UtilitySpec.crra(1.0)
     with pytest.raises(ValueError):
         UtilitySpec.crra(-0.5)
+    with pytest.raises(ValueError):
+        UtilitySpec.crra(math.nan)
 
 
 def test_log_rejects_nonpositive_consumption():

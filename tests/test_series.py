@@ -1,10 +1,12 @@
 """Oracle checks for the discounted-series functionals and their tail bounds."""
 
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
 
+import decimal_oracle
 from extrisk import (
     DYNASTY,
     DYNASTY_THETA,
@@ -228,10 +230,11 @@ HONESTY_CONFIGS = [
 
 @pytest.mark.parametrize("params,path,u", HONESTY_CONFIGS)
 def test_value_within_tail_bound_of_longer_sum(params, path, u):
+    # the longest sum is the whole series, taken exactly at 50 digits
     res = eu_individual(params, path, u)
     assert res.converged
-    longer = brute_force_sum(params.joint_survival, path, u, 10 * (res.truncation_index + 1))
-    assert abs(res.value - longer) <= res.tail_bound
+    exact = decimal_oracle.exact("individual", params, path, u)
+    assert abs(Decimal(res.value) - exact) <= Decimal(res.tail_bound)
 
 
 def test_unbounded_crra_tail_diverges():
@@ -243,11 +246,15 @@ def test_unbounded_crra_tail_diverges():
 
 
 def test_non_convergence_reported_not_looped():
-    p = HazardParams(m=1e-5, M=1e-5)
+    # the value is 5e5, so 1e-10 is below its rounding resolution: the result
+    # comes back unconverged after the one explicit term, with an honest bound
+    p = HazardParams(m=1e-6, M=1e-6)
     res = eu_individual(p, ONE, LINEAR, tol=1e-10)
     assert not res.converged
-    assert res.truncation_index == 999_999
+    assert res.truncation_index == 0
     assert res.tail_bound > 1e-10
+    exact = decimal_oracle.exact("individual", p, ONE, LINEAR)
+    assert abs(Decimal(res.value) - exact) <= Decimal(res.tail_bound)
 
 
 def test_ratio_zero_tail_with_linear_utility():

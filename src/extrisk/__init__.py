@@ -82,7 +82,9 @@ from .simulate import (
     mc_eg_lineage,
     mc_eu_individual,
     mc_ev_dynasty,
+    mc_estimates,
     mc_ew_social,
+    mc_table,
     reproducibility_selfcheck,
     verify_oracle_grid,
 )

@@ -3,9 +3,10 @@
 Subcommands: eval, simulate, sweep, profile, sensitivity, table1, verify.
 Configs are JSON (nested key/value; NaN and Infinity are rejected); results
 are written atomically (temp file + rename, mode 0666 less the umask) as CSV
-tables or JSON documents. Exit codes: 0 success, 1 malformed config,
-2 divergent grid point under --strict, 3 failed simulation reproducibility
-self-check, 4 a verify comparison outside 3 SE under --strict.
+tables or JSON documents; a non-finite float is written as its repr (inf) in
+CSV and as null in JSON, which has no literal for it. Exit codes: 0 success,
+1 malformed config, 2 divergent grid point under --strict, 3 failed simulation
+reproducibility self-check, 4 a verify comparison outside 3 SE under --strict.
 """
 
 from __future__ import annotations
@@ -52,10 +53,8 @@ from .simulate import (
     VERIFY_PATH,
     VERIFY_UTILITY,
     abm_smoothing_study,
-    mc_eg_lineage,
-    mc_eu_individual,
-    mc_ev_dynasty,
-    mc_ew_social,
+    mc_estimates,
+    mc_table,
     reproducibility_selfcheck,
     verify_oracle_grid,
 )
@@ -336,9 +335,22 @@ def _write_rows(
         written.append(target)
     if fmt in ("json", "both"):
         target = out_dir / f"{name}.json"
-        _atomic_write(target, json.dumps(rows, indent=2) + "\n")
+        _atomic_write(target, _json_text(rows) + "\n")
         written.append(target)
     return written
+
+
+def _json_text(rows: List[Dict[str, Any]]) -> str:
+    """Rows as a JSON document; inf and NaN, which JSON cannot express, become null."""
+    try:
+        return json.dumps(rows, indent=2, allow_nan=False)
+    except ValueError:  # rare: screening every cell up front would slow the common case
+        clean = [
+            {k: None if isinstance(v, float) and not math.isfinite(v) else v
+             for k, v in row.items()}
+            for row in rows
+        ]
+        return json.dumps(clean, indent=2, allow_nan=False)
 
 
 def _param_cells(p: HazardParams) -> Dict[str, Any]:
@@ -510,6 +522,8 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
     rows = []
     divergent = False
     for params in cfg.grid:
+        tables: Dict[Scenario, np.ndarray] = {}
+        sampled = []
         for case in cfg.cases:
             row = {**_param_cells(params), "case": case.label(), "replications": sim.replications}
             try:
@@ -519,12 +533,9 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
                                abs_error=None, within_3se=None, truncated_mass=None,
                                status="deterministic (no sampling)")
                 else:
-                    est = _MC_BY_KIND[case.kind](params, cfg.path, cfg.utility, sim)
-                    err = abs(est.mean - analytic)
-                    row.update(analytic=analytic, mc_mean=est.mean, mc_se=est.standard_error,
-                               abs_error=err,
-                               within_3se=err <= 3.0 * est.standard_error + 1e-12,
-                               truncated_mass=est.truncated_mass, status="ok")
+                    tables[case] = mc_table(case, params, cfg.path, cfg.utility, sim)
+                    row.update(analytic=analytic)
+                    sampled.append((case, row))
             except DivergenceError as exc:
                 divergent = True
                 row.update(analytic=None, mc_mean=None, mc_se=None, abs_error=None,
@@ -533,18 +544,16 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
                 row.update(analytic=None, mc_mean=None, mc_se=None, abs_error=None,
                            within_3se=None, truncated_mass=None, status=f"rejected: {exc}")
             rows.append(row)
+        ests = mc_estimates(params, tables, sim)
+        for case, row in sampled:
+            est = ests[case]
+            err = abs(est.mean - row["analytic"])
+            row.update(mc_mean=est.mean, mc_se=est.standard_error, abs_error=err,
+                       within_3se=err <= 3.0 * est.standard_error + 1e-12,
+                       truncated_mass=est.truncated_mass, status="ok")
     for f in _write_rows(out_dir, "simulate", _SIMULATE_COLUMNS, rows, args.format):
         print(f"wrote {f}")
     return 2 if (args.strict and divergent) else 0
-
-
-_MC_BY_KIND = {
-    "individual": mc_eu_individual,
-    "dynasty": lambda p, path, u, cfg: mc_ev_dynasty(p, path, u, 1.0, cfg),
-    "dynasty_theta": lambda p, path, u, cfg: mc_ev_dynasty(p, path, u, None, cfg),
-    "lineage": mc_eg_lineage,
-    "social_welfare": mc_ew_social,
-}
 
 
 def _cmd_verify(args: argparse.Namespace, out_dir: Path) -> int:

@@ -357,7 +357,9 @@ def population_at(process: PopulationProcess, t: int) -> float:
 
 def _geometric_from_zero(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
     """Failure-count geometric: support {0, 1, ...}, P(k) = (1-p)**k p. Needs p > 0."""
-    return rng.geometric(p, size=size).astype(np.int64) - 1
+    draws = rng.geometric(p, size=size)  # already int64: shift in place, no copy
+    draws -= 1
+    return draws
 
 
 def sample_lifetimes(
@@ -365,18 +367,14 @@ def sample_lifetimes(
 ) -> np.ndarray:
     """Draw lifetimes D = min(extinction date, natural death date).
 
-    Both components are geometric from 0 with successes M and m; their minimum
-    has the law of ``lifetime_pmf``. Rejects the degenerate m = M = 0 case
+    D survives a period with probability (1-m)(1-M), so P(D >= k) =
+    ((1-m)(1-M))**k and D is one geometric from 0 with success death_hazard:
+    the law of ``lifetime_pmf``. Rejects the degenerate m = M = 0 case
     (infinite lifetimes).
     """
     if params.is_degenerate:
         raise DegenerateHazardError("m = M = 0: lifetimes are infinite")
-    if params.m > 0.0 and params.M > 0.0:
-        d_nat = _geometric_from_zero(rng, params.m, size)
-        d_ext = _geometric_from_zero(rng, params.M, size)
-        return np.minimum(d_nat, d_ext)
-    p = params.m if params.m > 0.0 else params.M
-    return _geometric_from_zero(rng, p, size)
+    return _geometric_from_zero(rng, params.death_hazard, size)
 
 
 def sample_lifetime(params: HazardParams, rng: np.random.Generator) -> int:

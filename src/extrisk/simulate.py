@@ -1,10 +1,13 @@
 """Monte Carlo verification of the analytic functionals, plus an agent-based mode.
 
 Smoothed-mode estimators draw the random date (death date D or extinction date
-T), look up the realized discounted sum in a precomputed cumulative table, and
-average. Replications are processed in fixed-size chunks, each with its own
-``SeedSequence([seed, op_tag, chunk_index])`` stream, and chunk partial sums
-are reduced in a fixed order: estimates are bit-for-bit reproducible from
+T) and average the realized discounted sum, read from a precomputed cumulative
+table per case (``mc_table``). Every extinction-date case of one parameter
+point shares one stream of T draws (``mc_estimates``), so a point costs two
+streams however many cases it estimates. Replications are processed in
+fixed-size chunks, each with its own ``SeedSequence([seed, stream_tag,
+chunk_index])`` stream, and each chunk is reduced to integer counts per date.
+Integer counts add exactly, so estimates are bit-for-bit reproducible from
 (seed, config) and do not depend on how chunks might be farmed out to workers.
 
 The agent-based mode keeps an integer population with Bernoulli deaths and
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,11 +34,13 @@ from .model import (
     sample_lifetimes,
 )
 from .series import (
-    eu_individual,
-    ev_dynasty,
-    ev_dynasty_theta,
-    eg_lineage,
-    ew_social,
+    DYNASTY,
+    DYNASTY_THETA,
+    INDIVIDUAL,
+    LINEAGE,
+    SOCIAL_WELFARE,
+    Scenario,
+    evaluate,
     welfare_window_terms,
 )
 
@@ -53,6 +58,8 @@ __all__ = [
     "mc_ev_dynasty",
     "mc_eg_lineage",
     "mc_ew_social",
+    "mc_table",
+    "mc_estimates",
     "abm_population_run",
     "abm_smoothing_study",
     "verify_oracle_grid",
@@ -61,7 +68,9 @@ __all__ = [
 
 _CHUNK = 1 << 17  # fixed chunk size keeps estimates independent of worker farming
 _CAP_LIMIT = 1 << 21
-_TAG_EU, _TAG_EV, _TAG_EG, _TAG_EW, _TAG_ABM_T, _TAG_ABM = 1, 2, 3, 4, 5, 6
+# stream tags: death dates, extinction dates (shared by every extinction-date
+# case), the agent-based study; 3 and 4 stay unused so no stream changes meaning
+_TAG_EU, _TAG_EV, _TAG_ABM_T, _TAG_ABM = 1, 2, 5, 6
 
 
 @dataclass(frozen=True)
@@ -121,43 +130,129 @@ def _estimate_from_dates(
     config: SimulationConfig,
     tag: int,
     sampler: Callable[[np.random.Generator, int], np.ndarray],
-    cum_values: np.ndarray,
-    cap: int,
-) -> SimEstimate:
-    """Average cum_values[min(date, cap)] over sampled dates, chunk by chunk."""
+    tables: Sequence[np.ndarray],
+) -> List[SimEstimate]:
+    """Average every table's cum[min(date, cap)] over one stream of sampled dates.
+
+    Each chunk's dates are reduced to integer counts per date 0..cap+1, the
+    last bin holding the draws beyond the cap. Integer counts add exactly, so
+    the estimates do not depend on the order in which chunks are reduced.
+    All tables must share one cap: len(table) = cap + 1.
+    """
+    cap = len(tables[0]) - 1
     total = config.replications
-    sums: List[float] = []
-    sumsqs: List[float] = []
-    truncated = 0
-    start = 0
-    idx = 0
-    shift = None  # center on the first draw so constant outcomes get SE exactly 0
-    while start < total:
-        size = min(_CHUNK, total - start)
+    counts = np.zeros(cap + 2, dtype=np.int64)
+    for idx, start in enumerate(range(0, total, _CHUNK)):
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, tag, idx]))
-        dates = sampler(rng, size)
-        truncated += int(np.count_nonzero(dates > cap))
-        vals = cum_values[np.minimum(dates, cap)]
-        if shift is None:
-            shift = float(vals[0])
-        centered = vals - shift
-        sums.append(float(np.sum(centered)))
-        sumsqs.append(float(np.sum(centered * centered)))
-        start += size
-        idx += 1
-    mean_centered = math.fsum(sums) / total
-    mean = shift + mean_centered
-    if total > 1:
-        var = max(math.fsum(sumsqs) - total * mean_centered * mean_centered, 0.0) / (total - 1)
-        se = math.sqrt(var / total)
+        dates = sampler(rng, min(_CHUNK, total - start))
+        counts += np.bincount(np.minimum(dates, cap + 1, out=dates), minlength=cap + 2)
+    truncated = int(counts[-1])
+    counts = counts[:-1]
+    counts[-1] += truncated  # clipped draws take the value at the cap
+    weights = counts.astype(float)
+    # center on a drawn value, the median date's, so constant outcomes get SE exactly 0
+    median = int(np.searchsorted(np.cumsum(counts), (total + 1) // 2))
+    estimates = []
+    for cum in tables:
+        if len(cum) != cap + 1:
+            raise ValueError("tables sharing one stream must share one horizon cap")
+        shift = float(cum[median])
+        centered = cum - shift
+        weighted = weights * centered
+        mean_centered = float(np.sum(weighted)) / total
+        if total > 1:
+            sumsq = float(np.sum(weighted * centered))
+            var = max(sumsq - total * mean_centered * mean_centered, 0.0) / (total - 1)
+            se = math.sqrt(var / total)
+        else:
+            se = 0.0
+        estimates.append(
+            SimEstimate(
+                mean=shift + mean_centered,
+                standard_error=se,
+                replications=total,
+                truncated_mass=truncated / total,
+            )
+        )
+    return estimates
+
+
+def mc_table(
+    case: Scenario,
+    params: HazardParams,
+    path: ConsumptionPath,
+    u: UtilitySpec,
+    config: SimulationConfig,
+) -> np.ndarray:
+    """Cumulative table cum[t], t = 0..cap: the case's realized sum when its date is t.
+
+    The individual case samples the death date D, capped from the joint
+    survival; every other case samples the extinction date T, capped from
+    1 - M, and sums base**t u(c_t) (social welfare: the window terms of
+    W(0, T), which grow like (1+n)**t). Raises when there is nothing to
+    sample or the expectation is infinite.
+    """
+    _require_smoothed(config)
+    if case.kind == "individual":
+        if params.is_degenerate:
+            raise DegenerateHazardError("m = M = 0: lifetimes are infinite")
+        cap = config.horizon_cap or default_horizon_cap(params.joint_survival)
+        return np.cumsum(np.asarray(u(path.values(0, cap + 1)), dtype=float))
+    if case.kind == "social_welfare":
+        if params.b <= 0.0:
+            raise ValueError("social welfare needs b > 0")
+        base = params.gross_growth
+    elif case.kind in ("dynasty", "dynasty_theta"):
+        base = params.gross_growth ** (1.0 if case.kind == "dynasty" else params.theta)
+    elif case.kind == "lineage":
+        base = (1.0 + params.b) ** params.alpha * (1.0 - params.m)
     else:
-        se = 0.0
-    return SimEstimate(
-        mean=mean,
-        standard_error=se,
-        replications=total,
-        truncated_mass=truncated / total,
+        raise ValueError(f"{case.label()} is deterministic: there is no date to sample")
+    if params.M <= 0.0:
+        raise NoExtinctionError("M = 0: there is no extinction date to sample")
+    if (1.0 - params.M) * base >= 1.0:
+        raise DivergenceError(f"(1-M) * {base:.6g} >= 1: the expectation is infinite")
+    cap = config.horizon_cap or default_horizon_cap(1.0 - params.M)
+    if case.kind == "social_welfare":
+        return np.cumsum(welfare_window_terms(params, path, u, cap + 1))
+    uu = np.asarray(u(path.values(0, cap + 1)), dtype=float)
+    return np.cumsum(np.power(base, np.arange(cap + 1)) * uu)
+
+
+def mc_estimates(
+    params: HazardParams,
+    tables: Dict[Scenario, np.ndarray],
+    config: SimulationConfig,
+) -> Dict[Scenario, SimEstimate]:
+    """Estimate every case from its ``mc_table`` with two streams of draws.
+
+    The individual case averages over death dates; all other cases average
+    over one shared stream of extinction dates (common random numbers), so
+    their estimates are correlated. Each estimate equals the one a batch of
+    that case alone gives.
+    """
+    streams = (
+        (_TAG_EU, lambda rng, size: sample_lifetimes(params, size, rng),
+         [c for c in tables if c.kind == "individual"]),
+        (_TAG_EV, lambda rng, size: sample_extinction_times(params.M, size, rng),
+         [c for c in tables if c.kind != "individual"]),
     )
+    out: Dict[Scenario, SimEstimate] = {}
+    for tag, sampler, cases in streams:
+        if cases:
+            ests = _estimate_from_dates(config, tag, sampler, [tables[c] for c in cases])
+            out.update(zip(cases, ests))
+    return out
+
+
+def _mc_one(
+    case: Scenario,
+    params: HazardParams,
+    path: ConsumptionPath,
+    u: UtilitySpec,
+    config: SimulationConfig,
+) -> SimEstimate:
+    return mc_estimates(params, {case: mc_table(case, params, path, u, config)}, config)[case]
 
 
 def mc_eu_individual(
@@ -171,38 +266,7 @@ def mc_eu_individual(
     Unbiased for eu_individual up to the horizon-cap clipping reported in
     truncated_mass.
     """
-    _require_smoothed(config)
-    if params.is_degenerate:
-        raise DegenerateHazardError("m = M = 0: lifetimes are infinite")
-    cap = config.horizon_cap or default_horizon_cap(params.joint_survival)
-    cum = np.cumsum(np.asarray(u(path.values(0, cap + 1)), dtype=float))
-    return _estimate_from_dates(
-        config, _TAG_EU, lambda rng, size: sample_lifetimes(params, size, rng), cum, cap
-    )
-
-
-def _mc_weighted_window(
-    params: HazardParams,
-    weights_base: float,
-    path: ConsumptionPath,
-    u: UtilitySpec,
-    config: SimulationConfig,
-    tag: int,
-) -> SimEstimate:
-    """Sample T and average sum_{t<=T} weights_base**t u(c_t)."""
-    if params.M <= 0.0:
-        raise NoExtinctionError("M = 0: there is no extinction date to sample")
-    if (1.0 - params.M) * weights_base >= 1.0:
-        raise DivergenceError(
-            f"(1-M) * {weights_base:.6g} >= 1: the expectation is infinite"
-        )
-    cap = config.horizon_cap or default_horizon_cap(1.0 - params.M)
-    t = np.arange(cap + 1)
-    uu = np.asarray(u(path.values(0, cap + 1)), dtype=float)
-    cum = np.cumsum(np.power(weights_base, t) * uu)
-    return _estimate_from_dates(
-        config, tag, lambda rng, size: sample_extinction_times(params.M, size, rng), cum, cap
-    )
+    return _mc_one(INDIVIDUAL, params, path, u, config)
 
 
 def mc_ev_dynasty(
@@ -217,13 +281,8 @@ def mc_ev_dynasty(
     theta defaults to params.theta; theta = 1 targets ev_dynasty. Smoothed
     mode: the dynasty path conditional on T is deterministic.
     """
-    _require_smoothed(config)
     th = params.theta if theta is None else theta
-    if not 0.0 <= th <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {th!r}")
-    return _mc_weighted_window(
-        params, params.gross_growth**th, path, u, config, _TAG_EV
-    )
+    return _mc_one(DYNASTY_THETA, replace(params, theta=th), path, u, config)
 
 
 def mc_eg_lineage(
@@ -233,9 +292,7 @@ def mc_eg_lineage(
     config: SimulationConfig,
 ) -> SimEstimate:
     """Estimate lineage utility: inner sum weights ((1+b)**alpha (1-m))**t."""
-    _require_smoothed(config)
-    base = (1.0 + params.b) ** params.alpha * (1.0 - params.m)
-    return _mc_weighted_window(params, base, path, u, config, _TAG_EG)
+    return _mc_one(LINEAGE, params, path, u, config)
 
 
 def mc_ew_social(
@@ -245,18 +302,7 @@ def mc_ew_social(
     config: SimulationConfig,
 ) -> SimEstimate:
     """Estimate social welfare: T ~ extinction law, value W(0, T)."""
-    _require_smoothed(config)
-    if params.b <= 0.0:
-        raise ValueError("social welfare needs b > 0")
-    if params.M <= 0.0:
-        raise NoExtinctionError("M = 0: there is no extinction date to sample")
-    if (1.0 - params.M) * params.gross_growth >= 1.0:
-        raise DivergenceError("(1-M)(1+n) >= 1: expected social welfare is infinite")
-    cap = config.horizon_cap or default_horizon_cap(1.0 - params.M)
-    cum = np.cumsum(welfare_window_terms(params, path, u, cap + 1))
-    return _estimate_from_dates(
-        config, _TAG_EW, lambda rng, size: sample_extinction_times(params.M, size, rng), cum, cap
-    )
+    return _mc_one(SOCIAL_WELFARE, params, path, u, config)
 
 
 # --- agent-based mode --------------------------------------------------------
@@ -489,6 +535,15 @@ class VerifyRow:
         }
 
 
+_VERIFY_FUNCTIONALS = (
+    (INDIVIDUAL, "eu_individual"),
+    (DYNASTY, "ev_dynasty"),
+    (DYNASTY_THETA, "ev_dynasty_theta"),
+    (LINEAGE, "eg_lineage"),
+    (SOCIAL_WELFARE, "ew_social"),
+)
+
+
 def verify_oracle_grid(
     replications: int = 1_000_000,
     seed: int = 20240613,
@@ -502,7 +557,9 @@ def verify_oracle_grid(
 
     A row is ok when |mc - analytic| <= se_multiple * SE. Statistically about
     1 in 370 honest comparisons lands outside +-3 SE, so a full run tolerates
-    one stray failure.
+    one stray failure. The four extinction-date rows of one point average over
+    the same draws of T, so their errors are correlated and stray failures can
+    come in clusters of one point's rows rather than independently.
     """
     pts = tuple(points) if points is not None else VERIFY_GRID
     path = path or VERIFY_PATH
@@ -510,19 +567,11 @@ def verify_oracle_grid(
     rows: List[VerifyRow] = []
     for i, params in enumerate(pts):
         cfg = SimulationConfig(replications=replications, seed=seed + 1_000_003 * i)
-        targets = [
-            ("eu_individual", eu_individual(params, path, u, tol).value,
-             mc_eu_individual(params, path, u, cfg)),
-            ("ev_dynasty", ev_dynasty(params, path, u, tol).value,
-             mc_ev_dynasty(params, path, u, 1.0, cfg)),
-            ("ev_dynasty_theta", ev_dynasty_theta(params, path, u, tol).value,
-             mc_ev_dynasty(params, path, u, None, cfg)),
-            ("eg_lineage", eg_lineage(params, path, u, tol).value,
-             mc_eg_lineage(params, path, u, cfg)),
-            ("ew_social", ew_social(params, path, u, tol).value,
-             mc_ew_social(params, path, u, cfg)),
-        ]
-        for name, analytic, est in targets:
+        tables = {case: mc_table(case, params, path, u, cfg) for case, _ in _VERIFY_FUNCTIONALS}
+        ests = mc_estimates(params, tables, cfg)
+        for case, name in _VERIFY_FUNCTIONALS:
+            analytic = evaluate(case, params, path, u, tol).value
+            est = ests[case]
             err = abs(est.mean - analytic)
             rows.append(
                 VerifyRow(

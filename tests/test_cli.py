@@ -322,3 +322,46 @@ def test_seed_and_reps_overrides(tmp_path):
                     "--reps", "2000", "--seed", "9"]) == 0
     rows = json.loads((out / "simulate.json").read_text())
     assert rows[0]["replications"] == 2000
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_non_finite_results_are_null_in_json_and_inf_in_csv(tmp_path):
+    cfg = write_config(tmp_path, {"cases": ["individual"], "grid": {"m": [1.0], "M": [0.5]}})
+    out = tmp_path / "inf"
+    assert cli_run(["sweep", "--config", cfg, "--out", str(out), "--format", "both"]) == 0
+    text = (out / "sweep.json").read_text(encoding="utf-8")
+    rows = json.loads(text, parse_constant=_reject_constant)
+    assert rows[0]["rate_log"] is None
+    assert read_csv(out / "sweep.csv")[0]["rate_log"] == "inf"
+
+
+def test_smoothed_simulate_matches_library_and_reports_each_case(tmp_path):
+    from extrisk import SimulationConfig, mc_eg_lineage, mc_eu_individual, mc_ev_dynasty
+    cfg = write_config(tmp_path, {
+        "cases": ["individual", "dynasty", "dynasty_theta", "lineage", {"known_extinction": 2}],
+        "grid": {"m": [0.02], "M": [0.01, 0.0], "b": [0.03], "theta": [0.5]},
+        "path": {"prefix": [0.9, 1.2, 1.1], "tail": "constant"},
+        "simulation": {"replications": 4000, "seed": 5},
+    })
+    out = tmp_path / "sim"
+    assert cli_run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_csv(out / "simulate.csv")
+    assert [r["status"].split(":")[0] for r in rows] == [
+        "ok", "ok", "ok", "ok", "deterministic (no sampling)",
+        "ok", "rejected", "rejected", "rejected", "deterministic (no sampling)",
+    ]
+    params = HazardParams(m=0.02, M=0.01, b=0.03, theta=0.5)
+    path = ConsumptionPath(prefix=(0.9, 1.2, 1.1))
+    u, sim = UtilitySpec.log(), SimulationConfig(replications=4000, seed=5)
+    expected = [
+        mc_eu_individual(params, path, u, sim),
+        mc_ev_dynasty(params, path, u, 1.0, sim),
+        mc_ev_dynasty(params, path, u, None, sim),
+        mc_eg_lineage(params, path, u, sim),
+    ]
+    for row, est in zip(rows, expected):
+        assert float(row["mc_mean"]) == est.mean
+        assert float(row["mc_se"]) == est.standard_error

@@ -1,9 +1,16 @@
 """Monte Carlo estimators against their analytic targets, plus the agent-based mode."""
 
+import math
+
 import numpy as np
 import pytest
 
 from extrisk import (
+    DYNASTY,
+    DYNASTY_THETA,
+    INDIVIDUAL,
+    LINEAGE,
+    SOCIAL_WELFARE,
     VERIFY_GRID,
     VERIFY_PATH,
     VERIFY_UTILITY,
@@ -12,6 +19,7 @@ from extrisk import (
     DivergenceError,
     HazardParams,
     NoExtinctionError,
+    Scenario,
     SimulationConfig,
     UtilitySpec,
     abm_population_run,
@@ -24,11 +32,15 @@ from extrisk import (
     mc_eg_lineage,
     mc_eu_individual,
     mc_ev_dynasty,
+    mc_estimates,
     mc_ew_social,
+    mc_table,
     reproducibility_selfcheck,
+    sample_extinction_times,
+    sample_lifetimes,
     verify_oracle_grid,
 )
-from extrisk.simulate import _offspring
+from extrisk.simulate import _CHUNK, _TAG_EU, _TAG_EV, _offspring
 
 ONE = ConsumptionPath.constant(1.0)
 LINEAR = UtilitySpec.linear()
@@ -70,6 +82,18 @@ def test_mc_ew_certain_immediate_extinction_is_initial_welfare():
     est = mc_ew_social(p, ONE, LINEAR, SimulationConfig(replications=5_000, seed=4))
     assert est.mean == pytest.approx(7.0, rel=1e-12)
     assert est.standard_error == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("reps", [3, 2 * _CHUNK + 3])
+def test_constant_outcome_over_many_dates_has_zero_se(reps):
+    # u(c_0) = log 2 and u(c_t) = 0 afterwards: every date realizes log 2
+    path = ConsumptionPath(prefix=(2.0, 1.0))
+    cfg = SimulationConfig(replications=reps, seed=6)
+    p = HazardParams(m=0.3, M=0.2, b=0.1)
+    for est in (mc_eu_individual(p, path, VERIFY_UTILITY, cfg),
+                mc_eg_lineage(p, path, VERIFY_UTILITY, cfg)):
+        assert est.mean == math.log(2.0)
+        assert est.standard_error == 0.0
 
 
 # --- agreement with the analytic engine ---------------------------------------------
@@ -185,6 +209,59 @@ def test_chunk_boundary_replication_counts():
 
 def test_reproducibility_selfcheck_passes():
     assert reproducibility_selfcheck()
+
+
+def _chunked_dates(sampler, reps, seed, tag):
+    return np.concatenate([
+        sampler(min(_CHUNK, reps - start),
+                np.random.default_rng(np.random.SeedSequence([seed, tag, i])))
+        for i, start in enumerate(range(0, reps, _CHUNK))
+    ])
+
+
+def test_histogram_estimate_matches_direct_mean_over_the_same_streams():
+    p = HazardParams(m=0.05, M=0.1, b=0.02, theta=0.5, alpha=0.3)
+    reps, cap = _CHUNK + 5_000, 12
+    cfg = SimulationConfig(replications=reps, seed=8, horizon_cap=cap)
+    cases = (INDIVIDUAL, DYNASTY, DYNASTY_THETA, LINEAGE, SOCIAL_WELFARE)
+    tables = {c: mc_table(c, p, VERIFY_PATH, VERIFY_UTILITY, cfg) for c in cases}
+    ests = mc_estimates(p, tables, cfg)
+    lifetimes = _chunked_dates(lambda n, rng: sample_lifetimes(p, n, rng), reps, 8, _TAG_EU)
+    extinctions = _chunked_dates(lambda n, rng: sample_extinction_times(p.M, n, rng),
+                                 reps, 8, _TAG_EV)
+    for case in cases:
+        dates = lifetimes if case == INDIVIDUAL else extinctions
+        vals = tables[case][np.minimum(dates, cap)]
+        est = ests[case]
+        assert est.truncated_mass == np.count_nonzero(dates > cap) / reps
+        assert est.truncated_mass > 0.0
+        assert est.mean == pytest.approx(math.fsum(vals) / reps, rel=1e-12, abs=0.0)
+        direct_se = np.std(vals, ddof=1) / math.sqrt(reps)
+        assert est.standard_error == pytest.approx(direct_se, rel=1e-9, abs=0.0)
+
+
+def test_verify_rows_equal_single_estimator_calls():
+    reps, seed = 3_000, 11
+    singles = {
+        "eu_individual": lambda p, cfg: mc_eu_individual(p, VERIFY_PATH, VERIFY_UTILITY, cfg),
+        "ev_dynasty": lambda p, cfg: mc_ev_dynasty(p, VERIFY_PATH, VERIFY_UTILITY, 1.0, cfg),
+        "ev_dynasty_theta": lambda p, cfg: mc_ev_dynasty(p, VERIFY_PATH, VERIFY_UTILITY,
+                                                         None, cfg),
+        "eg_lineage": lambda p, cfg: mc_eg_lineage(p, VERIFY_PATH, VERIFY_UTILITY, cfg),
+        "ew_social": lambda p, cfg: mc_ew_social(p, VERIFY_PATH, VERIFY_UTILITY, cfg),
+    }
+    rows = verify_oracle_grid(replications=reps, seed=seed)
+    assert len(rows) == 5 * len(VERIFY_GRID)
+    for r in rows:
+        cfg = SimulationConfig(replications=reps, seed=seed + 1_000_003 * r.point)
+        est = singles[r.functional](r.params, cfg)
+        assert (r.mc_mean, r.mc_se, r.truncated_mass) == (
+            est.mean, est.standard_error, est.truncated_mass), (r.functional, r.point)
+
+
+def test_mc_table_rejects_deterministic_case():
+    with pytest.raises(ValueError):
+        mc_table(Scenario("known_extinction", T=3), VERIFY_GRID[0], ONE, LINEAR, CFG)
 
 
 # --- horizon cap -----------------------------------------------------------------------

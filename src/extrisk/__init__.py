@@ -13,17 +13,13 @@ from .model import (
     ConsumptionPath,
     DegenerateHazardError,
     DivergenceError,
-    ExtinctionPmf,
     HazardParams,
-    LifetimePmf,
     NoExtinctionError,
-    PopulationProcess,
     UtilitySpec,
     extinction_pmf,
     lifetime_cdf,
     lifetime_pmf,
     lifetime_pmf_known_T,
-    population_at,
     sample_extinction_times,
     sample_lifetime,
     sample_lifetimes,

@@ -16,25 +16,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import (
-    ConsumptionPath,
-    DegenerateHazardError,
-    DivergenceError,
-    HazardParams,
-    NoExtinctionError,
-    UtilitySpec,
-)
+from .model import ConsumptionPath, DivergenceError, HazardParams, UtilitySpec
 from .series import (
     DEFAULT_TOLERANCE,
     Scenario,
     SeriesResult,
     evaluate,
+    factor_exponents,
+    factor_pieces,
     finiteness_check,
-    weight_ratio,
     weight_sequence,
 )
 
@@ -84,23 +78,10 @@ class DiscountProfile:
     long_run: float
 
 
-def _factor_general(case: Scenario, params: HazardParams) -> float:
-    """Discount factor in terms of (m, M, b); social welfare takes its long-run value."""
-    if case.kind == "social_welfare":
-        return (1.0 - params.M) * params.gross_growth
-    return weight_ratio(case, params)
-
-
-def _factor_n0(case: Scenario, params: HazardParams) -> float:
-    """Discount factor under the constant-population restriction (1+b)(1-m) = 1."""
-    sM = 1.0 - params.M
-    if case.kind == "individual":
-        return sM * (1.0 - params.m)
-    if case.kind in ("dynasty", "dynasty_theta", "social_welfare"):
-        return sM
-    if case.kind == "lineage":
-        return sM * (1.0 - params.m) ** (1.0 - params.alpha)
-    return 1.0 - params.m
+def _factor_n(exps: Tuple[float, float, float], sM: float, sm: float, g: float) -> float:
+    """(1-M)**eM (1-m)**(em-eb) (1+n)**eb: the factor with g = 1+n in place of b."""
+    eM, eb, em = exps
+    return sM**eM * sm ** (em - eb) * g**eb
 
 
 def discount_factor(case: Scenario, params: HazardParams) -> DiscountReport:
@@ -109,7 +90,8 @@ def discount_factor(case: Scenario, params: HazardParams) -> DiscountReport:
     known_extinction carries a note: with the extinction date fixed, only the
     individual death hazard discounts and the factor ignores M entirely.
     """
-    factor = _factor_general(case, params)
+    factor = math.prod(factor_pieces(case, params))
+    exps = factor_exponents(case, params)
     note = None
     if case.kind == "known_extinction":
         note = (
@@ -123,7 +105,7 @@ def discount_factor(case: Scenario, params: HazardParams) -> DiscountReport:
         factor=factor,
         rate_simple=1.0 - factor,
         rate_log=-math.log(factor) if factor > 0.0 else math.inf,
-        factor_n0=_factor_n0(case, params),
+        factor_n0=_factor_n(exps, 1.0 - params.M, 1.0 - params.m, 1.0),  # n = 0: g = 1
         constant=case.kind != "social_welfare",
         note=note,
     )
@@ -157,10 +139,9 @@ def discount_profile(params: HazardParams, horizon: int) -> DiscountProfile:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     long_run = (1.0 - params.M) * params.gross_growth
-    t = np.arange(horizon)
-    q = 1.0 / (1.0 + params.b)
-    ratios = long_run * (1.0 - np.power(q, t + 2)) / (1.0 - np.power(q, t + 1))
-    return DiscountProfile(ratios=ratios, long_run=long_run)
+    # a[k] = 1 - q**(k+1), q = 1/(1+b), without the cancellation of forming q**(k+1)
+    a = -np.expm1(np.arange(1, horizon + 2) * -math.log1p(params.b))
+    return DiscountProfile(ratios=long_run * a[1:] / a[:-1], long_run=long_run)
 
 
 # --- belief-update comparative statics --------------------------------------
@@ -185,30 +166,21 @@ class SensitivityReport:
 
 
 def _closed_derivatives(case: Scenario, params: HazardParams, regime: str):
-    m, M, b = params.m, params.M, params.b
-    sM, sm = 1.0 - M, 1.0 - m
-    g = params.gross_growth
-    th, al = params.theta, params.alpha
-    kind = case.kind
-    if kind == "individual":
-        return -sm, -sM
-    if kind == "known_extinction":
-        return 0.0, -1.0
-    if kind in ("dynasty", "social_welfare"):
-        if regime == "n-fixed":
-            return -g, 0.0
-        return -g, -sM * (1.0 + b)
-    if kind == "dynasty_theta":
-        if regime == "n-fixed":
-            return -(g**th), 0.0
-        return -(g**th), -th * sM * (1.0 + b) * g ** (th - 1.0)
-    # lineage
-    if regime == "n-fixed":
-        return (
-            -(sm ** (1.0 - al)) * g**al,
-            -(1.0 - al) * sM * sm ** (-al) * g**al,
-        )
-    return -(1.0 + b) ** al * sm, -sM * (1.0 + b) ** al
+    """(d factor / dM, d factor / dm) from the case's exponents, a zero exponent giving +0."""
+    eM, eb, em = factor_exponents(case, params)
+    sM, sm, g = 1.0 - params.M, 1.0 - params.m, params.gross_growth
+    if regime == "n-fixed":  # sM**eM sm**(em-eb) g**eb with g held
+        rest = sm ** (em - eb) * g**eb
+        # (em - 1) - eb keeps the lineage exponent -alpha exact
+        d_m = 0.0 if em == eb else -(em - eb) * sM**eM * sm ** (em - 1.0 - eb) * g**eb
+    elif eb == em:  # sM**eM g**e
+        rest = g**eb
+        d_m = -em * sM**eM * (1.0 + params.b) * g ** (em - 1.0)
+    else:  # sM**eM (1+b)**eb sm**em
+        rest = (1.0 + params.b) ** eb * sm**em
+        d_m = -em * sM**eM * (1.0 + params.b) ** eb * sm ** (em - 1.0)
+    d_M = 0.0 if eM == 0.0 else -eM * sM ** (eM - 1.0) * rest
+    return d_M, d_m
 
 
 def _factor_in_regime(
@@ -216,19 +188,8 @@ def _factor_in_regime(
 ) -> float:
     """Factor as a function of the perceived hazards, holding b or n at its base value."""
     if regime == "b-fixed":
-        return _factor_general(case, replace(base, m=m, M=M))
-    sM, sm = 1.0 - M, 1.0 - m
-    g = base.gross_growth  # n held fixed: the growth factor does not move
-    kind = case.kind
-    if kind == "individual":
-        return sM * sm
-    if kind == "known_extinction":
-        return sm
-    if kind in ("dynasty", "social_welfare"):
-        return sM * g
-    if kind == "dynasty_theta":
-        return sM * g**base.theta
-    return sM * sm ** (1.0 - base.alpha) * g**base.alpha
+        return math.prod(factor_pieces(case, replace(base, m=m, M=M)))
+    return _factor_n(factor_exponents(case, base), 1.0 - M, 1.0 - m, base.gross_growth)
 
 
 def belief_update_response(
@@ -339,7 +300,7 @@ def scenario_sweep(
                     series = evaluate(case, params, path, u, tol)
                 except DivergenceError:
                     status = "divergent"
-                except (NoExtinctionError, DegenerateHazardError, ValueError) as exc:
+                except ValueError as exc:
                     status = f"rejected: {exc}"
             rows.append(
                 SweepRow(

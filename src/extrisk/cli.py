@@ -26,14 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .model import (
-    ConsumptionPath,
-    DegenerateHazardError,
-    DivergenceError,
-    HazardParams,
-    NoExtinctionError,
-    UtilitySpec,
-)
+from .model import ConsumptionPath, DivergenceError, HazardParams, UtilitySpec
 from .series import (
     DEFAULT_TOLERANCE,
     DYNASTY,
@@ -383,7 +376,7 @@ def _cmd_eval(args: argparse.Namespace, out_dir: Path) -> int:
                 divergent = True
                 row.update(value=None, tail_bound=None, truncation_index=None,
                            converged=None, status=f"divergent: {exc}")
-            except (NoExtinctionError, DegenerateHazardError, ValueError) as exc:
+            except ValueError as exc:
                 row.update(value=None, tail_bound=None, truncation_index=None,
                            converged=None, status=f"rejected: {exc}")
             rows.append(row)
@@ -540,7 +533,7 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
                 divergent = True
                 row.update(analytic=None, mc_mean=None, mc_se=None, abs_error=None,
                            within_3se=None, truncated_mass=None, status=f"divergent: {exc}")
-            except (NoExtinctionError, DegenerateHazardError, ValueError) as exc:
+            except ValueError as exc:
                 row.update(analytic=None, mc_mean=None, mc_se=None, abs_error=None,
                            within_3se=None, truncated_mass=None, status=f"rejected: {exc}")
             rows.append(row)

@@ -1,4 +1,4 @@
-"""Hazard parameters, survival and extinction distributions, population processes.
+"""Hazard parameters, survival and extinction distributions, samplers.
 
 Time is discrete, t = 0, 1, 2, ... . Each period an individual alive at t dies
 with probability m, and humanity as a whole is wiped out with probability M;
@@ -25,14 +25,10 @@ __all__ = [
     "HazardParams",
     "ConsumptionPath",
     "UtilitySpec",
-    "LifetimePmf",
-    "ExtinctionPmf",
-    "PopulationProcess",
     "lifetime_pmf",
     "lifetime_cdf",
     "lifetime_pmf_known_T",
     "extinction_pmf",
-    "population_at",
     "sample_lifetime",
     "sample_lifetimes",
     "sample_extinction_times",
@@ -287,69 +283,6 @@ def extinction_pmf(M: float, T: int) -> float:
     if T < 0:
         raise ValueError("T must be >= 0")
     return (1.0 - M) ** T * M
-
-
-@dataclass(frozen=True)
-class LifetimePmf:
-    """Lifetime distribution, unconditional or conditional on a known extinction date."""
-
-    params: HazardParams
-    T: Optional[int] = None
-
-    def pmf(self, t: int) -> float:
-        if self.T is None:
-            return lifetime_pmf(self.params, t)
-        return lifetime_pmf_known_T(self.params.m, self.T, t)
-
-    def cdf(self, t: int) -> float:
-        if self.T is None:
-            return lifetime_cdf(self.params, t)
-        t = min(t, self.T)
-        return math.fsum(self.pmf(k) for k in range(t + 1))
-
-
-@dataclass(frozen=True)
-class ExtinctionPmf:
-    M: float
-
-    def pmf(self, T: int) -> float:
-        return extinction_pmf(self.M, T)
-
-
-# --- population processes -------------------------------------------------
-
-_PROCESS_KINDS = ("dynasty", "population", "lineage")
-
-
-@dataclass(frozen=True)
-class PopulationProcess:
-    """Deterministic (smoothed) population path up to a fixed extinction date T.
-
-    dynasty / population: N0 * ((1+b)(1-m))**t for t <= T, 0 after.
-    lineage: (1+b)**(alpha*t) * (1-m)**t, normalised to 1 at t = 0.
-    """
-
-    kind: str
-    params: HazardParams
-    T: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in _PROCESS_KINDS:
-            raise ValueError(f"kind must be one of {_PROCESS_KINDS}, got {self.kind!r}")
-        if self.T < 0:
-            raise ValueError("T must be >= 0")
-
-
-def population_at(process: PopulationProcess, t: int) -> float:
-    """Size of the process at date t; zero strictly after the extinction date."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t > process.T:
-        return 0.0
-    p = process.params
-    if process.kind == "lineage":
-        return (1.0 + p.b) ** (p.alpha * t) * (1.0 - p.m) ** t
-    return p.N0 * p.gross_growth**t
 
 
 # --- sampling --------------------------------------------------------------

@@ -1,14 +1,19 @@
 """Expected-utility functionals as closed-form series with rigorous rounding bounds.
 
 Every functional here has the shape  sum_t w_t u(c_t)  where the weights w_t
-encode survival odds and population weighting:
+encode survival odds and population weighting. Each case discounts at one
+per-period factor f = (1-M)**eM (1+b)**eb (1-m)**em, and the exponent table
+``_EXPONENTS`` (read through factor_exponents) is the only place the cases'
+formulas are written; every factor, log-ratio, regime factor and derivative
+elsewhere is derived from it. With (1+n) = (1+b)(1-m):
 
-    individual        w_t = ((1-m)(1-M))**t
-    dynasty           w_t = ((1-M)(1+n))**t                 with (1+n)=(1+b)(1-m)
-    dynasty, theta    w_t = ((1-M)(1+n)**theta)**t
-    lineage           w_t = ((1-M)(1+b)**alpha (1-m))**t
-    social welfare    w_t = N0 (1+b)/b ((1-M)(1+n))**t (1 - (1+b)**-(t+1))
-    known date T      w_t = (1-m)**t  for t <= T, finite sum
+    case              (eM, eb, em)            weights
+    individual        (1, 0, 1)               w_t = ((1-M)(1-m))**t
+    dynasty           (1, 1, 1)               w_t = ((1-M)(1+n))**t
+    dynasty, theta    (1, theta, theta)       w_t = ((1-M)(1+n)**theta)**t
+    lineage           (1, alpha, 1)           w_t = ((1-M)(1+b)**alpha (1-m))**t
+    social welfare    (1, 1, 1), long run     w_t = N0 (1+b)/b f**t (1 - (1+b)**-(t+1))
+    known date T      (0, 0, 1)               w_t = (1-m)**t  for t <= T, finite sum
 
 The infinite ones are all  pref * sum_t r**t (1 - q**(t+1)) u(c_t):  the
 modifier is 1 except for social welfare (q = 1/(1+b)) and its n = 0 form
@@ -60,6 +65,8 @@ __all__ = [
     "SOCIAL_WELFARE",
     "known_extinction",
     "FinitenessResult",
+    "factor_exponents",
+    "factor_pieces",
     "finiteness_check",
     "weight_ratio",
     "weight_sequence",
@@ -152,19 +159,43 @@ class FinitenessResult:
     margin: float  # 1 - product; positive means finite
 
 
+# --- the factor table ----------------------------------------------------------
+
+# Every per-period discount factor is (1-M)**eM (1+b)**eb (1-m)**em. Extinction
+# risk enters every case but the known date; births hedge mortality fully,
+# partly or not at all. Social welfare's entry is its long-run factor.
+_EXPONENTS = {
+    "individual": lambda p: (1.0, 0.0, 1.0),
+    "dynasty": lambda p: (1.0, 1.0, 1.0),
+    "social_welfare": lambda p: (1.0, 1.0, 1.0),
+    "dynasty_theta": lambda p: (1.0, p.theta, p.theta),
+    "lineage": lambda p: (1.0, p.alpha, 1.0),
+    "known_extinction": lambda p: (0.0, 0.0, 1.0),
+}
+
+
+def factor_exponents(case: Scenario, params: HazardParams) -> Tuple[float, float, float]:
+    """Exponents (eM, eb, em) of (1-M), (1+b) and (1-m) in the case's per-period factor."""
+    return _EXPONENTS[case.kind](params)
+
+
+def factor_pieces(case: Scenario, params: HazardParams) -> List[float]:
+    """The factor as pieces: (1-M)**eM, then the growth (1+b)**eb (1-m)**em.
+
+    Equal exponents eb = em = e make one growth piece (1+n)**e. The factor is
+    math.prod of the pieces, the growth math.prod of all but the first.
+    """
+    eM, eb, em = factor_exponents(case, params)
+    if eb == em:
+        return [(1.0 - params.M) ** eM, params.gross_growth**eb]
+    return [(1.0 - params.M) ** eM, (1.0 + params.b) ** eb, (1.0 - params.m) ** em]
+
+
 def weight_ratio(case: Scenario, params: HazardParams) -> float:
     """Constant per-period weight ratio of the case (social welfare excluded)."""
-    if case.kind == "individual":
-        return (1.0 - params.m) * (1.0 - params.M)
-    if case.kind == "dynasty":
-        return (1.0 - params.M) * params.gross_growth
-    if case.kind == "dynasty_theta":
-        return (1.0 - params.M) * params.gross_growth**params.theta
-    if case.kind == "lineage":
-        return (1.0 - params.M) * (1.0 + params.b) ** params.alpha * (1.0 - params.m)
-    if case.kind == "known_extinction":
-        return 1.0 - params.m
-    raise ValueError("social_welfare has no constant weight ratio; see weight_sequence")
+    if case.kind == "social_welfare":
+        raise ValueError("social_welfare has no constant weight ratio; see weight_sequence")
+    return math.prod(factor_pieces(case, params))
 
 
 def finiteness_check(case: Scenario, params: HazardParams) -> FinitenessResult:
@@ -173,13 +204,9 @@ def finiteness_check(case: Scenario, params: HazardParams) -> FinitenessResult:
     known_extinction is a finite sum and is always finite; for the other cases
     the series converges iff the product is < 1.
     """
-    if case.kind == "social_welfare":
-        product = (1.0 - params.M) * params.gross_growth
-    else:
-        product = weight_ratio(case, params)
-    margin = 1.0 - product
+    product = math.prod(factor_pieces(case, params))
     finite = True if case.kind == "known_extinction" else product < 1.0
-    return FinitenessResult(finite=finite, product=product, margin=margin)
+    return FinitenessResult(finite=finite, product=product, margin=1.0 - product)
 
 
 def weight_sequence(case: Scenario, params: HazardParams, length: int) -> np.ndarray:
@@ -196,17 +223,14 @@ def weight_sequence(case: Scenario, params: HazardParams, length: int) -> np.nda
         if params.b <= 0.0:
             raise ValueError("social welfare weights need b > 0")
         t = np.arange(length)
-        rho = (1.0 - params.M) * params.gross_growth
-        q = 1.0 / (1.0 + params.b)
+        rho = math.prod(factor_pieces(case, params))
         pref = params.N0 * (1.0 + params.b) / params.b
-        return pref * np.power(rho, t) * (1.0 - np.power(q, t + 1))
-    rho = weight_ratio(case, params)
-    w = np.empty(length)
-    if length > 0:
-        w[0] = 1.0
-        for t in range(1, length):
-            w[t] = w[t - 1] * rho
-    if case.kind == "known_extinction" and length > case.T + 1:
+        # 1 - (1+b)**-(t+1) without the cancellation of forming the power first
+        return pref * np.power(rho, t) * -np.expm1((t + 1) * -math.log1p(params.b))
+    w = np.full(length, weight_ratio(case, params))
+    w[:1] = 1.0
+    np.cumprod(w, out=w)
+    if case.kind == "known_extinction":
         w[case.T + 1 :] = 0.0
     return w
 
@@ -220,21 +244,15 @@ def _log1m(x: float) -> float:
 
 
 def _scaled(k: float, x: float) -> float:
-    """k * x with 0 * -inf = 0, as 0.0**0.0 = 1 in weight_ratio."""
+    """k * x with 0 * -inf = 0, as 0.0**0.0 = 1 in factor_pieces."""
     return 0.0 if k == 0.0 else k * x
 
 
 def _log_parts(case: Scenario, params: HazardParams) -> List[float]:
-    """log of the case's weight ratio as summands, one per hazard factor."""
-    lm, lM = _log1m(params.m), _log1m(params.M)
-    if case.kind == "individual":
-        return [lm, lM]
-    lb = math.log1p(params.b)
-    if case.kind == "dynasty_theta":
-        return [lM, _scaled(params.theta, lb), _scaled(params.theta, lm)]
-    if case.kind == "lineage":
-        return [lM, _scaled(params.alpha, lb), lm]
-    return [lM, lb, lm]  # dynasty, social welfare
+    """log of the case's factor as summands: eM log(1-M), eb log1p(b), em log(1-m)."""
+    eM, eb, em = factor_exponents(case, params)
+    return [_scaled(eM, _log1m(params.M)), _scaled(eb, math.log1p(params.b)),
+            _scaled(em, _log1m(params.m))]
 
 
 def _log_sum(parts: Sequence[float]) -> Tuple[float, float]:
@@ -555,6 +573,15 @@ def _require_finite(case: Scenario, params: HazardParams) -> float:
     return chk.product
 
 
+def _extinction_series(
+    case: Scenario, params: HazardParams, path: ConsumptionPath, u: UtilitySpec, tol: float
+) -> SeriesResult:
+    """sum_t factor**t u(c_t) for a case that mixes over extinction dates."""
+    _require_extinction(params)
+    _require_finite(case, params)
+    return _closed_sum(_log_parts(case, params), path, u, tol)
+
+
 def ev_dynasty(
     params: HazardParams,
     path: ConsumptionPath,
@@ -566,9 +593,7 @@ def ev_dynasty(
     EV = sum_t ((1-M)(1+n))**t u(c_t); finite iff (1-M)(1+n) < 1. With b = 0
     this reduces exactly to the individual functional.
     """
-    _require_extinction(params)
-    _require_finite(DYNASTY, params)
-    return _closed_sum(_log_parts(DYNASTY, params), path, u, tol)
+    return _extinction_series(DYNASTY, params, path, u, tol)
 
 
 def ev_dynasty_theta(
@@ -583,9 +608,7 @@ def ev_dynasty_theta(
     theta = 0 is per-capita (Millian) weighting, leaving only (1-M)**t.
     Finite iff (1-M)(1+n)**theta < 1.
     """
-    _require_extinction(params)
-    _require_finite(DYNASTY_THETA, params)
-    return _closed_sum(_log_parts(DYNASTY_THETA, params), path, u, tol)
+    return _extinction_series(DYNASTY_THETA, params, path, u, tol)
 
 
 def eg_lineage(
@@ -600,9 +623,7 @@ def eg_lineage(
     on a fraction alpha of the ancestor's weighting, so mortality is hedged
     only partially. Finite iff (1-M)(1+b)**alpha (1-m) < 1.
     """
-    _require_extinction(params)
-    _require_finite(LINEAGE, params)
-    return _closed_sum(_log_parts(LINEAGE, params), path, u, tol)
+    return _extinction_series(LINEAGE, params, path, u, tol)
 
 
 def eu_known_T(
@@ -672,32 +693,18 @@ def welfare_window_direct(
 
 
 def welfare_window(
-    params: HazardParams,
-    T: int,
-    path: ConsumptionPath,
-    u: UtilitySpec,
-    check: bool = False,
+    params: HazardParams, T: int, path: ConsumptionPath, u: UtilitySpec
 ) -> float:
     """Total welfare W(0, T) of everyone present between 0 and the extinction date T.
 
     Uses the closed form for b > 0 and falls back to the direct double sum at
-    b = 0 (the closed form divides by b). With check=True both routes are
-    computed and must agree to 1e-10 relative.
+    b = 0 (the closed form divides by b).
     """
     if T < 0:
         raise ValueError("T must be >= 0")
     if params.b <= 0.0:
         return welfare_window_direct(params, T, path, u)
-    value = math.fsum(welfare_window_terms(params, path, u, T + 1))
-    if check:
-        direct = welfare_window_direct(params, T, path, u)
-        scale = max(abs(value), abs(direct), 1.0)
-        if abs(value - direct) > 1e-10 * scale:
-            raise AssertionError(
-                f"welfare window closed form {value!r} and double sum {direct!r} "
-                f"disagree beyond 1e-10 relative"
-            )
-    return value
+    return math.fsum(welfare_window_terms(params, path, u, T + 1))
 
 
 def _ew_preconditions(params: HazardParams) -> float:

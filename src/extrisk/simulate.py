@@ -41,6 +41,7 @@ from .series import (
     SOCIAL_WELFARE,
     Scenario,
     evaluate,
+    factor_pieces,
     welfare_window_terms,
 )
 
@@ -198,16 +199,11 @@ def mc_table(
             raise DegenerateHazardError("m = M = 0: lifetimes are infinite")
         cap = config.horizon_cap or default_horizon_cap(params.joint_survival)
         return np.cumsum(np.asarray(u(path.values(0, cap + 1)), dtype=float))
-    if case.kind == "social_welfare":
-        if params.b <= 0.0:
-            raise ValueError("social welfare needs b > 0")
-        base = params.gross_growth
-    elif case.kind in ("dynasty", "dynasty_theta"):
-        base = params.gross_growth ** (1.0 if case.kind == "dynasty" else params.theta)
-    elif case.kind == "lineage":
-        base = (1.0 + params.b) ** params.alpha * (1.0 - params.m)
-    else:
+    if case.kind == "social_welfare" and params.b <= 0.0:
+        raise ValueError("social welfare needs b > 0")
+    if case.kind == "known_extinction":
         raise ValueError(f"{case.label()} is deterministic: there is no date to sample")
+    base = math.prod(factor_pieces(case, params)[1:])  # the growth (1+b)**eb (1-m)**em
     if params.M <= 0.0:
         raise NoExtinctionError("M = 0: there is no extinction date to sample")
     if (1.0 - params.M) * base >= 1.0:

@@ -84,6 +84,8 @@ def _ratios(kind: str, params) -> Tuple[Decimal, Decimal]:
         return sM * _pow(gb, params.alpha) * sm, ONE
     if kind == "n0_form":
         return sM, _d(params.N0) / m
+    if kind == "known_extinction":
+        return sm, ONE
     raise ValueError(f"unknown functional {kind!r}")
 
 

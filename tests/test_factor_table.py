@@ -1,0 +1,72 @@
+"""The per-case exponent table against independent references.
+
+Every factor is (1-M)**eM (1+b)**eb (1-m)**em with exponents read from one
+table. A wrong exponent would move the float factor away from the 50-digit
+oracle, split the log-parts from the factor, or break the n = 0, regime and
+derivative identities checked here.
+"""
+
+import math
+from decimal import Decimal, localcontext
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from decimal_oracle import CTX, _d, _ratios
+from extrisk import (
+    HazardParams,
+    Scenario,
+    belief_update_response,
+    discount_factor,
+    known_extinction,
+)
+from extrisk.analysis import _factor_in_regime
+from extrisk.series import _log_parts
+
+CASES = tuple(Scenario(k) for k in ("individual", "dynasty", "dynasty_theta", "lineage",
+                                    "social_welfare")) + (known_extinction(5),)
+ULP = 2.0**-52
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def points(draw):
+    return HazardParams(
+        m=draw(log_uniform(1e-9, 0.5)), M=draw(log_uniform(1e-9, 0.5)),
+        b=draw(st.one_of(st.just(0.0), log_uniform(1e-12, 2.0))),
+        theta=draw(st.floats(0.0, 1.0)), alpha=draw(st.floats(0.01, 0.99)),
+    )
+
+
+@pytest.mark.parametrize("case", CASES, ids=Scenario.label)
+@given(params=points())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_factor_table(case, params):
+    factor = discount_factor(case, params).factor
+    # social welfare's factor is its long-run limit, the dynasty ratio
+    kind = "dynasty" if case.kind == "social_welfare" else case.kind
+    with localcontext(CTX):
+        exact, _ = _ratios(kind, params)
+        assert abs(Decimal(factor) - exact) <= 4 * _d(ULP) * exact
+    assert math.exp(math.fsum(_log_parts(case, params))) == pytest.approx(factor, rel=1e-13)
+
+    n0 = params.with_n_zero()
+    assert discount_factor(case, params).factor_n0 == pytest.approx(
+        discount_factor(case, n0).factor, rel=1e-12, abs=1e-12)
+
+    regime = {r: _factor_in_regime(case, params.m, params.M, params, r)
+              for r in ("b-fixed", "n-fixed")}
+    assert regime["b-fixed"] == factor
+    assert regime["n-fixed"] == pytest.approx(factor, rel=1e-13)
+
+    # central differences with steps inside the hazards; rounding costs about eps/h
+    dM, dm = min(1e-6, params.M / 2), min(1e-6, params.m / 2)
+    rep = belief_update_response(case, params, dM=dM, dm=dm)
+    for reg in (rep.b_fixed, rep.n_fixed):
+        for closed, fd, h in ((reg.d_factor_d_M, reg.fd_d_factor_d_M, dM),
+                              (reg.d_factor_d_m, reg.fd_d_factor_d_m, dm)):
+            assert fd == pytest.approx(closed, rel=1e-5, abs=4 * ULP * (1.0 + factor) / h)

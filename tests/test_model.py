@@ -11,13 +11,11 @@ from extrisk import (
     ConsumptionPath,
     DegenerateHazardError,
     HazardParams,
-    PopulationProcess,
     UtilitySpec,
     extinction_pmf,
     lifetime_cdf,
     lifetime_pmf,
     lifetime_pmf_known_T,
-    population_at,
     sample_lifetime,
     sample_lifetimes,
 )
@@ -161,42 +159,6 @@ def test_extinction_pmf_values():
     assert extinction_pmf(0.01, 0) == 0.01
     assert extinction_pmf(0.0, 10) == 0.0
     assert extinction_pmf(0.2, 2) == pytest.approx(0.128, abs=1e-15)  # 0.8**2 * 0.2
-
-
-# --- population processes --------------------------------------------------------
-
-
-def test_dynasty_size_matches_growth_product():
-    p = HazardParams(m=0.02, M=0.01, b=0.03, N0=1.0)
-    proc = PopulationProcess(kind="dynasty", params=p, T=5)
-    assert population_at(proc, 3) == pytest.approx((1.03 * 0.98) ** 3, rel=1e-15)
-
-
-def test_population_is_zero_after_extinction():
-    p = HazardParams(m=0.1, M=0.05, b=0.2, N0=7.0)
-    proc = PopulationProcess(kind="population", params=p, T=4)
-    assert population_at(proc, 5) == 0.0
-    assert population_at(proc, 4) == pytest.approx(7.0 * p.gross_growth**4, rel=1e-15)
-
-
-def test_lineage_size():
-    p = HazardParams(m=0.02, M=0.01, b=0.03, alpha=0.5)
-    proc = PopulationProcess(kind="lineage", params=p, T=5)
-    assert population_at(proc, 2) == pytest.approx(1.03 ** (0.5 * 2) * 0.98**2, rel=1e-15)
-    assert population_at(proc, 0) == 1.0
-
-
-@given(t=st.integers(min_value=0, max_value=40))
-@settings(max_examples=40, deadline=None)
-def test_dynasty_equals_growth_power(t):
-    p = HazardParams(m=0.05, M=0.01, b=0.08, N0=3.0)
-    proc = PopulationProcess(kind="dynasty", params=p, T=40)
-    assert population_at(proc, t) == pytest.approx(3.0 * (1.0 + p.n) ** t, rel=1e-12)
-
-
-def test_process_kind_validated():
-    with pytest.raises(ValueError):
-        PopulationProcess(kind="herd", params=HazardParams(m=0.1, M=0.1), T=3)
 
 
 # --- sampling ----------------------------------------------------------------------

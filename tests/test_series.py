@@ -273,6 +273,10 @@ def test_weight_ratios_are_constant(case):
     w = weight_sequence(case, p, 52)
     ratios = w[1:] / w[:-1]
     assert np.max(np.abs(ratios - weight_ratio(case, p))) < 1e-12
+    loop = [1.0]  # the running product w_t = w_{t-1} * rho, bit for bit
+    for _ in range(51):
+        loop.append(loop[-1] * weight_ratio(case, p))
+    assert w.tolist() == loop
 
 
 def test_known_extinction_weights_stop_at_T():

@@ -1,8 +1,9 @@
 """Welfare-window and expected-social-welfare cross-checks."""
 
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,13 +14,16 @@ from extrisk import (
     DivergenceError,
     HazardParams,
     NoExtinctionError,
+    SOCIAL_WELFARE,
     UtilitySpec,
+    discount_profile,
     ew_social,
     ew_social_mixture,
     ew_social_n0_form,
     welfare_window,
     welfare_window_direct,
     welfare_window_terms,
+    weight_sequence,
 )
 
 ONE = ConsumptionPath.constant(1.0)
@@ -61,7 +65,7 @@ def test_window_rejects_negative_T():
     ],
 )
 def test_window_closed_form_equals_double_sum(params, path, u, T):
-    closed = welfare_window(params, T, path, u, check=True)  # check raises on mismatch
+    closed = welfare_window(params, T, path, u)
     direct = welfare_window_direct(params, T, path, u)
     assert closed == pytest.approx(direct, rel=1e-10)
 
@@ -154,3 +158,25 @@ def test_ew_tail_bound_honest_against_longer_sum():
     res = ew_social(params, BUMPY, LOG)
     exact = decimal_oracle.exact("social_welfare", params, BUMPY, LOG)
     assert abs(Decimal(res.value) - exact) <= Decimal(res.tail_bound)
+
+
+# --- time-varying weight ratios ---------------------------------------------------
+
+
+@pytest.mark.parametrize("b", [1e-2, 1e-4, 1e-8, 1e-11])
+def test_social_welfare_ratios_keep_their_digits(b):
+    """1 - (1+b)**-(t+1) loses no digits at small b in the profile or the weights."""
+    params = HazardParams(m=0.02, M=0.01, b=b)
+    horizon = 60
+    D, D1 = decimal_oracle._d, decimal_oracle.ONE
+    with localcontext(decimal_oracle.CTX):
+        q = D1 / (D1 + D(b))
+        long_run = (D1 - D(params.M)) * (D1 + D(b)) * (D1 - D(params.m))
+        a = [D1 - q ** (k + 1) for k in range(horizon + 1)]
+        ratios = [long_run * a[t + 1] / a[t] for t in range(horizon)]
+        pref = (D1 + D(b)) / D(b)
+        weights = [pref * long_run**t * a[t] for t in range(horizon + 1)]
+    prof = discount_profile(params, horizon).ratios
+    np.testing.assert_allclose(prof, [float(r) for r in ratios], rtol=4e-15, atol=0.0)
+    w = weight_sequence(SOCIAL_WELFARE, params, horizon + 1)
+    np.testing.assert_allclose(w, [float(x) for x in weights], rtol=1e-13, atol=0.0)

@@ -81,6 +81,7 @@ from .simulate import (
     mc_estimates,
     mc_ew_social,
     mc_table,
+    mc_verdict,
     reproducibility_selfcheck,
     verify_oracle_grid,
 )

@@ -29,6 +29,7 @@ from .series import (
     factor_exponents,
     factor_pieces,
     finiteness_check,
+    one_minus_q_power,
     weight_sequence,
 )
 
@@ -139,8 +140,7 @@ def discount_profile(params: HazardParams, horizon: int) -> DiscountProfile:
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     long_run = (1.0 - params.M) * params.gross_growth
-    # a[k] = 1 - q**(k+1), q = 1/(1+b), without the cancellation of forming q**(k+1)
-    a = -np.expm1(np.arange(1, horizon + 2) * -math.log1p(params.b))
+    a = one_minus_q_power(params.b, np.arange(1, horizon + 2))  # a[k] = 1 - q**(k+1)
     return DiscountProfile(ratios=long_run * a[1:] / a[:-1], long_run=long_run)
 
 
@@ -246,15 +246,8 @@ class SweepRow:
     status: str  # "ok" | "divergent" | "rejected: <reason>"
 
     def to_dict(self) -> dict:
-        p = self.params
         row = {
-            "m": p.m,
-            "M": p.M,
-            "b": p.b,
-            "theta": p.theta,
-            "alpha": p.alpha,
-            "N0": p.N0,
-            "n": p.n,
+            **self.params.cells(),
             "case": self.case.label(),
             "factor": self.report.factor,
             "rate_simple": self.report.rate_simple,
@@ -266,15 +259,8 @@ class SweepRow:
             "finiteness_margin": self.finiteness_margin,
             "status": self.status,
         }
-        if self.series is not None:
-            row.update(
-                value=self.series.value,
-                tail_bound=self.series.tail_bound,
-                truncation_index=self.series.truncation_index,
-                converged=self.series.converged,
-            )
-        else:
-            row.update(value=None, tail_bound=None, truncation_index=None, converged=None)
+        for key in ("value", "tail_bound", "truncation_index", "converged"):
+            row[key] = None if self.series is None else getattr(self.series, key)
         return row
 
 
@@ -285,28 +271,29 @@ def scenario_sweep(
     u: UtilitySpec,
     tol: float = DEFAULT_TOLERANCE,
 ) -> List[SweepRow]:
-    """Evaluate every case at every parameter point; one row per (point, case)."""
+    """Evaluate every case at every parameter point; one row per (point, case).
+
+    This is the one place a failed evaluation becomes a row status, so every
+    caller reports the same verdict: evaluate raising DivergenceError gives
+    "divergent", raising ValueError gives "rejected: <reason>".
+    """
     rows: List[SweepRow] = []
     for params in points:
         for case in cases:
             chk = finiteness_check(case, params)
-            report = discount_factor(case, params)
             series = None
             status = "ok"
-            if not chk.finite:
+            try:
+                series = evaluate(case, params, path, u, tol)
+            except DivergenceError:
                 status = "divergent"
-            else:
-                try:
-                    series = evaluate(case, params, path, u, tol)
-                except DivergenceError:
-                    status = "divergent"
-                except ValueError as exc:
-                    status = f"rejected: {exc}"
+            except ValueError as exc:
+                status = f"rejected: {exc}"
             rows.append(
                 SweepRow(
                     params=params,
                     case=case,
-                    report=report,
+                    report=discount_factor(case, params),
                     finite=chk.finite,
                     finiteness_product=chk.product,
                     finiteness_margin=chk.margin,

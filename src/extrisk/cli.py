@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -20,20 +21,14 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .model import ConsumptionPath, DivergenceError, HazardParams, UtilitySpec
-from .series import (
-    DEFAULT_TOLERANCE,
-    DYNASTY,
-    Scenario,
-    evaluate,
-    known_extinction,
-)
+from .model import ConsumptionPath, HazardParams, UtilitySpec
+from .series import DEFAULT_TOLERANCE, DYNASTY, Scenario, known_extinction
 from .analysis import (
     belief_update_response,
     discount_factor,
@@ -48,6 +43,7 @@ from .simulate import (
     abm_smoothing_study,
     mc_estimates,
     mc_table,
+    mc_verdict,
     reproducibility_selfcheck,
     verify_oracle_grid,
 )
@@ -86,28 +82,22 @@ def _as_float_list(value: Any, where: str) -> List[float]:
     return out
 
 
+# grid axes in product order, with the values an omitted axis takes (m and M are required)
+_GRID_DEFAULTS = {"m": None, "M": None, "b": [0.0], "theta": [1.0], "alpha": [0.5], "N0": [1.0]}
+
+
 def _parse_grid(raw: Any) -> List[HazardParams]:
     if not isinstance(raw, dict):
         raise ConfigError("grid: expected an object with per-parameter value lists")
-    known = {"m", "M", "b", "theta", "alpha", "N0"}
     for key in raw:
-        if key not in known:
-            raise ConfigError(f"grid.{key}: unknown parameter (use {sorted(known)})")
+        if key not in _GRID_DEFAULTS:
+            raise ConfigError(f"grid.{key}: unknown parameter (use {sorted(_GRID_DEFAULTS)})")
     for required in ("m", "M"):
         if required not in raw:
             raise ConfigError(f"grid.{required}: required")
-    axes = {
-        "m": _as_float_list(raw["m"], "grid.m"),
-        "M": _as_float_list(raw["M"], "grid.M"),
-        "b": _as_float_list(raw.get("b", [0.0]), "grid.b"),
-        "theta": _as_float_list(raw.get("theta", [1.0]), "grid.theta"),
-        "alpha": _as_float_list(raw.get("alpha", [0.5]), "grid.alpha"),
-        "N0": _as_float_list(raw.get("N0", [1.0]), "grid.N0"),
-    }
+    axes = [_as_float_list(raw.get(k, d), f"grid.{k}") for k, d in _GRID_DEFAULTS.items()]
     points = []
-    for m, M, b, theta, alpha, n0 in itertools.product(
-        axes["m"], axes["M"], axes["b"], axes["theta"], axes["alpha"], axes["N0"]
-    ):
+    for m, M, b, theta, alpha, n0 in itertools.product(*axes):
         try:
             points.append(HazardParams(m=m, M=M, b=b, theta=theta, alpha=alpha, N0=n0))
         except ValueError as exc:
@@ -249,16 +239,9 @@ def _positive_finite(x: float) -> bool:
 
 
 def _default_config() -> RunConfig:
-    return RunConfig(
-        cases=list(_DEFAULT_CASES),
-        grid=list(VERIFY_GRID),
-        path=VERIFY_PATH,
-        utility=VERIFY_UTILITY,
-        tolerance=DEFAULT_TOLERANCE,
-        simulation=SimulationConfig(replications=100_000, seed=0),
-        n0_values=[1, 10, 100, 1000],
-        horizon=2100,
-    )
+    """The built-in grid, path and utility under a config file's other defaults."""
+    return replace(RunConfig.from_dict({"grid": {"m": [], "M": []}}),
+                   grid=list(VERIFY_GRID), path=VERIFY_PATH, utility=VERIFY_UTILITY)
 
 
 def _load_config(args: argparse.Namespace, required: bool) -> RunConfig:
@@ -315,8 +298,8 @@ def _atomic_write(target: Path, text: str) -> None:
 def _write_rows(
     out_dir: Path, name: str, columns: Sequence[str], rows: List[Dict[str, Any]],
     fmt: str,
-) -> List[Path]:
-    written = []
+) -> None:
+    """Write rows as <name>.csv and/or <name>.json, printing a line per file written."""
     if fmt in ("csv", "both"):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -325,12 +308,11 @@ def _write_rows(
             writer.writerow([_cell(row.get(col)) for col in columns])
         target = out_dir / f"{name}.csv"
         _atomic_write(target, buf.getvalue())
-        written.append(target)
+        print(f"wrote {target}")
     if fmt in ("json", "both"):
         target = out_dir / f"{name}.json"
         _atomic_write(target, _json_text(rows) + "\n")
-        written.append(target)
-    return written
+        print(f"wrote {target}")
 
 
 def _json_text(rows: List[Dict[str, Any]]) -> str:
@@ -346,45 +328,16 @@ def _json_text(rows: List[Dict[str, Any]]) -> str:
         return json.dumps(clean, indent=2, allow_nan=False)
 
 
-def _param_cells(p: HazardParams) -> Dict[str, Any]:
-    return {"m": p.m, "M": p.M, "b": p.b, "theta": p.theta, "alpha": p.alpha, "N0": p.N0, "n": p.n}
-
-
 # --- subcommands ---------------------------------------------------------------
+
+def _exit_code(args: argparse.Namespace, statuses: List[str]) -> int:
+    return 2 if (args.strict and "divergent" in statuses) else 0
+
 
 _EVAL_COLUMNS = [
     "m", "M", "b", "theta", "alpha", "N0", "n", "case",
-    "value", "tail_bound", "truncation_index", "converged", "status",
+    "value", "tail_bound", "truncation_index", "converged", "status", "finiteness_margin",
 ]
-
-
-def _cmd_eval(args: argparse.Namespace, out_dir: Path) -> int:
-    cfg = _load_config(args, required=True)
-    rows = []
-    divergent = False
-    for params in cfg.grid:
-        for case in cfg.cases:
-            row = {**_param_cells(params), "case": case.label()}
-            try:
-                res = evaluate(case, params, cfg.path, cfg.utility, cfg.tolerance)
-                row.update(
-                    value=res.value, tail_bound=res.tail_bound,
-                    truncation_index=res.truncation_index, converged=res.converged,
-                    status="ok",
-                )
-            except DivergenceError as exc:
-                divergent = True
-                row.update(value=None, tail_bound=None, truncation_index=None,
-                           converged=None, status=f"divergent: {exc}")
-            except ValueError as exc:
-                row.update(value=None, tail_bound=None, truncation_index=None,
-                           converged=None, status=f"rejected: {exc}")
-            rows.append(row)
-    for f in _write_rows(out_dir, "eval", _EVAL_COLUMNS, rows, args.format):
-        print(f"wrote {f}")
-    return 2 if (args.strict and divergent) else 0
-
-
 _SWEEP_COLUMNS = [
     "m", "M", "b", "theta", "alpha", "N0", "n", "case",
     "factor", "rate_simple", "rate_log", "factor_n0", "constant_factor",
@@ -393,13 +346,14 @@ _SWEEP_COLUMNS = [
 ]
 
 
-def _cmd_sweep(args: argparse.Namespace, out_dir: Path) -> int:
+def _cmd_sweep(args: argparse.Namespace, out_dir: Path, columns: Sequence[str]) -> int:
+    """sweep and eval: scenario_sweep rows projected onto the command's columns."""
     cfg = _load_config(args, required=True)
-    rows = [r.to_dict() for r in scenario_sweep(cfg.grid, cfg.cases, cfg.path, cfg.utility, cfg.tolerance)]
-    for f in _write_rows(out_dir, "sweep", _SWEEP_COLUMNS, rows, args.format):
-        print(f"wrote {f}")
-    divergent = any(r["status"] == "divergent" for r in rows)
-    return 2 if (args.strict and divergent) else 0
+    results = scenario_sweep(cfg.grid, cfg.cases, cfg.path, cfg.utility, cfg.tolerance)
+    # the JSON output writes whole dicts, so each keeps only the command's columns
+    rows = [{col: cells[col] for col in columns} for cells in (r.to_dict() for r in results)]
+    _write_rows(out_dir, args.command, columns, rows, args.format)
+    return _exit_code(args, [row["status"] for row in rows])
 
 
 _TABLE1_COLUMNS = ["m", "M", "b", "theta", "alpha", "N0", "n", "case", "factor", "factor_n0"]
@@ -411,10 +365,9 @@ def _cmd_table1(args: argparse.Namespace, out_dir: Path) -> int:
     for params in cfg.grid:
         for case in _DEFAULT_CASES:
             rep = discount_factor(case, params)
-            rows.append({**_param_cells(params), "case": case.label(),
+            rows.append({**params.cells(), "case": case.label(),
                          "factor": rep.factor, "factor_n0": rep.factor_n0})
-    for f in _write_rows(out_dir, "table1", _TABLE1_COLUMNS, rows, args.format):
-        print(f"wrote {f}")
+    _write_rows(out_dir, "table1", _TABLE1_COLUMNS, rows, args.format)
     return 0
 
 
@@ -428,9 +381,7 @@ def _cmd_profile(args: argparse.Namespace, out_dir: Path) -> int:
         if params.b <= 0.0:
             continue
         prof = discount_profile(params, cfg.horizon)
-        base = {**_param_cells(params)}
-        base.pop("N0")
-        base.pop("n")
+        base = params.cells(population=False)
         for t, r in enumerate(prof.ratios):
             rows.append({**base, "case": "social_welfare", "parameter": "weight_ratio",
                          "t": t, "value": float(r)})
@@ -438,8 +389,7 @@ def _cmd_profile(args: argparse.Namespace, out_dir: Path) -> int:
                      "t": None, "value": prof.long_run})
         rows.append({**base, "case": "dynasty", "parameter": "factor",
                      "t": None, "value": discount_factor(DYNASTY, params).factor})
-    for f in _write_rows(out_dir, "profile", _PROFILE_COLUMNS, rows, args.format):
-        print(f"wrote {f}")
+    _write_rows(out_dir, "profile", _PROFILE_COLUMNS, rows, args.format)
     return 0
 
 
@@ -454,24 +404,15 @@ def _cmd_sensitivity(args: argparse.Namespace, out_dir: Path) -> int:
     step = args.step
     rows = []
     for params in cfg.grid:
-        base = {**_param_cells(params)}
-        base.pop("N0")
-        base.pop("n")
+        base = params.cells(population=False)
         for case in cfg.cases:
             try:
                 rep = belief_update_response(case, params, dM=step, dm=step)
             except ValueError as exc:
                 raise ConfigError(f"sensitivity at m={params.m}, M={params.M}: {exc}")
             for reg in (rep.b_fixed, rep.n_fixed):
-                rows.append({
-                    **base, "case": case.label(), "regime": reg.regime,
-                    "d_factor_d_M": reg.d_factor_d_M,
-                    "d_factor_d_m": reg.d_factor_d_m,
-                    "fd_d_factor_d_M": reg.fd_d_factor_d_M,
-                    "fd_d_factor_d_m": reg.fd_d_factor_d_m,
-                })
-    for f in _write_rows(out_dir, "sensitivity", _SENSITIVITY_COLUMNS, rows, args.format):
-        print(f"wrote {f}")
+                rows.append({**base, "case": case.label(), **asdict(reg)})
+    _write_rows(out_dir, "sensitivity", _SENSITIVITY_COLUMNS, rows, args.format)
     return 0
 
 
@@ -497,56 +438,39 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
         rows = []
         for params in cfg.grid:
             study = abm_smoothing_study(params, cfg.path, cfg.utility, cfg.n0_values, sim)
-            base = {**_param_cells(params)}
-            base.pop("N0")
-            base.pop("n")
-            for r in study:
-                rows.append({
-                    **base, "n0": r.n0, "runs": r.runs,
-                    "mean_abs_gap": r.mean_abs_gap,
-                    "die_off_frequency": r.die_off_frequency,
-                    "mean_welfare_per_capita": r.mean_welfare_per_capita,
-                    "smoothed_mean_per_capita": r.smoothed_mean_per_capita,
-                    "cap_hit_fraction": r.cap_hit_fraction,
-                })
-        for f in _write_rows(out_dir, "simulate", _ABM_COLUMNS, rows, args.format):
-            print(f"wrote {f}")
+            rows.extend({**params.cells(population=False), **asdict(r)} for r in study)
+        _write_rows(out_dir, "simulate", _ABM_COLUMNS, rows, args.format)
         return 0
     rows = []
-    divergent = False
     for params in cfg.grid:
         tables: Dict[Scenario, np.ndarray] = {}
         sampled = []
-        for case in cfg.cases:
-            row = {**_param_cells(params), "case": case.label(), "replications": sim.replications}
-            try:
-                analytic = evaluate(case, params, cfg.path, cfg.utility, cfg.tolerance).value
-                if case.kind == "known_extinction":
-                    row.update(analytic=analytic, mc_mean=None, mc_se=None,
-                               abs_error=None, within_3se=None, truncated_mass=None,
-                               status="deterministic (no sampling)")
+        for sr in scenario_sweep([params], cfg.cases, cfg.path, cfg.utility, cfg.tolerance):
+            row = {**params.cells(), "case": sr.case.label(), "replications": sim.replications,
+                   "analytic": None if sr.series is None else sr.series.value,
+                   "mc_mean": None, "mc_se": None, "abs_error": None, "within_3se": None,
+                   "truncated_mass": None, "status": sr.status}
+            if sr.status == "ok" and sr.case.kind == "known_extinction":
+                row["status"] = "deterministic (no sampling)"
+            elif sr.status == "ok":
+                try:  # the closed form can hold where the sampled c_t underflow to 0
+                    tables[sr.case] = mc_table(sr.case, params, cfg.path, cfg.utility, sim)
+                except ValueError as exc:
+                    row["status"] = f"ok: not sampled: {exc}"
                 else:
-                    tables[case] = mc_table(case, params, cfg.path, cfg.utility, sim)
-                    row.update(analytic=analytic)
-                    sampled.append((case, row))
-            except DivergenceError as exc:
-                divergent = True
-                row.update(analytic=None, mc_mean=None, mc_se=None, abs_error=None,
-                           within_3se=None, truncated_mass=None, status=f"divergent: {exc}")
-            except ValueError as exc:
-                row.update(analytic=None, mc_mean=None, mc_se=None, abs_error=None,
-                           within_3se=None, truncated_mass=None, status=f"rejected: {exc}")
+                    sampled.append((sr.case, row))
             rows.append(row)
         ests = mc_estimates(params, tables, sim)
         for case, row in sampled:
             est = ests[case]
-            err = abs(est.mean - row["analytic"])
+            err, within, finite_variance = mc_verdict(
+                case, params, cfg.path, cfg.utility, est, row["analytic"])
             row.update(mc_mean=est.mean, mc_se=est.standard_error, abs_error=err,
-                       within_3se=err <= 3.0 * est.standard_error + 1e-12,
-                       truncated_mass=est.truncated_mass, status="ok")
-    for f in _write_rows(out_dir, "simulate", _SIMULATE_COLUMNS, rows, args.format):
-        print(f"wrote {f}")
-    return 2 if (args.strict and divergent) else 0
+                       within_3se=within, truncated_mass=est.truncated_mass)
+            if not finite_variance:
+                row["status"] = "ok: infinite variance, mc_se is not an error bar"
+    _write_rows(out_dir, "simulate", _SIMULATE_COLUMNS, rows, args.format)
+    return _exit_code(args, [row["status"] for row in rows])
 
 
 def _cmd_verify(args: argparse.Namespace, out_dir: Path) -> int:
@@ -565,9 +489,8 @@ def _cmd_verify(args: argparse.Namespace, out_dir: Path) -> int:
               f"analytic={r.analytic:.6f} mc={r.mc_mean:.6f} |err|/se={r.abs_error / se:.2f}")
     print(f"verify: {len(rows)} comparisons, {failures} outside 3 SE "
           f"(reps={reps}, seed={seed})")
-    for f in _write_rows(out_dir, "verify", list(rows[0].to_dict().keys()) if rows else [],
-                         [r.to_dict() for r in rows], args.format):
-        print(f"wrote {f}")
+    _write_rows(out_dir, "verify", list(rows[0].to_dict().keys()) if rows else [],
+                [r.to_dict() for r in rows], args.format)
     return 4 if (args.strict and failures) else 0
 
 
@@ -607,9 +530,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _DISPATCH = {
-    "eval": _cmd_eval,
+    "eval": functools.partial(_cmd_sweep, columns=_EVAL_COLUMNS),
     "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
+    "sweep": functools.partial(_cmd_sweep, columns=_SWEEP_COLUMNS),
     "profile": _cmd_profile,
     "sensitivity": _cmd_sensitivity,
     "table1": _cmd_table1,

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -114,6 +114,13 @@ class HazardParams:
     def is_degenerate(self) -> bool:
         """True when m = M = 0: nobody ever dies and the lifetime pmf is defective."""
         return self.m == 0.0 and self.M == 0.0
+
+    def cells(self, population: bool = True) -> Dict[str, float]:
+        """The parameters as output cells in column order; N0 and n only with population."""
+        cells = {"m": self.m, "M": self.M, "b": self.b, "theta": self.theta, "alpha": self.alpha}
+        if population:
+            cells.update(N0=self.N0, n=self.n)
+        return cells
 
     def with_n_zero(self) -> "HazardParams":
         """Return a copy with b replaced so that (1+b)(1-m) = 1 exactly."""

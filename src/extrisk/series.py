@@ -67,6 +67,8 @@ __all__ = [
     "FinitenessResult",
     "factor_exponents",
     "factor_pieces",
+    "one_minus_q_power",
+    "utility_tail_growth",
     "finiteness_check",
     "weight_ratio",
     "weight_sequence",
@@ -191,6 +193,20 @@ def factor_pieces(case: Scenario, params: HazardParams) -> List[float]:
     return [(1.0 - params.M) ** eM, (1.0 + params.b) ** eb, (1.0 - params.m) ** em]
 
 
+def one_minus_q_power(b: float, k: np.ndarray) -> np.ndarray:
+    """1 - q**k with q = 1/(1+b), as -expm1(k log q): forming q**k first cancels at small b."""
+    return -np.expm1(k * -math.log1p(b))
+
+
+def utility_tail_growth(path: ConsumptionPath, u: UtilitySpec) -> float:
+    """Per-period ratio of the geometric part of |u(c_t)| on the tail (0 if none):
+    g for linear u, g**(1-sigma) for CRRA; log u and a constant tail have none."""
+    g = path.ratio
+    if path.tail == "constant" or u.family == "log" or g == 0.0:
+        return 0.0
+    return g if u.family == "linear" else g ** (1.0 - u.sigma)
+
+
 def weight_ratio(case: Scenario, params: HazardParams) -> float:
     """Constant per-period weight ratio of the case (social welfare excluded)."""
     if case.kind == "social_welfare":
@@ -225,8 +241,7 @@ def weight_sequence(case: Scenario, params: HazardParams, length: int) -> np.nda
         t = np.arange(length)
         rho = math.prod(factor_pieces(case, params))
         pref = params.N0 * (1.0 + params.b) / params.b
-        # 1 - (1+b)**-(t+1) without the cancellation of forming the power first
-        return pref * np.power(rho, t) * -np.expm1((t + 1) * -math.log1p(params.b))
+        return pref * np.power(rho, t) * one_minus_q_power(params.b, t + 1)
     w = np.full(length, weight_ratio(case, params))
     w[:1] = 1.0
     np.cumprod(w, out=w)
@@ -501,13 +516,13 @@ class _TailBounder:
             return abs(float(u(c0))), 0.0, 0.0, 0.0
         g = path.ratio
         if u.family == "linear":
-            return 0.0, 0.0, c0, g
+            return 0.0, 0.0, c0, utility_tail_growth(path, u)
         if g == 0.0:
             raise ValueError(f"{u.family} utility is undefined on a ratio-0 tail (c = 0)")
         if u.family == "log":
             return abs(math.log(c0)), abs(math.log(g)), 0.0, 0.0
         s = u.sigma
-        return 1.0 / abs(1.0 - s), 0.0, c0 ** (1.0 - s) / abs(1.0 - s), g ** (1.0 - s)
+        return 1.0 / abs(1.0 - s), 0.0, c0 ** (1.0 - s) / abs(1.0 - s), utility_tail_growth(path, u)
 
     def bound(self, t0: int) -> float:
         if t0 < self.anchor:
@@ -656,9 +671,8 @@ def _window_terms_range(
 ) -> np.ndarray:
     t = np.arange(start, stop)
     uu = np.asarray(u(path.values(start, stop)), dtype=float)
-    q = 1.0 / (1.0 + params.b)
     pref = params.N0 * (1.0 + params.b) / params.b
-    return pref * uu * np.power(params.gross_growth, t) * (1.0 - np.power(q, t + 1))
+    return pref * uu * np.power(params.gross_growth, t) * one_minus_q_power(params.b, t + 1)
 
 
 def welfare_window_terms(

@@ -42,6 +42,7 @@ from .series import (
     Scenario,
     evaluate,
     factor_pieces,
+    utility_tail_growth,
     welfare_window_terms,
 )
 
@@ -61,6 +62,7 @@ __all__ = [
     "mc_ew_social",
     "mc_table",
     "mc_estimates",
+    "mc_verdict",
     "abm_population_run",
     "abm_smoothing_study",
     "verify_oracle_grid",
@@ -203,10 +205,11 @@ def mc_table(
         raise ValueError("social welfare needs b > 0")
     if case.kind == "known_extinction":
         raise ValueError(f"{case.label()} is deterministic: there is no date to sample")
-    base = math.prod(factor_pieces(case, params)[1:])  # the growth (1+b)**eb (1-m)**em
+    pieces = factor_pieces(case, params)
+    base = math.prod(pieces[1:])  # the growth (1+b)**eb (1-m)**em
     if params.M <= 0.0:
         raise NoExtinctionError("M = 0: there is no extinction date to sample")
-    if (1.0 - params.M) * base >= 1.0:
+    if math.prod(pieces) >= 1.0:  # finiteness_check's product: evaluate passing implies this does
         raise DivergenceError(f"(1-M) * {base:.6g} >= 1: the expectation is infinite")
     cap = config.horizon_cap or default_horizon_cap(1.0 - params.M)
     if case.kind == "social_welfare":
@@ -239,6 +242,31 @@ def mc_estimates(
             ests = _estimate_from_dates(config, tag, sampler, [tables[c] for c in cases])
             out.update(zip(cases, ests))
     return out
+
+
+def mc_verdict(
+    case: Scenario,
+    params: HazardParams,
+    path: ConsumptionPath,
+    u: UtilitySpec,
+    est: SimEstimate,
+    analytic: float,
+    se_multiple: float = 3.0,
+) -> Tuple[float, bool, bool]:
+    """(|mc - analytic|, within se_multiple SE + 1e-12, the SE is an error bar).
+
+    The SE is an error bar only if the table's realized sum has finite variance:
+    s G**2 < 1, with s the survival of the sampled date per period and G the
+    sum's growth, mc_table's (1 for the individual case) times any growth of
+    u(c_t) on the tail.
+    """
+    err = abs(est.mean - analytic)
+    if case.kind == "individual":
+        s, g = params.joint_survival, 1.0
+    else:
+        s, g = 1.0 - params.M, math.prod(factor_pieces(case, params)[1:])
+    g *= max(1.0, utility_tail_growth(path, u))
+    return err, err <= se_multiple * est.standard_error + 1e-12, s * g * g < 1.0
 
 
 def _mc_one(
@@ -513,15 +541,10 @@ class VerifyRow:
     truncated_mass: float
 
     def to_dict(self) -> dict:
-        p = self.params
         return {
             "functional": self.functional,
             "point": self.point,
-            "m": p.m,
-            "M": p.M,
-            "b": p.b,
-            "theta": p.theta,
-            "alpha": p.alpha,
+            **self.params.cells(population=False),
             "analytic": self.analytic,
             "mc_mean": self.mc_mean,
             "mc_se": self.mc_se,
@@ -551,7 +574,8 @@ def verify_oracle_grid(
 ) -> List[VerifyRow]:
     """Compare every analytic functional with its Monte Carlo estimate per grid point.
 
-    A row is ok when |mc - analytic| <= se_multiple * SE. Statistically about
+    A row is ok when ``mc_verdict`` finds |mc - analytic| <= se_multiple * SE
+    and a finite variance (every VERIFY_GRID point has one). Statistically about
     1 in 370 honest comparisons lands outside +-3 SE, so a full run tolerates
     one stray failure. The four extinction-date rows of one point average over
     the same draws of T, so their errors are correlated and stray failures can
@@ -568,7 +592,8 @@ def verify_oracle_grid(
         for case, name in _VERIFY_FUNCTIONALS:
             analytic = evaluate(case, params, path, u, tol).value
             est = ests[case]
-            err = abs(est.mean - analytic)
+            err, within, finite_variance = mc_verdict(case, params, path, u, est, analytic,
+                                                      se_multiple)
             rows.append(
                 VerifyRow(
                     functional=name,
@@ -578,7 +603,7 @@ def verify_oracle_grid(
                     mc_mean=est.mean,
                     mc_se=est.standard_error,
                     abs_error=err,
-                    ok=err <= se_multiple * est.standard_error + 1e-12,
+                    ok=within and finite_variance,
                     truncated_mass=est.truncated_mass,
                 )
             )

@@ -5,10 +5,12 @@ lines and timings.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -242,13 +244,15 @@ def test_criterion_8_agent_based_smoothing(capsys):
 
 def test_criterion_9_verify_reruns_byte_identical(tmp_path, capsys):
     start = time.perf_counter()
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     outputs = []
     for sub in ("a", "b"):
         out = tmp_path / sub
         proc = subprocess.run(
             [sys.executable, "-m", "extrisk.cli", "verify",
              "--reps", "20000", "--seed", "7", "--out", str(out)],
-            capture_output=True, text=True, timeout=300,
+            capture_output=True, text=True, timeout=300, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(out)

@@ -365,3 +365,88 @@ def test_smoothed_simulate_matches_library_and_reports_each_case(tmp_path):
     for row, est in zip(rows, expected):
         assert float(row["mc_mean"]) == est.mean
         assert float(row["mc_se"]) == est.standard_error
+
+
+def test_simulate_flags_infinite_variance_rows(tmp_path):
+    # (1-M)(1+n)**2 = 0.99 * 1.0094**2 = 1.0087 >= 1: the dynasty and social-welfare
+    # sums have infinite variance; theta = 0.5 and alpha = 0.5 stay below 1
+    cfg = write_config(tmp_path, {
+        "cases": ["individual", "dynasty", "dynasty_theta", "lineage", "social_welfare"],
+        "grid": {"m": [0.02], "M": [0.01], "b": [0.03], "theta": [0.5], "alpha": [0.5]},
+        "simulation": {"replications": 2000, "seed": 4},
+    })
+    out = tmp_path / "var"
+    assert cli_run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    flagged = "ok: infinite variance, mc_se is not an error bar"
+    status = {r["case"]: r["status"] for r in read_csv(out / "simulate.csv")}
+    assert status == {"individual": "ok", "dynasty": flagged, "dynasty_theta": "ok",
+                      "lineage": "ok", "social_welfare": flagged}
+
+
+def test_simulate_keeps_rows_whose_sampled_consumption_underflows(tmp_path):
+    # 0.5**t reaches 0.0 near t = 1075, far inside the cap of ~27,600 periods at
+    # M = 0.001, so log utility fails on the sampled path; the closed form never
+    # forms those c_t, so the row is ok and keeps its analytic value
+    payload = {
+        "cases": ["individual", "dynasty"],
+        "grid": {"m": [0.02], "M": [0.001], "b": [0.01]},
+        "path": {"prefix": [1.0], "tail": "geometric", "ratio": 0.5},
+        "utility": {"family": "log"},
+        "simulation": {"replications": 2000, "seed": 3},
+    }
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "under"
+    assert cli_run(["simulate", "--config", cfg, "--out", str(out), "--strict"]) == 0
+    assert cli_run(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    sweep = {r["case"]: r for r in read_csv(out / "sweep.csv")}
+    rows = read_csv(out / "simulate.csv")
+    assert [r["case"] for r in rows] == ["individual", "dynasty"]
+    for r in rows:
+        assert r["status"] == "ok: not sampled: log utility needs consumption > 0"
+        assert sweep[r["case"]]["status"] == "ok"
+        assert r["analytic"] == sweep[r["case"]]["value"]
+        assert r["mc_mean"] == "" and r["within_3se"] == ""
+
+
+# Every verdict kind: ok, finiteness-divergent (m=0, M=.01, b=.03 dynasty), CRRA-tail
+# divergent (m=.02, M=.01, b=.03 dynasty), M = 0 with 1+n above and below 1, m = M = 0,
+# social welfare at b = 0, and a known extinction date.
+CONSISTENCY_CONFIG = {
+    "cases": ["individual", "dynasty", "dynasty_theta", "lineage", "social_welfare",
+              {"known_extinction": 3}],
+    "grid": {"m": [0.0, 0.02], "M": [0.0, 0.01, 0.05], "b": [0.0, 0.03], "theta": [0.5]},
+    "path": {"prefix": [0.9, 1.2, 1.1], "tail": "geometric", "ratio": 0.99},
+    "utility": {"family": "crra", "sigma": 3.0},
+    "simulation": {"replications": 2000, "seed": 5},
+}
+
+
+def _sim_status(status: str) -> str:
+    """A simulate status as the analytic verdict it carries."""
+    return "ok" if status.startswith(("ok", "deterministic")) else status
+
+
+@pytest.mark.parametrize("grid", [
+    CONSISTENCY_CONFIG["grid"],
+    {"m": [0.02], "M": [0.0], "b": [0.0, 0.03]},  # only M = 0 points, one with 1+n > 1
+], ids=["every-verdict", "M0-only"])
+def test_eval_sweep_simulate_agree_on_every_row(tmp_path, grid):
+    cfg = write_config(tmp_path, {**CONSISTENCY_CONFIG, "grid": grid})
+    codes, statuses = {}, {}
+    for sub in ("eval", "sweep", "simulate"):
+        out = tmp_path / sub
+        codes[sub] = cli_run([sub, "--strict", "--config", cfg, "--out", str(out)])
+        rows = read_csv(out / f"{sub}.csv")
+        statuses[sub] = [((r["m"], r["M"], r["b"], r["case"]), r["status"]) for r in rows]
+    assert statuses["eval"] == statuses["sweep"]
+    assert [(k, _sim_status(s)) for k, s in statuses["simulate"]] == statuses["sweep"]
+    assert codes["eval"] == codes["sweep"] == codes["simulate"]
+    if grid is CONSISTENCY_CONFIG["grid"]:
+        seen = {s.split(";")[0] for _, s in statuses["sweep"]}
+        assert {"ok", "divergent", "rejected: social welfare needs b > 0"} <= seen
+        assert any(s.startswith("rejected: M = 0") for s in seen)
+        sweep = read_csv(tmp_path / "sweep" / "sweep.csv")
+        assert any(r["finite"] == "True" and r["status"] == "divergent" for r in sweep)  # CRRA tail
+        assert codes["sweep"] == 2
+    else:
+        assert codes["sweep"] == 0

@@ -20,6 +20,7 @@ from extrisk import (
     HazardParams,
     NoExtinctionError,
     Scenario,
+    SimEstimate,
     SimulationConfig,
     UtilitySpec,
     abm_population_run,
@@ -35,6 +36,7 @@ from extrisk import (
     mc_estimates,
     mc_ew_social,
     mc_table,
+    mc_verdict,
     reproducibility_selfcheck,
     sample_extinction_times,
     sample_lifetimes,
@@ -385,3 +387,23 @@ def test_verify_oracle_grid_smoke():
     assert len(rows) == 10
     assert sum(not r.ok for r in rows) <= 1
     assert all(r.mc_se > 0 for r in rows)
+
+
+def test_mc_verdict_error_bar_and_growing_crra_tail():
+    params = HazardParams(m=0.02, M=0.01, b=0.03)
+    est = SimEstimate(mean=1.0, standard_error=0.1, replications=10, truncated_mass=0.0)
+    flat = ConsumptionPath(prefix=(1.0,))
+    decaying = ConsumptionPath(prefix=(1.0,), tail="geometric", ratio=0.99)
+    crra = UtilitySpec.crra(3.0)
+    err, within, finite_variance = mc_verdict(INDIVIDUAL, params, flat, crra, est, 1.3)
+    assert err == pytest.approx(0.3) and within and finite_variance
+    assert not mc_verdict(INDIVIDUAL, params, flat, crra, est, 1.31)[1]
+    # s = (1-m)(1-M) = 0.9702 and u(c_t) grows like 0.99**-2: 0.9702 * 1.0203**2 = 1.0100
+    assert not mc_verdict(INDIVIDUAL, params, decaying, crra, est, 1.3)[2]
+    # sigma < 1: u(c_t) decays with c_t, so only the weights count
+    assert mc_verdict(INDIVIDUAL, params, decaying, UtilitySpec.crra(0.5), est, 1.3)[2]
+    # linear u(c_t) decays with c_t and log u(c_t) grows only linearly in t
+    assert mc_verdict(INDIVIDUAL, params, decaying, UtilitySpec.linear(), est, 1.3)[2]
+    assert mc_verdict(INDIVIDUAL, params, decaying, UtilitySpec.log(), est, 1.3)[2]
+    # (1-M)(1+n)**2 = 1.0087 for the dynasty; (1-M)(1+n) = 0.9993 keeps its mean finite
+    assert not mc_verdict(DYNASTY, params, flat, crra, est, 1.3)[2]

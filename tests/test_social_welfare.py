@@ -165,7 +165,7 @@ def test_ew_tail_bound_honest_against_longer_sum():
 
 @pytest.mark.parametrize("b", [1e-2, 1e-4, 1e-8, 1e-11])
 def test_social_welfare_ratios_keep_their_digits(b):
-    """1 - (1+b)**-(t+1) loses no digits at small b in the profile or the weights."""
+    """1 - (1+b)**-(t+1) loses no digits at small b in the profile, weights or window terms."""
     params = HazardParams(m=0.02, M=0.01, b=b)
     horizon = 60
     D, D1 = decimal_oracle._d, decimal_oracle.ONE
@@ -176,7 +176,11 @@ def test_social_welfare_ratios_keep_their_digits(b):
         ratios = [long_run * a[t + 1] / a[t] for t in range(horizon)]
         pref = (D1 + D(b)) / D(b)
         weights = [pref * long_run**t * a[t] for t in range(horizon + 1)]
+        growth = (D1 + D(b)) * (D1 - D(params.m))
+        window = [pref * growth**t * a[t] for t in range(horizon + 1)]
     prof = discount_profile(params, horizon).ratios
     np.testing.assert_allclose(prof, [float(r) for r in ratios], rtol=4e-15, atol=0.0)
     w = weight_sequence(SOCIAL_WELFARE, params, horizon + 1)
     np.testing.assert_allclose(w, [float(x) for x in weights], rtol=1e-13, atol=0.0)
+    terms = welfare_window_terms(params, ONE, LINEAR, horizon + 1)
+    np.testing.assert_allclose(terms, [float(x) for x in window], rtol=1e-13, atol=0.0)

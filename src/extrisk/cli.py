@@ -395,7 +395,7 @@ def _cmd_profile(args: argparse.Namespace, out_dir: Path) -> int:
 
 _SENSITIVITY_COLUMNS = [
     "m", "M", "b", "theta", "alpha", "case", "regime",
-    "d_factor_d_M", "d_factor_d_m", "fd_d_factor_d_M", "fd_d_factor_d_m",
+    "d_factor_d_M", "d_factor_d_m", "fd_d_factor_d_M", "fd_d_factor_d_m", "status",
 ]
 
 
@@ -408,10 +408,13 @@ def _cmd_sensitivity(args: argparse.Namespace, out_dir: Path) -> int:
         for case in cfg.cases:
             try:
                 rep = belief_update_response(case, params, dM=step, dm=step)
-            except ValueError as exc:
-                raise ConfigError(f"sensitivity at m={params.m}, M={params.M}: {exc}")
+            except ValueError as exc:  # the derivative cells stay empty
+                rows.extend({**dict.fromkeys(_SENSITIVITY_COLUMNS), **base, "case": case.label(),
+                             "regime": regime, "status": f"rejected: {exc}"}
+                            for regime in ("b-fixed", "n-fixed"))
+                continue
             for reg in (rep.b_fixed, rep.n_fixed):
-                rows.append({**base, "case": case.label(), **asdict(reg)})
+                rows.append({**base, "case": case.label(), **asdict(reg), "status": "ok"})
     _write_rows(out_dir, "sensitivity", _SENSITIVITY_COLUMNS, rows, args.format)
     return 0
 
@@ -424,7 +427,7 @@ _SIMULATE_COLUMNS = [
 _ABM_COLUMNS = [
     "m", "M", "b", "theta", "alpha", "n0", "runs", "mean_abs_gap",
     "die_off_frequency", "mean_welfare_per_capita", "smoothed_mean_per_capita",
-    "cap_hit_fraction",
+    "cap_hit_fraction", "welfare_gap_se",
 ]
 
 
@@ -437,7 +440,11 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
     if sim.mode == "agent":
         rows = []
         for params in cfg.grid:
-            study = abm_smoothing_study(params, cfg.path, cfg.utility, cfg.n0_values, sim)
+            try:
+                study = abm_smoothing_study(params, cfg.path, cfg.utility, cfg.n0_values, sim)
+            except ValueError as exc:
+                raise ConfigError(f"agent-mode simulate at m={params.m}, M={params.M}, "
+                                  f"b={params.b}: {exc}")
             rows.extend({**params.cells(population=False), **asdict(r)} for r in study)
         _write_rows(out_dir, "simulate", _ABM_COLUMNS, rows, args.format)
         return 0

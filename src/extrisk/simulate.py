@@ -12,7 +12,8 @@ Integer counts add exactly, so estimates are bit-for-bit reproducible from
 
 The agent-based mode keeps an integer population with Bernoulli deaths and
 stochastic births per survivor, and quantifies the error of the smooth
-population approximation as a function of the starting head count.
+population approximation as a function of the starting head count. All head
+counts share one stream of extinction dates and one offspring stream.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ __all__ = [
 
 _CHUNK = 1 << 17  # fixed chunk size keeps estimates independent of worker farming
 _CAP_LIMIT = 1 << 21
-# stream tags: death dates, extinction dates (shared by every extinction-date
-# case), the agent-based study; 3 and 4 stay unused so no stream changes meaning
+# stream tags: death dates, extinction dates (shared by every extinction-date case), then
+# agent dates and offspring, one stream each for all head counts; 3, 4 retired, never reused
 _TAG_EU, _TAG_EV, _TAG_ABM_T, _TAG_ABM = 1, 2, 5, 6
 
 
@@ -342,6 +343,32 @@ def _offspring(
     return 2 * rng.binomial(survivors, b / 2.0)
 
 
+def _abm_period(rng: np.random.Generator, state: Tuple[np.ndarray, ...], alive: int,
+                moving: int, u_t: float, params: HazardParams, law: str) -> None:
+    """Advance every row of state = (n, f, welfare, died), each (head counts, runs), one period.
+
+    Runs are sorted by extinction date, latest first, so the runs alive at t are
+    the prefix [:alive] and those that see t+1 the prefix [:moving]. F_t = (1-m)
+    F_{t-1} + N_t and welfare += u_t F_t; then deaths and births, one draw each.
+    """
+    n, f, welfare, died = state
+    fv = f[:, :alive]
+    fv *= 1.0 - params.m
+    fv += n[:, :alive]
+    welfare[:, :alive] += u_t * fv
+    if moving:
+        nv = n[:, :moving]
+        survivors = rng.binomial(nv, 1.0 - params.m)
+        np.add(survivors, _offspring(rng, survivors, params.b, law), out=nv)
+        died[:, :moving] |= nv == 0
+
+
+def _abm_state(n0s: np.ndarray, runs: int) -> Tuple[np.ndarray, ...]:
+    shape = (len(n0s), runs)
+    return (np.repeat(n0s[:, None], runs, axis=1), np.zeros(shape), np.zeros(shape),
+            np.zeros(shape, bool))
+
+
 @dataclass(frozen=True)
 class AbmTrajectory:
     """One integer-population run up to its (possibly capped) extinction date.
@@ -356,20 +383,6 @@ class AbmTrajectory:
     welfare: float
     died_off_early: bool
     hit_cap: bool
-
-
-def _draw_extinction_date(
-    params: HazardParams, config: SimulationConfig, rng: np.random.Generator
-) -> Tuple[int, bool]:
-    if params.M <= 0.0:
-        if config.horizon_cap is None:
-            raise NoExtinctionError(
-                "M = 0 never draws an extinction date; set an explicit horizon_cap"
-            )
-        return config.horizon_cap, True
-    cap = config.horizon_cap or default_horizon_cap(1.0 - params.M)
-    raw = int(sample_extinction_times(params.M, 1, rng)[0])
-    return min(raw, cap), raw > cap
 
 
 def abm_population_run(
@@ -393,28 +406,25 @@ def abm_population_run(
         raise ValueError("n0 must be a positive integer head count")
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence([config.seed, _TAG_ABM]))
-    T, hit_cap = _draw_extinction_date(params, config, rng)
+    if params.M > 0.0:
+        cap = config.horizon_cap or default_horizon_cap(1.0 - params.M)
+        raw = int(sample_extinction_times(params.M, 1, rng)[0])
+        T, hit_cap = min(raw, cap), raw > cap
+    elif config.horizon_cap is None:
+        raise NoExtinctionError("M = 0 never draws an extinction date; set an explicit horizon_cap")
+    else:
+        T, hit_cap = config.horizon_cap, True
     uu = np.asarray(u(path.values(0, T + 1)), dtype=float)
     pop = np.empty(T + 1, dtype=np.int64)
-    n = int(n0)
-    f = 0.0  # F_t = sum_{s<=t} N_s (1-m)**(t-s), so welfare = sum_t u_t F_t
-    welfare_parts: List[float] = []
-    died = False
+    state = _abm_state(np.array([int(n0)]), 1)
     for t in range(T + 1):
-        pop[t] = n
-        f = (1.0 - params.m) * f + n
-        welfare_parts.append(uu[t] * f)
-        if t < T:
-            survivors = int(rng.binomial(n, 1.0 - params.m))
-            births = int(_offspring(rng, np.int64(survivors), params.b, config.offspring_law))
-            n = survivors + births
-            if n == 0:
-                died = True
+        pop[t] = state[0][0, 0]
+        _abm_period(rng, state, 1, int(t < T), uu[t], params, config.offspring_law)
     return AbmTrajectory(
         population=pop,
         extinction_date=T,
-        welfare=math.fsum(welfare_parts),
-        died_off_early=died,
+        welfare=float(state[2][0, 0]),
+        died_off_early=bool(state[3][0, 0]),
         hit_cap=hit_cap,
     )
 
@@ -424,7 +434,8 @@ class SmoothingGapRow:
     """Smooth-population approximation error at one starting head count.
 
     mean_abs_gap averages, over runs sharing extinction-date draws across head
-    counts, |per-capita realized welfare - per-capita smoothed W(0, T_run)|.
+    counts, |per-capita realized welfare - per-capita smoothed W(0, T_run)|;
+    welfare_gap_se is the standard error of the mean signed gap.
     """
 
     n0: int
@@ -434,6 +445,7 @@ class SmoothingGapRow:
     mean_welfare_per_capita: float
     smoothed_mean_per_capita: float
     cap_hit_fraction: float
+    welfare_gap_se: float
 
 
 def abm_smoothing_study(
@@ -447,62 +459,51 @@ def abm_smoothing_study(
 
     Extinction dates are drawn once and shared by every head count (common
     random numbers), so the rows differ only through integer-population noise,
-    which shrinks as 1/sqrt(n0).
+    which shrinks as 1/sqrt(n0). All head counts advance together on one
+    offspring stream, so a row depends on the whole n0_values list.
     """
     if config.mode != "agent":
         raise ValueError("the smoothing study needs mode='agent'")
     if params.b <= 0.0:
         raise ValueError("the smoothed comparison needs b > 0")
+    if any(n0 < 1 for n0 in n0_values):
+        raise ValueError("head counts must be positive integers")
     reps = config.replications
     rng_T = np.random.default_rng(np.random.SeedSequence([config.seed, _TAG_ABM_T]))
     if params.M <= 0.0:
         raise NoExtinctionError("the study mixes over extinction dates; needs M > 0")
     cap = config.horizon_cap or default_horizon_cap(1.0 - params.M)
     raw = sample_extinction_times(params.M, reps, rng_T)
-    hit = raw > cap
     T = np.minimum(raw, cap)
     t_max = int(T.max())
     uu = np.asarray(u(path.values(0, t_max + 1)), dtype=float)
     smooth_cum = np.cumsum(
         welfare_window_terms(replace(params, N0=1.0), path, u, t_max + 1)
     )
-    smooth_pc = smooth_cum[T]
-    sm = 1.0 - params.m
-    rows: List[SmoothingGapRow] = []
-    for n0 in n0_values:
-        if n0 < 1:
-            raise ValueError("head counts must be positive integers")
-        rng = np.random.default_rng(
-            np.random.SeedSequence([config.seed, _TAG_ABM, int(n0)])
+    smooth_mean, hit_frac = np.mean(smooth_cum[T]), np.mean(raw > cap)  # in drawn order
+    T_asc = np.sort(T)
+    live = reps - np.searchsorted(T_asc, np.arange(t_max + 2))  # runs with T >= t
+    n0s = np.array([int(n0) for n0 in n0_values], dtype=np.int64)
+    state = _abm_state(n0s, reps)
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, _TAG_ABM]))
+    for t in range(t_max + 1):
+        _abm_period(rng, state, live[t], live[t + 1], uu[t], params, config.offspring_law)
+    percap = state[2] / n0s[:, None]
+    gap = percap - smooth_cum[T_asc[::-1]]
+    gap_se = np.std(gap, axis=1, ddof=1) / math.sqrt(reps) if reps > 1 else np.zeros(len(n0s))
+    return [
+        SmoothingGapRow(
+            n0=int(n0),
+            runs=reps,
+            mean_abs_gap=float(np.mean(np.abs(gap[i]))),
+            die_off_frequency=float(np.mean(state[3][i])),
+            mean_welfare_per_capita=float(np.mean(percap[i])),
+            smoothed_mean_per_capita=float(smooth_mean),
+            cap_hit_fraction=float(hit_frac),
+            welfare_gap_se=float(gap_se[i]),
         )
-        n = np.full(reps, int(n0), dtype=np.int64)
-        f = np.zeros(reps)
-        welfare = np.zeros(reps)
-        died = np.zeros(reps, dtype=bool)
-        for t in range(t_max + 1):
-            alive = T >= t
-            f[alive] = sm * f[alive] + n[alive]
-            welfare[alive] += uu[t] * f[alive]
-            trans = T > t  # these runs see period t+1 before extinction
-            if np.any(trans):
-                survivors = rng.binomial(n[trans], sm)
-                births = _offspring(rng, survivors, params.b, config.offspring_law)
-                n_new = survivors + births
-                n[trans] = n_new
-                died[trans] |= n_new == 0
-        percap = welfare / n0
-        rows.append(
-            SmoothingGapRow(
-                n0=int(n0),
-                runs=reps,
-                mean_abs_gap=float(np.mean(np.abs(percap - smooth_pc))),
-                die_off_frequency=float(np.mean(died)),
-                mean_welfare_per_capita=float(np.mean(percap)),
-                smoothed_mean_per_capita=float(np.mean(smooth_pc)),
-                cap_hit_fraction=float(np.mean(hit)),
-            )
-        )
-    return rows
+        for i, n0 in enumerate(n0s)
+    ]
 
 
 # --- the analytic-vs-Monte-Carlo verification grid ---------------------------

@@ -4,6 +4,8 @@ import csv
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -227,6 +229,27 @@ def test_sensitivity_output(tmp_path):
     assert float(n_fixed["d_factor_d_m"]) == 0.0
 
 
+def test_sensitivity_gives_a_boundary_point_a_row_status(tmp_path):
+    cfg = write_config(tmp_path, {
+        "cases": ["dynasty", "individual"],
+        "grid": {"m": [0.02], "M": [0.0, 0.01], "b": [0.03]},
+    })
+    out = tmp_path / "sens"
+    assert cli_run(["sensitivity", "--config", cfg, "--out", str(out)]) == 0
+    rows = read_csv(out / "sensitivity.csv")
+    assert len(rows) == 8
+    derivs = ("d_factor_d_M", "d_factor_d_m", "fd_d_factor_d_M", "fd_d_factor_d_m")
+    for r in rows:
+        if r["M"] == "0.0":
+            assert r["status"] == ("rejected: finite-difference step dM=1e-06 crosses "
+                                   "the boundary at M=0.0")
+            assert all(r[k] == "" for k in derivs)
+        else:
+            assert r["status"] == "ok" and all(r[k] != "" for k in derivs)
+    doc = json.loads((out / "sensitivity.json").read_text(encoding="utf-8"))
+    assert [list(row) for row in doc] == [list(rows[0])] * 8
+
+
 def test_sweep_and_simulate_smoke(tmp_path):
     cfg = write_config(tmp_path, {
         "cases": ["individual", "social_welfare"],
@@ -252,6 +275,48 @@ def test_simulate_agent_mode(tmp_path):
     rows = read_csv(out / "simulate.csv")
     assert [r["n0"] for r in rows] == ["1", "10"]
     assert float(rows[0]["mean_abs_gap"]) > float(rows[1]["mean_abs_gap"])
+
+
+AGENT_UNDERFLOW_CONFIG = {
+    "grid": {"m": [0.02], "M": [0.001], "b": [0.03]},
+    "path": {"prefix": [1.0], "tail": "geometric", "ratio": 0.5},
+    "utility": {"family": "log"},
+    "simulation": {"replications": 20, "seed": 3, "mode": "agent", "n0_values": [1, 2]},
+}
+
+
+def test_simulate_agent_mode_underflowing_consumption_is_a_config_error(tmp_path, capsys):
+    # 0.5**t reaches 0.0 near t = 1075, inside the sampled horizon at M = 0.001
+    cfg = write_config(tmp_path, AGENT_UNDERFLOW_CONFIG)
+    out = tmp_path / "abm"
+    assert cli_run(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("config error: agent-mode simulate at m=0.02, M=0.001, "
+                                       "b=0.03: log utility needs consumption > 0\n")
+    assert not out.exists()
+
+
+def test_simulate_agent_mode_reruns_byte_identical(tmp_path):
+    cfg = write_config(tmp_path, {
+        "grid": {"m": [0.02, 0.1], "M": [0.05], "b": [0.03]},
+        "path": {"prefix": [0.8, 1.1, 1.25, 1.18, 1.3], "tail": "constant"},
+        "utility": {"family": "log"},
+        "simulation": {"replications": 300, "seed": 17, "mode": "agent",
+                       "n0_values": [1, 10, 100]},
+    })
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    outputs = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        proc = subprocess.run([sys.executable, "-m", "extrisk.cli", "simulate", "--config", cfg,
+                               "--out", str(out)], capture_output=True, text=True, timeout=300,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out)
+    for name in ("simulate.csv", "simulate.json"):
+        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+    rows = read_csv(outputs[0] / "simulate.csv")
+    assert len(rows) == 6 and all(float(r["welfare_gap_se"]) > 0.0 for r in rows)
 
 
 def test_verify_small_run(tmp_path, capsys):

@@ -42,7 +42,7 @@ from extrisk import (
     sample_lifetimes,
     verify_oracle_grid,
 )
-from extrisk.simulate import _CHUNK, _TAG_EU, _TAG_EV, _offspring
+from extrisk.simulate import _CHUNK, _TAG_ABM_T, _TAG_EU, _TAG_EV, _offspring
 
 ONE = ConsumptionPath.constant(1.0)
 LINEAR = UtilitySpec.linear()
@@ -340,9 +340,8 @@ def test_abm_welfare_matches_smoothed_window_in_expectation():
     cfg = SimulationConfig(replications=4_000, seed=13, mode="agent")
     rows = abm_smoothing_study(p, ONE, LINEAR, [50], cfg)
     row = rows[0]
-    # crude z-test: the gap magnitude bounds the standard error from above
-    se_proxy = row.mean_abs_gap / (cfg.replications ** 0.5) * 3
-    assert abs(row.mean_welfare_per_capita - row.smoothed_mean_per_capita) < max(se_proxy, 0.5)
+    assert row.welfare_gap_se > 0.0
+    assert abs(row.mean_welfare_per_capita - row.smoothed_mean_per_capita) <= 3 * row.welfare_gap_se
 
 
 def test_abm_study_gap_shrinks_with_head_count():
@@ -370,6 +369,34 @@ def test_abm_bernoulli_pair_law_runs():
     rows = abm_smoothing_study(p, ONE, LINEAR, [20], cfg)
     assert rows[0].runs == 300
     assert rows[0].mean_welfare_per_capita > 0.0
+
+
+def test_abm_deterministic_populations_match_the_smoothed_path():
+    # m = 0 and two births per head for sure: N_t = N0 3**t on every run, whatever
+    # the stream, so the realized welfare of each run is its smoothed window W(0, T)
+    p = HazardParams(m=0.0, M=0.2, b=2.0)
+    cfg = SimulationConfig(replications=300, seed=11, mode="agent", horizon_cap=8,
+                           offspring_law="bernoulli-pair")
+    rows = abm_smoothing_study(p, ONE, LINEAR, [1, 3], cfg)
+    assert 0.0 < rows[0].cap_hit_fraction < 1.0  # dates both below and at the cap
+    for row in rows:
+        assert row.mean_abs_gap <= 1e-12 * row.smoothed_mean_per_capita
+        assert row.welfare_gap_se <= 1e-12 * row.smoothed_mean_per_capita
+        assert row.die_off_frequency == 0.0
+    traj = abm_population_run(HazardParams(m=0.0, M=0.0, b=2.0), 3, ONE, LINEAR, cfg)
+    assert traj.population.tolist() == [3 * 3**t for t in range(9)]
+    assert traj.welfare == sum(3 * (3 ** (t + 1) - 1) / 2 for t in range(9))  # sum_t F_t
+
+
+def test_abm_total_mortality_dies_off_on_every_run_that_sees_period_one():
+    p = HazardParams(m=1.0, M=0.2, b=0.5)
+    cfg = SimulationConfig(replications=300, seed=11, mode="agent")
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _TAG_ABM_T]))
+    share = float(np.mean(sample_extinction_times(p.M, cfg.replications, rng) >= 1))
+    assert 0.0 < share < 1.0
+    for row in abm_smoothing_study(p, ONE, LINEAR, [1, 7], cfg):
+        assert row.die_off_frequency == share
+        assert row.mean_welfare_per_capita == 1.0  # u(c_0), the founders only
 
 
 # --- verification grid -------------------------------------------------------------------

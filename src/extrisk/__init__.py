@@ -20,6 +20,7 @@ from .model import (
     lifetime_cdf,
     lifetime_pmf,
     lifetime_pmf_known_T,
+    sample_date_counts,
     sample_extinction_times,
     sample_lifetime,
     sample_lifetimes,

@@ -484,7 +484,7 @@ def _cmd_verify(args: argparse.Namespace, out_dir: Path) -> int:
     if not reproducibility_selfcheck():
         print("simulation reproducibility self-check FAILED", file=sys.stderr)
         return 3
-    reps = args.reps if args.reps is not None else 100_000
+    reps = args.reps if args.reps is not None else 100_000_000
     seed = args.seed if args.seed is not None else 20240613
     rows = verify_oracle_grid(replications=reps, seed=seed)
     failures = 0
@@ -494,8 +494,8 @@ def _cmd_verify(args: argparse.Namespace, out_dir: Path) -> int:
         se = r.mc_se if r.mc_se > 0 else float("nan")
         print(f"{status} {r.functional:<17s} point={r.point:<2d} "
               f"analytic={r.analytic:.6f} mc={r.mc_mean:.6f} |err|/se={r.abs_error / se:.2f}")
-    print(f"verify: {len(rows)} comparisons, {failures} outside 3 SE "
-          f"(reps={reps}, seed={seed})")
+    print(f"verify: {len(rows)} comparisons, {failures} outside 3 SE, max truncated_mass "
+          f"{max((r.truncated_mass for r in rows), default=0.0):.3g} (reps={reps}, seed={seed})")
     _write_rows(out_dir, "verify", list(rows[0].to_dict().keys()) if rows else [],
                 [r.to_dict() for r in rows], args.format)
     return 4 if (args.strict and failures) else 0

@@ -32,6 +32,7 @@ __all__ = [
     "sample_lifetime",
     "sample_lifetimes",
     "sample_extinction_times",
+    "sample_date_counts",
 ]
 
 ArrayLike = Union[float, np.ndarray]
@@ -294,6 +295,8 @@ def extinction_pmf(M: float, T: int) -> float:
 
 # --- sampling --------------------------------------------------------------
 
+_CHUNK = 1 << 17  # sparse-tail batch size of sample_date_counts: bounds its memory
+
 
 def _geometric_from_zero(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
     """Failure-count geometric: support {0, 1, ...}, P(k) = (1-p)**k p. Needs p > 0."""
@@ -328,3 +331,27 @@ def sample_extinction_times(
     if M <= 0.0:
         raise NoExtinctionError("M = 0: the extinction date is never drawn")
     return _geometric_from_zero(rng, M, size)
+
+
+def sample_date_counts(hazard: float, size: int, cap: int, rng: np.random.Generator) -> np.ndarray:
+    """Histogram int64[cap + 2] of ``size`` geometric dates from 0 with success ``hazard``.
+
+    Bins 0..cap count the dates, the last bin the dates beyond the cap. By
+    memorylessness a date not in bins < k is in bin k with probability hazard,
+    so each bin expecting at least 64 dates is one Binomial(left, hazard) draw
+    (the conditional-binomial law of the histogram); the sparse tail is k plus
+    one geometric per date, drawn in batches of _CHUNK. Needs 0 < hazard <= 1.
+    """
+    counts = np.zeros(cap + 2, dtype=np.int64)
+    left, k = int(size), 0
+    while left * hazard >= 64 and k <= cap:  # one binomial call costs ~40 geometric draws
+        counts[k] = drawn = rng.binomial(left, hazard)
+        left -= drawn
+        k += 1
+    while left and k <= cap:
+        dates = _geometric_from_zero(rng, hazard, min(left, _CHUNK))
+        left -= len(dates)
+        dates += k
+        counts += np.bincount(np.minimum(dates, cap + 1, out=dates), minlength=cap + 2)
+    counts[-1] += left  # dates left once the bins pass the cap: no draws needed
+    return counts

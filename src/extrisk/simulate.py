@@ -1,14 +1,13 @@
 """Monte Carlo verification of the analytic functionals, plus an agent-based mode.
 
-Smoothed-mode estimators draw the random date (death date D or extinction date
-T) and average the realized discounted sum, read from a precomputed cumulative
-table per case (``mc_table``). Every extinction-date case of one parameter
-point shares one stream of T draws (``mc_estimates``), so a point costs two
-streams however many cases it estimates. Replications are processed in
-fixed-size chunks, each with its own ``SeedSequence([seed, stream_tag,
-chunk_index])`` stream, and each chunk is reduced to integer counts per date.
-Integer counts add exactly, so estimates are bit-for-bit reproducible from
-(seed, config) and do not depend on how chunks might be farmed out to workers.
+Smoothed-mode estimators average the realized discounted sum over the random
+date (death date D or extinction date T), read from a cumulative table per
+case (``mc_table``). Every extinction-date case of one parameter point shares
+one stream of T (``mc_estimates``), so a point costs two streams. A stream is
+one ``SeedSequence([seed, stream_tag])`` generator that draws the histogram of
+its dates (``sample_date_counts``): each well-filled early date as one binomial
+count, the sparse tail as shifted geometric dates. Estimates are bit-for-bit
+reproducible from (seed, config).
 
 The agent-based mode keeps an integer population with Bernoulli deaths and
 stochastic births per survivor, and quantifies the error of the smooth
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,8 +30,8 @@ from .model import (
     HazardParams,
     NoExtinctionError,
     UtilitySpec,
+    sample_date_counts,
     sample_extinction_times,
-    sample_lifetimes,
 )
 from .series import (
     DYNASTY,
@@ -70,7 +69,6 @@ __all__ = [
     "reproducibility_selfcheck",
 ]
 
-_CHUNK = 1 << 17  # fixed chunk size keeps estimates independent of worker farming
 _CAP_LIMIT = 1 << 21
 # stream tags: death dates, extinction dates (shared by every extinction-date case), then
 # agent dates and offspring, one stream each for all head counts; 3, 4 retired, never reused
@@ -133,23 +131,20 @@ def _require_smoothed(config: SimulationConfig) -> None:
 def _estimate_from_dates(
     config: SimulationConfig,
     tag: int,
-    sampler: Callable[[np.random.Generator, int], np.ndarray],
+    hazard: float,
     tables: Sequence[np.ndarray],
 ) -> List[SimEstimate]:
-    """Average every table's cum[min(date, cap)] over one stream of sampled dates.
+    """Average every table's cum[min(date, cap)] over one stream of geometric dates.
 
-    Each chunk's dates are reduced to integer counts per date 0..cap+1, the
-    last bin holding the draws beyond the cap. Integer counts add exactly, so
-    the estimates do not depend on the order in which chunks are reduced.
-    All tables must share one cap: len(table) = cap + 1.
+    ``sample_date_counts`` on ``SeedSequence([seed, tag])`` draws the counts per
+    date 0..cap+1 (dense bins as binomials, the sparse tail as shifted
+    geometrics), the last bin holding the dates beyond the cap. All tables
+    must share one cap: len(table) = cap + 1.
     """
     cap = len(tables[0]) - 1
     total = config.replications
-    counts = np.zeros(cap + 2, dtype=np.int64)
-    for idx, start in enumerate(range(0, total, _CHUNK)):
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, tag, idx]))
-        dates = sampler(rng, min(_CHUNK, total - start))
-        counts += np.bincount(np.minimum(dates, cap + 1, out=dates), minlength=cap + 2)
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, tag]))
+    counts = sample_date_counts(hazard, total, cap, rng)
     truncated = int(counts[-1])
     counts = counts[:-1]
     counts[-1] += truncated  # clipped draws take the value at the cap
@@ -231,16 +226,17 @@ def mc_estimates(
     their estimates are correlated. Each estimate equals the one a batch of
     that case alone gives.
     """
-    streams = (
-        (_TAG_EU, lambda rng, size: sample_lifetimes(params, size, rng),
-         [c for c in tables if c.kind == "individual"]),
-        (_TAG_EV, lambda rng, size: sample_extinction_times(params.M, size, rng),
-         [c for c in tables if c.kind != "individual"]),
-    )
+    deaths = [c for c in tables if c.kind == "individual"]
+    extinctions = [c for c in tables if c.kind != "individual"]
+    if deaths and params.is_degenerate:
+        raise DegenerateHazardError("m = M = 0: lifetimes are infinite")
+    if extinctions and params.M <= 0.0:
+        raise NoExtinctionError("M = 0: the extinction date is never drawn")
     out: Dict[Scenario, SimEstimate] = {}
-    for tag, sampler, cases in streams:
+    for tag, hazard, cases in ((_TAG_EU, params.death_hazard, deaths),
+                               (_TAG_EV, params.M, extinctions)):
         if cases:
-            ests = _estimate_from_dates(config, tag, sampler, [tables[c] for c in cases])
+            ests = _estimate_from_dates(config, tag, hazard, [tables[c] for c in cases])
             out.update(zip(cases, ests))
     return out
 

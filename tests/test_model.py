@@ -1,6 +1,7 @@
 """Distribution and parameter-bundle checks for the hazard model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from extrisk import (
     lifetime_cdf,
     lifetime_pmf,
     lifetime_pmf_known_T,
+    sample_date_counts,
     sample_lifetime,
     sample_lifetimes,
 )
+from extrisk.model import _CHUNK
 
 hazard_floats = st.floats(min_value=0.0005, max_value=0.95)
 birth_floats = st.floats(min_value=0.0, max_value=1.0)
@@ -210,6 +213,69 @@ def test_empirical_pmf_at_zero():
     p0 = np.mean(draws == 0)
     se = math.sqrt(0.0298 * (1 - 0.0298) / 1_000_000)
     assert abs(p0 - 0.0298) < 3 * se
+
+
+# --- date histograms ------------------------------------------------------------------
+
+
+def _geometric_chi2_pvalue(counts, p):
+    """Pearson chi-square p-value of date counts against the pmf (1-p)**k p.
+
+    Bins are kept while each expects at least 5 dates; the rest are pooled into
+    one bin. The p-value uses the Wilson-Hilferty normal approximation, which
+    is close at the hundreds to thousands of degrees of freedom used here.
+    """
+    reps = int(counts.sum())
+    expected = reps * p * (1.0 - p) ** np.arange(len(counts))
+    k = int(np.argmax(expected < 5.0))
+    obs = np.append(counts[:k], counts[k:].sum())
+    exp = np.append(expected[:k], reps * (1.0 - p) ** k)
+    stat, dof = float(np.sum((obs - exp) ** 2 / exp)), len(obs) - 1
+    z = ((stat / dof) ** (1 / 3) - (1 - 2 / (9 * dof))) / math.sqrt(2 / (9 * dof))
+    return 0.5 * math.erfc(z / math.sqrt(2))
+
+
+@pytest.mark.parametrize("p, reps, seed", [
+    (0.01, 1_000_000, 11),  # dense binomial bins up to about bin 500, then the sparse tail
+    (1e-4, 2 * _CHUNK + 3, 12),  # sparse tail only, across two batch boundaries
+])
+def test_date_counts_follow_the_geometric_law(p, reps, seed):
+    cap = 400_000
+    counts = sample_date_counts(p, reps, cap, np.random.default_rng(seed))
+    assert counts.shape == (cap + 2,) and counts.dtype == np.int64
+    assert counts.sum() == reps
+    assert _geometric_chi2_pvalue(counts, p) > 1e-4
+
+
+def test_date_counts_at_certain_failure_fill_bin_zero():
+    for size in (10, 1_000):  # below and above the dense-bin switch
+        counts = sample_date_counts(1.0, size, 5, np.random.default_rng(0))
+        assert counts.tolist() == [size, 0, 0, 0, 0, 0, 0]
+
+
+def test_date_counts_of_one_date():
+    counts = sample_date_counts(0.3, 1, 40, np.random.default_rng(3))
+    assert counts.sum() == 1 and len(counts) == 42
+
+
+def test_date_counts_below_the_switch_bin_put_the_rest_in_the_last_bin():
+    p, reps, cap = 0.01, 1_000_000, 100  # dense bins would run to about bin 500
+    short = sample_date_counts(p, reps, cap, np.random.default_rng(4))
+    full = sample_date_counts(p, reps, 10_000, np.random.default_rng(4))
+    assert short[:-1].tolist() == full[:cap + 1].tolist()
+    assert short[-1] == reps - full[:cap + 1].sum() > 0
+
+
+def test_date_counts_draw_the_sparse_tail_in_bounded_batches():
+    # 3e6 dates at 2e-5 expect 60 per bin: every date is a geometric draw
+    tracemalloc.start()
+    try:
+        counts = sample_date_counts(2e-5, 3_000_000, 100, np.random.default_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 3_000_000
+    assert peak < 8 * 2**20
 
 
 # --- consumption paths and utility ---------------------------------------------------

@@ -38,11 +38,12 @@ from extrisk import (
     mc_table,
     mc_verdict,
     reproducibility_selfcheck,
+    sample_date_counts,
     sample_extinction_times,
-    sample_lifetimes,
     verify_oracle_grid,
 )
-from extrisk.simulate import _CHUNK, _TAG_ABM_T, _TAG_EU, _TAG_EV, _offspring
+from extrisk.model import _CHUNK
+from extrisk.simulate import _TAG_ABM_T, _TAG_EU, _TAG_EV, _offspring
 
 ONE = ConsumptionPath.constant(1.0)
 LINEAR = UtilitySpec.linear()
@@ -171,6 +172,14 @@ def test_mc_rejections():
         mc_eu_individual(HazardParams(m=0.1, M=0.1), ONE, LINEAR, agent_cfg)
 
 
+def test_mc_estimates_rejects_a_stream_without_hazard():
+    table = np.zeros(5)
+    with pytest.raises(DegenerateHazardError):
+        mc_estimates(HazardParams(m=0.0, M=0.0), {INDIVIDUAL: table}, CFG)
+    with pytest.raises(NoExtinctionError):
+        mc_estimates(HazardParams(m=0.1, M=0.0, b=0.1), {DYNASTY: table}, CFG)
+
+
 def test_simulation_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(replications=0)
@@ -213,12 +222,9 @@ def test_reproducibility_selfcheck_passes():
     assert reproducibility_selfcheck()
 
 
-def _chunked_dates(sampler, reps, seed, tag):
-    return np.concatenate([
-        sampler(min(_CHUNK, reps - start),
-                np.random.default_rng(np.random.SeedSequence([seed, tag, i])))
-        for i, start in enumerate(range(0, reps, _CHUNK))
-    ])
+def _stream_dates(hazard, reps, cap, seed, tag):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, tag]))
+    return np.repeat(np.arange(cap + 2), sample_date_counts(hazard, reps, cap, rng))
 
 
 def test_histogram_estimate_matches_direct_mean_over_the_same_streams():
@@ -228,9 +234,8 @@ def test_histogram_estimate_matches_direct_mean_over_the_same_streams():
     cases = (INDIVIDUAL, DYNASTY, DYNASTY_THETA, LINEAGE, SOCIAL_WELFARE)
     tables = {c: mc_table(c, p, VERIFY_PATH, VERIFY_UTILITY, cfg) for c in cases}
     ests = mc_estimates(p, tables, cfg)
-    lifetimes = _chunked_dates(lambda n, rng: sample_lifetimes(p, n, rng), reps, 8, _TAG_EU)
-    extinctions = _chunked_dates(lambda n, rng: sample_extinction_times(p.M, n, rng),
-                                 reps, 8, _TAG_EV)
+    lifetimes = _stream_dates(p.death_hazard, reps, cap, 8, _TAG_EU)
+    extinctions = _stream_dates(p.M, reps, cap, 8, _TAG_EV)
     for case in cases:
         dates = lifetimes if case == INDIVIDUAL else extinctions
         vals = tables[case][np.minimum(dates, cap)]

@@ -3,15 +3,17 @@
 Subcommands: eval, simulate, sweep, profile, sensitivity, table1, verify.
 Configs are JSON (nested key/value; NaN and Infinity are rejected); results
 are written atomically (temp file + rename, mode 0666 less the umask) as CSV
-tables or JSON documents; a non-finite float is written as its repr (inf) in
-CSV and as null in JSON, which has no literal for it. Exit codes: 0 success,
-1 malformed config, 2 divergent grid point under --strict, 3 failed simulation
-reproducibility self-check, 4 a verify comparison outside 3 SE under --strict.
+tables or as JSON arrays with one row per line; a non-finite float is written
+as its repr (inf) in CSV and as null in JSON, which has no literal for it.
+Exit codes: 0 success, 1 malformed config, 2 divergent grid point under
+--strict, 3 failed simulation reproducibility self-check, 4 a verify
+comparison outside 3 SE under --strict.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import csv
 import functools
 import io
@@ -271,14 +273,6 @@ def _load_config(args: argparse.Namespace, required: bool) -> RunConfig:
 # --- output ------------------------------------------------------------------
 
 
-def _cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _atomic_write(target: Path, text: str) -> None:
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
@@ -302,10 +296,9 @@ def _write_rows(
     """Write rows as <name>.csv and/or <name>.json, printing a line per file written."""
     if fmt in ("csv", "both"):
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(buf, lineterminator="\n")  # writes None as "" and a float as its repr
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(row.get(col)) for col in columns])
+        writer.writerows([row.get(col) for col in columns] for row in rows)
         target = out_dir / f"{name}.csv"
         _atomic_write(target, buf.getvalue())
         print(f"wrote {target}")
@@ -315,17 +308,20 @@ def _write_rows(
         print(f"wrote {target}")
 
 
-def _json_text(rows: List[Dict[str, Any]]) -> str:
-    """Rows as a JSON document; inf and NaN, which JSON cannot express, become null."""
+_encode = json.JSONEncoder(allow_nan=False).encode  # without indent, the C encoder
+
+
+def _json_row(row: Dict[str, Any]) -> str:
     try:
-        return json.dumps(rows, indent=2, allow_nan=False)
+        return _encode(row)
     except ValueError:  # rare: screening every cell up front would slow the common case
-        clean = [
-            {k: None if isinstance(v, float) and not math.isfinite(v) else v
-             for k, v in row.items()}
-            for row in rows
-        ]
-        return json.dumps(clean, indent=2, allow_nan=False)
+        return _encode({k: None if isinstance(v, float) and not math.isfinite(v) else v
+                        for k, v in row.items()})
+
+
+def _json_text(rows: List[Dict[str, Any]]) -> str:
+    """Rows as a JSON array, one row per line; inf and NaN, which JSON lacks, become null."""
+    return "[\n" + ",\n".join(map(_json_row, rows)) + "\n]" if rows else "[]"
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -352,6 +348,10 @@ def _cmd_sweep(args: argparse.Namespace, out_dir: Path, columns: Sequence[str]) 
     results = scenario_sweep(cfg.grid, cfg.cases, cfg.path, cfg.utility, cfg.tolerance)
     # the JSON output writes whole dicts, so each keeps only the command's columns
     rows = [{col: cells[col] for col in columns} for cells in (r.to_dict() for r in results)]
+    by_status = collections.Counter(row["status"].split(":")[0] for row in rows)
+    print(f"{args.command}: {len(rows)} rows, {by_status['ok']} ok, "
+          f"{by_status['divergent']} divergent, {by_status['rejected']} rejected; "
+          f"{sum(row['converged'] is False for row in rows)} not converged")
     _write_rows(out_dir, args.command, columns, rows, args.format)
     return _exit_code(args, [row["status"] for row in rows])
 

@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from extrisk import (
     known_extinction,
 )
 from extrisk import cli
+from extrisk.analysis import scenario_sweep
 from extrisk.cli import run as cli_run
 from extrisk.series import Scenario
 from extrisk.simulate import VERIFY_GRID, VerifyRow
@@ -515,3 +517,105 @@ def test_eval_sweep_simulate_agree_on_every_row(tmp_path, grid):
         assert codes["sweep"] == 2
     else:
         assert codes["sweep"] == 0
+
+
+# --- output writer ---------------------------------------------------------------
+
+
+def test_only_the_non_finite_cells_of_a_row_become_null(tmp_path):
+    # at m = 1 rate_log is inf; the m = 0.5 row is finite throughout
+    cfg = write_config(tmp_path, {"cases": ["individual"], "grid": {"m": [0.5, 1.0], "M": [0.5]}})
+    out = tmp_path / "inf"
+    assert cli_run(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    rows = json.loads((out / "sweep.json").read_text(encoding="utf-8"),
+                      parse_constant=_reject_constant)
+    cells = read_csv(out / "sweep.csv")
+    assert [r["m"] for r in cells] == ["0.5", "1.0"]
+    assert [[k for k, v in r.items() if v == "inf"] for r in cells] == [[], ["rate_log"]]
+    assert [[k for k, v in r.items() if v is None] for r in rows] == [[], ["rate_log"]]
+    for row, csv_row in zip(rows, cells):  # every other float re-parses to its CSV repr
+        assert all(repr(v) == csv_row[k] for k, v in row.items() if isinstance(v, float))
+
+
+def test_sweep_json_writes_one_row_per_line(tmp_path):
+    cfg = write_config(tmp_path, {**CONSISTENCY_CONFIG, "grid": {"m": [0.02, 1.0], "M": [0.01, 0.5]}})
+    out = tmp_path / "lines"
+    assert cli_run(["sweep", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    text = (out / "sweep.json").read_text(encoding="utf-8")
+    rows = json.loads(text, parse_constant=_reject_constant)
+    lines = text.split("\n")
+    assert len(rows) == 24 and lines[0] == "[" and lines[-2:] == ["]", ""]
+    assert len(text.splitlines()) == len(rows) + 2
+    middle = lines[1:-2]
+    assert all(line.endswith(",") for line in middle[:-1]) and not middle[-1].endswith(",")
+    assert [json.loads(line.removesuffix(",")) for line in middle] == rows
+
+
+def test_profile_without_a_birth_rate_writes_an_empty_array(tmp_path):
+    cfg = write_config(tmp_path, {"grid": {"m": [0.02, 0.1], "M": [0.01], "b": [0.0]}})
+    out = tmp_path / "empty"
+    assert cli_run(["profile", "--config", cfg, "--out", str(out)]) == 0
+    assert (out / "profile.json").read_text(encoding="utf-8") == "[]\n"
+    assert (out / "profile.csv").read_text(encoding="utf-8") == \
+        "m,M,b,theta,alpha,case,parameter,t,value\n"
+
+
+def test_every_cell_type_is_written_as_pinned(tmp_path, capsys):
+    columns = ["x", "small", "big", "yes", "no", "k", "empty", "status"]
+    row = {"x": 0.1, "small": 1e-10, "big": float("inf"), "yes": True, "no": False, "k": 7,
+           "empty": None, "status": "rejected: M = 0, b > 0"}
+    cli._write_rows(tmp_path, "cells", columns, [row], "both")
+    assert (tmp_path / "cells.csv").read_text(encoding="utf-8") == (
+        "x,small,big,yes,no,k,empty,status\n"
+        '0.1,1e-10,inf,True,False,7,,"rejected: M = 0, b > 0"\n')
+    assert (tmp_path / "cells.json").read_text(encoding="utf-8") == (
+        '[\n{"x": 0.1, "small": 1e-10, "big": null, "yes": true, "no": false, "k": 7, '
+        '"empty": null, "status": "rejected: M = 0, b > 0"}\n]\n')
+    assert capsys.readouterr().out.count("wrote ") == 2
+
+
+def test_sweep_reruns_in_fresh_processes_are_byte_identical(tmp_path):
+    cfg = write_config(tmp_path, {**CONSISTENCY_CONFIG,
+                                  "grid": {**CONSISTENCY_CONFIG["grid"], "m": [0.0, 0.02, 1.0]}})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    outputs = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        proc = subprocess.run([sys.executable, "-m", "extrisk.cli", "sweep", "--config", cfg,
+                               "--out", str(out)], capture_output=True, text=True, timeout=300,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out)
+    for name in ("sweep.csv", "sweep.json"):
+        assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
+    assert b"null" in (outputs[0] / "sweep.json").read_bytes()  # the m = 1 rows took the fallback
+
+
+def test_json_text_peaks_below_three_times_its_length():
+    cfg = cli.RunConfig.from_dict({"grid": {"m": {"linspace": [0.01, 0.2, 50]},
+                                            "M": {"linspace": [0.001, 0.05, 20]}, "b": [0.03]}})
+    results = scenario_sweep(cfg.grid, cfg.cases, cfg.path, cfg.utility, cfg.tolerance)
+    rows = [r.to_dict() for r in results]  # the sweep columns, in order
+    assert len(rows) == 5_000 and list(rows[0]) == cli._SWEEP_COLUMNS
+    tracemalloc.start()
+    try:
+        text = cli._json_text(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * len(text)
+
+
+@pytest.mark.parametrize("sub", ["eval", "sweep"])
+def test_sweep_and_eval_print_rows_by_status(tmp_path, capsys, sub):
+    cfg = write_config(tmp_path, CONSISTENCY_CONFIG)
+    out = tmp_path / sub
+    assert cli_run([sub, "--config", cfg, "--out", str(out), "--format", "csv"]) == 0
+    rows = read_csv(out / f"{sub}.csv")
+    statuses = [r["status"].split(":")[0] for r in rows]
+    unconverged = sum(r["converged"] == "False" for r in rows)
+    assert (len(rows), statuses.count("ok"), statuses.count("divergent"),
+            statuses.count("rejected"), unconverged) == (72, 37, 15, 20, 4)
+    assert capsys.readouterr().out.splitlines()[0] == \
+        f"{sub}: 72 rows, 37 ok, 15 divergent, 20 rejected; 4 not converged"

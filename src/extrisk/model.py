@@ -352,10 +352,6 @@ def sample_date_counts(hazard: float, size: int, cap: int, rng: np.random.Genera
         dates = _geometric_from_zero(rng, hazard, min(left, _CHUNK))
         left -= len(dates)
         dates += k
-        np.minimum(dates, cap + 1, out=dates)
-        if cap + 2 > 2 * len(dates):  # a scatter costs per date, a bincount per bin
-            np.add.at(counts, dates, 1)
-        else:
-            counts += np.bincount(dates, minlength=cap + 2)
+        counts += np.bincount(np.minimum(dates, cap + 1, out=dates), minlength=cap + 2)
     counts[-1] += left  # dates left once the bins pass the cap: no draws needed
     return counts

@@ -297,6 +297,20 @@ def test_simulate_agent_mode_underflowing_consumption_is_a_config_error(tmp_path
     assert not out.exists()
 
 
+def _run_twice_in_fresh_processes(tmp_path, args):
+    """Run ``extrisk.cli args`` in two fresh interpreters; return their two --out dirs."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    outputs = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        proc = subprocess.run([sys.executable, "-m", "extrisk.cli", *args, "--out", str(out)],
+                              capture_output=True, text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out)
+    return outputs
+
+
 def test_simulate_agent_mode_reruns_byte_identical(tmp_path):
     cfg = write_config(tmp_path, {
         "grid": {"m": [0.02, 0.1], "M": [0.05], "b": [0.03]},
@@ -305,16 +319,7 @@ def test_simulate_agent_mode_reruns_byte_identical(tmp_path):
         "simulation": {"replications": 300, "seed": 17, "mode": "agent",
                        "n0_values": [1, 10, 100]},
     })
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    outputs = []
-    for sub in ("a", "b"):
-        out = tmp_path / sub
-        proc = subprocess.run([sys.executable, "-m", "extrisk.cli", "simulate", "--config", cfg,
-                               "--out", str(out)], capture_output=True, text=True, timeout=300,
-                              env=env)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(out)
+    outputs = _run_twice_in_fresh_processes(tmp_path, ["simulate", "--config", cfg])
     for name in ("simulate.csv", "simulate.json"):
         assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
     rows = read_csv(outputs[0] / "simulate.csv")
@@ -522,33 +527,26 @@ def test_eval_sweep_simulate_agree_on_every_row(tmp_path, grid):
 # --- output writer ---------------------------------------------------------------
 
 
-def test_only_the_non_finite_cells_of_a_row_become_null(tmp_path):
-    # at m = 1 rate_log is inf; the m = 0.5 row is finite throughout
-    cfg = write_config(tmp_path, {"cases": ["individual"], "grid": {"m": [0.5, 1.0], "M": [0.5]}})
-    out = tmp_path / "inf"
-    assert cli_run(["sweep", "--config", cfg, "--out", str(out)]) == 0
-    rows = json.loads((out / "sweep.json").read_text(encoding="utf-8"),
-                      parse_constant=_reject_constant)
-    cells = read_csv(out / "sweep.csv")
-    assert [r["m"] for r in cells] == ["0.5", "1.0"]
-    assert [[k for k, v in r.items() if v == "inf"] for r in cells] == [[], ["rate_log"]]
-    assert [[k for k, v in r.items() if v is None] for r in rows] == [[], ["rate_log"]]
-    for row, csv_row in zip(rows, cells):  # every other float re-parses to its CSV repr
-        assert all(repr(v) == csv_row[k] for k, v in row.items() if isinstance(v, float))
-
-
-def test_sweep_json_writes_one_row_per_line(tmp_path):
-    cfg = write_config(tmp_path, {**CONSISTENCY_CONFIG, "grid": {"m": [0.02, 1.0], "M": [0.01, 0.5]}})
+def test_sweep_json_writes_one_row_per_line_nulling_only_non_finite_cells(tmp_path):
+    # at m = 1 rate_log is inf; the m = 0.5 rows are finite throughout
+    cfg = write_config(tmp_path, {"cases": ["individual"], "grid": {"m": [0.5, 1.0], "M": [0.01, 0.5]}})
     out = tmp_path / "lines"
-    assert cli_run(["sweep", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    assert cli_run(["sweep", "--config", cfg, "--out", str(out)]) == 0
     text = (out / "sweep.json").read_text(encoding="utf-8")
     rows = json.loads(text, parse_constant=_reject_constant)
     lines = text.split("\n")
-    assert len(rows) == 24 and lines[0] == "[" and lines[-2:] == ["]", ""]
+    assert len(rows) == 4 and lines[0] == "[" and lines[-2:] == ["]", ""]
     assert len(text.splitlines()) == len(rows) + 2
     middle = lines[1:-2]
     assert all(line.endswith(",") for line in middle[:-1]) and not middle[-1].endswith(",")
     assert [json.loads(line.removesuffix(",")) for line in middle] == rows
+    assert ["null" in line for line in middle] == [False, False, True, True]
+    cells = read_csv(out / "sweep.csv")
+    assert [r["m"] for r in cells] == ["0.5", "0.5", "1.0", "1.0"]
+    assert [[k for k, v in r.items() if v == "inf"] for r in cells] == [[], [], ["rate_log"], ["rate_log"]]
+    assert [[k for k, v in r.items() if v is None] for r in rows] == [[], [], ["rate_log"], ["rate_log"]]
+    for row, csv_row in zip(rows, cells):  # every other float re-parses to its CSV repr
+        assert all(repr(v) == csv_row[k] for k, v in row.items() if isinstance(v, float))
 
 
 def test_profile_without_a_birth_rate_writes_an_empty_array(tmp_path):
@@ -577,16 +575,7 @@ def test_every_cell_type_is_written_as_pinned(tmp_path, capsys):
 def test_sweep_reruns_in_fresh_processes_are_byte_identical(tmp_path):
     cfg = write_config(tmp_path, {**CONSISTENCY_CONFIG,
                                   "grid": {**CONSISTENCY_CONFIG["grid"], "m": [0.0, 0.02, 1.0]}})
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    outputs = []
-    for sub in ("a", "b"):
-        out = tmp_path / sub
-        proc = subprocess.run([sys.executable, "-m", "extrisk.cli", "sweep", "--config", cfg,
-                               "--out", str(out)], capture_output=True, text=True, timeout=300,
-                              env=env)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append(out)
+    outputs = _run_twice_in_fresh_processes(tmp_path, ["sweep", "--config", cfg])
     for name in ("sweep.csv", "sweep.json"):
         assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
     assert b"null" in (outputs[0] / "sweep.json").read_bytes()  # the m = 1 rows took the fallback

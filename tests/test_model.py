@@ -278,22 +278,6 @@ def test_date_counts_draw_the_sparse_tail_in_bounded_batches():
     assert peak < 8 * 2**20
 
 
-@pytest.mark.parametrize("cap", [
-    1_000,  # cap + 2 <= 2 * batch for both batches: bincount, bincount
-    20_000,  # bincount for the full batch, scatter for the short one
-    300_000,  # cap + 2 > 2 * _CHUNK: scatter, scatter
-])
-def test_date_counts_scatter_and_bincount_agree(cap):
-    # 1e-4 * (_CHUNK + 5000) expects 13.6 dates in bin 0: no dense bin, every date is
-    # drawn, in a full batch and a short one; the same draws, histogrammed directly
-    p, size, seed = 1e-4, _CHUNK + 5_000, 13
-    counts = sample_date_counts(p, size, cap, np.random.default_rng(seed))
-    rng = np.random.default_rng(seed)
-    dates = np.concatenate([rng.geometric(p, n) - 1 for n in (_CHUNK, 5_000)])
-    expected = np.bincount(np.minimum(dates, cap + 1), minlength=cap + 2)
-    assert counts.tolist() == expected.tolist()
-
-
 # --- consumption paths and utility ---------------------------------------------------
 
 

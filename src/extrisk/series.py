@@ -55,7 +55,6 @@ from .model import (
 
 __all__ = [
     "DEFAULT_TOLERANCE",
-    "MAX_TERMS",
     "SeriesResult",
     "Scenario",
     "INDIVIDUAL",
@@ -87,8 +86,6 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = 1e-10
-MAX_TERMS = 1_000_000  # cap of the truncated extinction-date mixture
-_BLOCK = 512
 _EPS = float(np.finfo(float).eps)
 _U = _EPS / 2.0  # unit roundoff
 _LIBM = 4.0 * _U  # relative error of one libm call: log, log1p, exp, expm1, pow
@@ -142,9 +139,10 @@ class SeriesResult:
     """Series value.
 
     tail_bound is a rigorous upper bound on |true value - value|: for the
-    closed forms the rounding error, for the truncated mixture the omitted
-    terms plus the rounding envelope. truncation_index is the last summed
-    term; for the closed forms that is the last explicit prefix period.
+    closed forms the rounding error, for the extinction-date mixture the
+    omitted dates plus a gamma_k bound on the rounding of its cumulative
+    sums. truncation_index is the last summed term; for the closed forms
+    that is the last explicit prefix period, for the mixture the last date.
     converged means tail_bound <= the requested tolerance.
     """
 
@@ -464,91 +462,6 @@ def _closed_sum_checked(
     )
 
 
-# --- cross-check machinery: the truncated extinction-date mixture --------------
-
-
-class _KahanAccumulator:
-    """Compensated running sum; per-element error stays ~2 eps of the partial sum."""
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._carry = 0.0
-
-    def extend(self, terms: np.ndarray) -> np.ndarray:
-        out = np.empty(len(terms))
-        s, c = self.total, self._carry
-        for i in range(len(terms)):
-            y = float(terms[i]) - c
-            t = s + y
-            c = (t - s) - y
-            s = t
-            out[i] = s
-        self.total, self._carry = s, c
-        return out
-
-
-class _TailBounder:
-    """Rigorous bound on prefactor * sum_{t >= t0} rho**t |u(c_t)|.
-
-    |u| along the tail rule is enveloped at the prefix end by
-    a + lin*j + geo*gamma**j (j periods past the anchor). Bounds at later
-    truncation points reuse the anchored coefficients, so no intermediate
-    quantity is evaluated at a consumption level that has decayed past
-    floating-point range.
-    """
-
-    def __init__(self, rho: float, path: ConsumptionPath, u: UtilitySpec, prefactor: float):
-        self.rho = rho
-        self.prefactor = prefactor
-        self.anchor = path.prefix_len
-        a, lin, geo, gamma = self._envelope(path, u)
-        if geo > 0.0 and rho * gamma >= 1.0:
-            raise DivergenceError(
-                f"utility tail grows at rate {gamma:.6g} against weight ratio "
-                f"{rho:.6g}: rho*gamma = {rho * gamma:.6g} >= 1, the series diverges"
-            )
-        self.a, self.lin, self.geo, self.gamma = a, lin, geo, gamma
-
-    @staticmethod
-    def _envelope(path: ConsumptionPath, u: UtilitySpec):
-        c0 = path.value(path.prefix_len)
-        if path.tail == "constant":
-            return abs(float(u(c0))), 0.0, 0.0, 0.0
-        g = path.ratio
-        if u.family == "linear":
-            return 0.0, 0.0, c0, utility_tail_growth(path, u)
-        if g == 0.0:
-            raise ValueError(f"{u.family} utility is undefined on a ratio-0 tail (c = 0)")
-        if u.family == "log":
-            return abs(math.log(c0)), abs(math.log(g)), 0.0, 0.0
-        s = u.sigma
-        return 1.0 / abs(1.0 - s), 0.0, c0 ** (1.0 - s) / abs(1.0 - s), utility_tail_growth(path, u)
-
-    def bound(self, t0: int) -> float:
-        if t0 < self.anchor:
-            raise ValueError("bound anchor must be at or beyond the prefix end")
-        rho = self.rho
-        k = t0 - self.anchor
-        flat = (self.a + self.lin * k) / (1.0 - rho) + self.lin * rho / (1.0 - rho) ** 2
-        total = rho**t0 * flat
-        if self.geo > 0.0:
-            # geo * gamma**k * rho**t0, regrouped so no factor overflows alone
-            total += (
-                self.geo * rho**self.anchor * (rho * self.gamma) ** k
-                / (1.0 - rho * self.gamma)
-            )
-        return self.prefactor * total
-
-    @property
-    def evaluation_limit(self) -> int:
-        """Largest date whose u value provably stays inside float range."""
-        if self.geo <= 0.0 or self.gamma <= 1.0:
-            return MAX_TERMS
-        # geo * gamma**j overflows past j ~ log(huge/geo)/log(gamma)
-        j_max = (math.log(1e300) - math.log(max(self.geo, 1e-300))) / math.log(self.gamma)
-        return min(MAX_TERMS, self.anchor + max(int(j_max), 1))
-
-
 # --- the functionals ---------------------------------------------------------
 
 
@@ -662,19 +575,6 @@ def eu_known_T(
     return math.fsum(pieces)
 
 
-def _window_terms_range(
-    params: HazardParams,
-    path: ConsumptionPath,
-    u: UtilitySpec,
-    start: int,
-    stop: int,
-) -> np.ndarray:
-    t = np.arange(start, stop)
-    uu = np.asarray(u(path.values(start, stop)), dtype=float)
-    pref = params.N0 * (1.0 + params.b) / params.b
-    return pref * uu * np.power(params.gross_growth, t) * one_minus_q_power(params.b, t + 1)
-
-
 def welfare_window_terms(
     params: HazardParams, path: ConsumptionPath, u: UtilitySpec, length: int
 ) -> np.ndarray:
@@ -684,7 +584,10 @@ def welfare_window_terms(
     """
     if params.b <= 0.0:
         raise ValueError("the closed-form window terms need b > 0")
-    return _window_terms_range(params, path, u, 0, length)
+    t = np.arange(length)
+    uu = np.asarray(u(path.values(0, length)), dtype=float)
+    pref = params.N0 * (1.0 + params.b) / params.b
+    return pref * uu * np.power(params.gross_growth, t) * one_minus_q_power(params.b, t + 1)
 
 
 def welfare_window_direct(
@@ -779,72 +682,139 @@ def ew_social_n0_form(
     return _closed_sum([_log1m(params.M)], path, u, tol, mod, params.N0 / params.m, _U)
 
 
+def _tail_envelope(path: ConsumptionPath, u: UtilitySpec) -> Tuple[float, float, float, float]:
+    """(a, lin, log_gamma, e): |u(c_{p+k})| <= (a + lin k) gamma**k for k >= 0 past the
+    prefix p, with a and lin computed to relative error e."""
+    c = path.prefix[-1]
+    if path.tail == "constant":
+        value, e = _utility(u, c)
+        return abs(value), 0.0, 0.0, e
+    g = path.ratio
+    if u.family == "linear":
+        return c * g, 0.0, math.log(g) if g else 0.0, _U
+    if g == 0.0:
+        raise ValueError(f"{u.family} utility is undefined on a ratio-0 tail (c = 0)")
+    if u.family == "log":  # log c_{p+k} = log c + (k+1) log g
+        return abs(math.log(c)) + abs(math.log(g)), abs(math.log(g)), 0.0, _LIBM + _U
+    # |((c g)**s1 g**(s1 k) - 1) / s1| <= ((c g)**s1 + 1) max(1, g**s1)**k / |s1|
+    s1 = 1.0 - u.sigma
+    x = s1 * math.log(c * g)
+    e_x = abs(s1) * _U + abs(x) * (_LIBM + 2.0 * _U)
+    return (math.exp(x) + 1.0) / abs(s1), 0.0, max(s1 * math.log(g), 0.0), _LIBM + e_x + 3.0 * _U
+
+
 def ew_social_mixture(
     params: HazardParams,
     path: ConsumptionPath,
     u: UtilitySpec,
     tol: float = 1e-8,
 ) -> SeriesResult:
-    """EW evaluated from its definition, sum_T P_X(T) W(0, T).
+    """EW evaluated from its definition, sum_T P_X(T) W(0, T), in one vectorized pass.
 
-    Independent route used to cross-check ew_social. The omitted tail after
-    truncating at T* splits exactly into
-      (1-M)**(T*+1) * sum_{t<=T*} term_t  +  sum_{t>T*} term_t (1-M)**t,
-    both of which are bounded rigorously (the second with the same envelope
-    machinery as the closed series).
+    Independent route used to cross-check ew_social: the windows W(0, T) are
+    cumulative sums of welfare_window_terms, and the value is the fsum of
+    P_X(T) W(0, T) over T <= T*. What that omits is at most
+      (1-M)**(T*+1) sum_{t<=T*} |term_t|  +  sum_{t>T*} |term_t| (1-M)**t,
+    the second bounded by an envelope of |u| past the prefix. The rounding
+    bound is Higham's (Accuracy and Stability of Numerical Algorithms, ch. 3-4):
+    gamma_T = T u / (1 - T u) of the summed |terms| for the T-th cumulative
+    sum, and a relative error of term t that grows like 3 t u, since (1+n)**t
+    raises a rounded (1+b)(1-m), plus the error of u(c_t). T* is the first
+    date whose bound meets tol, else the date with the least bound. The
+    number of dates is set up front from the envelope, at most 2**20.
 
-    The default tolerance is looser than the closed form's: this route sums
-    P_X(T)-many cumulative windows whose power-function rounding grows with
-    the term index, and that rounding envelope is folded into tail_bound, so
-    certifying 1e-10 absolute is generally not possible for long mixtures.
+    The default tolerance is looser than the closed form's: the rounding bound
+    grows with the number of dates, so 1e-10 absolute is generally out of reach.
     """
     rho = _ew_preconditions(params)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tolerance must be > 0")
+    a, lin, log_gamma, e_env = _tail_envelope(path, u)
+    parts = _log_parts(SOCIAL_WELFARE, params)
+    kernel = _kernel(parts, [log_gamma], None, 1.0, 0.0, True)  # 1/(1-R), 1/(1-R)**2
+    if kernel is None:
+        raise DivergenceError(f"utility tail grows at rate exp({log_gamma:.6g}) against "
+                              f"weight ratio {rho:.6g}: the series diverges")
+    h1, e1, h2, e2 = kernel
+    # R = rho gamma; rho = 0 (m or M = 1) is floored so exp(-1e3 t) stands for 0**t
+    (L, dL), (LR, dLR) = _log_sum(parts), _log_sum(parts + [log_gamma])
+    L, LR = max(L, -1e3), max(LR, -1e3)
+    step = max(dL + _U * abs(L), dLR + _U * abs(LR))  # error of exp(t log R) per period
+    p, M, sM = path.prefix_len, params.M, 1.0 - params.M
     pref = params.N0 * (1.0 + params.b) / params.b
-    sM = 1.0 - params.M
-    bounder = _TailBounder(rho, path, u, pref)
-    limit = max(bounder.evaluation_limit, path.prefix_len)
-    # pow(base, t) loses about t*|ln base| ulps; tracked per summed index below
-    g = params.gross_growth
-    q = 1.0 / (1.0 + params.b)
-    ln_scale = abs(math.log(q))
-    if g > 0.0:
-        ln_scale += abs(math.log(g))
-    if sM > 0.0:
-        ln_scale += abs(math.log(sM))
-    block_sums = []
-    abs_sum = 0.0
-    cum_abs_terms = 0.0
-    abs_env = 0.0  # sum of P_X(T) * cumulative |terms|, weights the cumsum rounding
-    kahan = _KahanAccumulator()
-    t0 = 0
-    block = 32
-    bound = math.inf
-    while True:
-        if t0 >= path.prefix_len:
-            rounding = 16.0 * _EPS * abs_sum + _EPS * abs_env * (
-                4.0 + 2.0 * t0 * ln_scale
-            )
-            bound = float(sM**t0 * cum_abs_terms + bounder.bound(t0) + rounding)
-            if bound <= tol or t0 >= limit:
-                break
-        stop = min(max(t0 + block, path.prefix_len), limit)
-        block = min(2 * block, _BLOCK)
-        terms = _window_terms_range(params, path, u, t0, stop)
-        windows = kahan.extend(terms)  # W(0, T) for T in [t0, stop)
-        cum_abs = cum_abs_terms + np.cumsum(np.abs(terms))
-        cum_abs_terms = float(cum_abs[-1])
-        px = np.power(sM, np.arange(t0, stop)) * params.M
-        block_sums.append(float(np.dot(px, windows)))
-        abs_sum += float(np.dot(px, np.abs(windows)))
-        abs_env += float(np.dot(px, cum_abs))
-        t0 = stop
+    rig = lambda e: np.expm1(e / (1.0 - e))  # _rigorous elementwise; every e here is tiny
+
+    def tail(t0: np.ndarray) -> np.ndarray:
+        """Bound on pref * sum_{t >= t0} rho**t |u(c_t)| for dates t0 >= p."""
+        k = t0 - p
+        e = e_env + max(e1, e2) + 2.0 * _LIBM + 10.0 * _U + 2.0 * t0 * step
+        R_t = np.exp(p * L + k * LR) + _DENORM
+        return pref * R_t * ((a + lin * k) * h1 + lin * h2) * (1.0 + rig(e))
+
+    # At most 2**20 dates (some 200 MB of arrays), fewer where pref (1+n)**t |u|
+    # could leave float range or a geometric c_t the normal range (log, CRRA).
+    head = np.abs(np.asarray(u(np.array(path.prefix)), dtype=float))
+    J = (1 << 20) - p  # tail dates
+    # under e**600, which leaves e**109 for sums of 2**20 terms and 1/(1-R)**2
+    room = 600.0 - math.log(pref) - math.log1p(head.sum() + a + lin * J)
+    growth = math.log(max(params.gross_growth, 1.0)) + max(log_gamma, 0.0)
+    if growth > 0.0:
+        J = min(J, int(max(room, -1.0) / growth) - p)
+    if path.tail == "geometric" and path.ratio > 0.0 and u.family != "linear":
+        J = min(J, int((max(0.0, -math.log(path.prefix[-1])) - 690.0) / math.log(path.ratio)))
+    if J < 0 or room == -math.inf:
+        raise ValueError("the extinction-date mixture leaves float range within the prefix")
+    # The first of 160 log-spaced counts j of tail dates after which the omitted
+    # part (the prefix's share, j tail terms at their largest, the tail) is at
+    # most tol/8, which leaves the rest of tol to the rounding.
+    j = np.unique(np.geomspace(1.0, J + 1.0, 160).astype(np.int64)) - 1
+    lam = max(sM, math.exp(LR))
+    prior = (pref * (sM ** (j + 1) * float(head @ np.exp(np.arange(p) * L))
+                     + sM * math.exp(p * L) * j * (a + lin * j) * lam ** np.maximum(j - 1, 0))
+             + tail(p + j))
+    n = p + int(j[prior <= tol / 8.0].min(initial=J))
+
+    t = np.arange(n)
+    terms = welfare_window_terms(params, path, u, n)
+    # |term_t - exact| <= |term_t| r_t + pref (1+n)**t a_t |error of u(c_t)|, the weight
+    # pref (1+n)**t a_t being the term at u = 1; r_t covers pref, a_t, (1+n)**t, 3 products
+    weight = welfare_window_terms(params, ConsumptionPath.constant(1.0), UtilitySpec.linear(), n)
+    r = rig(8.0 * _U + 3.0 * _LIBM + 3.0 * _U * t)
+    c = path.values(0, n)
+    uu = np.asarray(u(c), dtype=float)
+    e_c = (_LIBM + _U) * (t >= p) if path.tail == "geometric" else 0.0  # of c_t
+    if u.family == "linear":  # c_t may be subnormal
+        u_err = c * e_c + _DENORM * (1.0 + path.prefix[-1])
+    elif u.family == "log":
+        u_err = _LIBM * np.abs(uu) + rig(e_c)
+    else:  # (c**s1 - 1) / s1: c**s1 = 1 + s1 u off by libm, the rounded s1 and c's error
+        s1 = abs(1.0 - u.sigma)
+        u_err = ((1.0 + s1 * np.abs(uu)) / s1 * rig(_LIBM + _U * np.abs(s1 * np.log(c)) + s1 * e_c)
+                 + rig(3.0 * _U) * np.abs(uu))
+    # a product or libm result that underflows is off by _DENORM times the later factors
+    g_max = max(params.gross_growth, 1.0) ** n
+    term_err = np.cumsum(np.abs(terms) * r + weight * (1.0 + r) * u_err
+                         + _DENORM * g_max * (2.0 * pref + 3.0) * (1.0 + np.abs(uu) + u_err))
+    windows = np.cumsum(terms)
+    summed = np.cumsum(np.abs(terms))
+    win_err = t * _U / (1.0 - t * _U) * summed + term_err  # gamma_T, then the terms' own
+    surv = np.power(sM, np.arange(n + 1))  # (1-M)**T
+    r_s = rig(_LIBM + _U * (np.arange(n + 1) + 2.0))  # from 1-M, its power and the product
+    px = surv[:n] * M
+    # per date: errors of P_X(T) and W(0, T), of their product, and of fsum's result
+    mix_err = np.cumsum(px * ((1.0 + r_s[:n]) * win_err + (r_s[:n] + 2.0 * _U) * np.abs(windows))
+                        + 2.0 * _DENORM * (np.abs(windows) + win_err + 1.0))
+    T = t[p - 1:]
+    omitted = (surv[T + 1] * (1.0 + r_s[T + 1]) + _DENORM) * (summed[T] + term_err[T]) + tail(T + 1)
+    # each bound is a sum of at most 2n + 32 rounded nonnegative products
+    bound = (omitted + mix_err[T]) * (1.0 + rig(4.0 * (n + 16) * _U))
+    hits = bound <= tol
+    i = int(hits.argmax() if hits.any() else bound.argmin())
     return SeriesResult(
-        value=math.fsum(block_sums),
-        truncation_index=t0 - 1,
-        tail_bound=bound,
-        converged=bound <= tol,
+        value=math.fsum(px[: p + i] * windows[: p + i]),
+        truncation_index=p + i - 1,
+        tail_bound=float(bound[i]),
+        converged=bool(hits[i]),
     )
 
 

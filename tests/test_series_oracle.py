@@ -3,7 +3,8 @@
 The property: |value - exact| <= tail_bound, and the program calls a sum
 divergent exactly when the oracle does. Hazards run down to 1e-6 and birth
 rates down to 1e-12, over constant and geometric tails under log, CRRA and
-linear utility.
+linear utility. The extinction-date mixture, which sums one term per date,
+is checked with extinction hazards of 1e-3 and up so that a run stays short.
 """
 
 import math
@@ -24,6 +25,7 @@ from extrisk import (
     ev_dynasty,
     ev_dynasty_theta,
     ew_social,
+    ew_social_mixture,
     ew_social_n0_form,
 )
 
@@ -44,9 +46,9 @@ level = st.floats(0.2, 5.0)
 
 
 @st.composite
-def economies(draw):
+def economies(draw, extinction=hazard):
     params = HazardParams(
-        m=draw(hazard), M=draw(hazard), b=draw(birth),
+        m=draw(hazard), M=draw(extinction), b=draw(birth),
         theta=draw(st.floats(0.0, 1.0)), alpha=draw(st.floats(0.05, 0.95)),
         N0=draw(st.floats(0.5, 1000.0)),
     )
@@ -68,14 +70,16 @@ def economies(draw):
     return params, path, u
 
 
-def check_against_oracle(kind, params, path, u, tol=1e-10):
+def check_against_oracle(kind, params, path, u, tol=1e-10, functional=None):
+    call = functional or CALL[kind]
     truth = exact(kind, params, path, u)
     if truth is None:
         with pytest.raises(DivergenceError):
-            CALL[kind](params, path, u, tol)
+            call(params, path, u, tol)
         return None
-    res = CALL[kind](params, path, u, tol)
+    res = call(params, path, u, tol)
     assert type(res.value) is float and type(res.tail_bound) is float
+    assert math.isfinite(res.value) and math.isfinite(res.tail_bound)
     assert res.converged == (res.tail_bound <= tol)
     assert abs(Decimal(res.value) - truth) <= Decimal(res.tail_bound), (
         f"{kind}: value {res.value!r}, exact {truth:.20e}, bound {res.tail_bound!r}")
@@ -98,6 +102,18 @@ def check_against_oracle(kind, params, path, u, tol=1e-10):
 def test_value_within_bound_of_exact(kind, economy):
     assume(abs(margin(kind, *economy)) > VERDICT_MARGIN)
     check_against_oracle(kind, *economy)
+
+
+@given(economy=economies(extinction=log_uniform(1e-3, 0.5)))
+# the Stern Review's 0.1 %/yr: the rounding of (1+n)**t costs about 3e-8, above tol
+@example(economy=(HazardParams(m=1e-3, M=1e-3, b=1e-3), BUMPY, UtilitySpec.log()))
+# a growing population that cannot meet tol: the sum must stop with (1+n)**t in float range
+@example(economy=(HazardParams(m=1e-3, M=3e-3, b=3e-3), ConsumptionPath.constant(1.0),
+                  UtilitySpec.linear()))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_mixture_within_bound_of_exact(economy):
+    assume(abs(margin("social_welfare", *economy)) > VERDICT_MARGIN)
+    check_against_oracle("social_welfare", *economy, tol=1e-8, functional=ew_social_mixture)
 
 
 @pytest.mark.parametrize("b", [1e-4, 1e-8, 1e-12])

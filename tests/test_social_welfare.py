@@ -150,6 +150,9 @@ def test_ew_rejections():
         ew_social(HazardParams(m=0.02, M=0.004, b=0.05), ONE, LINEAR)
     with pytest.raises(DivergenceError):
         ew_social_mixture(HazardParams(m=0.02, M=0.004, b=0.05), ONE, LINEAR)
+    for tol in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            ew_social_mixture(HazardParams(m=0.02, M=0.01, b=0.03), ONE, LINEAR, tol)
 
 
 def test_ew_tail_bound_honest_against_longer_sum():

@@ -1,4 +1,4 @@
-"""Exact values of the series functionals: stdlib decimal at 50 digits.
+"""Exact values of the series functionals: stdlib decimal at 50 digits or more.
 
 Every float input is converted to Decimal exactly, so the reference is the
 true sum at the given floats, not at nearby values. The infinite sums use
@@ -9,9 +9,10 @@ the plain closed forms
     EW   = N0 (1+b)/b (S(rho) - q S(rho q)),      q = 1/(1+b)
     EW0  = N0/m (S(1-M) - (1-m) S((1-M)(1-m)))
 
-whose subtractions cost at most a dozen of the 50 digits. A sum diverges
-when its weight ratio r >= 1, or, for CRRA utility on a geometric tail of
-ratio g, when r g**(1-sigma) >= 1.
+whose subtractions cost at most a dozen of the 50 digits once the context
+has been widened by the decimal exponent of 1 - q (b for EW, m for EW0).
+A sum diverges when its weight ratio r >= 1, or, for CRRA utility on a
+geometric tail of ratio g, when r g**(1-sigma) >= 1.
 """
 
 from decimal import Context, Decimal, localcontext
@@ -99,10 +100,18 @@ def margin(kind: str, params, path, u) -> Decimal:
 
 
 def exact(kind: str, params, path, u) -> Optional[Decimal]:
-    """The exact value of the functional, or None when it diverges."""
-    with localcontext(CTX):
-        if margin(kind, params, path, u) <= 0:
-            return None
+    """The exact value of the functional, or None when it diverges.
+
+    The difference of the two sums cancels to about 1 - q, which is b for
+    social welfare and m for the n = 0 form; the context gains that many
+    decimal places, so the 50 digits survive a birth rate of 1e-300.
+    """
+    if margin(kind, params, path, u) <= 0:
+        return None
+    small = {"social_welfare": params.b, "n0_form": params.m}.get(kind)
+    with localcontext(CTX) as ctx:
+        if small:
+            ctx.prec += max(0, -_d(small).adjusted())
         r, pref = _ratios(kind, params)
         if kind == "social_welfare":
             q = ONE / (ONE + _d(params.b))

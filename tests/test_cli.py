@@ -86,13 +86,22 @@ def test_invalid_hazard_value_is_reported(tmp_path, capsys):
         '{"grid": {"m": [0.1], "M": [0.1], "b": [NaN]}}',
         '{"grid": {"m": [0.1], "M": [0.1], "b": [Infinity]}}',
         '{"grid": {"m": [0.1], "M": [0.1]}, "tolerance": NaN}',
+        # linspace endpoints are checked like list entries, and k = true is not 1
+        '{"grid": {"m": {"linspace": ["a", 0.1, 3]}, "M": [0.1]}}',
+        '{"grid": {"m": {"linspace": [null, 0.1, 3]}, "M": [0.1]}}',
+        '{"grid": {"m": {"linspace": ["0.01", 0.1, 2]}, "M": [0.1]}}',
+        '{"grid": {"m": {"linspace": [0.01, 0.1, true]}, "M": [0.1]}}',
     ],
 )
 def test_non_finite_config_numbers_exit_one(tmp_path, capsys, payload):
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "out"
     assert cli_run(["eval", "--strict", "--config", cfg, "--out", str(out)]) == 1
-    assert "non-finite" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if "linspace" in payload:
+        assert err.startswith("config error: grid.m.linspace: ")
+    else:
+        assert "non-finite" in err
     assert not (out / "eval.json").exists()
 
 
@@ -252,7 +261,7 @@ def test_sensitivity_gives_a_boundary_point_a_row_status(tmp_path):
     assert [list(row) for row in doc] == [list(rows[0])] * 8
 
 
-def test_sweep_and_simulate_smoke(tmp_path):
+def test_sweep_and_simulate_smoke(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "cases": ["individual", "social_welfare"],
         "grid": {"m": [0.02], "M": [0.01], "b": [0.03]},
@@ -260,12 +269,16 @@ def test_sweep_and_simulate_smoke(tmp_path):
     })
     out = tmp_path / "smoke"
     assert cli_run(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
     assert cli_run(["simulate", "--config", cfg, "--out", str(out)]) == 0
     sim_rows = read_csv(out / "simulate.csv")
     assert all(r["within_3se"] == "True" for r in sim_rows)
+    largest = max(float(r["truncated_mass"]) for r in sim_rows)
+    assert capsys.readouterr().out.splitlines()[0] == \
+        f"simulate: 2 rows, 2 ok; 0 outside 3 SE, max truncated_mass {largest:.3g}"
 
 
-def test_simulate_agent_mode(tmp_path):
+def test_simulate_agent_mode(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "grid": {"m": [0.02], "M": [0.05], "b": [0.0204081632653061]},
         "utility": {"family": "linear"},
@@ -277,10 +290,40 @@ def test_simulate_agent_mode(tmp_path):
     rows = read_csv(out / "simulate.csv")
     assert [r["n0"] for r in rows] == ["1", "10"]
     assert float(rows[0]["mean_abs_gap"]) > float(rows[1]["mean_abs_gap"])
+    hit = float(rows[0]["cap_hit_fraction"])
+    assert capsys.readouterr().out.splitlines()[0] == \
+        f"simulate: 2 rows, grid points 1, workers 1; max cap_hit_fraction {hit:.3g}"
+
+
+def test_agent_mode_rows_do_not_depend_on_the_worker_count(tmp_path, capsys, monkeypatch):
+    payload = {
+        "grid": {"m": [0.02], "M": [0.01, 0.05, 0.1], "b": [0.03]},
+        "simulation": {"replications": 200, "seed": 11, "mode": "agent", "n0_values": [1, 10]},
+    }
+    pooled = tmp_path / "pooled"  # one worker per CPU, up to 3
+    assert cli_run(["simulate", "--config", write_config(tmp_path, payload),
+                    "--out", str(pooled)]) == 0
+    csv_rows, json_rows = [], []
+    for M in payload["grid"]["M"]:  # one-point runs never start a pool
+        out = tmp_path / f"M={M}"
+        cfg = write_config(tmp_path, {**payload, "grid": {**payload["grid"], "M": [M]}})
+        assert cli_run(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        csv_rows += read_csv(out / "simulate.csv")
+        json_rows += json.loads((out / "simulate.json").read_text(encoding="utf-8"))
+    assert read_csv(pooled / "simulate.csv") == csv_rows
+    assert json.loads((pooled / "simulate.json").read_text(encoding="utf-8")) == json_rows
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    serial = tmp_path / "serial"
+    capsys.readouterr()
+    assert cli_run(["simulate", "--config", write_config(tmp_path, payload),
+                    "--out", str(serial)]) == 0
+    assert "grid points 3, workers 1;" in capsys.readouterr().out
+    for name in ("simulate.csv", "simulate.json"):
+        assert (serial / name).read_bytes() == (pooled / name).read_bytes()
 
 
 AGENT_UNDERFLOW_CONFIG = {
-    "grid": {"m": [0.02], "M": [0.001], "b": [0.03]},
+    "grid": {"m": [0.02], "M": [0.05, 0.001], "b": [0.03]},  # the failing point runs second
     "path": {"prefix": [1.0], "tail": "geometric", "ratio": 0.5},
     "utility": {"family": "log"},
     "simulation": {"replications": 20, "seed": 3, "mode": "agent", "n0_values": [1, 2]},
@@ -297,18 +340,32 @@ def test_simulate_agent_mode_underflowing_consumption_is_a_config_error(tmp_path
     assert not out.exists()
 
 
-def _run_twice_in_fresh_processes(tmp_path, args):
-    """Run ``extrisk.cli args`` in two fresh interpreters; return their two --out dirs."""
+def _run_fresh(argv):
+    """Run ``python argv`` in a fresh interpreter that imports extrisk from this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _run_twice_in_fresh_processes(tmp_path, args):
+    """Run ``extrisk.cli args`` in two fresh interpreters; return their two --out dirs."""
     outputs = []
     for sub in ("a", "b"):
         out = tmp_path / sub
-        proc = subprocess.run([sys.executable, "-m", "extrisk.cli", *args, "--out", str(out)],
-                              capture_output=True, text=True, timeout=300, env=env)
-        assert proc.returncode == 0, proc.stderr
+        _run_fresh(["-m", "extrisk.cli", *args, "--out", str(out)])
         outputs.append(out)
     return outputs
+
+
+def test_importing_the_cli_leaves_the_process_pool_unimported():
+    # the pool's modules load only when an agent-mode run needs them, not at start-up
+    proc = _run_fresh(["-c", "import sys, extrisk.cli; "
+                             "print([m for m in ('multiprocessing', 'concurrent.futures') "
+                             "if m in sys.modules])"])
+    assert proc.stdout == "[]\n"
 
 
 def test_simulate_agent_mode_reruns_byte_identical(tmp_path):

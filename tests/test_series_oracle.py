@@ -116,7 +116,7 @@ def test_mixture_within_bound_of_exact(economy):
     check_against_oracle("social_welfare", *economy, tol=1e-8, functional=ew_social_mixture)
 
 
-@pytest.mark.parametrize("b", [1e-4, 1e-8, 1e-12])
+@pytest.mark.parametrize("b", [1e-4, 1e-8, 1e-12, 1e-45, 1e-300])
 def test_social_welfare_keeps_its_digits_at_small_birth_rates(b):
     res = check_against_oracle("social_welfare", HazardParams(m=0.02, M=0.01, b=b), BUMPY,
                                UtilitySpec.log())

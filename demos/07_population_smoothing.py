@@ -13,7 +13,6 @@ from extrisk import (
     HazardParams,
     SimulationConfig,
     UtilitySpec,
-    abm_population_run,
     abm_smoothing_study,
 )
 
@@ -22,11 +21,6 @@ one = ConsumptionPath.constant(1.0)
 u = UtilitySpec.linear()
 
 config = SimulationConfig(replications=4000, seed=42, mode="agent")
-traj = abm_population_run(params, 10, one, u, config)
-print(f"one run from 10 founders: extinction drawn at T={traj.extinction_date}, "
-      f"welfare {traj.welfare:.1f}, died off early: {traj.died_off_early}")
-print(f"population path (first 12 periods): {traj.population[:12].tolist()}\n")
-
 rows = abm_smoothing_study(params, one, u, [1, 10, 100, 1000], config)
 print(f"{config.replications} runs per head count, extinction dates shared across rows:")
 print(f"{'N0':>5s} {'mean |gap| per capita':>22s} {'die-off freq':>13s} "

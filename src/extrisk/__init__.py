@@ -22,7 +22,6 @@ from .model import (
     lifetime_pmf_known_T,
     sample_date_counts,
     sample_extinction_times,
-    sample_lifetime,
     sample_lifetimes,
 )
 from .series import (
@@ -68,12 +67,10 @@ from .simulate import (
     VERIFY_GRID,
     VERIFY_PATH,
     VERIFY_UTILITY,
-    AbmTrajectory,
     SimEstimate,
     SimulationConfig,
     SmoothingGapRow,
     VerifyRow,
-    abm_population_run,
     abm_smoothing_study,
     default_horizon_cap,
     mc_eg_lineage,

@@ -45,6 +45,7 @@ from .simulate import (
     VERIFY_GRID,
     VERIFY_PATH,
     VERIFY_UTILITY,
+    _VERIFY_SEED_STEP,
     abm_smoothing_study,
     mc_estimates,
     mc_table,
@@ -523,11 +524,17 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, out_dir: Path) -> int:
+    reps = args.reps if args.reps is not None else 100_000_000
+    seed = args.seed if args.seed is not None else 20240613
+    if reps < 1:
+        raise ConfigError("--reps must be >= 1")
+    spread = _VERIFY_SEED_STEP * (len(VERIFY_GRID) - 1)  # the last point runs on seed + spread
+    if not 0 <= seed < 2**64 - spread:
+        raise ConfigError(f"--seed must lie in [0, {2**64 - 1 - spread}]: grid point i runs "
+                          f"on seed + {_VERIFY_SEED_STEP} i, an unsigned 64-bit seed")
     if not reproducibility_selfcheck():
         print("simulation reproducibility self-check FAILED", file=sys.stderr)
         return 3
-    reps = args.reps if args.reps is not None else 100_000_000
-    seed = args.seed if args.seed is not None else 20240613
     rows = verify_oracle_grid(replications=reps, seed=seed)
     failures = 0
     for r in rows:

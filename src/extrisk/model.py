@@ -29,7 +29,6 @@ __all__ = [
     "lifetime_cdf",
     "lifetime_pmf_known_T",
     "extinction_pmf",
-    "sample_lifetime",
     "sample_lifetimes",
     "sample_extinction_times",
     "sample_date_counts",
@@ -318,10 +317,6 @@ def sample_lifetimes(
     if params.is_degenerate:
         raise DegenerateHazardError("m = M = 0: lifetimes are infinite")
     return _geometric_from_zero(rng, params.death_hazard, size)
-
-
-def sample_lifetime(params: HazardParams, rng: np.random.Generator) -> int:
-    return int(sample_lifetimes(params, 1, rng)[0])
 
 
 def sample_extinction_times(

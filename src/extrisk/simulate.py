@@ -12,7 +12,8 @@ reproducible from (seed, config).
 The agent-based mode keeps an integer population with Bernoulli deaths and
 stochastic births per survivor, and quantifies the error of the smooth
 population approximation as a function of the starting head count. All head
-counts share one stream of extinction dates and one offspring stream.
+counts share one offspring stream and one histogram of extinction dates, drawn
+by the sampler of smoothed mode.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .model import (
     NoExtinctionError,
     UtilitySpec,
     sample_date_counts,
-    sample_extinction_times,
 )
 from .series import (
     DYNASTY,
@@ -49,7 +49,6 @@ from .series import (
 __all__ = [
     "SimulationConfig",
     "SimEstimate",
-    "AbmTrajectory",
     "SmoothingGapRow",
     "VerifyRow",
     "VERIFY_GRID",
@@ -63,7 +62,6 @@ __all__ = [
     "mc_table",
     "mc_estimates",
     "mc_verdict",
-    "abm_population_run",
     "abm_smoothing_study",
     "verify_oracle_grid",
     "reproducibility_selfcheck",
@@ -73,6 +71,7 @@ _CAP_LIMIT = 1 << 21
 # stream tags: death dates, extinction dates (shared by every extinction-date case), then
 # agent dates and offspring, one stream each for all head counts; 3, 4 retired, never reused
 _TAG_EU, _TAG_EV, _TAG_ABM_T, _TAG_ABM = 1, 2, 5, 6
+_VERIFY_SEED_STEP = 1_000_003  # verify_oracle_grid seeds point i with seed + step * i
 
 
 @dataclass(frozen=True)
@@ -121,11 +120,6 @@ def default_horizon_cap(survival: float, tiny: float = 1e-12) -> int:
         return _CAP_LIMIT
     need = int(math.ceil(math.log(tiny) / math.log(survival)))
     return int(min(max(need, 1), _CAP_LIMIT))
-
-
-def _require_smoothed(config: SimulationConfig) -> None:
-    if config.mode != "smoothed":
-        raise ValueError("this estimator runs in smoothed mode; set mode='smoothed'")
 
 
 def _estimate_from_dates(
@@ -191,7 +185,6 @@ def mc_table(
     W(0, T), which grow like (1+n)**t). Raises when there is nothing to
     sample or the expectation is infinite.
     """
-    _require_smoothed(config)
     if case.kind == "individual":
         if params.is_degenerate:
             raise DegenerateHazardError("m = M = 0: lifetimes are infinite")
@@ -339,96 +332,13 @@ def _offspring(
     return 2 * rng.binomial(survivors, b / 2.0)
 
 
-def _abm_period(rng: np.random.Generator, state: Tuple[np.ndarray, ...], alive: int,
-                moving: int, u_t: float, params: HazardParams, law: str) -> None:
-    """Advance every row of state = (n, f, welfare, died), each (head counts, runs), one period.
-
-    Runs are sorted by extinction date, latest first, so the runs alive at t are
-    the prefix [:alive] and those that see t+1 the prefix [:moving]. F_t = (1-m)
-    F_{t-1} + N_t and welfare += u_t F_t; then deaths and births, one draw each.
-    """
-    n, f, welfare, died = state
-    fv = f[:, :alive]
-    fv *= 1.0 - params.m
-    fv += n[:, :alive]
-    welfare[:, :alive] += u_t * fv
-    if moving:
-        nv = n[:, :moving]
-        survivors = rng.binomial(nv, 1.0 - params.m)
-        np.add(survivors, _offspring(rng, survivors, params.b, law), out=nv)
-        died[:, :moving] |= nv == 0
-
-
-def _abm_state(n0s: np.ndarray, runs: int) -> Tuple[np.ndarray, ...]:
-    shape = (len(n0s), runs)
-    return (np.repeat(n0s[:, None], runs, axis=1), np.zeros(shape), np.zeros(shape),
-            np.zeros(shape, bool))
-
-
-@dataclass(frozen=True)
-class AbmTrajectory:
-    """One integer-population run up to its (possibly capped) extinction date.
-
-    welfare is the realized population path weighted by per-capita expected
-    remaining utility: sum_t N_t * sum_{tau=t..T} (1-m)**(tau-t) u(c_tau),
-    the integer-population counterpart of the smoothed window W(0, T).
-    """
-
-    population: np.ndarray
-    extinction_date: int
-    welfare: float
-    died_off_early: bool
-    hit_cap: bool
-
-
-def abm_population_run(
-    params: HazardParams,
-    n0: int,
-    path: ConsumptionPath,
-    u: UtilitySpec,
-    config: SimulationConfig,
-    rng: Optional[np.random.Generator] = None,
-) -> AbmTrajectory:
-    """Simulate one integer dynasty: extinction check, then deaths, then births.
-
-    Each period the survivors are Binomial(N_t, 1-m) and births follow the
-    configured offspring law per survivor; the sampled extinction date T wipes
-    the population after date T. Early die-off (population hits zero at some
-    t <= T) is possible and reported, unlike in the smoothed calculation.
-    """
-    if config.mode != "agent":
-        raise ValueError("agent-based run needs mode='agent'")
-    if n0 < 1 or n0 != int(n0):
-        raise ValueError("n0 must be a positive integer head count")
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, _TAG_ABM]))
-    if params.M > 0.0:
-        cap = config.horizon_cap or default_horizon_cap(1.0 - params.M)
-        raw = int(sample_extinction_times(params.M, 1, rng)[0])
-        T, hit_cap = min(raw, cap), raw > cap
-    elif config.horizon_cap is None:
-        raise NoExtinctionError("M = 0 never draws an extinction date; set an explicit horizon_cap")
-    else:
-        T, hit_cap = config.horizon_cap, True
-    uu = np.asarray(u(path.values(0, T + 1)), dtype=float)
-    pop = np.empty(T + 1, dtype=np.int64)
-    state = _abm_state(np.array([int(n0)]), 1)
-    for t in range(T + 1):
-        pop[t] = state[0][0, 0]
-        _abm_period(rng, state, 1, int(t < T), uu[t], params, config.offspring_law)
-    return AbmTrajectory(
-        population=pop,
-        extinction_date=T,
-        welfare=float(state[2][0, 0]),
-        died_off_early=bool(state[3][0, 0]),
-        hit_cap=hit_cap,
-    )
-
-
 @dataclass(frozen=True)
 class SmoothingGapRow:
     """Smooth-population approximation error at one starting head count.
 
+    A run's realized welfare is its population path weighted by per-capita
+    expected remaining utility, sum_t N_t sum_{tau=t..T} (1-m)**(tau-t) u(c_tau):
+    the integer-population counterpart of the smoothed window W(0, T).
     mean_abs_gap averages, over runs sharing extinction-date draws across head
     counts, |per-capita realized welfare - per-capita smoothed W(0, T_run)|;
     welfare_gap_se is the standard error of the mean signed gap.
@@ -453,46 +363,64 @@ def abm_smoothing_study(
 ) -> List[SmoothingGapRow]:
     """Quantify the smooth-population approximation across starting head counts.
 
-    Extinction dates are drawn once and shared by every head count (common
-    random numbers), so the rows differ only through integer-population noise,
-    which shrinks as 1/sqrt(n0). All head counts advance together on one
-    offspring stream, so a row depends on the whole n0_values list.
+    Each run keeps an integer population: per period the survivors are
+    Binomial(N_t, 1-m) and births follow the configured offspring law per
+    survivor, until the run's extinction date T, so a small population can die
+    off before T. The dates are the histogram ``sample_date_counts`` draws on
+    ``SeedSequence([seed, 5])``, clipped at the horizon cap, and are shared by
+    every head count (common random numbers), so the rows differ only through
+    integer-population noise, which shrinks as 1/sqrt(n0). All head counts
+    advance together on one offspring stream, so a row depends on the whole
+    n0_values list.
     """
-    if config.mode != "agent":
-        raise ValueError("the smoothing study needs mode='agent'")
     if params.b <= 0.0:
         raise ValueError("the smoothed comparison needs b > 0")
-    if any(n0 < 1 for n0 in n0_values):
+    if any(n0 < 1 or n0 != int(n0) for n0 in n0_values):
         raise ValueError("head counts must be positive integers")
-    reps = config.replications
-    rng_T = np.random.default_rng(np.random.SeedSequence([config.seed, _TAG_ABM_T]))
     if params.M <= 0.0:
         raise NoExtinctionError("the study mixes over extinction dates; needs M > 0")
+    reps = config.replications
     cap = config.horizon_cap or default_horizon_cap(1.0 - params.M)
-    raw = sample_extinction_times(params.M, reps, rng_T)
-    T = np.minimum(raw, cap)
-    t_max = int(T.max())
+    rng_T = np.random.default_rng(np.random.SeedSequence([config.seed, _TAG_ABM_T]))
+    counts = sample_date_counts(params.M, reps, cap, rng_T)
+    hit_frac = counts[-1] / reps
+    counts[cap] += counts[-1]  # clipped dates end at the cap
+    t_max = int(np.flatnonzero(counts[:-1])[-1])
+    counts = counts[:t_max + 1]
+    live = reps - np.concatenate(([0], np.cumsum(counts)))  # runs with T >= t, t = 0..t_max+1
     uu = np.asarray(u(path.values(0, t_max + 1)), dtype=float)
     smooth_cum = np.cumsum(
         welfare_window_terms(replace(params, N0=1.0), path, u, t_max + 1)
     )
-    smooth_mean, hit_frac = np.mean(smooth_cum[T]), np.mean(raw > cap)  # in drawn order
-    T_asc = np.sort(T)
-    live = reps - np.searchsorted(T_asc, np.arange(t_max + 2))  # runs with T >= t
     n0s = np.array([int(n0) for n0 in n0_values], dtype=np.int64)
-    state = _abm_state(n0s, reps)
+    shape = (len(n0s), reps)
+    n = np.repeat(n0s[:, None], reps, axis=1)
+    f, welfare, died = np.zeros(shape), np.zeros(shape), np.zeros(shape, bool)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _TAG_ABM]))
+    # Runs are sorted by date, latest first, so the runs alive at t are the prefix
+    # [:live[t]] and those that see t+1 the prefix [:live[t+1]]. F_t = (1-m) F_{t-1}
+    # + N_t and welfare += u_t F_t; then deaths and births, one draw each.
     for t in range(t_max + 1):
-        _abm_period(rng, state, live[t], live[t + 1], uu[t], params, config.offspring_law)
-    percap = state[2] / n0s[:, None]
-    gap = percap - smooth_cum[T_asc[::-1]]
+        alive, moving = live[t], live[t + 1]
+        fv = f[:, :alive]
+        fv *= 1.0 - params.m
+        fv += n[:, :alive]
+        welfare[:, :alive] += uu[t] * fv
+        if moving:
+            nv = n[:, :moving]
+            survivors = rng.binomial(nv, 1.0 - params.m)
+            np.add(survivors, _offspring(rng, survivors, params.b, config.offspring_law), out=nv)
+            died[:, :moving] |= nv == 0
+    percap = welfare / n0s[:, None]
+    gap = percap - np.repeat(smooth_cum[::-1], counts[::-1])
+    smooth_mean = counts @ smooth_cum / reps
     gap_se = np.std(gap, axis=1, ddof=1) / math.sqrt(reps) if reps > 1 else np.zeros(len(n0s))
     return [
         SmoothingGapRow(
             n0=int(n0),
             runs=reps,
             mean_abs_gap=float(np.mean(np.abs(gap[i]))),
-            die_off_frequency=float(np.mean(state[3][i])),
+            die_off_frequency=float(np.mean(died[i])),
             mean_welfare_per_capita=float(np.mean(percap[i])),
             smoothed_mean_per_capita=float(smooth_mean),
             cap_hit_fraction=float(hit_frac),
@@ -583,7 +511,7 @@ def verify_oracle_grid(
     u = u or VERIFY_UTILITY
     rows: List[VerifyRow] = []
     for i, params in enumerate(pts):
-        cfg = SimulationConfig(replications=replications, seed=seed + 1_000_003 * i)
+        cfg = SimulationConfig(replications=replications, seed=seed + _VERIFY_SEED_STEP * i)
         tables = {case: mc_table(case, params, path, u, cfg) for case, _ in _VERIFY_FUNCTIONALS}
         ests = mc_estimates(params, tables, cfg)
         for case, name in _VERIFY_FUNCTIONALS:

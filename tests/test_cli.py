@@ -391,6 +391,16 @@ def test_verify_small_run(tmp_path, capsys):
     assert (out / "verify.csv").exists() and (out / "verify.json").exists()
 
 
+@pytest.mark.parametrize("flags", [["--reps", "0"], ["--seed", "-1"],
+                                   ["--seed", str(2**64 - 1)]])
+def test_verify_rejects_replications_and_seeds_it_cannot_run(tmp_path, capsys, flags):
+    # the grid's last point runs on seed + 1000003 * 11, which must fit in 64 bits too
+    out = tmp_path / "v"
+    assert cli_run(["verify", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {flags[0]} must ")
+    assert not out.exists()
+
+
 def _verify_row(ok: bool) -> VerifyRow:
     mc = 1.0 if ok else 1.1
     return VerifyRow(functional="eu_individual", point=0, params=VERIFY_GRID[0],

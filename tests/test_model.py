@@ -1,5 +1,6 @@
 """Distribution and parameter-bundle checks for the hazard model."""
 
+import importlib
 import math
 import tracemalloc
 
@@ -18,10 +19,16 @@ from extrisk import (
     lifetime_pmf,
     lifetime_pmf_known_T,
     sample_date_counts,
-    sample_lifetime,
     sample_lifetimes,
 )
 from extrisk.model import _CHUNK
+
+
+@pytest.mark.parametrize("module", ["model", "series", "analysis", "simulate"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"extrisk.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
 
 hazard_floats = st.floats(min_value=0.0005, max_value=0.95)
 birth_floats = st.floats(min_value=0.0, max_value=1.0)
@@ -172,7 +179,7 @@ def test_certain_immediate_death():
     p = HazardParams(m=1.0, M=0.0)
     draws = sample_lifetimes(p, 1000, rng)
     assert np.all(draws == 0)
-    assert sample_lifetime(p, rng) == 0
+    assert sample_lifetimes(p, 1, rng)[0] == 0
 
 
 def test_degenerate_sampling_rejected():

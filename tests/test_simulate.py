@@ -1,6 +1,7 @@
 """Monte Carlo estimators against their analytic targets, plus the agent-based mode."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,6 @@ from extrisk import (
     SimEstimate,
     SimulationConfig,
     UtilitySpec,
-    abm_population_run,
     abm_smoothing_study,
     default_horizon_cap,
     eg_lineage,
@@ -39,8 +39,8 @@ from extrisk import (
     mc_verdict,
     reproducibility_selfcheck,
     sample_date_counts,
-    sample_extinction_times,
     verify_oracle_grid,
+    welfare_window_terms,
 )
 from extrisk.model import _CHUNK
 from extrisk.simulate import _TAG_ABM_T, _TAG_EU, _TAG_EV, _offspring
@@ -167,9 +167,6 @@ def test_mc_rejections():
         mc_ew_social(HazardParams(m=0.02, M=0.01, b=0.0), ONE, LINEAR, CFG)
     with pytest.raises(ValueError):
         mc_ev_dynasty(HazardParams(m=0.1, M=0.1, b=0.1), ONE, LINEAR, 1.5, CFG)
-    agent_cfg = SimulationConfig(replications=10, seed=0, mode="agent")
-    with pytest.raises(ValueError):
-        mc_eu_individual(HazardParams(m=0.1, M=0.1), ONE, LINEAR, agent_cfg)
 
 
 def test_mc_estimates_rejects_a_stream_without_hazard():
@@ -310,33 +307,29 @@ def test_bernoulli_pair_rejects_large_birth_rate():
 # --- agent-based runs ---------------------------------------------------------------------
 
 
-def test_abm_total_mortality_without_births_dies_at_one():
-    p = HazardParams(m=1.0, M=0.001, b=0.0)
-    cfg = SimulationConfig(replications=1, seed=31, mode="agent")
-    rng = np.random.default_rng(0)
-    traj = abm_population_run(p, 4, ONE, LINEAR, cfg, rng=rng)
-    assert traj.population[0] == 4
-    if traj.extinction_date >= 1:
-        assert traj.population[1] == 0
-        assert traj.died_off_early
+@pytest.mark.parametrize("n0_values", [[0], [1, 2.5]])
+def test_abm_study_rejects_head_counts_that_are_not_positive_integers(n0_values):
+    p = HazardParams(m=0.1, M=0.1, b=0.1)
+    cfg = SimulationConfig(replications=10, seed=0, mode="agent")
+    with pytest.raises(ValueError, match="head counts"):
+        abm_smoothing_study(p, ONE, LINEAR, n0_values, cfg)
 
 
-def test_abm_single_agent_certain_absorption_without_extinction():
-    p = HazardParams(m=0.5, M=0.0, b=0.0)
-    cfg = SimulationConfig(replications=1, seed=3, mode="agent", horizon_cap=200)
-    traj = abm_population_run(p, 1, ONE, LINEAR, cfg)
-    assert traj.hit_cap
-    assert traj.died_off_early
-    assert traj.population[-1] == 0
-
-
-def test_abm_requires_agent_mode_and_integer_head_count():
-    p = HazardParams(m=0.1, M=0.1)
-    with pytest.raises(ValueError):
-        abm_population_run(p, 5, ONE, LINEAR, SimulationConfig(replications=1, seed=0))
-    cfg = SimulationConfig(replications=1, seed=0, mode="agent")
-    with pytest.raises(ValueError):
-        abm_population_run(p, 0, ONE, LINEAR, cfg)
+def test_abm_study_reads_its_dates_from_the_date_histogram():
+    # reps * M = 200 >= 64: the early bins are binomial counts, not one geometric per run
+    p = HazardParams(m=0.02, M=0.2).with_n_zero()
+    cfg = SimulationConfig(replications=1_000, seed=29, mode="agent", horizon_cap=10)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _TAG_ABM_T]))
+    counts = sample_date_counts(p.M, cfg.replications, 10, rng)
+    clipped = counts[:-1]
+    clipped[-1] += counts[-1]
+    windows = np.cumsum(welfare_window_terms(replace(p, N0=1.0), ONE, LINEAR, 11))
+    rows = abm_smoothing_study(p, ONE, LINEAR, [1, 4], cfg)
+    assert 0 < counts[-1] < cfg.replications
+    for row in rows:
+        assert row.cap_hit_fraction == counts[-1] / cfg.replications
+        assert row.smoothed_mean_per_capita == pytest.approx(
+            clipped @ windows / cfg.replications, rel=1e-14)
 
 
 def test_abm_welfare_matches_smoothed_window_in_expectation():
@@ -388,16 +381,14 @@ def test_abm_deterministic_populations_match_the_smoothed_path():
         assert row.mean_abs_gap <= 1e-12 * row.smoothed_mean_per_capita
         assert row.welfare_gap_se <= 1e-12 * row.smoothed_mean_per_capita
         assert row.die_off_frequency == 0.0
-    traj = abm_population_run(HazardParams(m=0.0, M=0.0, b=2.0), 3, ONE, LINEAR, cfg)
-    assert traj.population.tolist() == [3 * 3**t for t in range(9)]
-    assert traj.welfare == sum(3 * (3 ** (t + 1) - 1) / 2 for t in range(9))  # sum_t F_t
 
 
 def test_abm_total_mortality_dies_off_on_every_run_that_sees_period_one():
     p = HazardParams(m=1.0, M=0.2, b=0.5)
     cfg = SimulationConfig(replications=300, seed=11, mode="agent")
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _TAG_ABM_T]))
-    share = float(np.mean(sample_extinction_times(p.M, cfg.replications, rng) >= 1))
+    counts = sample_date_counts(p.M, cfg.replications, default_horizon_cap(1.0 - p.M), rng)
+    share = (cfg.replications - counts[0]) / cfg.replications
     assert 0.0 < share < 1.0
     for row in abm_smoothing_study(p, ONE, LINEAR, [1, 7], cfg):
         assert row.die_off_frequency == share

@@ -112,20 +112,17 @@ def discount_factor(case: Scenario, params: HazardParams) -> DiscountReport:
     )
 
 
-def factor_from_weights(
-    case: Scenario, params: HazardParams, horizon: int = 51
-) -> float:
+def factor_from_weights(case: Scenario, params: HazardParams) -> float:
     """Per-period factor recovered as w_{t+1}/w_t from the series weights.
 
-    Constant-factor cases only; the ratios over t < horizon must be constant
-    to 1e-12, which ties the series engine back to the closed-form factor.
+    Constant-factor cases only; the ratios over t < 51 must be constant to
+    1e-12, which ties the series engine back to the closed-form factor.
     """
     if case.kind == "social_welfare":
         raise ValueError("social welfare has no constant factor; use discount_profile")
-    if case.kind == "known_extinction":
-        horizon = min(horizon, case.T + 1)
-        if horizon < 2:
-            raise ValueError("known_extinction with T = 0 has no consecutive weights")
+    horizon = min(51, case.T + 1) if case.kind == "known_extinction" else 51
+    if horizon < 2:
+        raise ValueError("known_extinction with T = 0 has no consecutive weights")
     w = weight_sequence(case, params, horizon)
     ratios = w[1:] / w[:-1]
     if np.ptp(ratios) > 1e-12:

@@ -553,54 +553,59 @@ def _cmd_verify(args: argparse.Namespace, out_dir: Path) -> int:
 # --- entry point ---------------------------------------------------------------
 
 
+# every settable flag; a subcommand accepts only the flags it reads
+_FLAGS = {
+    "config": dict(metavar="PATH", help="JSON run configuration"),
+    "out": dict(metavar="DIR", help=f"output directory (default ${OUT_DIR_ENV} or '.')"),
+    "seed": dict(type=int, help="override the simulation seed"),
+    "reps": dict(type=int, help="override the replication count"),
+    "tolerance": dict(type=float, help="series tolerance override"),
+    "strict": dict(action="store_true", help="exit 2 on any divergent grid point "
+                                             "(verify: exit 4 on any comparison outside 3 SE)"),
+    "format": dict(choices=("csv", "json", "both"), default="both", help="output file format(s)"),
+    "step": dict(type=float, default=1e-6, help="finite-difference step"),
+}
+# subcommand: (handler, help, the flags it reads)
+_COMMANDS = {
+    "eval": (functools.partial(_cmd_sweep, columns=_EVAL_COLUMNS),
+             "evaluate the analytic functionals over a config grid",
+             "config out tolerance strict format"),
+    "simulate": (_cmd_simulate, "Monte Carlo / agent-based runs over a config grid",
+                 "config out seed reps tolerance strict format"),
+    "sweep": (functools.partial(_cmd_sweep, columns=_SWEEP_COLUMNS),
+              "factor + series + finiteness table over a config grid",
+              "config out tolerance strict format"),
+    "profile": (_cmd_profile, "time-varying social-welfare weight-ratio profile",
+                "config out format"),
+    "sensitivity": (_cmd_sensitivity, "factor derivatives wrt perceived hazards, both regimes",
+                    "config out format step"),
+    "table1": (_cmd_table1, "closed-form discount factors and their n=0 restriction",
+               "config out format"),
+    "verify": (_cmd_verify, "analytic vs Monte Carlo agreement over the built-in grid",
+               "out seed reps strict format"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="extrisk",
         description="Expected-utility discounting under mortality and extinction hazards",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("eval", "evaluate the analytic functionals over a config grid"),
-        ("simulate", "Monte Carlo / agent-based runs over a config grid"),
-        ("sweep", "factor + series + finiteness table over a config grid"),
-        ("profile", "time-varying social-welfare weight-ratio profile"),
-        ("sensitivity", "factor derivatives wrt perceived hazards, both regimes"),
-        ("table1", "closed-form discount factors and their n=0 restriction"),
-        ("verify", "analytic vs Monte Carlo agreement over the built-in grid"),
-    ):
+    for name, (handler, helptext, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", metavar="PATH", default=None, help="JSON run configuration")
-        p.add_argument("--out", metavar="DIR", default=None,
-                       help=f"output directory (default ${OUT_DIR_ENV} or '.')")
-        p.add_argument("--seed", type=int, default=None, help="override the simulation seed")
-        p.add_argument("--reps", type=int, default=None, help="override the replication count")
-        p.add_argument("--tolerance", type=float, default=None, help="series tolerance override")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 4 on any comparison outside 3 SE" if name == "verify"
-                       else "exit 2 on any divergent grid point")
-        p.add_argument("--format", choices=("csv", "json", "both"), default="both",
-                       help="output file format(s)")
-        if name == "sensitivity":
-            p.add_argument("--step", type=float, default=1e-6, help="finite-difference step")
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        # shared code tests an unread flag as None
+        p.set_defaults(handler=handler, **dict.fromkeys(_FLAGS.keys() - set(flags.split())))
     return parser
-
-
-_DISPATCH = {
-    "eval": functools.partial(_cmd_sweep, columns=_EVAL_COLUMNS),
-    "simulate": _cmd_simulate,
-    "sweep": functools.partial(_cmd_sweep, columns=_SWEEP_COLUMNS),
-    "profile": _cmd_profile,
-    "sensitivity": _cmd_sensitivity,
-    "table1": _cmd_table1,
-    "verify": _cmd_verify,
-}
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     out_dir = Path(args.out or os.environ.get(OUT_DIR_ENV) or ".")
     try:
-        return _DISPATCH[args.command](args, out_dir)
+        return args.handler(args, out_dir)
     except json.JSONDecodeError as exc:
         print(f"config error: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
               file=sys.stderr)

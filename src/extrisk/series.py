@@ -18,12 +18,11 @@ elsewhere is derived from it. With (1+n) = (1+b)(1-m):
 The infinite ones are all  pref * sum_t r**t (1 - q**(t+1)) u(c_t):  the
 modifier is 1 except for social welfare (q = 1/(1+b)) and its n = 0 form
 (q = 1-m). Past the explicit prefix of p periods the consumption path is
-constant or geometric, so the tail is summed exactly:
-
-    constant tail, or linear / CRRA utility on a geometric tail:  geometric
-    log utility on a geometric tail:                              arithmetico-geometric
-
-and an evaluation costs O(p) whatever the hazards. The modifier's tail
+constant or geometric, and the tail table ``_tail_terms`` writes u(c_t) there
+as a few geometric or arithmetico-geometric terms, each summed in closed form,
+so an evaluation costs O(p) whatever the hazards. The same terms bound the
+extinction-date mixture's tail and give the Monte Carlo variance check
+(simulate.mc_verdict) its growth. The modifier's tail
   sum_{t>=p} R**t (1 - q**(t+1)) = R**p [(1-R) a_p + R (1-q)] / ((1-R)(1-Rq)),
 with a_p = 1 - q**(p+1) = -expm1((p+1) log q), has no subtraction, so small
 birth rates lose no digits. Every 1-R is computed as -expm1(log R), with
@@ -39,9 +38,10 @@ float inputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,7 +67,6 @@ __all__ = [
     "factor_exponents",
     "factor_pieces",
     "one_minus_q_power",
-    "utility_tail_growth",
     "finiteness_check",
     "weight_ratio",
     "weight_sequence",
@@ -196,15 +195,6 @@ def one_minus_q_power(b: float, k: np.ndarray) -> np.ndarray:
     return -np.expm1(k * -math.log1p(b))
 
 
-def utility_tail_growth(path: ConsumptionPath, u: UtilitySpec) -> float:
-    """Per-period ratio of the geometric part of |u(c_t)| on the tail (0 if none):
-    g for linear u, g**(1-sigma) for CRRA; log u and a constant tail have none."""
-    g = path.ratio
-    if path.tail == "constant" or u.family == "log" or g == 0.0:
-        return 0.0
-    return g if u.family == "linear" else g ** (1.0 - u.sigma)
-
-
 def weight_ratio(case: Scenario, params: HazardParams) -> float:
     """Constant per-period weight ratio of the case (social welfare excluded)."""
     if case.kind == "social_welfare":
@@ -298,6 +288,47 @@ def _utility(u: UtilitySpec, c: float) -> Tuple[float, float]:
     return math.expm1(x) / s1, _LIBM + (1.0 + max(x, 0.0)) * (_LIBM + 2.0 * _U) + 2.0 * _U
 
 
+class _Term(NamedTuple):
+    """coef * exp(k log_growth) * (k+1 if arith else 1): one summand of u(c_{p+k})."""
+
+    coef: float
+    rel_err: float  # of coef
+    log_growth: float
+    arith: bool
+
+
+@functools.lru_cache(maxsize=128)
+def _tail_terms(path: ConsumptionPath, u: UtilitySpec) -> Tuple[_Term, ...]:
+    """The tail table: u(c_{p+k}), k >= 0, is the sum of the terms at k.
+
+    With c = c_{p-1} and c_{p+k} = c g**(k+1) on a geometric tail:
+
+        constant tail        u(c)
+        linear utility       c g at growth g; no term at g = 0
+        log utility          log c, plus log g as the arithmetic term
+        CRRA, s1 = 1-sigma   (c g)**s1 / s1 at growth g**s1, plus -1/s1
+
+    At most one term is arithmetic, and it comes last. A ratio-0 tail leaves
+    log and CRRA utility undefined. The terms depend on the frozen (path, u)
+    pair only, so they are computed once per pair.
+    """
+    c = path.prefix[-1]
+    if path.tail == "constant":
+        return (_Term(*_utility(u, c), 0.0, False),)
+    g = path.ratio
+    if u.family == "linear":
+        return (_Term(c * g, _U, math.log(g), False),) if g else ()
+    if g == 0.0:
+        raise ValueError(f"{u.family} utility is undefined on a ratio-0 tail (c = 0)")
+    if u.family == "log":
+        return _Term(math.log(c), _LIBM, 0.0, False), _Term(math.log(g), _LIBM, 0.0, True)
+    s1 = 1.0 - u.sigma
+    x = s1 * math.log(c * g)
+    e_x = abs(s1) * _U + abs(x) * (_LIBM + 2.0 * _U)
+    return (_Term(math.exp(x) / s1, _LIBM + e_x + 2.0 * _U, s1 * math.log(g), False),
+            _Term(-1.0 / s1, 2.0 * _U, 0.0, False))
+
+
 class _Modifier(NamedTuple):
     """The factor 1 - q**(t+1) of the social-welfare series."""
 
@@ -308,15 +339,15 @@ class _Modifier(NamedTuple):
 
 
 def _kernel(
-    parts: List[float], extra: List[float], mod: Optional[_Modifier],
+    parts: List[float], log_g: float, mod: Optional[_Modifier],
     a_p: float, e_a: float, need_h2: bool,
 ) -> Optional[Tuple[float, float, float, float]]:
     """H1 = sum_j R**j m_j and H2 = sum_j (j+1) R**j m_j with their relative errors.
 
-    log R = fsum(parts + extra); m_j = 1 - q**(p+1+j), or 1 without a modifier,
-    and a_p = m_0. None when R >= 1.
+    log R = fsum(parts + [log_g]); m_j = 1 - q**(p+1+j), or 1 without a
+    modifier, and a_p = m_0. None when R >= 1.
     """
-    LR, dR = _log_sum(parts + extra)
+    LR, dR = _log_sum(parts + [log_g])
     om = -math.expm1(LR)
     if not om > 0.0:
         return None
@@ -326,7 +357,7 @@ def _kernel(
         h1, e1 = 1.0 / om, e_om + _U
         return h1, e1, h1 * h1, 2.0 * e1 + _U
     e_R = _LIBM + dR
-    LRq, dRq = _log_sum(mod.rq_parts + extra)
+    LRq, dRq = _log_sum(mod.rq_parts + [log_g])
     omq = -math.expm1(LRq)
     e_omq = _LIBM + R * dRq / omq
     e_b = mod.one_minus_q_err
@@ -356,98 +387,56 @@ def _closed_sum(
     """pref * sum_t r**t m_t u(c_t) with log r = fsum(parts), summed in closed form.
 
     m_t = 1 - q**(t+1) under a modifier, else 1; pref carries relative error
-    e_pref. Raises DivergenceError when r >= 1 or a CRRA tail outgrows the
-    weights.
+    e_pref. Each growth of _tail_terms takes one kernel. Raises
+    DivergenceError when r >= 1 or a tail term outgrows the weights.
     """
     if not tol > 0.0:
         raise ValueError("tolerance must be > 0")
     if not math.isfinite(pref):
         raise ValueError(f"the prefactor {pref!r} leaves float range")
+    vals: List[float] = []
+    errs: List[float] = []  # relative
+    slack = 0.0  # absolute, from weights that underflow
     try:
-        return _closed_sum_checked(parts, path, u, tol, mod, pref, e_pref)
+        L, dL = _log_sum(parts)
+        if not L < 0.0:
+            raise DivergenceError(f"weight ratio {math.exp(L):.6g} >= 1")
+        zero_ratio = L == -math.inf  # only the date-0 term survives
+        step = 0.0 if zero_ratio else dL + _U * abs(L)  # r**t gains this relative error per period
+        for t, c in enumerate(path.prefix[:1] if zero_ratio else path.prefix):
+            term, e = _utility(u, c)
+            if mod is not None:
+                term *= -math.expm1((t + 1) * mod.log_q)
+                e += 2.0 * _LIBM + 2.0 * _U
+            if t:
+                slack += _DENORM * abs(term)
+                term *= math.exp(t * L)
+                e += _LIBM + t * step + _U
+            vals.append(pref * term)
+            errs.append(e + e_pref + _U)
+        if not zero_ratio:
+            p = path.prefix_len
+            rp = math.exp(p * L)
+            e_rp = _LIBM + p * step
+            a_p, e_a = 1.0, 0.0
+            if mod is not None:
+                a_p, e_a = -math.expm1((p + 1) * mod.log_q), 2.0 * _LIBM + _U
+            terms = _tail_terms(path, u)
+            need_h2 = bool(terms) and terms[-1].arith  # an arithmetic term comes last
+            kernels: Dict[float, Tuple[float, float, float, float]] = {}
+            for coef, e_coef, log_g, arith in terms:
+                kernel = kernels.get(log_g) or _kernel(parts, log_g, mod, a_p, e_a, need_h2)
+                if kernel is None:
+                    raise DivergenceError(f"utility tail grows at rate exp({log_g:.6g}) against "
+                                          f"weight ratio {math.exp(L):.6g}: log(rho*gamma) = "
+                                          f"{L + log_g:.6g} >= 0, the series diverges")
+                kernels[log_g] = kernel  # terms of one growth share a kernel
+                h, e_h = kernel[2:] if arith else kernel[:2]  # H2 or H1
+                slack += _DENORM * abs(coef * h)
+                vals.append(pref * (coef * rp * h))
+                errs.append(e_coef + e_rp + e_h + 2.0 * _U + e_pref + _U)
     except OverflowError as exc:
         raise ValueError(f"the series leaves float range: {exc}") from None
-
-
-def _closed_sum_checked(
-    parts: List[float],
-    path: ConsumptionPath,
-    u: UtilitySpec,
-    tol: float,
-    mod: Optional[_Modifier],
-    pref: float,
-    e_pref: float,
-) -> SeriesResult:
-    L, dL = _log_sum(parts)
-    if not L < 0.0:
-        raise DivergenceError(f"weight ratio {math.exp(L):.6g} >= 1")
-    zero_ratio = L == -math.inf  # only the date-0 term survives
-    step = 0.0 if zero_ratio else dL + _U * abs(L)  # r**t gains this relative error per period
-    vals: List[float] = []
-    errs: List[float] = []
-    slack = 0.0  # absolute, from weights that underflow
-
-    def add(value: float, e: float) -> None:
-        vals.append(pref * value)
-        errs.append(e + e_pref + _U)
-
-    for t, c in enumerate(path.prefix[:1] if zero_ratio else path.prefix):
-        term, e = _utility(u, c)
-        if mod is not None:
-            term *= -math.expm1((t + 1) * mod.log_q)
-            e += 2.0 * _LIBM + 2.0 * _U
-        if t:
-            slack += _DENORM * abs(term)
-            term *= math.exp(t * L)
-            e += _LIBM + t * step + _U
-        add(term, e)
-
-    if not zero_ratio:
-        p = path.prefix_len
-        rp = math.exp(p * L)
-        e_rp = _LIBM + p * step
-        a_p, e_a = 1.0, 0.0
-        if mod is not None:
-            a_p, e_a = -math.expm1((p + 1) * mod.log_q), 2.0 * _LIBM + _U
-
-        def add_tail(coef: float, e_coef: float, h: float, e_h: float) -> None:
-            nonlocal slack
-            slack += _DENORM * abs(coef * h)
-            add(coef * rp * h, e_coef + e_rp + e_h + 2.0 * _U)
-
-        c_last = path.prefix[-1]
-        if path.tail == "constant":
-            h1, e1, _, _ = _kernel(parts, [], mod, a_p, e_a, False)
-            add_tail(*_utility(u, c_last), h1, e1)
-        elif path.ratio == 0.0:
-            if u.family != "linear":
-                raise ValueError(f"{u.family} utility is undefined on a ratio-0 tail (c = 0)")
-            # c_t = 0 past the prefix: linear utility adds nothing
-        elif u.family == "linear":
-            # u(c_t) = c_last g**(t-p+1): one geometric series of ratio r g
-            h1, e1, _, _ = _kernel(parts, [math.log(path.ratio)], mod, a_p, e_a, False)
-            add_tail(c_last * path.ratio, _U, h1, e1)
-        elif u.family == "log":
-            # u(c_t) = log c_last + (t-p+1) log g: arithmetico-geometric
-            h1, e1, h2, e2 = _kernel(parts, [], mod, a_p, e_a, True)
-            add_tail(math.log(c_last), _LIBM, h1, e1)
-            add_tail(math.log(path.ratio), _LIBM, h2, e2)
-        else:
-            # u(c_t) = ((c_last g)**s1 gamma**(t-p) - 1) / s1, gamma = g**s1, s1 = 1-sigma
-            s1 = 1.0 - u.sigma
-            log_gamma = s1 * math.log(path.ratio)
-            grow = _kernel(parts, [log_gamma], mod, a_p, e_a, False)
-            if grow is None:
-                raise DivergenceError(
-                    f"utility tail grows at rate exp({log_gamma:.6g}) against weight ratio "
-                    f"{math.exp(L):.6g}: log(rho*gamma) = {L + log_gamma:.6g} >= 0, "
-                    f"the series diverges"
-                )
-            x = s1 * math.log(c_last * path.ratio)
-            e_x = abs(s1) * _U + abs(x) * (_LIBM + 2.0 * _U)
-            add_tail(math.exp(x) / s1, _LIBM + e_x + 2.0 * _U, grow[0], grow[1])
-            h1, e1, _, _ = _kernel(parts, [], mod, a_p, e_a, False)
-            add_tail(-1.0 / s1, 2.0 * _U, h1, e1)
 
     value = math.fsum(vals)
     bound = math.fsum(abs(v) * _rigorous(e) for v, e in zip(vals, errs) if v)
@@ -682,27 +671,6 @@ def ew_social_n0_form(
     return _closed_sum([_log1m(params.M)], path, u, tol, mod, params.N0 / params.m, _U)
 
 
-def _tail_envelope(path: ConsumptionPath, u: UtilitySpec) -> Tuple[float, float, float, float]:
-    """(a, lin, log_gamma, e): |u(c_{p+k})| <= (a + lin k) gamma**k for k >= 0 past the
-    prefix p, with a and lin computed to relative error e."""
-    c = path.prefix[-1]
-    if path.tail == "constant":
-        value, e = _utility(u, c)
-        return abs(value), 0.0, 0.0, e
-    g = path.ratio
-    if u.family == "linear":
-        return c * g, 0.0, math.log(g) if g else 0.0, _U
-    if g == 0.0:
-        raise ValueError(f"{u.family} utility is undefined on a ratio-0 tail (c = 0)")
-    if u.family == "log":  # log c_{p+k} = log c + (k+1) log g
-        return abs(math.log(c)) + abs(math.log(g)), abs(math.log(g)), 0.0, _LIBM + _U
-    # |((c g)**s1 g**(s1 k) - 1) / s1| <= ((c g)**s1 + 1) max(1, g**s1)**k / |s1|
-    s1 = 1.0 - u.sigma
-    x = s1 * math.log(c * g)
-    e_x = abs(s1) * _U + abs(x) * (_LIBM + 2.0 * _U)
-    return (math.exp(x) + 1.0) / abs(s1), 0.0, max(s1 * math.log(g), 0.0), _LIBM + e_x + 3.0 * _U
-
-
 def ew_social_mixture(
     params: HazardParams,
     path: ConsumptionPath,
@@ -729,9 +697,14 @@ def ew_social_mixture(
     rho = _ew_preconditions(params)
     if not tol > 0.0:
         raise ValueError("tolerance must be > 0")
-    a, lin, log_gamma, e_env = _tail_envelope(path, u)
+    # |u(c_{p+k})| <= (a + lin k) gamma**k past the prefix, a and lin to relative error e_env
+    terms = _tail_terms(path, u)
+    a = sum(abs(t.coef) for t in terms)
+    lin = sum(abs(t.coef) for t in terms if t.arith)
+    log_gamma = max((t.log_growth for t in terms), default=0.0)
+    e_env = max((t.rel_err for t in terms), default=0.0) + _U
     parts = _log_parts(SOCIAL_WELFARE, params)
-    kernel = _kernel(parts, [log_gamma], None, 1.0, 0.0, True)  # 1/(1-R), 1/(1-R)**2
+    kernel = _kernel(parts, log_gamma, None, 1.0, 0.0, True)  # 1/(1-R), 1/(1-R)**2
     if kernel is None:
         raise DivergenceError(f"utility tail grows at rate exp({log_gamma:.6g}) against "
                               f"weight ratio {rho:.6g}: the series diverges")

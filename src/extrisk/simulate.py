@@ -40,9 +40,9 @@ from .series import (
     LINEAGE,
     SOCIAL_WELFARE,
     Scenario,
+    _tail_terms,
     evaluate,
     factor_pieces,
-    utility_tail_growth,
     welfare_window_terms,
 )
 
@@ -112,13 +112,13 @@ class SimEstimate:
     truncated_mass: float
 
 
-def default_horizon_cap(survival: float, tiny: float = 1e-12) -> int:
-    """Smallest H with survival**H < tiny, clamped to a sane array size."""
+def default_horizon_cap(survival: float) -> int:
+    """Smallest H with survival**H < 1e-12, clamped to a sane array size."""
     if survival <= 0.0:
         return 1
     if survival >= 1.0:
         return _CAP_LIMIT
-    need = int(math.ceil(math.log(tiny) / math.log(survival)))
+    need = int(math.ceil(math.log(1e-12) / math.log(survival)))
     return int(min(max(need, 1), _CAP_LIMIT))
 
 
@@ -241,22 +241,22 @@ def mc_verdict(
     u: UtilitySpec,
     est: SimEstimate,
     analytic: float,
-    se_multiple: float = 3.0,
 ) -> Tuple[float, bool, bool]:
-    """(|mc - analytic|, within se_multiple SE + 1e-12, the SE is an error bar).
+    """(|mc - analytic|, within 3 SE + 1e-12, the SE is an error bar).
 
     The SE is an error bar only if the table's realized sum has finite variance:
-    s G**2 < 1, with s the survival of the sampled date per period and G the
-    sum's growth, mc_table's (1 for the individual case) times any growth of
-    u(c_t) on the tail.
+    s (G gamma)**2 < 1, with s the survival of the sampled date per period, G
+    mc_table's growth of the weights (1 for the individual case) and gamma
+    the largest growth of a tail term of u(c_t), 0 when the tail has none.
     """
     err = abs(est.mean - analytic)
     if case.kind == "individual":
         s, g = params.joint_survival, 1.0
     else:
         s, g = 1.0 - params.M, math.prod(factor_pieces(case, params)[1:])
-    g *= max(1.0, utility_tail_growth(path, u))
-    return err, err <= se_multiple * est.standard_error + 1e-12, s * g * g < 1.0
+    if s * g:  # else the realized sum ends at date 0, and a ratio-0 tail may have no terms
+        g *= max((math.exp(t.log_growth) for t in _tail_terms(path, u)), default=0.0)
+    return err, err <= 3.0 * est.standard_error + 1e-12, s * g * g < 1.0
 
 
 def _mc_one(
@@ -492,33 +492,28 @@ def verify_oracle_grid(
     replications: int = 1_000_000,
     seed: int = 20240613,
     points: Optional[Sequence[HazardParams]] = None,
-    path: Optional[ConsumptionPath] = None,
-    u: Optional[UtilitySpec] = None,
-    tol: float = 1e-10,
-    se_multiple: float = 3.0,
 ) -> List[VerifyRow]:
     """Compare every analytic functional with its Monte Carlo estimate per grid point.
 
-    A row is ok when ``mc_verdict`` finds |mc - analytic| <= se_multiple * SE
-    and a finite variance (every VERIFY_GRID point has one). Statistically about
-    1 in 370 honest comparisons lands outside +-3 SE, so a full run tolerates
-    one stray failure. The four extinction-date rows of one point average over
+    Every point runs on VERIFY_PATH and VERIFY_UTILITY. A row is ok when
+    ``mc_verdict`` finds |mc - analytic| <= 3 SE and a finite variance (every
+    VERIFY_GRID point has one). Statistically about 1 in 370 honest
+    comparisons lands outside +-3 SE, so a full run tolerates one stray
+    failure. The four extinction-date rows of one point average over
     the same draws of T, so their errors are correlated and stray failures can
     come in clusters of one point's rows rather than independently.
     """
     pts = tuple(points) if points is not None else VERIFY_GRID
-    path = path or VERIFY_PATH
-    u = u or VERIFY_UTILITY
+    path, u = VERIFY_PATH, VERIFY_UTILITY
     rows: List[VerifyRow] = []
     for i, params in enumerate(pts):
         cfg = SimulationConfig(replications=replications, seed=seed + _VERIFY_SEED_STEP * i)
         tables = {case: mc_table(case, params, path, u, cfg) for case, _ in _VERIFY_FUNCTIONALS}
         ests = mc_estimates(params, tables, cfg)
         for case, name in _VERIFY_FUNCTIONALS:
-            analytic = evaluate(case, params, path, u, tol).value
+            analytic = evaluate(case, params, path, u).value
             est = ests[case]
-            err, within, finite_variance = mc_verdict(case, params, path, u, est, analytic,
-                                                      se_multiple)
+            err, within, finite_variance = mc_verdict(case, params, path, u, est, analytic)
             rows.append(
                 VerifyRow(
                     functional=name,
@@ -535,9 +530,9 @@ def verify_oracle_grid(
     return rows
 
 
-def reproducibility_selfcheck(config: Optional[SimulationConfig] = None) -> bool:
+def reproducibility_selfcheck() -> bool:
     """Run one estimator twice with the same seed; True when bit-identical."""
-    cfg = config or SimulationConfig(replications=50_000, seed=97)
+    cfg = SimulationConfig(replications=50_000, seed=97)
     params = VERIFY_GRID[0]
     a = mc_eu_individual(params, VERIFY_PATH, VERIFY_UTILITY, cfg)
     b = mc_eu_individual(params, VERIFY_PATH, VERIFY_UTILITY, cfg)

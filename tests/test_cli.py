@@ -391,6 +391,32 @@ def test_verify_small_run(tmp_path, capsys):
     assert (out / "verify.csv").exists() and (out / "verify.json").exists()
 
 
+# the flags each subcommand reads; it accepts these and no others
+_READS = {
+    "eval": {"config", "out", "tolerance", "strict", "format"},
+    "simulate": {"config", "out", "seed", "reps", "tolerance", "strict", "format"},
+    "sweep": {"config", "out", "tolerance", "strict", "format"},
+    "profile": {"config", "out", "format"},
+    "sensitivity": {"config", "out", "format", "step"},
+    "table1": {"config", "out", "format"},
+    "verify": {"out", "seed", "reps", "strict", "format"},
+}
+_FLAG_ARGV = {"config": ["--config", "/nonexistent.json"], "out": ["--out", "o"],
+              "seed": ["--seed", "-5"], "reps": ["--reps", "0"], "tolerance": ["--tolerance", "1e-3"],
+              "strict": ["--strict"], "format": ["--format", "csv"], "step": ["--step", "1e-3"]}
+
+
+@pytest.mark.parametrize("sub, flag", [(sub, flag) for sub, reads in _READS.items()
+                                       for flag in _FLAG_ARGV if flag not in reads])
+def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys, sub, flag):
+    # a flag the subcommand would ignore is a usage error, checked before anything runs
+    with pytest.raises(SystemExit) as exc:
+        cli_run([sub, *_FLAG_ARGV[flag], "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{flag}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flags", [["--reps", "0"], ["--seed", "-1"],
                                    ["--seed", str(2**64 - 1)]])
 def test_verify_rejects_replications_and_seeds_it_cannot_run(tmp_path, capsys, flags):
@@ -506,20 +532,31 @@ def test_smoothed_simulate_matches_library_and_reports_each_case(tmp_path):
         assert float(row["mc_se"]) == est.standard_error
 
 
-def test_simulate_flags_infinite_variance_rows(tmp_path):
+_DECAYING = {"prefix": [1.0], "tail": "geometric", "ratio": 0.99}
+
+
+@pytest.mark.parametrize("path, utility, flagged_cases", [
+    (None, None, {"dynasty", "social_welfare"}),
+    # log u(c_t) grows linearly in t: the weights' growth decides, as on a constant path
+    (_DECAYING, {"family": "log"}, {"dynasty", "social_welfare"}),
+    # linear u(c_t) decays: (1+n) g = 1.0094 * 0.99 = 0.9993 < 1 bounds every per-draw sum
+    (_DECAYING, {"family": "linear"}, set()),
+], ids=["constant-log", "decaying-log", "decaying-linear"])
+def test_simulate_flags_infinite_variance_rows(tmp_path, path, utility, flagged_cases):
     # (1-M)(1+n)**2 = 0.99 * 1.0094**2 = 1.0087 >= 1: the dynasty and social-welfare
-    # sums have infinite variance; theta = 0.5 and alpha = 0.5 stay below 1
-    cfg = write_config(tmp_path, {
+    # weights alone give infinite variance; theta = 0.5 and alpha = 0.5 stay below 1
+    payload = {
         "cases": ["individual", "dynasty", "dynasty_theta", "lineage", "social_welfare"],
         "grid": {"m": [0.02], "M": [0.01], "b": [0.03], "theta": [0.5], "alpha": [0.5]},
         "simulation": {"replications": 2000, "seed": 4},
-    })
+    }
+    payload.update({k: v for k, v in (("path", path), ("utility", utility)) if v is not None})
+    cfg = write_config(tmp_path, payload)
     out = tmp_path / "var"
     assert cli_run(["simulate", "--config", cfg, "--out", str(out)]) == 0
     flagged = "ok: infinite variance, mc_se is not an error bar"
     status = {r["case"]: r["status"] for r in read_csv(out / "simulate.csv")}
-    assert status == {"individual": "ok", "dynasty": flagged, "dynasty_theta": "ok",
-                      "lineage": "ok", "social_welfare": flagged}
+    assert status == {case: flagged if case in flagged_cases else "ok" for case in payload["cases"]}
 
 
 def test_simulate_keeps_rows_whose_sampled_consumption_underflows(tmp_path):

@@ -1,8 +1,11 @@
 """Distribution and parameter-bundle checks for the hazard model."""
 
 import importlib
+import importlib.util
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,19 @@ from extrisk.model import _CHUNK
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(f"extrisk.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+def test_every_name_the_bench_tracer_wraps_resolves(monkeypatch):
+    # bench/spans.py patches these by name, so a traced bench run breaks on a missing one
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # load bench/ without writing to it
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    ext = lambda module: importlib.import_module(f"extrisk.{module}")
+    missing = [(m, f) for m, f in spans.FUNCTIONS if not hasattr(ext(m), f)]
+    missing += [(m, c, f) for m, c, f in spans.METHODS if not hasattr(getattr(ext(m), c, None), f)]
+    assert len(spans.FUNCTIONS) > 0 and len(spans.METHODS) > 0 and missing == []
 
 
 hazard_floats = st.floats(min_value=0.0005, max_value=0.95)

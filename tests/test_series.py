@@ -1,7 +1,7 @@
 """Oracle checks for the discounted-series functionals and their tail bounds."""
 
 import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -30,6 +30,7 @@ from extrisk import (
     weight_ratio,
     weight_sequence,
 )
+from extrisk.series import _LIBM, _U, _rigorous, _tail_terms
 
 ONE = ConsumptionPath.constant(1.0)  # with linear utility, u(c_t) = 1 for all t
 LINEAR = UtilitySpec.linear()
@@ -262,6 +263,38 @@ def test_ratio_zero_tail_with_linear_utility():
     res = eu_individual(HazardParams(m=0.5, M=0.5), path, LINEAR)
     # only t=0 and t=1 contribute: 1 + 0.25*2
     assert res.value == pytest.approx(1.0 + 0.25 * 2.0, abs=1e-12)
+
+
+# --- the tail table ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("u", [LINEAR, LOG, UtilitySpec.crra(3.0), UtilitySpec.crra(0.5)],
+                         ids=["linear", "log", "crra3", "crra0.5"])
+@pytest.mark.parametrize("path", [ConsumptionPath(prefix=(0.8, 1.3))] + [
+    ConsumptionPath(prefix=(0.8, 1.3), tail="geometric", ratio=g) for g in (0.0, 0.5, 0.99)
+], ids=["constant", "g0", "g0.5", "g0.99"])
+def test_tail_terms_sum_to_the_utility_past_the_prefix(path, u):
+    # u(c_{p+k}) at the exact c_{p-1} g**(k+1), of which path.values is the rounding
+    if path.ratio == 0.0 and u.family != "linear":
+        with pytest.raises(ValueError, match="ratio-0 tail"):
+            _tail_terms(path, u)
+        return
+    terms = _tail_terms(path, u)
+    c = Decimal(path.prefix[-1])
+    g = Decimal(1) if path.ratio is None else Decimal(path.ratio)
+    with localcontext(decimal_oracle.CTX):
+        for k in range(41):
+            exact = decimal_oracle._utility(u, c * g ** (k + 1)) if g else Decimal(0)
+            total, allowed = Decimal(0), Decimal("1e-40")
+            for coef, rel_err, log_growth, arith in terms:
+                term = Decimal(coef) * (Decimal(log_growth) * k).exp() * (k + 1 if arith else 1)
+                total += term
+                # log_growth is a log part of the kernel: off by _LIBM + 2u relative
+                e = rel_err + k * abs(log_growth) * (_LIBM + 2.0 * _U)
+                allowed += abs(term) * Decimal(_rigorous(e))
+            assert abs(total - exact) <= allowed, (k, total, exact)
+            assert float(total) == pytest.approx(float(u(path.value(path.prefix_len + k))),
+                                                 rel=1e-12, abs=1e-12)
 
 
 # --- weights and finiteness -----------------------------------------------------------------

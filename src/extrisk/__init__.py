@@ -70,12 +70,12 @@ from .simulate import (
     SimEstimate,
     SimulationConfig,
     SmoothingGapRow,
-    VerifyRow,
     abm_smoothing_study,
     default_horizon_cap,
     mc_eg_lineage,
     mc_eu_individual,
     mc_ev_dynasty,
+    mc_compare,
     mc_estimates,
     mc_ew_social,
     mc_table,

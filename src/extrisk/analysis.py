@@ -28,7 +28,6 @@ from .series import (
     evaluate,
     factor_exponents,
     factor_pieces,
-    finiteness_check,
     one_minus_q_power,
     weight_sequence,
 )
@@ -202,8 +201,8 @@ def belief_update_response(
     that cross a boundary are rejected.
     """
     for name, x, h in (("M", params.M, dM), ("m", params.m, dm)):
-        if h <= 0.0:
-            raise ValueError(f"d{name} must be > 0")
+        if not (h > 0.0 and math.isfinite(h)):
+            raise ValueError(f"d{name} must be finite and > 0, got {h!r}")
         if x - h < 0.0 or x + h >= 1.0:
             raise ValueError(
                 f"finite-difference step d{name}={h!r} crosses the boundary at {name}={x!r}"
@@ -236,11 +235,13 @@ class SweepRow:
     params: HazardParams
     case: Scenario
     report: DiscountReport
-    finite: bool
-    finiteness_product: float
-    finiteness_margin: float
     series: Optional[SeriesResult]
     status: str  # "ok" | "divergent" | "rejected: <reason>"
+
+    @property
+    def finite(self) -> bool:
+        """finiteness_check's verdict, read off the report's factor."""
+        return self.case.kind == "known_extinction" or self.report.factor < 1.0
 
     def to_dict(self) -> dict:
         row = {
@@ -252,8 +253,8 @@ class SweepRow:
             "factor_n0": self.report.factor_n0,
             "constant_factor": self.report.constant,
             "finite": self.finite,
-            "finiteness_product": self.finiteness_product,
-            "finiteness_margin": self.finiteness_margin,
+            "finiteness_product": self.report.factor,
+            "finiteness_margin": self.report.rate_simple,
             "status": self.status,
         }
         for key in ("value", "tail_bound", "truncation_index", "converged"):
@@ -277,7 +278,6 @@ def scenario_sweep(
     rows: List[SweepRow] = []
     for params in points:
         for case in cases:
-            chk = finiteness_check(case, params)
             series = None
             status = "ok"
             try:
@@ -286,16 +286,6 @@ def scenario_sweep(
                 status = "divergent"
             except ValueError as exc:
                 status = f"rejected: {exc}"
-            rows.append(
-                SweepRow(
-                    params=params,
-                    case=case,
-                    report=discount_factor(case, params),
-                    finite=chk.finite,
-                    finiteness_product=chk.product,
-                    finiteness_margin=chk.margin,
-                    series=series,
-                    status=status,
-                )
-            )
+            rows.append(SweepRow(params=params, case=case, report=discount_factor(case, params),
+                                 series=series, status=status))
     return rows

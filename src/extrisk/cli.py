@@ -26,14 +26,14 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
 from .model import ConsumptionPath, HazardParams, UtilitySpec
-from .series import DEFAULT_TOLERANCE, DYNASTY, Scenario, known_extinction
+from .series import DEFAULT_TOLERANCE, DYNASTY, Scenario
 from .analysis import (
     belief_update_response,
     discount_factor,
@@ -47,9 +47,7 @@ from .simulate import (
     VERIFY_UTILITY,
     _VERIFY_SEED_STEP,
     abm_smoothing_study,
-    mc_estimates,
-    mc_table,
-    mc_verdict,
+    mc_compare,
     reproducibility_selfcheck,
     verify_oracle_grid,
 )
@@ -128,62 +126,29 @@ def _parse_cases(raw: Any) -> List[Scenario]:
                 raise ConfigError(f"{where}: unknown case {item!r} (use {_CASE_NAMES} or {{'known_extinction': T}})")
             cases.append(Scenario(item))
         elif isinstance(item, dict) and set(item) == {"known_extinction"}:
-            T = item["known_extinction"]
-            if not isinstance(T, int) or T < 0:
-                raise ConfigError(f"{where}.known_extinction: expected an integer T >= 0")
-            cases.append(known_extinction(T))
+            try:
+                cases.append(Scenario("known_extinction", T=item["known_extinction"]))
+            except ValueError as exc:
+                raise ConfigError(f"{where}.known_extinction: {exc}")
         else:
             raise ConfigError(f"{where}: expected a case name or {{'known_extinction': T}}")
     return cases
 
 
-def _parse_path(raw: Any) -> ConsumptionPath:
+def _section(cls: type, raw: Any, where: str, default: Any) -> Any:
+    """A config section built by its dataclass, whose constructor checks the values."""
     if raw is None:
-        return ConsumptionPath.constant(1.0)
+        return default
     if not isinstance(raw, dict):
-        raise ConfigError("path: expected an object")
-    prefix = raw.get("prefix")
-    if not isinstance(prefix, list) or not prefix:
-        raise ConfigError("path.prefix: expected a non-empty list of positive numbers")
-    tail = raw.get("tail", "constant")
-    ratio = raw.get("ratio")
-    extra = set(raw) - {"prefix", "tail", "ratio"}
-    if extra:
-        raise ConfigError(f"path.{extra.pop()}: unknown key")
+        raise ConfigError(f"{where}: expected an object")
+    names = {f.name for f in fields(cls)}
+    for key in raw:
+        if key not in names:
+            raise ConfigError(f"{where}.{key}: unknown key")
     try:
-        return ConsumptionPath(prefix=tuple(prefix), tail=tail, ratio=ratio)
+        return cls(**raw)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"path: {exc}")
-
-
-def _parse_utility(raw: Any) -> UtilitySpec:
-    if raw is None:
-        return UtilitySpec.log()
-    if not isinstance(raw, dict) or "family" not in raw:
-        raise ConfigError("utility: expected an object with a 'family' key")
-    extra = set(raw) - {"family", "sigma"}
-    if extra:
-        raise ConfigError(f"utility.{extra.pop()}: unknown key")
-    try:
-        return UtilitySpec(family=raw["family"], sigma=raw.get("sigma"))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"utility: {exc}")
-
-
-def _parse_simulation(raw: Any) -> SimulationConfig:
-    if raw is None:
-        return SimulationConfig(replications=100_000, seed=0)
-    if not isinstance(raw, dict):
-        raise ConfigError("simulation: expected an object")
-    known = {"replications", "seed", "horizon_cap", "mode", "offspring_law", "n0_values"}
-    extra = set(raw) - known
-    if extra:
-        raise ConfigError(f"simulation.{extra.pop()}: unknown key")
-    kwargs = {k: raw[k] for k in known - {"n0_values"} if k in raw}
-    try:
-        return SimulationConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"simulation: {exc}")
+        raise ConfigError(f"{where}: {exc}")
 
 
 @dataclass
@@ -207,26 +172,25 @@ class RunConfig:
             raise ConfigError(f"{extra.pop()}: unknown top-level key")
         if "grid" not in raw:
             raise ConfigError("grid: required")
-        tolerance = raw.get("tolerance", DEFAULT_TOLERANCE)
-        if not isinstance(tolerance, (int, float)) or not _positive_finite(tolerance):
-            raise ConfigError("tolerance: expected a finite positive number")
         horizon = raw.get("horizon", 2100)
-        if not isinstance(horizon, int) or horizon < 1:
+        if type(horizon) is not int or horizon < 1:
             raise ConfigError("horizon: expected a positive integer")
-        sim_raw = raw.get("simulation")
+        sim = raw.get("simulation")
         n0_values = [1, 10, 100, 1000]
-        if isinstance(sim_raw, dict) and "n0_values" in sim_raw:
-            vals = sim_raw["n0_values"]
-            if not (isinstance(vals, list) and vals and all(isinstance(v, int) and v >= 1 for v in vals)):
+        if isinstance(sim, dict) and "n0_values" in sim:  # agent mode's, not SimulationConfig's
+            sim = dict(sim)
+            n0_values = sim.pop("n0_values")
+            if not (isinstance(n0_values, list) and n0_values
+                    and all(type(v) is int and v >= 1 for v in n0_values)):
                 raise ConfigError("simulation.n0_values: expected a list of positive integers")
-            n0_values = vals
         return cls(
             cases=_parse_cases(raw.get("cases")),
             grid=_parse_grid(raw["grid"]),
-            path=_parse_path(raw.get("path")),
-            utility=_parse_utility(raw.get("utility")),
-            tolerance=float(tolerance),
-            simulation=_parse_simulation(sim_raw),
+            path=_section(ConsumptionPath, raw.get("path"), "path", ConsumptionPath.constant(1.0)),
+            utility=_section(UtilitySpec, raw.get("utility"), "utility", UtilitySpec.log()),
+            tolerance=_positive_finite(raw.get("tolerance", DEFAULT_TOLERANCE), "tolerance"),
+            simulation=_section(SimulationConfig, sim, "simulation",
+                                SimulationConfig(replications=100_000, seed=0)),
             n0_values=n0_values,
             horizon=horizon,
         )
@@ -244,8 +208,11 @@ def _reject_constant(name: str) -> Any:
     raise ConfigError(f"{name} is not a number extrisk accepts (non-finite)")
 
 
-def _positive_finite(x: float) -> bool:
-    return x > 0 and math.isfinite(x)
+def _positive_finite(x: Any, where: str) -> float:
+    """x as a float when it is a finite number > 0 (a bool is not a number here)."""
+    if type(x) not in (int, float) or not (x > 0 and math.isfinite(x)):
+        raise ConfigError(f"{where} must be finite and > 0, got {x!r}")
+    return float(x)
 
 
 def _default_config() -> RunConfig:
@@ -262,9 +229,7 @@ def _load_config(args: argparse.Namespace, required: bool) -> RunConfig:
     else:
         cfg = RunConfig.from_file(args.config)
     if args.tolerance is not None:
-        if not _positive_finite(args.tolerance):
-            raise ConfigError("--tolerance must be finite and > 0")
-        cfg.tolerance = args.tolerance
+        cfg.tolerance = _positive_finite(args.tolerance, "--tolerance")
     sim_kwargs = {}
     if args.reps is not None:
         sim_kwargs["replications"] = args.reps
@@ -409,7 +374,7 @@ _SENSITIVITY_COLUMNS = [
 
 def _cmd_sensitivity(args: argparse.Namespace, out_dir: Path) -> int:
     cfg = _load_config(args, required=False)
-    step = args.step
+    step = _positive_finite(args.step, "--step")
     rows = []
     for params in cfg.grid:
         base = params.cells(population=False)
@@ -485,34 +450,8 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
               f"max cap_hit_fraction {hit:.3g}")
         _write_rows(out_dir, "simulate", _ABM_COLUMNS, rows, args.format)
         return 0
-    rows = []
-    for params in cfg.grid:
-        tables: Dict[Scenario, np.ndarray] = {}
-        sampled = []
-        for sr in scenario_sweep([params], cfg.cases, cfg.path, cfg.utility, cfg.tolerance):
-            row = {**params.cells(), "case": sr.case.label(), "replications": sim.replications,
-                   "analytic": None if sr.series is None else sr.series.value,
-                   "mc_mean": None, "mc_se": None, "abs_error": None, "within_3se": None,
-                   "truncated_mass": None, "status": sr.status}
-            if sr.status == "ok" and sr.case.kind == "known_extinction":
-                row["status"] = "deterministic (no sampling)"
-            elif sr.status == "ok":
-                try:  # the closed form can hold where the sampled c_t underflow to 0
-                    tables[sr.case] = mc_table(sr.case, params, cfg.path, cfg.utility, sim)
-                except ValueError as exc:
-                    row["status"] = f"ok: not sampled: {exc}"
-                else:
-                    sampled.append((sr.case, row))
-            rows.append(row)
-        ests = mc_estimates(params, tables, sim)
-        for case, row in sampled:
-            est = ests[case]
-            err, within, finite_variance = mc_verdict(
-                case, params, cfg.path, cfg.utility, est, row["analytic"])
-            row.update(mc_mean=est.mean, mc_se=est.standard_error, abs_error=err,
-                       within_3se=within, truncated_mass=est.truncated_mass)
-            if not finite_variance:
-                row["status"] = "ok: infinite variance, mc_se is not an error bar"
+    rows = [row for params in cfg.grid
+            for row in mc_compare(params, cfg.cases, cfg.path, cfg.utility, cfg.tolerance, sim)]
     by_status = collections.Counter(row["status"].split(":")[0] for row in rows)
     masses = [row["truncated_mass"] for row in rows if row["truncated_mass"] is not None]
     counts = ", ".join(f"{n} {status}" for status, n in sorted(by_status.items()))
@@ -538,15 +477,14 @@ def _cmd_verify(args: argparse.Namespace, out_dir: Path) -> int:
     rows = verify_oracle_grid(replications=reps, seed=seed)
     failures = 0
     for r in rows:
-        status = "PASS" if r.ok else "FAIL"
-        failures += 0 if r.ok else 1
-        se = r.mc_se if r.mc_se > 0 else float("nan")
-        print(f"{status} {r.functional:<17s} point={r.point:<2d} "
-              f"analytic={r.analytic:.6f} mc={r.mc_mean:.6f} |err|/se={r.abs_error / se:.2f}")
+        failures += not r["ok"]
+        se = r["mc_se"] if r["mc_se"] > 0 else float("nan")
+        print(f"{'PASS' if r['ok'] else 'FAIL'} {r['functional']:<17s} point={r['point']:<2d} "
+              f"analytic={r['analytic']:.6f} mc={r['mc_mean']:.6f} "
+              f"|err|/se={r['abs_error'] / se:.2f}")
     print(f"verify: {len(rows)} comparisons, {failures} outside 3 SE, max truncated_mass "
-          f"{max((r.truncated_mass for r in rows), default=0.0):.3g} (reps={reps}, seed={seed})")
-    _write_rows(out_dir, "verify", list(rows[0].to_dict().keys()) if rows else [],
-                [r.to_dict() for r in rows], args.format)
+          f"{max((r['truncated_mass'] for r in rows), default=0.0):.3g} (reps={reps}, seed={seed})")
+    _write_rows(out_dir, "verify", list(rows[0]) if rows else [], rows, args.format)
     return 4 if (args.strict and failures) else 0
 
 

@@ -13,6 +13,7 @@ frozen dataclasses and safe to share across threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Dict, Optional, Union
 
@@ -54,6 +55,12 @@ def _check_prob(name: str, value: float, *, closed_top: bool = True) -> None:
     if not (0.0 <= value and hi_ok):
         top = "1]" if closed_top else "1)"
         raise ValueError(f"{name} must lie in [0, {top}, got {value!r}")
+
+
+def _check_int(name: str, value: object, lo: int) -> None:
+    """Reject anything but an integer >= lo; a bool is not an integer here."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -144,6 +151,8 @@ class ConsumptionPath:
     ratio: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if not all(isinstance(c, numbers.Real) and not isinstance(c, bool) for c in self.prefix):
+            raise ValueError(f"prefix must be a sequence of numbers, got {self.prefix!r}")
         prefix = tuple(float(c) for c in self.prefix)
         object.__setattr__(self, "prefix", prefix)
         if len(prefix) == 0:

@@ -51,6 +51,7 @@ from .model import (
     HazardParams,
     NoExtinctionError,
     UtilitySpec,
+    _check_int,
 )
 
 __all__ = [
@@ -111,8 +112,7 @@ class Scenario:
         if self.kind not in _CASE_KINDS:
             raise ValueError(f"kind must be one of {_CASE_KINDS}, got {self.kind!r}")
         if self.kind == "known_extinction":
-            if self.T is None or self.T < 0:
-                raise ValueError("known_extinction needs a finite date T >= 0")
+            _check_int("the known extinction date T", self.T, 0)
         elif self.T is not None:
             raise ValueError(f"{self.kind} takes no extinction date")
 
@@ -274,6 +274,11 @@ def _log_sum(parts: Sequence[float]) -> Tuple[float, float]:
 def _rigorous(e: float) -> float:
     """Relative error of a chain of products and quotients whose first-order errors add to e."""
     return math.expm1(e / (1.0 - e)) if e < 1.0 else math.inf
+
+
+def _rigorous_array(e: np.ndarray) -> np.ndarray:
+    """_rigorous elementwise, for first-order counts e below 1."""
+    return np.expm1(e / (1.0 - e))
 
 
 def _utility(u: UtilitySpec, c: float) -> Tuple[float, float]:
@@ -548,20 +553,45 @@ def eu_known_T(
 ) -> float:
     """Individual expected utility when the extinction date T is known.
 
-    Exact finite sum sum_{t=0}^{T} (1-m)**t u(c_t): only the individual death
+    The finite sum sum_{t=0}^{T} (1-m)**t u(c_t): only the individual death
     hazard discounts, independently of when extinction is scheduled.
+    """
+    return _known_date_sum(m, T, path, u)[0]
+
+
+def _known_date_sum(
+    m: float, T: int, path: ConsumptionPath, u: UtilitySpec
+) -> Tuple[float, float]:
+    """eu_known_T's value and a bound on its absolute error; ValueError outside float range.
+
+    The dates go in blocks of 4096, each a dot product of the weights (1-m)**t
+    with u(c_t), and fsum adds the blocks. The bound adds, per block, gamma_n of
+    the summed |w_t u(c_t)| for the dot product, the weights' error (1-m
+    rounded once, raised to t, one libm call), the error of u(c_t) and the
+    underflow of a weight or a product; then fsum's rounding.
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"m must lie in [0, 1], got {m!r}")
     if T < 0:
         raise ValueError("T must be >= 0")
-    pieces = []
-    for start in range(0, T + 1, 4096):
-        stop = min(start + 4096, T + 1)
-        t = np.arange(start, stop)
-        uu = np.asarray(u(path.values(start, stop)), dtype=float)
-        pieces.append(float(np.dot(np.power(1.0 - m, t), uu)))
-    return math.fsum(pieces)
+    vals, errs = [], []
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is raised below
+        for start in range(0, T + 1, 4096):
+            t = np.arange(start, min(start + 4096, T + 1))
+            w = np.power(1.0 - m, t)
+            uu, u_err = _utility_values(path, u, start, start + len(t))
+            au = np.abs(uu)
+            r = _rigorous_array(_LIBM + _U * (t + 1.0))
+            vals.append(float(w @ uu))
+            errs.append(_rigorous(len(t) * _U) * float(w @ au) + float((w * r) @ au)
+                        + float((w * (1.0 + r)) @ u_err)
+                        + _DENORM * (float(np.sum(au + u_err)) + len(t)))
+        value = math.fsum(vals)
+        # the error terms are themselves sums of up to 4096 rounded products
+        bound = (math.fsum(errs) + _U * abs(value)) * (1.0 + _rigorous(4.0 * (4096 + 16) * _U))
+    if not (math.isfinite(value) and math.isfinite(bound)):
+        raise ValueError("the series value leaves float range")
+    return value, bound
 
 
 def welfare_window_terms(
@@ -671,6 +701,33 @@ def ew_social_n0_form(
     return _closed_sum([_log1m(params.M)], path, u, tol, mod, params.N0 / params.m, _U)
 
 
+def _utility_values(
+    path: ConsumptionPath, u: UtilitySpec, start: int, stop: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """u(c_t) for t = start..stop-1 and a bound on the absolute error of each value.
+
+    Past the prefix of a geometric tail c_t is a libm power times c_{p-1},
+    off by _LIBM + u relative, and either step may underflow (absolute
+    error _DENORM (1 + c_{p-1})); u then adds its own rounding.
+    """
+    c = path.values(start, stop)
+    uu = np.asarray(u(c), dtype=float)
+    e_c = 0.0  # relative error of c_t
+    if path.tail == "geometric":
+        e_c = (_LIBM + _U) * (np.arange(start, stop) >= path.prefix_len)
+    d_c = _DENORM * (1.0 + path.prefix[-1])
+    if u.family == "linear":  # c_t may be subnormal
+        return uu, c * e_c + d_c
+    e_c = e_c + d_c / c  # log and CRRA have rejected c_t = 0
+    if u.family == "log":
+        return uu, _LIBM * np.abs(uu) + _rigorous_array(e_c)
+    # (c**s1 - 1) / s1: c**s1 = 1 + s1 u off by libm, the rounded s1 and c's error
+    s1 = abs(1.0 - u.sigma)
+    return uu, ((1.0 + s1 * np.abs(uu)) / s1
+                * _rigorous_array(_LIBM + _U * np.abs(s1 * np.log(c)) + s1 * e_c)
+                + _rigorous_array(3.0 * _U) * np.abs(uu))
+
+
 def ew_social_mixture(
     params: HazardParams,
     path: ConsumptionPath,
@@ -715,7 +772,7 @@ def ew_social_mixture(
     step = max(dL + _U * abs(L), dLR + _U * abs(LR))  # error of exp(t log R) per period
     p, M, sM = path.prefix_len, params.M, 1.0 - params.M
     pref = params.N0 * (1.0 + params.b) / params.b
-    rig = lambda e: np.expm1(e / (1.0 - e))  # _rigorous elementwise; every e here is tiny
+    rig = _rigorous_array  # every e here is tiny
 
     def tail(t0: np.ndarray) -> np.ndarray:
         """Bound on pref * sum_{t >= t0} rho**t |u(c_t)| for dates t0 >= p."""
@@ -753,17 +810,7 @@ def ew_social_mixture(
     # pref (1+n)**t a_t being the term at u = 1; r_t covers pref, a_t, (1+n)**t, 3 products
     weight = welfare_window_terms(params, ConsumptionPath.constant(1.0), UtilitySpec.linear(), n)
     r = rig(8.0 * _U + 3.0 * _LIBM + 3.0 * _U * t)
-    c = path.values(0, n)
-    uu = np.asarray(u(c), dtype=float)
-    e_c = (_LIBM + _U) * (t >= p) if path.tail == "geometric" else 0.0  # of c_t
-    if u.family == "linear":  # c_t may be subnormal
-        u_err = c * e_c + _DENORM * (1.0 + path.prefix[-1])
-    elif u.family == "log":
-        u_err = _LIBM * np.abs(uu) + rig(e_c)
-    else:  # (c**s1 - 1) / s1: c**s1 = 1 + s1 u off by libm, the rounded s1 and c's error
-        s1 = abs(1.0 - u.sigma)
-        u_err = ((1.0 + s1 * np.abs(uu)) / s1 * rig(_LIBM + _U * np.abs(s1 * np.log(c)) + s1 * e_c)
-                 + rig(3.0 * _U) * np.abs(uu))
+    uu, u_err = _utility_values(path, u, 0, n)
     # a product or libm result that underflows is off by _DENORM times the later factors
     g_max = max(params.gross_growth, 1.0) ** n
     term_err = np.cumsum(np.abs(terms) * r + weight * (1.0 + r) * u_err
@@ -798,7 +845,7 @@ def evaluate(
     u: UtilitySpec,
     tol: float = DEFAULT_TOLERANCE,
 ) -> SeriesResult:
-    """Evaluate any scenario; finite known-date sums come back exact with zero tail."""
+    """Evaluate any scenario; a known date's tail_bound is the rounding of its finite sum."""
     if case.kind == "individual":
         return eu_individual(params, path, u, tol)
     if case.kind == "dynasty":
@@ -809,5 +856,6 @@ def evaluate(
         return eg_lineage(params, path, u, tol)
     if case.kind == "social_welfare":
         return ew_social(params, path, u, tol)
-    value = eu_known_T(params.m, case.T, path, u)
-    return SeriesResult(value=value, truncation_index=case.T, tail_bound=0.0, converged=True)
+    value, bound = _known_date_sum(params.m, case.T, path, u)
+    return SeriesResult(value=value, truncation_index=case.T, tail_bound=bound,
+                        converged=bound <= tol)

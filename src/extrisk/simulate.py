@@ -7,7 +7,9 @@ one stream of T (``mc_estimates``), so a point costs two streams. A stream is
 one ``SeedSequence([seed, stream_tag])`` generator that draws the histogram of
 its dates (``sample_date_counts``): each well-filled early date as one binomial
 count, the sparse tail as shifted geometric dates. Estimates are bit-for-bit
-reproducible from (seed, config).
+reproducible from (seed, config). ``mc_compare`` sets each case's closed form
+beside its estimate; it is the one comparison that smoothed ``simulate`` and
+``verify_oracle_grid`` (``verify``) write.
 
 The agent-based mode keeps an integer population with Bernoulli deaths and
 stochastic births per survivor, and quantifies the error of the smooth
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,9 +33,12 @@ from .model import (
     HazardParams,
     NoExtinctionError,
     UtilitySpec,
+    _check_int,
     sample_date_counts,
 )
+from .analysis import scenario_sweep
 from .series import (
+    DEFAULT_TOLERANCE,
     DYNASTY,
     DYNASTY_THETA,
     INDIVIDUAL,
@@ -41,7 +46,6 @@ from .series import (
     SOCIAL_WELFARE,
     Scenario,
     _tail_terms,
-    evaluate,
     factor_pieces,
     welfare_window_terms,
 )
@@ -50,7 +54,6 @@ __all__ = [
     "SimulationConfig",
     "SimEstimate",
     "SmoothingGapRow",
-    "VerifyRow",
     "VERIFY_GRID",
     "VERIFY_PATH",
     "VERIFY_UTILITY",
@@ -62,6 +65,7 @@ __all__ = [
     "mc_table",
     "mc_estimates",
     "mc_verdict",
+    "mc_compare",
     "abm_smoothing_study",
     "verify_oracle_grid",
     "reproducibility_selfcheck",
@@ -90,12 +94,12 @@ class SimulationConfig:
     offspring_law: str = "poisson"
 
     def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if not 0 <= self.seed < 2**64:
+        _check_int("replications", self.replications, 1)
+        _check_int("seed", self.seed, 0)
+        if self.seed >= 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        if self.horizon_cap is not None and self.horizon_cap < 1:
-            raise ValueError("horizon_cap must be >= 1")
+        if self.horizon_cap is not None:
+            _check_int("horizon_cap", self.horizon_cap, 1)
         if self.mode not in ("smoothed", "agent"):
             raise ValueError(f"mode must be 'smoothed' or 'agent', got {self.mode!r}")
         if self.offspring_law not in ("poisson", "bernoulli-pair"):
@@ -257,6 +261,51 @@ def mc_verdict(
     if s * g:  # else the realized sum ends at date 0, and a ratio-0 tail may have no terms
         g *= max((math.exp(t.log_growth) for t in _tail_terms(path, u)), default=0.0)
     return err, err <= 3.0 * est.standard_error + 1e-12, s * g * g < 1.0
+
+
+def mc_compare(
+    params: HazardParams,
+    cases: Sequence[Scenario],
+    path: ConsumptionPath,
+    u: UtilitySpec,
+    tol: float,
+    config: SimulationConfig,
+) -> List[Dict[str, Any]]:
+    """Each case's closed form beside its Monte Carlo estimate: one row per case.
+
+    The rows are those smoothed ``simulate`` writes. The analytic verdict is
+    ``scenario_sweep``'s status; an ok row is then sampled with ``mc_table`` and
+    ``mc_estimates`` and judged by ``mc_verdict``, unless its date is known
+    ("deterministic (no sampling)") or its table cannot be built ("ok: not
+    sampled: <reason>": the closed form can hold where the sampled c_t
+    underflow). A sampled row without finite variance reads "ok: infinite
+    variance, mc_se is not an error bar".
+    """
+    rows, tables, sampled = [], {}, []
+    for sr in scenario_sweep([params], cases, path, u, tol):
+        row = {**params.cells(), "case": sr.case.label(), "replications": config.replications,
+               "analytic": None if sr.series is None else sr.series.value,
+               "mc_mean": None, "mc_se": None, "abs_error": None, "within_3se": None,
+               "truncated_mass": None, "status": sr.status}
+        if sr.status == "ok" and sr.case.kind == "known_extinction":
+            row["status"] = "deterministic (no sampling)"
+        elif sr.status == "ok":
+            try:
+                tables[sr.case] = mc_table(sr.case, params, path, u, config)
+            except ValueError as exc:
+                row["status"] = f"ok: not sampled: {exc}"
+            else:
+                sampled.append((sr.case, row))
+        rows.append(row)
+    ests = mc_estimates(params, tables, config)
+    for case, row in sampled:
+        est = ests[case]
+        err, within, finite_variance = mc_verdict(case, params, path, u, est, row["analytic"])
+        row.update(mc_mean=est.mean, mc_se=est.standard_error, abs_error=err,
+                   within_3se=within, truncated_mass=est.truncated_mass)
+        if not finite_variance:
+            row["status"] = "ok: infinite variance, mc_se is not an error bar"
+    return rows
 
 
 def _mc_one(
@@ -453,32 +502,6 @@ VERIFY_PATH = ConsumptionPath(prefix=(0.8, 1.1, 1.25, 1.18, 1.3), tail="constant
 VERIFY_UTILITY = UtilitySpec.log()
 
 
-@dataclass(frozen=True)
-class VerifyRow:
-    functional: str
-    point: int
-    params: HazardParams
-    analytic: float
-    mc_mean: float
-    mc_se: float
-    abs_error: float
-    ok: bool
-    truncated_mass: float
-
-    def to_dict(self) -> dict:
-        return {
-            "functional": self.functional,
-            "point": self.point,
-            **self.params.cells(population=False),
-            "analytic": self.analytic,
-            "mc_mean": self.mc_mean,
-            "mc_se": self.mc_se,
-            "abs_error": self.abs_error,
-            "ok": self.ok,
-            "truncated_mass": self.truncated_mass,
-        }
-
-
 _VERIFY_FUNCTIONALS = (
     (INDIVIDUAL, "eu_individual"),
     (DYNASTY, "ev_dynasty"),
@@ -492,41 +515,30 @@ def verify_oracle_grid(
     replications: int = 1_000_000,
     seed: int = 20240613,
     points: Optional[Sequence[HazardParams]] = None,
-) -> List[VerifyRow]:
+) -> List[Dict[str, Any]]:
     """Compare every analytic functional with its Monte Carlo estimate per grid point.
 
-    Every point runs on VERIFY_PATH and VERIFY_UTILITY. A row is ok when
-    ``mc_verdict`` finds |mc - analytic| <= 3 SE and a finite variance (every
-    VERIFY_GRID point has one). Statistically about 1 in 370 honest
-    comparisons lands outside +-3 SE, so a full run tolerates one stray
-    failure. The four extinction-date rows of one point average over
+    Every point runs ``mc_compare`` on VERIFY_PATH and VERIFY_UTILITY with seed
+    seed + 1000003 i for point i; the rows are the ones ``verify`` writes. A
+    row is ok when its status is "ok" (every VERIFY_GRID point has a finite
+    variance) and |mc - analytic| <= 3 SE. Statistically about 1 in 370
+    honest comparisons lands outside +-3 SE, so a full run tolerates one
+    stray failure. The four extinction-date rows of one point average over
     the same draws of T, so their errors are correlated and stray failures can
     come in clusters of one point's rows rather than independently.
     """
     pts = tuple(points) if points is not None else VERIFY_GRID
-    path, u = VERIFY_PATH, VERIFY_UTILITY
-    rows: List[VerifyRow] = []
+    cases = [case for case, _ in _VERIFY_FUNCTIONALS]
+    rows: List[Dict[str, Any]] = []
     for i, params in enumerate(pts):
         cfg = SimulationConfig(replications=replications, seed=seed + _VERIFY_SEED_STEP * i)
-        tables = {case: mc_table(case, params, path, u, cfg) for case, _ in _VERIFY_FUNCTIONALS}
-        ests = mc_estimates(params, tables, cfg)
-        for case, name in _VERIFY_FUNCTIONALS:
-            analytic = evaluate(case, params, path, u).value
-            est = ests[case]
-            err, within, finite_variance = mc_verdict(case, params, path, u, est, analytic)
-            rows.append(
-                VerifyRow(
-                    functional=name,
-                    point=i,
-                    params=params,
-                    analytic=analytic,
-                    mc_mean=est.mean,
-                    mc_se=est.standard_error,
-                    abs_error=err,
-                    ok=within and finite_variance,
-                    truncated_mass=est.truncated_mass,
-                )
-            )
+        compared = mc_compare(params, cases, VERIFY_PATH, VERIFY_UTILITY, DEFAULT_TOLERANCE, cfg)
+        for (_, name), r in zip(_VERIFY_FUNCTIONALS, compared):
+            rows.append({"functional": name, "point": i, **params.cells(population=False),
+                         "analytic": r["analytic"], "mc_mean": r["mc_mean"], "mc_se": r["mc_se"],
+                         "abs_error": r["abs_error"],
+                         "ok": r["status"] == "ok" and r["within_3se"],
+                         "truncated_mass": r["truncated_mass"]})
     return rows
 
 

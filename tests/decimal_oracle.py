@@ -12,11 +12,13 @@ the plain closed forms
 whose subtractions cost at most a dozen of the 50 digits once the context
 has been widened by the decimal exponent of 1 - q (b for EW, m for EW0).
 A sum diverges when its weight ratio r >= 1, or, for CRRA utility on a
-geometric tail of ratio g, when r g**(1-sigma) >= 1.
+geometric tail of ratio g, when r g**(1-sigma) >= 1. The finite known-date
+sum (exact_known) is summed term by term.
 """
 
 from decimal import Context, Decimal, localcontext
-from typing import Optional, Tuple
+from itertools import count, islice
+from typing import Iterator, Optional, Tuple
 
 CTX = Context(prec=50, Emin=-999999, Emax=999999)
 ONE = Decimal(1)
@@ -120,3 +122,30 @@ def exact(kind: str, params, path, u) -> Optional[Decimal]:
         else:
             return _path_sum(r, path, u)
         return pref * (_path_sum(r, path, u) - q * _path_sum(r * q, path, u))
+
+
+def _tail_utilities(path, u) -> Iterator[Decimal]:
+    """u(c_{p-1+k}) for k = 1, 2, ...: c_{p-1} g**k with g = 1 on a constant tail."""
+    c = _d(path.prefix[-1])
+    g = ONE if path.tail == "constant" else _d(path.ratio)
+    if u.family == "log":
+        yield from (c.ln() + k * g.ln() for k in count(1))
+        return
+    s1 = ONE if u.family == "linear" else ONE - _d(u.sigma)
+    x, gs = c ** s1, g ** s1
+    while True:
+        x *= gs
+        yield x if u.family == "linear" else (x - ONE) / s1
+
+
+def exact_known(params, T: int, path, u) -> Decimal:
+    """The known-date sum sum_{t<=T} (1-m)**t u(c_t), one term at a time."""
+    with localcontext(CTX):
+        r, _ = _ratios("known_extinction", params)
+        utilities = [_utility(u, _d(c)) for c in path.prefix[:T + 1]]
+        utilities += islice(_tail_utilities(path, u), T + 1 - len(utilities))
+        total, rt = Decimal(0), ONE
+        for ut in utilities:
+            total += rt * ut
+            rt *= r
+        return total

@@ -141,10 +141,10 @@ def test_criterion_3_ew_dual_formulas(capsys):
 def test_criterion_4_monte_carlo_oracles(capsys):
     start = time.perf_counter()
     rows = verify_oracle_grid(replications=1_000_000, seed=20240613)
-    failures = [r for r in rows if not r.ok]
+    failures = [r for r in rows if not r["ok"]]
     assert len(rows) == 60
     assert len(failures) <= 1, [
-        (r.functional, r.point, r.analytic, r.mc_mean, r.mc_se) for r in failures
+        (r["functional"], r["point"], r["analytic"], r["mc_mean"], r["mc_se"]) for r in failures
     ]
     elapsed = time.perf_counter() - start
     with capsys.disabled():

@@ -224,6 +224,12 @@ def test_step_crossing_boundary_is_flagged():
         belief_update_response(INDIVIDUAL, HazardParams(m=0.1, M=0.1), dM=0.0)
 
 
+@pytest.mark.parametrize("step", [math.nan, math.inf])
+def test_non_finite_step_is_rejected(step):
+    with pytest.raises(ValueError, match=r"dM must be finite and > 0"):
+        belief_update_response(INDIVIDUAL, HazardParams(m=0.1, M=0.1), dM=step)
+
+
 # --- sweeps -----------------------------------------------------------------------
 
 

@@ -22,7 +22,7 @@ from extrisk import cli
 from extrisk.analysis import scenario_sweep
 from extrisk.cli import run as cli_run
 from extrisk.series import Scenario
-from extrisk.simulate import VERIFY_GRID, VerifyRow
+from extrisk.simulate import VERIFY_GRID, VERIFY_PATH
 
 
 def write_config(tmp_path: Path, payload) -> str:
@@ -110,6 +110,36 @@ def test_bad_tolerance_flag_exits_one(tmp_path, capsys, tol):
     cfg = write_config(tmp_path, BASE_CONFIG)
     assert cli_run(["eval", "--config", cfg, "--out", str(tmp_path), "--tolerance", tol]) == 1
     assert "--tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "0", "-1"])
+def test_bad_step_flag_exits_one(tmp_path, capsys, step):
+    out = tmp_path / "sens"
+    assert cli_run(["sensitivity", "--out", str(out), "--step", step]) == 1
+    assert capsys.readouterr().err.startswith("config error: --step must be finite")
+    assert not out.exists()
+
+
+# each value is of the wrong type for its key; the constructors or the reader reject it
+@pytest.mark.parametrize("key, value", [
+    ("simulation", {"replications": 2.5}),
+    ("simulation", {"replications": True}),
+    ("simulation", {"seed": 1.5}),
+    ("simulation", {"horizon_cap": 2.5}),
+    ("simulation", {"n0_values": [True], "mode": "agent"}),
+    ("tolerance", True),
+    ("horizon", True),
+    ("cases", [{"known_extinction": True}]),
+    ("path", {"prefix": "12"}),
+], ids=["replications-float", "replications-bool", "seed-float", "horizon_cap-float",
+        "n0_values-bool", "tolerance-bool", "horizon-bool", "known_extinction-bool",
+        "prefix-string"])
+def test_config_values_of_the_wrong_type_exit_one(tmp_path, capsys, key, value):
+    cfg = write_config(tmp_path, {"grid": {"m": [0.02], "M": [0.01], "b": [0.03]}, key: value})
+    out = tmp_path / "out"
+    assert cli_run(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {key}")
+    assert not out.exists()
 
 
 def test_missing_config_for_eval(tmp_path, capsys):
@@ -427,11 +457,11 @@ def test_verify_rejects_replications_and_seeds_it_cannot_run(tmp_path, capsys, f
     assert not out.exists()
 
 
-def _verify_row(ok: bool) -> VerifyRow:
+def _verify_row(ok: bool) -> dict:
     mc = 1.0 if ok else 1.1
-    return VerifyRow(functional="eu_individual", point=0, params=VERIFY_GRID[0],
-                     analytic=1.0, mc_mean=mc, mc_se=0.01, abs_error=abs(mc - 1.0),
-                     ok=ok, truncated_mass=0.0)
+    return {"functional": "eu_individual", "point": 0, **VERIFY_GRID[0].cells(population=False),
+            "analytic": 1.0, "mc_mean": mc, "mc_se": 0.01, "abs_error": abs(mc - 1.0),
+            "ok": ok, "truncated_mass": 0.0}
 
 
 def test_verify_strict_exits_four_on_a_failed_comparison(tmp_path, monkeypatch):
@@ -530,6 +560,25 @@ def test_smoothed_simulate_matches_library_and_reports_each_case(tmp_path):
     for row, est in zip(rows, expected):
         assert float(row["mc_mean"]) == est.mean
         assert float(row["mc_se"]) == est.standard_error
+
+
+def test_smoothed_simulate_writes_what_verify_writes_at_its_first_point(tmp_path):
+    # both go through simulate.mc_compare; verify seeds point 0 with --seed itself
+    params = VERIFY_GRID[0]
+    cfg = write_config(tmp_path, {
+        "grid": {k: [v] for k, v in params.cells(population=False).items()},
+        "path": {"prefix": list(VERIFY_PATH.prefix)},
+        "utility": {"family": "log"},
+        "simulation": {"replications": 3000, "seed": 41},
+    })
+    assert cli_run(["simulate", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+    assert cli_run(["verify", "--reps", "3000", "--seed", "41", "--out", str(tmp_path / "v")]) == 0
+    verify = [r for r in read_csv(tmp_path / "v" / "verify.csv") if r["point"] == "0"]
+    simulate = read_csv(tmp_path / "s" / "simulate.csv")
+    assert len(simulate) == len(verify) == 5
+    for s, v in zip(simulate, verify):
+        assert (s["analytic"], s["mc_mean"], s["mc_se"]) == (v["analytic"], v["mc_mean"], v["mc_se"])
+        assert s["mc_se"] != ""
 
 
 _DECAYING = {"prefix": [1.0], "tail": "geometric", "ratio": 0.99}

@@ -4,7 +4,8 @@ The property: |value - exact| <= tail_bound, and the program calls a sum
 divergent exactly when the oracle does. Hazards run down to 1e-6 and birth
 rates down to 1e-12, over constant and geometric tails under log, CRRA and
 linear utility. The extinction-date mixture, which sums one term per date,
-is checked with extinction hazards of 1e-3 and up so that a run stays short.
+is checked with extinction hazards of 1e-3 and up so that a run stays short;
+the known-date sum with dates up to 3,000, and two up to 60,000.
 """
 
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from decimal_oracle import FUNCTIONALS, exact, margin
+from decimal_oracle import FUNCTIONALS, exact, exact_known, margin
 from extrisk import (
     ConsumptionPath,
     DivergenceError,
@@ -27,6 +28,8 @@ from extrisk import (
     ew_social,
     ew_social_mixture,
     ew_social_n0_form,
+    evaluate,
+    known_extinction,
 )
 
 CALL = dict(zip(FUNCTIONALS, (eu_individual, ev_dynasty, ev_dynasty_theta, eg_lineage,
@@ -121,3 +124,26 @@ def test_social_welfare_keeps_its_digits_at_small_birth_rates(b):
     res = check_against_oracle("social_welfare", HazardParams(m=0.02, M=0.01, b=b), BUMPY,
                                UtilitySpec.log())
     assert res.converged
+
+
+@given(economy=economies(), T=st.integers(0, 3000))
+# the rounding of 1-m, raised to t = 20000, moves the sum by about 1e-7
+@example(economy=(HazardParams(m=1e-6, M=0.01),
+                  ConsumptionPath(prefix=BUMPY.prefix, tail="geometric", ratio=0.999),
+                  UtilitySpec.log()), T=20000)
+# here that rounding, not the dot products, sets the error (4.4e-8)
+@example(economy=(HazardParams(m=1.3e-5, M=0.1), ConsumptionPath.constant(1.0),
+                  UtilitySpec.linear()), T=60000)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_known_date_within_bound_of_exact(economy, T):
+    params, path, u = economy
+    try:
+        res = evaluate(known_extinction(T), params, path, u)
+    except ValueError as exc:  # a computed c_t reached 0, or a u(c_t) left float range
+        assert "consumption > 0" in str(exc) or "float range" in str(exc)
+        return
+    truth = exact_known(params, T, path, u)
+    assert math.isfinite(res.value) and math.isfinite(res.tail_bound)
+    assert res.converged == (res.tail_bound <= 1e-10)
+    assert abs(Decimal(res.value) - truth) <= Decimal(res.tail_bound), (
+        f"value {res.value!r}, exact {truth:.20e}, bound {res.tail_bound!r}")

@@ -257,10 +257,10 @@ def test_verify_rows_equal_single_estimator_calls():
     rows = verify_oracle_grid(replications=reps, seed=seed)
     assert len(rows) == 5 * len(VERIFY_GRID)
     for r in rows:
-        cfg = SimulationConfig(replications=reps, seed=seed + 1_000_003 * r.point)
-        est = singles[r.functional](r.params, cfg)
-        assert (r.mc_mean, r.mc_se, r.truncated_mass) == (
-            est.mean, est.standard_error, est.truncated_mass), (r.functional, r.point)
+        cfg = SimulationConfig(replications=reps, seed=seed + 1_000_003 * r["point"])
+        est = singles[r["functional"]](VERIFY_GRID[r["point"]], cfg)
+        assert (r["mc_mean"], r["mc_se"], r["truncated_mass"]) == (
+            est.mean, est.standard_error, est.truncated_mass), (r["functional"], r["point"])
 
 
 def test_mc_table_rejects_deterministic_case():
@@ -408,8 +408,8 @@ def test_verify_grid_satisfies_preconditions():
 def test_verify_oracle_grid_smoke():
     rows = verify_oracle_grid(replications=60_000, seed=20240613, points=VERIFY_GRID[:2])
     assert len(rows) == 10
-    assert sum(not r.ok for r in rows) <= 1
-    assert all(r.mc_se > 0 for r in rows)
+    assert sum(not r["ok"] for r in rows) <= 1
+    assert all(r["mc_se"] > 0 for r in rows)
 
 
 def test_mc_verdict_error_bar_and_growing_crra_tail():

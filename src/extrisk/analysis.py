@@ -25,6 +25,7 @@ from .series import (
     DEFAULT_TOLERANCE,
     Scenario,
     SeriesResult,
+    _finite,
     evaluate,
     factor_exponents,
     factor_pieces,
@@ -240,8 +241,8 @@ class SweepRow:
 
     @property
     def finite(self) -> bool:
-        """finiteness_check's verdict, read off the report's factor."""
-        return self.case.kind == "known_extinction" or self.report.factor < 1.0
+        """finiteness_check's verdict on the report's factor."""
+        return _finite(self.case, self.report.factor)
 
     def to_dict(self) -> dict:
         row = {

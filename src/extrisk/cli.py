@@ -141,10 +141,9 @@ def _section(cls: type, raw: Any, where: str, default: Any) -> Any:
         return default
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: expected an object")
-    names = {f.name for f in fields(cls)}
-    for key in raw:
-        if key not in names:
-            raise ConfigError(f"{where}.{key}: unknown key")
+    unknown = [key for key in raw if key not in {f.name for f in fields(cls)}]
+    if unknown:
+        raise ConfigError(f"{where}.{unknown[0]}: unknown key")
     try:
         return cls(**raw)
     except (TypeError, ValueError) as exc:
@@ -230,11 +229,8 @@ def _load_config(args: argparse.Namespace, required: bool) -> RunConfig:
         cfg = RunConfig.from_file(args.config)
     if args.tolerance is not None:
         cfg.tolerance = _positive_finite(args.tolerance, "--tolerance")
-    sim_kwargs = {}
-    if args.reps is not None:
-        sim_kwargs["replications"] = args.reps
-    if args.seed is not None:
-        sim_kwargs["seed"] = args.seed
+    sim_kwargs = {k: v for k, v in (("replications", args.reps), ("seed", args.seed))
+                  if v is not None}
     if sim_kwargs:
         try:
             cfg.simulation = replace(cfg.simulation, **sim_kwargs)

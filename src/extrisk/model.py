@@ -57,6 +57,11 @@ def _check_prob(name: str, value: float, *, closed_top: bool = True) -> None:
         raise ValueError(f"{name} must lie in [0, {top}, got {value!r}")
 
 
+def _is_number(value: object) -> bool:
+    """A real number; a bool is not one here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _check_int(name: str, value: object, lo: int) -> None:
     """Reject anything but an integer >= lo; a bool is not an integer here."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < lo:
@@ -151,7 +156,7 @@ class ConsumptionPath:
     ratio: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if not all(isinstance(c, numbers.Real) and not isinstance(c, bool) for c in self.prefix):
+        if not all(map(_is_number, self.prefix)):
             raise ValueError(f"prefix must be a sequence of numbers, got {self.prefix!r}")
         prefix = tuple(float(c) for c in self.prefix)
         object.__setattr__(self, "prefix", prefix)
@@ -163,8 +168,8 @@ class ConsumptionPath:
             if self.ratio is not None:
                 raise ValueError("constant tail takes no ratio")
         elif self.tail == "geometric":
-            if self.ratio is None or not 0.0 <= self.ratio < 1.0:
-                raise ValueError("geometric tail needs ratio in [0, 1)")
+            if not (_is_number(self.ratio) and 0.0 <= self.ratio < 1.0):
+                raise ValueError(f"geometric tail needs a ratio in [0, 1), got {self.ratio!r}")
         else:
             raise ValueError(f"unknown tail rule {self.tail!r}")
 

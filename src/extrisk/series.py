@@ -203,14 +203,14 @@ def weight_ratio(case: Scenario, params: HazardParams) -> float:
 
 
 def finiteness_check(case: Scenario, params: HazardParams) -> FinitenessResult:
-    """Convergence product for the case and its distance from 1.
-
-    known_extinction is a finite sum and is always finite; for the other cases
-    the series converges iff the product is < 1.
-    """
+    """Convergence product for the case, its distance from 1, and whether its series is finite."""
     product = math.prod(factor_pieces(case, params))
-    finite = True if case.kind == "known_extinction" else product < 1.0
-    return FinitenessResult(finite=finite, product=product, margin=1.0 - product)
+    return FinitenessResult(finite=_finite(case, product), product=product, margin=1.0 - product)
+
+
+def _finite(case: Scenario, product: float) -> bool:
+    """A known date's sum is finite; every other series converges iff its product is < 1."""
+    return case.kind == "known_extinction" or product < 1.0
 
 
 def weight_sequence(case: Scenario, params: HazardParams, length: int) -> np.ndarray:
@@ -271,14 +271,12 @@ def _log_sum(parts: Sequence[float]) -> Tuple[float, float]:
     return total, (_LIBM + 2.0 * _U) * math.fsum(map(abs, parts)) + _U * abs(total)
 
 
-def _rigorous(e: float) -> float:
-    """Relative error of a chain of products and quotients whose first-order errors add to e."""
+def _rigorous(e: float | np.ndarray) -> float | np.ndarray:
+    """Relative error of products and quotients whose first-order errors add to e; inf from 1."""
+    if isinstance(e, np.ndarray):
+        with np.errstate(divide="ignore", over="ignore"):
+            return np.where(e < 1.0, np.expm1(e / (1.0 - e)), np.inf)
     return math.expm1(e / (1.0 - e)) if e < 1.0 else math.inf
-
-
-def _rigorous_array(e: np.ndarray) -> np.ndarray:
-    """_rigorous elementwise, for first-order counts e below 1."""
-    return np.expm1(e / (1.0 - e))
 
 
 def _utility(u: UtilitySpec, c: float) -> Tuple[float, float]:
@@ -581,7 +579,7 @@ def _known_date_sum(
             w = np.power(1.0 - m, t)
             uu, u_err = _utility_values(path, u, start, start + len(t))
             au = np.abs(uu)
-            r = _rigorous_array(_LIBM + _U * (t + 1.0))
+            r = _rigorous(_LIBM + _U * (t + 1.0))
             vals.append(float(w @ uu))
             errs.append(_rigorous(len(t) * _U) * float(w @ au) + float((w * r) @ au)
                         + float((w * (1.0 + r)) @ u_err)
@@ -706,26 +704,28 @@ def _utility_values(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """u(c_t) for t = start..stop-1 and a bound on the absolute error of each value.
 
-    Past the prefix of a geometric tail c_t is a libm power times c_{p-1},
-    off by _LIBM + u relative, and either step may underflow (absolute
-    error _DENORM (1 + c_{p-1})); u then adds its own rounding.
+    The prefix values are exact inputs. Past the prefix of a geometric tail
+    c_t is a libm power times c_{p-1}, off by _LIBM + u relative, and either
+    step may underflow (absolute error _DENORM (1 + c_{p-1})); u then adds
+    its own rounding.
     """
     c = path.values(start, stop)
     uu = np.asarray(u(c), dtype=float)
-    e_c = 0.0  # relative error of c_t
+    e_c = d_c = 0.0  # relative and underflow error of c_t
     if path.tail == "geometric":
-        e_c = (_LIBM + _U) * (np.arange(start, stop) >= path.prefix_len)
-    d_c = _DENORM * (1.0 + path.prefix[-1])
+        tail = np.arange(start, stop) >= path.prefix_len
+        e_c = (_LIBM + _U) * tail
+        d_c = _DENORM * (1.0 + path.prefix[-1]) * tail
     if u.family == "linear":  # c_t may be subnormal
         return uu, c * e_c + d_c
     e_c = e_c + d_c / c  # log and CRRA have rejected c_t = 0
     if u.family == "log":
-        return uu, _LIBM * np.abs(uu) + _rigorous_array(e_c)
+        return uu, _LIBM * np.abs(uu) + _rigorous(e_c)
     # (c**s1 - 1) / s1: c**s1 = 1 + s1 u off by libm, the rounded s1 and c's error
     s1 = abs(1.0 - u.sigma)
     return uu, ((1.0 + s1 * np.abs(uu)) / s1
-                * _rigorous_array(_LIBM + _U * np.abs(s1 * np.log(c)) + s1 * e_c)
-                + _rigorous_array(3.0 * _U) * np.abs(uu))
+                * _rigorous(_LIBM + _U * np.abs(s1 * np.log(c)) + s1 * e_c)
+                + _rigorous(3.0 * _U) * np.abs(uu))
 
 
 def ew_social_mixture(
@@ -772,14 +772,13 @@ def ew_social_mixture(
     step = max(dL + _U * abs(L), dLR + _U * abs(LR))  # error of exp(t log R) per period
     p, M, sM = path.prefix_len, params.M, 1.0 - params.M
     pref = params.N0 * (1.0 + params.b) / params.b
-    rig = _rigorous_array  # every e here is tiny
 
     def tail(t0: np.ndarray) -> np.ndarray:
         """Bound on pref * sum_{t >= t0} rho**t |u(c_t)| for dates t0 >= p."""
         k = t0 - p
         e = e_env + max(e1, e2) + 2.0 * _LIBM + 10.0 * _U + 2.0 * t0 * step
         R_t = np.exp(p * L + k * LR) + _DENORM
-        return pref * R_t * ((a + lin * k) * h1 + lin * h2) * (1.0 + rig(e))
+        return pref * R_t * ((a + lin * k) * h1 + lin * h2) * (1.0 + _rigorous(e))
 
     # At most 2**20 dates (some 200 MB of arrays), fewer where pref (1+n)**t |u|
     # could leave float range or a geometric c_t the normal range (log, CRRA).
@@ -809,7 +808,7 @@ def ew_social_mixture(
     # |term_t - exact| <= |term_t| r_t + pref (1+n)**t a_t |error of u(c_t)|, the weight
     # pref (1+n)**t a_t being the term at u = 1; r_t covers pref, a_t, (1+n)**t, 3 products
     weight = welfare_window_terms(params, ConsumptionPath.constant(1.0), UtilitySpec.linear(), n)
-    r = rig(8.0 * _U + 3.0 * _LIBM + 3.0 * _U * t)
+    r = _rigorous(8.0 * _U + 3.0 * _LIBM + 3.0 * _U * t)
     uu, u_err = _utility_values(path, u, 0, n)
     # a product or libm result that underflows is off by _DENORM times the later factors
     g_max = max(params.gross_growth, 1.0) ** n
@@ -819,7 +818,7 @@ def ew_social_mixture(
     summed = np.cumsum(np.abs(terms))
     win_err = t * _U / (1.0 - t * _U) * summed + term_err  # gamma_T, then the terms' own
     surv = np.power(sM, np.arange(n + 1))  # (1-M)**T
-    r_s = rig(_LIBM + _U * (np.arange(n + 1) + 2.0))  # from 1-M, its power and the product
+    r_s = _rigorous(_LIBM + _U * (np.arange(n + 1) + 2.0))  # from 1-M, its power and the product
     px = surv[:n] * M
     # per date: errors of P_X(T) and W(0, T), of their product, and of fsum's result
     mix_err = np.cumsum(px * ((1.0 + r_s[:n]) * win_err + (r_s[:n] + 2.0 * _U) * np.abs(windows))
@@ -827,7 +826,7 @@ def ew_social_mixture(
     T = t[p - 1:]
     omitted = (surv[T + 1] * (1.0 + r_s[T + 1]) + _DENORM) * (summed[T] + term_err[T]) + tail(T + 1)
     # each bound is a sum of at most 2n + 32 rounded nonnegative products
-    bound = (omitted + mix_err[T]) * (1.0 + rig(4.0 * (n + 16) * _U))
+    bound = (omitted + mix_err[T]) * (1.0 + _rigorous(4.0 * (n + 16) * _U))
     hits = bound <= tol
     i = int(hits.argmax() if hits.any() else bound.argmin())
     return SeriesResult(

@@ -45,6 +45,7 @@ from .series import (
     LINEAGE,
     SOCIAL_WELFARE,
     Scenario,
+    _finite,
     _tail_terms,
     factor_pieces,
     welfare_window_terms,
@@ -202,7 +203,7 @@ def mc_table(
     base = math.prod(pieces[1:])  # the growth (1+b)**eb (1-m)**em
     if params.M <= 0.0:
         raise NoExtinctionError("M = 0: there is no extinction date to sample")
-    if math.prod(pieces) >= 1.0:  # finiteness_check's product: evaluate passing implies this does
+    if not _finite(case, math.prod(pieces)):  # evaluate passing implies this does
         raise DivergenceError(f"(1-M) * {base:.6g} >= 1: the expectation is infinite")
     cap = config.horizon_cap or default_horizon_cap(1.0 - params.M)
     if case.kind == "social_welfare":
@@ -535,8 +536,7 @@ def verify_oracle_grid(
         compared = mc_compare(params, cases, VERIFY_PATH, VERIFY_UTILITY, DEFAULT_TOLERANCE, cfg)
         for (_, name), r in zip(_VERIFY_FUNCTIONALS, compared):
             rows.append({"functional": name, "point": i, **params.cells(population=False),
-                         "analytic": r["analytic"], "mc_mean": r["mc_mean"], "mc_se": r["mc_se"],
-                         "abs_error": r["abs_error"],
+                         **{k: r[k] for k in ("analytic", "mc_mean", "mc_se", "abs_error")},
                          "ok": r["status"] == "ok" and r["within_3se"],
                          "truncated_mass": r["truncated_mass"]})
     return rows

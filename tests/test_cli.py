@@ -131,9 +131,10 @@ def test_bad_step_flag_exits_one(tmp_path, capsys, step):
     ("horizon", True),
     ("cases", [{"known_extinction": True}]),
     ("path", {"prefix": "12"}),
+    ("path", {"prefix": [1], "tail": "geometric", "ratio": False}),
 ], ids=["replications-float", "replications-bool", "seed-float", "horizon_cap-float",
         "n0_values-bool", "tolerance-bool", "horizon-bool", "known_extinction-bool",
-        "prefix-string"])
+        "prefix-string", "ratio-bool"])
 def test_config_values_of_the_wrong_type_exit_one(tmp_path, capsys, key, value):
     cfg = write_config(tmp_path, {"grid": {"m": [0.02], "M": [0.01], "b": [0.03]}, key: value})
     out = tmp_path / "out"

@@ -113,6 +113,9 @@ def test_value_within_bound_of_exact(kind, economy):
 # a growing population that cannot meet tol: the sum must stop with (1+n)**t in float range
 @example(economy=(HazardParams(m=1e-3, M=3e-3, b=3e-3), ConsumptionPath.constant(1.0),
                   UtilitySpec.linear()))
+# a subnormal prefix value is an exact input, not an underflow
+@example(economy=(HazardParams(m=0.1, M=0.1, b=0.05), ConsumptionPath(prefix=(5e-324, 1.0)),
+                  UtilitySpec.log()))
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_mixture_within_bound_of_exact(economy):
     assume(abs(margin("social_welfare", *economy)) > VERDICT_MARGIN)
@@ -134,6 +137,17 @@ def test_social_welfare_keeps_its_digits_at_small_birth_rates(b):
 # here that rounding, not the dot products, sets the error (4.4e-8)
 @example(economy=(HazardParams(m=1.3e-5, M=0.1), ConsumptionPath.constant(1.0),
                   UtilitySpec.linear()), T=60000)
+@example(economy=(HazardParams(m=0.1, M=0.1), ConsumptionPath(prefix=(5e-324, 1.0)),
+                  UtilitySpec.log()), T=0)
+@example(economy=(HazardParams(m=0.1, M=0.1), ConsumptionPath.constant(5e-324),
+                  UtilitySpec.log()), T=5)
+# past t = 25 the computed c_t is subnormal and carries an underflow error
+@example(economy=(HazardParams(m=0.1, M=0.1),
+                  ConsumptionPath(prefix=(1e-300,), tail="geometric", ratio=0.5),
+                  UtilitySpec.crra(0.5)), T=40)
+@example(economy=(HazardParams(m=0.1, M=0.1),
+                  ConsumptionPath(prefix=(1e-300,), tail="geometric", ratio=0.5),
+                  UtilitySpec.log()), T=72)
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_known_date_within_bound_of_exact(economy, T):
     params, path, u = economy

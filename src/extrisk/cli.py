@@ -2,9 +2,11 @@
 
 Subcommands: eval, simulate, sweep, profile, sensitivity, table1, verify.
 Configs are JSON (nested key/value; NaN and Infinity are rejected); results
-are written atomically (temp file + rename, mode 0666 less the umask) as CSV
-tables or as JSON arrays with one row per line; a non-finite float is written
-as its repr (inf) in CSV and as null in JSON, which has no literal for it.
+are written as CSV tables and/or JSON arrays with one row per line, whose keys
+follow the CSV header order. Both files are written in one streamed pass that
+formats each cell once, into temp files renamed into place (mode 0666 less
+the umask) only when every row is written. A non-finite float is written as
+its repr (inf) in CSV and as null in JSON, which has no literal for it.
 Exit codes: 0 success, 1 malformed config, 2 divergent grid point under
 --strict, 3 failed simulation reproducibility self-check, 4 a verify
 comparison outside 3 SE under --strict. Agent-mode simulate runs its grid
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import csv
 import functools
 import io
@@ -28,7 +31,7 @@ import sys
 import tempfile
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
@@ -150,6 +153,9 @@ def _section(cls: type, raw: Any, where: str, default: Any) -> Any:
         raise ConfigError(f"{where}: {exc}")
 
 
+_REPLICATIONS = 100_000  # a config's default; SimulationConfig's is 1,000,000
+
+
 @dataclass
 class RunConfig:
     cases: List[Scenario]
@@ -176,12 +182,13 @@ class RunConfig:
             raise ConfigError("horizon: expected a positive integer")
         sim = raw.get("simulation")
         n0_values = [1, 10, 100, 1000]
-        if isinstance(sim, dict) and "n0_values" in sim:  # agent mode's, not SimulationConfig's
-            sim = dict(sim)
-            n0_values = sim.pop("n0_values")
-            if not (isinstance(n0_values, list) and n0_values
-                    and all(type(v) is int and v >= 1 for v in n0_values)):
-                raise ConfigError("simulation.n0_values: expected a list of positive integers")
+        if isinstance(sim, dict):  # the CLI's replication count, with or without the object
+            sim = {"replications": _REPLICATIONS, **sim}
+            if "n0_values" in sim:  # agent mode's, not SimulationConfig's
+                n0_values = sim.pop("n0_values")
+                if not (isinstance(n0_values, list) and n0_values
+                        and all(type(v) is int and v >= 1 for v in n0_values)):
+                    raise ConfigError("simulation.n0_values: expected a list of positive integers")
         return cls(
             cases=_parse_cases(raw.get("cases")),
             grid=_parse_grid(raw["grid"]),
@@ -189,7 +196,7 @@ class RunConfig:
             utility=_section(UtilitySpec, raw.get("utility"), "utility", UtilitySpec.log()),
             tolerance=_positive_finite(raw.get("tolerance", DEFAULT_TOLERANCE), "tolerance"),
             simulation=_section(SimulationConfig, sim, "simulation",
-                                SimulationConfig(replications=100_000, seed=0)),
+                                SimulationConfig(replications=_REPLICATIONS)),
             n0_values=n0_values,
             horizon=horizon,
         )
@@ -242,55 +249,99 @@ def _load_config(args: argparse.Namespace, required: bool) -> RunConfig:
 # --- output ------------------------------------------------------------------
 
 
-def _atomic_write(target: Path, text: str) -> None:
-    target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; give what open() would
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _csv_quotes(char: str) -> bool:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([char])
+    return buf.getvalue() != char + "\n"
+
+
+# the characters that make csv.writer quote a field; a lone "\r" is one on some Pythons only
+_CSV_QUOTED = tuple(c for c in ',"\n\r' if _csv_quotes(c))
 
 
 def _write_rows(
-    out_dir: Path, name: str, columns: Sequence[str], rows: List[Dict[str, Any]],
+    out_dir: Path, name: str, columns: Sequence[str], rows: Iterable[Dict[str, Any]],
     fmt: str,
 ) -> None:
-    """Write rows as <name>.csv and/or <name>.json, printing a line per file written."""
-    if fmt in ("csv", "both"):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")  # writes None as "" and a float as its repr
-        writer.writerow(columns)
-        writer.writerows([row.get(col) for col in columns] for row in rows)
-        target = out_dir / f"{name}.csv"
-        _atomic_write(target, buf.getvalue())
-        print(f"wrote {target}")
-    if fmt in ("json", "both"):
-        target = out_dir / f"{name}.json"
-        _atomic_write(target, _json_text(rows) + "\n")
-        print(f"wrote {target}")
+    """Write rows as <name>.csv and/or <name>.json, printing a line per file written.
 
-
-_encode = json.JSONEncoder(allow_nan=False).encode  # without indent, the C encoder
-
-
-def _json_row(row: Dict[str, Any]) -> str:
+    One pass over the rows streams both files into temp files beside their
+    targets; each cell's text is built once and serves both. JSON keys follow
+    `columns`. Only when every row is written are the files renamed into
+    place, so a failure leaves the targets untouched and no temp file behind.
+    """
+    targets = [out_dir / f"{name}.{ext}" for ext in ("csv", "json") if fmt in (ext, "both")]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    tmps: List[str] = []
     try:
-        return _encode(row)
-    except ValueError:  # rare: screening every cell up front would slow the common case
-        return _encode({k: None if isinstance(v, float) and not math.isfinite(v) else v
-                        for k, v in row.items()})
+        with contextlib.ExitStack() as stack:
+            files = []
+            for target in targets:
+                fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=target.name + ".", suffix=".tmp")
+                tmps.append(tmp)
+                files.append(stack.enter_context(open(fd, "w", encoding="utf-8", newline="")))
+            csv_fh = files[0] if fmt != "json" else None
+            json_fh = files[-1] if fmt != "csv" else None
+            _stream_rows(csv_fh, json_fh, columns, rows)
+        umask = os.umask(0)
+        os.umask(umask)
+        for tmp in tmps:
+            os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; give what open() would
+        for tmp, target in zip(tmps, targets):
+            os.replace(tmp, target)
+    except BaseException:
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+        raise
+    for target in targets:
+        print(f"wrote {target}")
 
 
-def _json_text(rows: List[Dict[str, Any]]) -> str:
-    """Rows as a JSON array, one row per line; inf and NaN, which JSON lacks, become null."""
-    return "[\n" + ",\n".join(map(_json_row, rows)) + "\n]" if rows else "[]"
+def _stream_rows(csv_fh: Optional[TextIO], json_fh: Optional[TextIO], columns: Sequence[str],
+                 rows: Iterable[Dict[str, Any]]) -> None:
+    """CSV with a header row; a JSON array, one row per line (inf and NaN, which JSON lacks, as null).
+
+    A cell's (CSV, JSON) texts are built once per value: the memo holds
+    strings and the finite floats that are not integers. A float equal to an
+    int or a bool (0.0 and -0.0 among them) would share its text, so those
+    floats, like ints and bools, are formatted each time.
+    """
+    memo: Dict[Any, Tuple[str, str]] = {None: ("", "null")}  # a string never equals a float
+
+    def texts(v: Any) -> Tuple[str, str]:
+        if isinstance(v, float):
+            text = float.__repr__(v)
+            if not math.isfinite(v):
+                return text, "null"
+            if not v.is_integer():
+                memo[v] = (text, text)
+            return text, text
+        if isinstance(v, str):
+            quoted = any(c in v for c in _CSV_QUOTED)
+            pair = memo[v] = ('"' + v.replace('"', '""') + '"' if quoted else v, json.dumps(v))
+            return pair
+        if isinstance(v, bool):
+            return ("True", "true") if v else ("False", "false")
+        if isinstance(v, int):
+            text = int.__repr__(v)
+            return text, text
+        raise TypeError(f"cannot write a cell of type {type(v).__name__}")
+
+    known = memo.get
+    json_line = "{" + ", ".join(json.dumps(col).replace("%", "%%") + ": %s" for col in columns) + "}"
+    if csv_fh:
+        csv_fh.write(",".join(texts(col)[0] for col in columns) + "\n")
+    sep = "[\n"
+    for row in rows:
+        csv_cells, json_cells = zip(*[known(v) or texts(v) for v in map(row.get, columns)])
+        if csv_fh:
+            csv_fh.write(",".join(csv_cells) + "\n")
+        if json_fh:
+            json_fh.write(sep + json_line % json_cells)
+            sep = ",\n"
+    if json_fh:
+        json_fh.write("[]\n" if sep == "[\n" else "\n]\n")
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -315,8 +366,7 @@ def _cmd_sweep(args: argparse.Namespace, out_dir: Path, columns: Sequence[str]) 
     """sweep and eval: scenario_sweep rows projected onto the command's columns."""
     cfg = _load_config(args, required=True)
     results = scenario_sweep(cfg.grid, cfg.cases, cfg.path, cfg.utility, cfg.tolerance)
-    # the JSON output writes whole dicts, so each keeps only the command's columns
-    rows = [{col: cells[col] for col in columns} for cells in (r.to_dict() for r in results)]
+    rows = [r.to_dict() for r in results]
     by_status = collections.Counter(row["status"].split(":")[0] for row in rows)
     print(f"{args.command}: {len(rows)} rows, {by_status['ok']} ok, "
           f"{by_status['divergent']} divergent, {by_status['rejected']} rejected; "

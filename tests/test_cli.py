@@ -1,7 +1,10 @@
 """Command-line interface: config handling, outputs, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -9,7 +12,10 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from extrisk import (
     ConsumptionPath,
@@ -524,6 +530,17 @@ def _reject_constant(name):
     raise ValueError(f"non-JSON constant {name}")
 
 
+def test_a_partial_simulation_object_keeps_the_default_replication_count(tmp_path):
+    base = {"cases": ["individual"], "grid": {"m": [0.02], "M": [0.01]}}
+    counts = []
+    for i, extra in enumerate([{}, {"simulation": {"seed": 3}}]):
+        cfg = write_config(tmp_path, {**base, **extra})
+        out = tmp_path / f"run{i}"
+        assert cli_run(["simulate", "--config", cfg, "--out", str(out), "--format", "csv"]) == 0
+        counts.append([r["replications"] for r in read_csv(out / "simulate.csv")])
+    assert counts == [["100000"], ["100000"]]
+
+
 def test_non_finite_results_are_null_in_json_and_inf_in_csv(tmp_path):
     cfg = write_config(tmp_path, {"cases": ["individual"], "grid": {"m": [1.0], "M": [0.5]}})
     out = tmp_path / "inf"
@@ -732,10 +749,10 @@ def test_sweep_reruns_in_fresh_processes_are_byte_identical(tmp_path):
     outputs = _run_twice_in_fresh_processes(tmp_path, ["sweep", "--config", cfg])
     for name in ("sweep.csv", "sweep.json"):
         assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes()
-    assert b"null" in (outputs[0] / "sweep.json").read_bytes()  # the m = 1 rows took the fallback
+    assert b"null" in (outputs[0] / "sweep.json").read_bytes()  # the m = 1 rows have an inf cell
 
 
-def test_json_text_peaks_below_three_times_its_length():
+def test_json_text_peaks_below_three_times_its_length(tmp_path):
     cfg = cli.RunConfig.from_dict({"grid": {"m": {"linspace": [0.01, 0.2, 50]},
                                             "M": {"linspace": [0.001, 0.05, 20]}, "b": [0.03]}})
     results = scenario_sweep(cfg.grid, cfg.cases, cfg.path, cfg.utility, cfg.tolerance)
@@ -743,11 +760,68 @@ def test_json_text_peaks_below_three_times_its_length():
     assert len(rows) == 5_000 and list(rows[0]) == cli._SWEEP_COLUMNS
     tracemalloc.start()
     try:
-        text = cli._json_text(rows)
+        cli._write_rows(tmp_path, "sweep", cli._SWEEP_COLUMNS, rows, "json")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    text = (tmp_path / "sweep.json").read_text(encoding="utf-8")
     assert peak < 3 * len(text)
+
+
+_ORACLE_COLUMNS = ["a", "b,c", "d\"", "%s", "\u00e9", "f"]  # header cells need quoting too
+_REJECTED = 'rejected: M = 0, b > 0; "b"\nsee the README'
+_ORACLE_CELLS = st.one_of(
+    st.floats(),  # subnormals, both zeros, inf and nan included
+    st.sampled_from([0.0, -0.0, 1.0, 0.1, 5e-324, -2.5e-310, float("inf"), float("-inf"),
+                     float("nan"), 1e16, 1e-5]),  # values that repeat across cells
+    st.floats().map(np.float64),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(alphabet=st.sampled_from(',"\n\r ab\u00e9\u6f22\U0001f600'), max_size=6),
+    st.just(_REJECTED),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rows=st.lists(st.fixed_dictionaries({c: _ORACLE_CELLS for c in _ORACLE_COLUMNS}),
+                     max_size=5))
+@example(rows=[dict(zip(_ORACLE_COLUMNS, [0.0, -0.0, 0.0, -0.0, 1.0, True])),
+               dict(zip(_ORACLE_COLUMNS, [1, 1.0, True, False, 0, 0.0])),
+               dict(zip(_ORACLE_COLUMNS, [5e-324, 5e-324, float("nan"), float("inf"),
+                                          np.float64(0.1), 0.1])),
+               dict(zip(_ORACLE_COLUMNS, [_REJECTED, "a,b", 'q"', "x\r", "\u00e9", None]))])
+def test_writer_matches_the_csv_and_json_encoders(tmp_path_factory, rows):
+    out = tmp_path_factory.mktemp("oracle")
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli._write_rows(out, "o", _ORACLE_COLUMNS, rows, "both")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_ORACLE_COLUMNS)
+    writer.writerows([row[c] for c in _ORACLE_COLUMNS] for row in rows)
+    assert (out / "o.csv").read_bytes() == buf.getvalue().encode("utf-8")
+    lines = [json.dumps({c: None if isinstance(row[c], float) and not math.isfinite(row[c])
+                         else row[c] for c in _ORACLE_COLUMNS}, allow_nan=False)
+             for row in rows]
+    assert (out / "o.json").read_bytes() == \
+        ("[\n" + ",\n".join(lines) + "\n]\n" if rows else "[]\n").encode("utf-8")
+
+
+class _Unwritable:
+    def __repr__(self):
+        raise RuntimeError("no text for this cell")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "both"])
+def test_a_failed_write_keeps_the_old_files_and_leaves_no_temp_file(tmp_path, capsys, fmt):
+    old = {"x.csv": b"a,b\n0.5,old\n", "x.json": b'[\n{"a": 0.5, "b": "old"}\n]\n'}
+    for name, data in old.items():
+        (tmp_path / name).write_bytes(data)
+    rows = [{"a": 0.25, "b": "new"}, {"a": _Unwritable(), "b": "new"}]
+    with pytest.raises(TypeError):
+        cli._write_rows(tmp_path, "x", ["a", "b"], rows, fmt)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == old
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("sub", ["eval", "sweep"])

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -25,8 +25,11 @@ from .series import (
     DEFAULT_TOLERANCE,
     Scenario,
     SeriesResult,
+    _batch,
+    _Batch,
+    _evaluate_grid,
     _finite,
-    evaluate,
+    _pow,
     factor_exponents,
     factor_pieces,
     one_minus_q_power,
@@ -79,10 +82,27 @@ class DiscountProfile:
     long_run: float
 
 
-def _factor_n(exps: Tuple[float, float, float], sM: float, sm: float, g: float) -> float:
-    """(1-M)**eM (1-m)**(em-eb) (1+n)**eb: the factor with g = 1+n in place of b."""
-    eM, eb, em = exps
-    return sM**eM * sm ** (em - eb) * g**eb
+def _factor_n(exps: np.ndarray, sM: np.ndarray, sm: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(1-M)**eM (1-m)**(em-eb) (1+n)**eb per row: the factor with g = 1+n in place of b."""
+    eM, eb, em = exps.T
+    return _pow(sM, eM) * _pow(sm, em - eb) * _pow(g, eb)
+
+
+_NOTES = {
+    "known_extinction": ("fixed extinction date: only individual mortality discounts; "
+                         "extinction prospects carry no weight"),
+    "social_welfare": "per-period ratio varies with t; factor is the long-run limit",
+}
+
+
+def _reports(rows: _Batch) -> List[DiscountReport]:
+    """discount_factor of every row of a batch, from the batch's factors."""
+    factor_n0 = _factor_n(rows.exps, 1.0 - rows.M, 1.0 - rows.m, np.ones(len(rows.M)))  # n = 0
+    cases = rows.cases * len(rows.points)
+    # positional: case, factor, rate_simple, rate_log, factor_n0, constant, note
+    return [DiscountReport(case, f, 1.0 - f, -math.log(f) if f > 0.0 else math.inf, f0,
+                           case.kind != "social_welfare", _NOTES.get(case.kind))
+            for case, f, f0 in zip(cases, rows.factor.tolist(), factor_n0.tolist())]
 
 
 def discount_factor(case: Scenario, params: HazardParams) -> DiscountReport:
@@ -91,25 +111,7 @@ def discount_factor(case: Scenario, params: HazardParams) -> DiscountReport:
     known_extinction carries a note: with the extinction date fixed, only the
     individual death hazard discounts and the factor ignores M entirely.
     """
-    factor = math.prod(factor_pieces(case, params))
-    exps = factor_exponents(case, params)
-    note = None
-    if case.kind == "known_extinction":
-        note = (
-            "fixed extinction date: only individual mortality discounts; "
-            "extinction prospects carry no weight"
-        )
-    elif case.kind == "social_welfare":
-        note = "per-period ratio varies with t; factor is the long-run limit"
-    return DiscountReport(
-        case=case,
-        factor=factor,
-        rate_simple=1.0 - factor,
-        rate_log=-math.log(factor) if factor > 0.0 else math.inf,
-        factor_n0=_factor_n(exps, 1.0 - params.M, 1.0 - params.m, 1.0),  # n = 0: g = 1
-        constant=case.kind != "social_welfare",
-        note=note,
-    )
+    return _reports(_batch([params], [case]))[0]
 
 
 def factor_from_weights(case: Scenario, params: HazardParams) -> float:
@@ -186,7 +188,8 @@ def _factor_in_regime(
     """Factor as a function of the perceived hazards, holding b or n at its base value."""
     if regime == "b-fixed":
         return math.prod(factor_pieces(case, replace(base, m=m, M=M)))
-    return _factor_n(factor_exponents(case, base), 1.0 - M, 1.0 - m, base.gross_growth)
+    row = [np.array([x]) for x in (1.0 - M, 1.0 - m, base.gross_growth)]
+    return float(_factor_n(np.array([factor_exponents(case, base)]), *row)[0])
 
 
 def belief_update_response(
@@ -272,21 +275,23 @@ def scenario_sweep(
 ) -> List[SweepRow]:
     """Evaluate every case at every parameter point; one row per (point, case).
 
-    This is the one place a failed evaluation becomes a row status, so every
-    caller reports the same verdict: evaluate raising DivergenceError gives
-    "divergent", raising ValueError gives "rejected: <reason>".
+    The rows go through the array core a few thousand at a time, and a row's
+    result does not depend on the rows beside it. This is the one place a failed
+    evaluation becomes a row status, so every caller reports the same
+    verdict: a row failing with DivergenceError gives "divergent", with
+    ValueError "rejected: <reason>".
     """
-    rows: List[SweepRow] = []
-    for params in points:
-        for case in cases:
-            series = None
+    points, cases = list(points), list(cases)
+    out: List[SweepRow] = []
+    if not cases:
+        return out
+    for rows, results in _evaluate_grid(points, cases, path, u, tol):
+        for i, report, series in zip(range(len(results)), _reports(rows), results):
             status = "ok"
-            try:
-                series = evaluate(case, params, path, u, tol)
-            except DivergenceError:
-                status = "divergent"
-            except ValueError as exc:
-                status = f"rejected: {exc}"
-            rows.append(SweepRow(params=params, case=case, report=discount_factor(case, params),
-                                 series=series, status=status))
-    return rows
+            if isinstance(series, DivergenceError):
+                series, status = None, "divergent"
+            elif isinstance(series, ValueError):
+                series, status = None, f"rejected: {series}"
+            # positional: params, case, report, series, status
+            out.append(SweepRow(rows.points[i // len(cases)], report.case, report, series, status))
+    return out

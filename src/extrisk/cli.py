@@ -20,9 +20,7 @@ from __future__ import annotations
 import argparse
 import collections
 import contextlib
-import csv
 import functools
-import io
 import itertools
 import json
 import math
@@ -249,14 +247,9 @@ def _load_config(args: argparse.Namespace, required: bool) -> RunConfig:
 # --- output ------------------------------------------------------------------
 
 
-def _csv_quotes(char: str) -> bool:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([char])
-    return buf.getvalue() != char + "\n"
-
-
-# the characters that make csv.writer quote a field; a lone "\r" is one on some Pythons only
-_CSV_QUOTED = tuple(c for c in ',"\n\r' if _csv_quotes(c))
+# the characters that make csv.writer quote a field, and "\r": a lone "\r" left unquoted, as
+# Python 3.11's csv.writer leaves it, splits the record when csv.reader reads it back
+_CSV_QUOTED = (",", '"', "\n", "\r")
 
 
 def _write_rows(

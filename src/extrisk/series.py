@@ -28,12 +28,26 @@ with a_p = 1 - q**(p+1) = -expm1((p+1) log q), has no subtraction, so small
 birth rates lose no digits. Every 1-R is computed as -expm1(log R), with
 log R summed from log1p of the hazard factors, never by forming R first.
 
+The closed form runs as numpy arrays over rows, one row per (point, case):
+scenario_sweep evaluates a grid in a few passes of ``_evaluate_rows``, and
+evaluate and the functionals are its one-row calls. The social-welfare
+modifier is a per-row mask, and so is the check of ew_social against
+ew_social_n0_form at n = 0, whose rows join the same pass. Failures are
+per-row masks too: each row keeps the first exception its own evaluation
+meets (a failed precondition, divergence, a float-range exit), so no row
+depends on the rows beside it. The prefix goes in blocks of at most 4096
+dates.
+
 tail_bound is a running rounding-error bound (Higham, Accuracy and Stability
 of Numerical Algorithms, ch. 3): each piece of the closed form is a product
 of factors with known relative error, the libm functions are taken to be
 accurate to 2 ulp, and first-order error counts e are made rigorous as
-expm1(e / (1 - e)). It bounds |exact - value| for the exact sum at the given
-float inputs.
+expm1(e / (1 - e)). A row's at most p + 2 values are summed by a pairwise
+tree of TwoSums whose rounding errors are added back: that is off by at most
+u |sum| plus a second-order d u gamma_{3d+2} sum |values| for a tree of depth
+d, and the bound carries both. The bound's own sum of k terms is widened by
+gamma_{k+16}. It bounds |exact - value| for the exact sum at the given float
+inputs.
 """
 
 from __future__ import annotations
@@ -41,7 +55,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -190,6 +204,49 @@ def factor_pieces(case: Scenario, params: HazardParams) -> List[float]:
     return [(1.0 - params.M) ** eM, (1.0 + params.b) ** eb, (1.0 - params.m) ** em]
 
 
+def _pow(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """x**e elementwise by Python's float power, which numpy's power does not match in every bit.
+
+    x**0 = 1 and x**1 = x take no call.
+    """
+    out = np.where(e == 0.0, 1.0, x)
+    k = np.flatnonzero((e != 0.0) & (e != 1.0))
+    if len(k):
+        out[k] = [a**c for a, c in zip(x[k].tolist(), e[k].tolist())]
+    return out
+
+
+class _Batch(NamedTuple):
+    """Every (point, case) row of a grid as arrays, point-major, with its exponents and factor.
+
+    Row i is (points[i // len(cases)], cases[i % len(cases)]).
+    """
+
+    points: Sequence[HazardParams]
+    cases: Sequence[Scenario]
+    kinds: np.ndarray  # of str
+    M: np.ndarray
+    b: np.ndarray
+    m: np.ndarray
+    N0: np.ndarray
+    exps: np.ndarray  # (rows, 3): eM, eb, em
+    factor: np.ndarray
+
+
+def _batch(points: Sequence[HazardParams], cases: Sequence[Scenario]) -> _Batch:
+    """The rows of points x cases; each factor is math.prod(factor_pieces) to the bit."""
+    M, b, m, N0 = np.array([(p.M, p.b, p.m, p.N0) for p in points for _ in cases],
+                           dtype=float).reshape(-1, 4).T
+    exps = np.array([_EXPONENTS[c.kind](p) for p in points for c in cases],
+                    dtype=float).reshape(-1, 3)
+    eM, eb, em = exps.T
+    one = eb == em  # one growth piece (1+n)**e
+    factor = (_pow(1.0 - M, eM) * _pow(np.where(one, (1.0 + b) * (1.0 - m), 1.0 + b), eb)
+              * _pow(1.0 - m, np.where(one, 0.0, em)))
+    kinds = np.tile(np.array([c.kind for c in cases], dtype=str), len(points))
+    return _Batch(points, cases, kinds, M, b, m, N0, exps, factor)
+
+
 def one_minus_q_power(b: float, k: np.ndarray) -> np.ndarray:
     """1 - q**k with q = 1/(1+b), as -expm1(k log q): forming q**k first cancels at small b."""
     return -np.expm1(k * -math.log1p(b))
@@ -240,55 +297,140 @@ def weight_sequence(case: Scenario, params: HazardParams, length: int) -> np.nda
 
 # --- closed-form core ---------------------------------------------------------
 
-
-def _log1m(x: float) -> float:
-    """log(1 - x) for x in [0, 1]; -inf at x = 1."""
-    return -math.inf if x == 1.0 else math.log1p(-x)
-
-
-def _scaled(k: float, x: float) -> float:
-    """k * x with 0 * -inf = 0, as 0.0**0.0 = 1 in factor_pieces."""
-    return 0.0 if k == 0.0 else k * x
+_RANGE = "the series leaves float range: math range error"  # an exp or expm1 overflowed
+_CHUNK_T = 4096  # prefix dates per block, as in _known_date_sum
+_BLOCK = 1 << 12  # rows x prefix dates per pass of the core: bounds its memory
 
 
-def _log_parts(case: Scenario, params: HazardParams) -> List[float]:
-    """log of the case's factor as summands: eM log(1-M), eb log1p(b), em log(1-m)."""
-    eM, eb, em = factor_exponents(case, params)
-    return [_scaled(eM, _log1m(params.M)), _scaled(eb, math.log1p(params.b)),
-            _scaled(em, _log1m(params.m))]
+class _Failures:
+    """The first exception of each row, recorded in the order one row's evaluation meets them."""
+
+    def __init__(self, n: int) -> None:
+        self.bad = np.zeros(n, dtype=bool)
+        self.exc: Dict[int, Exception] = {}
+
+    def add(self, mask: np.ndarray, make: Callable[[int], Exception]) -> None:
+        """Rows i with mask[i] fail with make(i), unless they failed before; mask may be shorter."""
+        if not mask.any():
+            return
+        new = mask.nonzero()[0]
+        new = new[~self.bad[new]]
+        self.bad[new] = True
+        for i in new.tolist():
+            self.exc[i] = make(i)
 
 
-def _log_sum(parts: Sequence[float]) -> Tuple[float, float]:
-    """fsum of log-ratio parts and a bound on its absolute error.
+def _log_parts(
+    M: np.ndarray, b: np.ndarray, m: np.ndarray, *exps: np.ndarray
+) -> List[np.ndarray]:
+    """For each exponent array (rows, 3) or (3,), the log of each row's factor as summands.
+
+    The summands are eM log(1-M), eb log1p(b), em log(1-m), with log(1-x) as
+    log1p(-x), -inf at x = 1. A zero exponent gives 0, also against log 0 =
+    -inf, as 0.0**0.0 = 1 in factor_pieces.
+    """
+    logs = np.log1p(np.array([-M, b, -m]).T)
+    return [np.where(e == 0.0, 0.0, e * logs) for e in exps]
+
+
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """Sums of x over its last axis by a pairwise tree of elementwise additions.
+
+    Every row is summed in the same order whatever the number of rows, which
+    numpy's own reductions do not promise.
+    """
+    while x.shape[-1] > 1:
+        h = x.shape[-1] // 2
+        s = x[..., :h] + x[..., h : 2 * h]
+        x = np.concatenate([s, x[..., 2 * h :]], axis=-1) if x.shape[-1] % 2 else s
+    return x[..., 0]
+
+
+def _two_sum_tree(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The columns of x (rows, k) summed by a pairwise tree of TwoSums.
+
+    Returns (s, c, depth). TwoSum (Knuth) gives each addition's rounding
+    error exactly, and the errors are added up in c, so s + c is the sum of
+    x but for the roundings of the additions into c. Each of the depth levels
+    makes errors of at most u (1 + gamma_depth) times the summed |x|.
+    """
+    c, depth = None, 0
+    while x.shape[1] > 1:
+        h, odd = x.shape[1] // 2, x.shape[1] % 2
+        a, b = x[:, :h], x[:, h : 2 * h]
+        s = a + b
+        bb = s - a
+        e = (a - (s - bb)) + (b - bb)
+        if c is not None:
+            e += c[:, :h] + c[:, h : 2 * h]
+        x = np.concatenate([s, x[:, 2 * h :]], axis=1) if odd else s
+        rest = np.zeros_like(x[:, -1:]) if c is None else c[:, 2 * h :]
+        c = np.concatenate([e, rest], axis=1) if odd else e
+        depth += 1
+    return x[:, 0], (np.zeros_like(x[:, 0]) if c is None else c[:, 0]), depth
+
+
+@functools.lru_cache(maxsize=None)
+def _gamma(k: int) -> float:
+    """A rigorous bound on the relative error of k roundings, k u / (1 - k u) and more."""
+    return float(_rigorous(k * _U))
+
+
+def _sum_error(depth: int) -> float:
+    """Coefficient of sum |x| in the error of s + c from TwoSum trees of this total depth.
+
+    Past the u |s + c| of the last rounding: the errors that c gathers add up
+    to at most depth u (1 + gamma_depth) sum |x|, and each passes at most
+    2 depth additions into c (Ogita, Rump and Oishi, "Accurate sum and dot
+    product", SIAM J. Sci. Comput. 26, 2005, for the sequential order).
+    """
+    return depth * _U * _gamma(3 * depth + 2)
+
+
+def _log_sum(parts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Row sums of log-ratio parts (rows, k) and bounds on their absolute errors.
 
     Each part is a libm log or log1p, possibly scaled by a float exponent, so
-    it is off by at most _LIBM + 2u relative; fsum rounds once. A -inf part
-    makes the ratio exactly 0.
+    it is off by at most _LIBM + 2u relative; the sum rounds as _sum_error
+    says. A -inf part makes the ratio exactly 0.
     """
-    total = math.fsum(parts)
-    if total == -math.inf:
-        return total, 0.0
-    return total, (_LIBM + 2.0 * _U) * math.fsum(map(abs, parts)) + _U * abs(total)
+    zero = parts == -np.inf
+    some = zero.any()
+    if some:
+        parts = np.where(zero, 0.0, parts)
+    s, c, depth = _two_sum_tree(parts)
+    total = s + c
+    err = (_LIBM + 2.0 * _U + _sum_error(depth)) * _sum_rows(np.abs(parts)) + _U * np.abs(total)
+    if some:
+        zero = zero.any(axis=1)
+        total, err = np.where(zero, -np.inf, total), np.where(zero, 0.0, err)
+    return total, err
 
 
-def _rigorous(e: float | np.ndarray) -> float | np.ndarray:
+def _rigorous(e: float | np.ndarray) -> np.floating | np.ndarray:
     """Relative error of products and quotients whose first-order errors add to e; inf from 1."""
-    if isinstance(e, np.ndarray):
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.where(e < 1.0, np.expm1(e / (1.0 - e)), np.inf)
-    return math.expm1(e / (1.0 - e)) if e < 1.0 else math.inf
+    e = np.asarray(e, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(e < 1.0, np.expm1(e / (1.0 - e)), np.inf)[()]
 
 
-def _utility(u: UtilitySpec, c: float) -> Tuple[float, float]:
-    """u(c) and its relative error; CRRA goes through expm1, so c near 1 keeps every digit."""
+def _utility(u: UtilitySpec, c: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """u(c) elementwise, its relative error, and where CRRA's expm1 overflows.
+
+    CRRA goes through expm1, so c near 1 keeps every digit.
+    """
+    no = np.zeros(c.shape, dtype=bool)
     if u.family == "linear":
-        return c, 0.0
+        return c, np.zeros_like(c), no
     if u.family == "log":
-        return math.log(c), _LIBM
+        return np.log(c), np.full_like(c, _LIBM), no
     s1 = 1.0 - u.sigma
-    x = s1 * math.log(c)
-    # expm1 passes a relative error of x on amplified by x e^x / expm1(x) <= 1 + max(x, 0)
-    return math.expm1(x) / s1, _LIBM + (1.0 + max(x, 0.0)) * (_LIBM + 2.0 * _U) + 2.0 * _U
+    x = s1 * np.log(c)
+    with np.errstate(over="ignore"):
+        em1 = np.expm1(x)
+        # expm1 passes a relative error of x on amplified by x e^x / expm1(x) <= 1 + max(x, 0)
+        return (em1 / s1, _LIBM + (1.0 + np.maximum(x, 0.0)) * (_LIBM + 2.0 * _U) + 2.0 * _U,
+                np.isinf(em1))
 
 
 class _Term(NamedTuple):
@@ -317,7 +459,10 @@ def _tail_terms(path: ConsumptionPath, u: UtilitySpec) -> Tuple[_Term, ...]:
     """
     c = path.prefix[-1]
     if path.tail == "constant":
-        return (_Term(*_utility(u, c), 0.0, False),)
+        uc, e_u, over = _utility(u, np.array([c]))
+        if over[0]:
+            raise OverflowError("math range error")
+        return (_Term(float(uc[0]), float(e_u[0]), 0.0, False),)
     g = path.ratio
     if u.family == "linear":
         return (_Term(c * g, _U, math.log(g), False),) if g else ()
@@ -332,129 +477,279 @@ def _tail_terms(path: ConsumptionPath, u: UtilitySpec) -> Tuple[_Term, ...]:
             _Term(-1.0 / s1, 2.0 * _U, 0.0, False))
 
 
-class _Modifier(NamedTuple):
-    """The factor 1 - q**(t+1) of the social-welfare series."""
+class _Rows(NamedTuple):
+    """Per-row inputs of pref * sum_t r**t (1 - q**(t+1)) u(c_t); the modifier is 1 off mod."""
 
-    log_q: float
-    one_minus_q: float
-    one_minus_q_err: float  # relative
-    rq_parts: List[float]  # log-ratio parts of r*q
+    parts: np.ndarray  # (rows, 3): summands of log r
+    pref: np.ndarray
+    e_pref: np.ndarray  # relative error of pref
+    mod: np.ndarray  # bool
+    log_q: np.ndarray
+    one_minus_q: np.ndarray
+    one_minus_q_err: np.ndarray  # relative
+    rq_parts: np.ndarray  # (rows, 3): summands of log r q
+
+
+_RQ = np.array([1.0, 0.0, 1.0])  # exponents of r q = (1-M)(1-m), in both social-welfare forms
+
+
+def _closed_rows(rows: _Batch) -> _Rows:
+    """The closed-form inputs of a batch; social welfare's rows carry q = 1/(1+b) and N0 (1+b)/b."""
+    b = rows.b
+    sw = rows.kinds == "social_welfare"
+    parts, rq_parts = _log_parts(rows.M, b, rows.m, rows.exps, _RQ)
+    return _Rows(parts=parts, pref=np.where(sw, rows.N0 * (1.0 + b) / b, 1.0),
+                 e_pref=np.where(sw, 3.0 * _U, 0.0), mod=sw, log_q=-np.log1p(b),
+                 one_minus_q=b / (1.0 + b), one_minus_q_err=np.full(len(b), 2.0 * _U),
+                 rq_parts=rq_parts)
+
+
+def _n0_rows(M: np.ndarray, m: np.ndarray, N0: np.ndarray) -> _Rows:
+    """ew_social_n0_form's inputs: r = 1-M, q = 1-m and the prefactor N0/m."""
+    zero, ones = np.zeros(len(M)), np.ones(len(M))
+    parts, rq_parts = _log_parts(M, zero, m, np.array([1.0, 0.0, 0.0]), _RQ)
+    return _Rows(parts=parts, pref=N0 / m, e_pref=_U * ones, mod=ones > 0.0,
+                 log_q=np.log1p(-m), one_minus_q=m, one_minus_q_err=zero, rq_parts=rq_parts)
 
 
 def _kernel(
-    parts: List[float], log_g: float, mod: Optional[_Modifier],
-    a_p: float, e_a: float, need_h2: bool,
-) -> Optional[Tuple[float, float, float, float]]:
-    """H1 = sum_j R**j m_j and H2 = sum_j (j+1) R**j m_j with their relative errors.
+    LR: np.ndarray, dR: np.ndarray, need_h2: bool, rows: Optional[_Rows] = None,
+    LRq: np.ndarray = None, dRq: np.ndarray = None, a_p: np.ndarray = 1.0, e_a: np.ndarray = 0.0,
+) -> Tuple[np.ndarray, ...]:
+    """H1 = sum_j R**j m_j and H2 = sum_j (j+1) R**j m_j per row, their relative errors, and 1 - R.
 
-    log R = fsum(parts + [log_g]); m_j = 1 - q**(p+1+j), or 1 without a
-    modifier, and a_p = m_0. None when R >= 1.
+    log R = LR and log(R q) = LRq, each off by at most dR and dRq; m_j =
+    1 - q**(p+1+j) in the rows of ``rows`` with the modifier, else 1, and
+    a_p = m_0. The sums hold where 1 - R > 0; 1 - R is -inf where expm1
+    overflows. Call it under np.errstate(all="ignore"): rows with 1 - R <= 0
+    are failed by the caller.
     """
-    LR, dR = _log_sum(parts + [log_g])
-    om = -math.expm1(LR)
-    if not om > 0.0:
-        return None
-    R = math.exp(LR)
+    om = -np.expm1(LR)
+    R = np.exp(LR)
     e_om = _LIBM + R * dR / om
-    if mod is None:
-        h1, e1 = 1.0 / om, e_om + _U
-        return h1, e1, h1 * h1, 2.0 * e1 + _U
+    h1, e1 = 1.0 / om, e_om + _U
+    h2, e2 = h1 * h1, 2.0 * e1 + _U
+    if rows is None or not rows.mod.any():
+        return h1, e1, h2, e2, om
+    mod = rows.mod
     e_R = _LIBM + dR
-    LRq, dRq = _log_sum(mod.rq_parts + [log_g])
-    omq = -math.expm1(LRq)
+    omq = -np.expm1(LRq)
     e_omq = _LIBM + R * dRq / omq
-    e_b = mod.one_minus_q_err
-    Rb = R * mod.one_minus_q
+    e_b = rows.one_minus_q_err
+    Rb = R * rows.one_minus_q
     n1 = om * a_p + Rb
     d1 = om * omq
     e_d1 = e_om + e_omq + _U
-    h1 = n1 / d1
-    e1 = max(e_om + e_a, e_R + e_b) + 3.0 * _U + _DENORM / n1 + e_d1
-    if not need_h2:
-        return h1, e1, 0.0, 0.0
-    n2 = a_p * om * om + Rb * (om + omq)
-    e_n2 = (max(e_a + 2.0 * e_om + 2.0 * _U, e_R + e_b + max(e_om, e_omq) + 3.0 * _U)
-            + _U + _DENORM / n2)
-    return h1, e1, n2 / (d1 * d1), e_n2 + 2.0 * e_d1 + 2.0 * _U
+    h1 = np.where(mod, n1 / d1, h1)
+    e1 = np.where(mod, np.maximum(e_om + e_a, e_R + e_b) + 3.0 * _U + _DENORM / n1 + e_d1, e1)
+    if need_h2:
+        n2 = a_p * om * om + Rb * (om + omq)
+        e_n2 = (np.maximum(e_a + 2.0 * e_om + 2.0 * _U,
+                           e_R + e_b + np.maximum(e_om, e_omq) + 3.0 * _U)
+                + _U + _DENORM / n2)
+        h2 = np.where(mod, n2 / (d1 * d1), h2)
+        e2 = np.where(mod, e_n2 + 2.0 * e_d1 + 2.0 * _U, e2)
+    return h1, e1, h2, e2, om
 
 
-def _closed_sum(
-    parts: List[float],
-    path: ConsumptionPath,
-    u: UtilitySpec,
-    tol: float,
-    mod: Optional[_Modifier] = None,
-    pref: float = 1.0,
-    e_pref: float = 0.0,
-) -> SeriesResult:
-    """pref * sum_t r**t m_t u(c_t) with log r = fsum(parts), summed in closed form.
+@np.errstate(all="ignore")  # failed rows carry inf and nan
+def _closed(
+    rows: _Rows, path: ConsumptionPath, u: UtilitySpec, tol: float, fails: _Failures
+) -> Tuple[np.ndarray, np.ndarray]:
+    """pref * sum_t r**t m_t u(c_t) per row, summed in closed form, and its tail_bound.
 
-    m_t = 1 - q**(t+1) under a modifier, else 1; pref carries relative error
-    e_pref. Each growth of _tail_terms takes one kernel. Raises
-    DivergenceError when r >= 1 or a tail term outgrows the weights.
+    m_t = 1 - q**(t+1) in rows with the modifier, else 1. Each growth of
+    _tail_terms takes one kernel. A row whose r >= 1 or whose tail term
+    outgrows the weights fails with DivergenceError, one that leaves float
+    range with ValueError, recorded in fails; the row's value and bound then
+    mean nothing.
     """
+    n, p = len(rows.pref), path.prefix_len
+    pref, mod = rows.pref, rows.mod
     if not tol > 0.0:
-        raise ValueError("tolerance must be > 0")
-    if not math.isfinite(pref):
-        raise ValueError(f"the prefactor {pref!r} leaves float range")
-    vals: List[float] = []
-    errs: List[float] = []  # relative
-    slack = 0.0  # absolute, from weights that underflow
+        fails.add(np.ones(n, dtype=bool), lambda i: ValueError("tolerance must be > 0"))
+    fails.add(~np.isfinite(pref),
+              lambda i: ValueError(f"the prefactor {float(pref[i])!r} leaves float range"))
     try:
-        L, dL = _log_sum(parts)
-        if not L < 0.0:
-            raise DivergenceError(f"weight ratio {math.exp(L):.6g} >= 1")
-        zero_ratio = L == -math.inf  # only the date-0 term survives
-        step = 0.0 if zero_ratio else dL + _U * abs(L)  # r**t gains this relative error per period
-        for t, c in enumerate(path.prefix[:1] if zero_ratio else path.prefix):
-            term, e = _utility(u, c)
-            if mod is not None:
-                term *= -math.expm1((t + 1) * mod.log_q)
-                e += 2.0 * _LIBM + 2.0 * _U
-            if t:
-                slack += _DENORM * abs(term)
-                term *= math.exp(t * L)
-                e += _LIBM + t * step + _U
-            vals.append(pref * term)
-            errs.append(e + e_pref + _U)
-        if not zero_ratio:
-            p = path.prefix_len
-            rp = math.exp(p * L)
-            e_rp = _LIBM + p * step
-            a_p, e_a = 1.0, 0.0
-            if mod is not None:
-                a_p, e_a = -math.expm1((p + 1) * mod.log_q), 2.0 * _LIBM + _U
-            terms = _tail_terms(path, u)
-            need_h2 = bool(terms) and terms[-1].arith  # an arithmetic term comes last
-            kernels: Dict[float, Tuple[float, float, float, float]] = {}
-            for coef, e_coef, log_g, arith in terms:
-                kernel = kernels.get(log_g) or _kernel(parts, log_g, mod, a_p, e_a, need_h2)
-                if kernel is None:
-                    raise DivergenceError(f"utility tail grows at rate exp({log_g:.6g}) against "
-                                          f"weight ratio {math.exp(L):.6g}: log(rho*gamma) = "
-                                          f"{L + log_g:.6g} >= 0, the series diverges")
-                kernels[log_g] = kernel  # terms of one growth share a kernel
-                h, e_h = kernel[2:] if arith else kernel[:2]  # H2 or H1
-                slack += _DENORM * abs(coef * h)
-                vals.append(pref * (coef * rp * h))
-                errs.append(e_coef + e_rp + e_h + 2.0 * _U + e_pref + _U)
+        terms, error = _tail_terms(path, u), None
     except OverflowError as exc:
-        raise ValueError(f"the series leaves float range: {exc}") from None
+        terms, error = (), ValueError(f"the series leaves float range: {exc}")
+    except ValueError as exc:
+        terms, error = (), exc
+    # every log sum in one pass: log r and log r q, each plus each growth of the tail
+    growths = list(dict.fromkeys([0.0] + [t.log_growth for t in terms]))
+    parts = np.empty((len(growths), 2, n, 4))
+    parts[:, 0, :, :3], parts[:, 1, :, :3] = rows.parts, rows.rq_parts
+    parts[..., 3] = np.array(growths)[:, None, None]
+    LS, dS = (x.reshape(-1, 2, n) for x in _log_sum(parts.reshape(-1, 4)))
+    L, dL = LS[0, 0], dS[0, 0]
+    fails.add(~(L < 0.0), lambda i: DivergenceError(f"weight ratio {math.exp(L[i]):.6g} >= 1"))
+    live = L > -np.inf  # else r = 0 and only the date-0 term survives
+    step = np.where(live, dL + _U * np.abs(L), 0.0)  # r**t gains this relative error per period
+    uc, e_u, over = _utility(u, np.array(path.prefix))
+    if over.any():
+        fails.add(np.where(live, True, over[0]), lambda i: ValueError(_RANGE))
 
-    value = math.fsum(vals)
-    bound = math.fsum(abs(v) * _rigorous(e) for v, e in zip(vals, errs) if v)
-    bound = (bound + abs(pref) * slack + _U * abs(value)) * (1.0 + 16.0 * _U)
-    if not math.isfinite(value):
-        raise ValueError("the series value leaves float range")
-    return SeriesResult(
-        value=value,
-        truncation_index=path.prefix_len - 1,
-        tail_bound=bound,
-        converged=bound <= tol,
-    )
+    # the tail past the prefix, in rows with r > 0
+    if error is not None:
+        fails.add(live, lambda i: error)
+    need_h2 = bool(terms) and terms[-1].arith  # an arithmetic term comes last
+    values, errs, tail_under = [], [], []
+    kernels: Dict[float, Tuple[np.ndarray, ...]] = {}
+    rp = np.exp(p * L)
+    e_rp = _LIBM + p * step
+    a_p = np.where(mod, -np.expm1((p + 1) * rows.log_q), 1.0)
+    e_a = np.where(mod, 2.0 * _LIBM + _U, 0.0)
+    for coef, e_coef, log_g, arith in terms:
+        if log_g not in kernels:  # terms of one growth share a kernel
+            j = growths.index(log_g)
+            kernels[log_g] = kernel = _kernel(LS[j, 0], dS[j, 0], need_h2, rows,
+                                              LS[j, 1], dS[j, 1], a_p, e_a)
+            fails.add(live & (kernel[4] == -np.inf), lambda i: ValueError(_RANGE))
+            fails.add(live & ~(kernel[4] > 0.0), lambda i, g=log_g: DivergenceError(
+                f"utility tail grows at rate exp({g:.6g}) against weight ratio "
+                f"{math.exp(L[i]):.6g}: log(rho*gamma) = {L[i] + g:.6g} >= 0, "
+                f"the series diverges"))
+        h1, e1, h2, e2, _ = kernels[log_g]
+        h, e_h = (h2, e2) if arith else (h1, e1)
+        tail_under.append(np.where(live, np.abs(coef * h), 0.0))
+        values.append(np.where(live, pref * (coef * rp * h), 0.0))
+        errs.append(e_coef + e_rp + e_h + 2.0 * _U + rows.e_pref + _U)
+
+    # the prefix in blocks of at most _CHUNK_T dates, the tail terms joining the
+    # last; each block sums to s + c, and the blocks' s and c are summed last
+    starts = range(0, p, _CHUNK_T)
+    S, C, depth = [], [], 0
+    # sums of |value| rigorous(error), of |value| and of the terms whose weight underflows
+    bound = size = slack = np.zeros(n)
+    pos = neg = np.zeros(n, dtype=bool)
+    for t0 in starts:
+        t = np.arange(t0, min(p, t0 + _CHUNK_T))
+        later = t > 0
+        term = uc[t] * np.where(mod[:, None], -np.expm1((t + 1) * rows.log_q[:, None]), 1.0)
+        e = e_u[t] + np.where(mod, 2.0 * _LIBM + 2.0 * _U, 0.0)[:, None]
+        under = np.where(later & live[:, None], np.abs(term), 0.0)  # terms whose weight underflows
+        v = pref[:, None] * np.where(later, term * np.exp(t * L[:, None]), term)
+        e = np.where(later, e + (_LIBM + t * step[:, None] + _U), e) + rows.e_pref[:, None] + _U
+        if t0 == starts[-1]:
+            v, e = np.column_stack([v, *values]), np.column_stack([e, *errs])
+            under = np.column_stack([under, *tail_under])
+        s, c, d = _two_sum_tree(v)
+        S.append(s)
+        C.append(c)
+        depth = max(depth, d)
+        av = np.abs(v)
+        sums = _sum_rows(np.stack([np.where(v != 0.0, av * _rigorous(e), 0.0), av, under], axis=1))
+        bound, size, slack = bound + sums[:, 0], size + sums[:, 1], slack + sums[:, 2]
+        pos = pos | (v == np.inf).any(axis=1)
+        neg = neg | (v == -np.inf).any(axis=1)
+    s, c, d = _two_sum_tree(np.column_stack(S)) if len(S) > 1 else (S[0], 0.0, 0)
+    value = s + (c + _sum_rows(np.column_stack(C)))
+    # the summation's own error, then the rounding of this bound's sum of p + len(terms) terms
+    bound = ((bound + np.abs(pref) * slack * _DENORM
+              + (_U * np.abs(value) + _sum_error(depth + d) * size))
+             * (1.0 + _gamma(p + len(values) + 16)))
+    fails.add(pos & neg, lambda i: ValueError("-inf + inf in fsum"))
+    fails.add(pos | neg | ~np.isfinite(value),
+              lambda i: ValueError("the series value leaves float range"))
+    return value, bound
 
 
 # --- the functionals ---------------------------------------------------------
+
+_NO_EXTINCTION = "M = 0: the extinction-date mixture is defective and the functional undefined"
+
+
+def _preconditions(rows: _Batch, fails: _Failures) -> None:
+    """Fail each row whose parameters its functional rejects, in the order the functional checks."""
+    kinds, M, m, factor = rows.kinds, rows.M, rows.m, rows.factor
+    individual = kinds == "individual"
+    mixes = ~individual & (kinds != "known_extinction")  # a mixture over extinction dates
+    fails.add((kinds == "social_welfare") & ~(rows.b > 0.0), lambda i: ValueError(
+        "social welfare needs b > 0; use welfare_window at b = 0"))
+    fails.add(individual & (m == 0.0) & (M == 0.0), lambda i: DivergenceError(
+        "m = M = 0: joint survival is 1 and expected lifetime utility diverges"))
+    fails.add(mixes & (M == 0.0), lambda i: NoExtinctionError(_NO_EXTINCTION))
+    fails.add(mixes & ~(factor < 1.0), lambda i: DivergenceError(
+        f"{kinds[i]}: finiteness requires the weight product < 1, got "
+        f"{factor[i]:.6g} (margin {1.0 - factor[i]:.3g})"))
+
+
+@np.errstate(all="ignore")  # rows that fail their preconditions carry inf and nan
+def _evaluate_rows(
+    rows: _Batch, path: ConsumptionPath, u: UtilitySpec, tol: float
+) -> List[Union[SeriesResult, Exception]]:
+    """Each row's SeriesResult, or the exception its evaluation raises, in one pass over the rows.
+
+    A row's result does not depend on the rows beside it. Social welfare at
+    n = 0 is evaluated in its n = 0 form as well, in the same pass, and the
+    two must agree to 1e-10 relative (AssertionError otherwise).
+    """
+    n = len(rows.kinds)
+    b, m = rows.b, rows.m
+    # b (1-m) - m is n without the cancellation of (1+b)(1-m) - 1
+    n0 = np.flatnonzero((rows.kinds == "social_welfare")
+                        & (np.abs(b * (1.0 - m) - m) <= 4.0 * _EPS * (b + m)))
+    fails = _Failures(n + len(n0))
+    _preconditions(rows, fails)
+    known = rows.kinds == "known_extinction"
+    fails.bad[:n] |= known  # a finite sum, not a closed form
+    inputs = _closed_rows(rows)
+    if len(n0):
+        n0_rows = _n0_rows(rows.M[n0], m[n0], rows.N0[n0])
+        inputs = _Rows(*(np.concatenate([a, z]) for a, z in zip(inputs, n0_rows)))
+    value, bound = _closed(inputs, path, u, tol, fails)
+    value, bound, last = value.tolist(), bound.tolist(), path.prefix_len - 1
+    failed = fails.exc.get
+    out: List[Union[SeriesResult, Exception]] = [
+        failed(i) or SeriesResult(v, last, e, e <= tol) for i, v, e in zip(range(n), value, bound)]
+    for i in np.flatnonzero(known).tolist():
+        T = rows.cases[i % len(rows.cases)].T
+        try:
+            v, e = _known_date_sum(float(m[i]), T, path, u)
+            out[i] = SeriesResult(value=v, truncation_index=T, tail_bound=e, converged=e <= tol)
+        except ValueError as exc:
+            out[i] = exc
+    for j, i in enumerate(n0.tolist(), start=n):
+        general = out[i]
+        if isinstance(general, SeriesResult):
+            if j in fails.exc:
+                out[i] = fails.exc[j]
+            elif abs(general.value - value[j]) > (
+                    1e-10 * max(abs(general.value), abs(value[j]), 1.0)
+                    + general.tail_bound + bound[j]):
+                raise AssertionError(
+                    f"general form {general.value!r} and n=0 simplification "
+                    f"{value[j]!r} disagree beyond 1e-10 relative")
+    return out
+
+
+def _evaluate_grid(
+    points: Sequence[HazardParams], cases: Sequence[Scenario], path: ConsumptionPath,
+    u: UtilitySpec, tol: float,
+) -> Iterator[Tuple[_Batch, List[Union[SeriesResult, Exception]]]]:
+    """_evaluate_rows over the rows of points x cases, in passes of a bounded number of rows."""
+    size = max(1, _BLOCK // (len(cases) * min(path.prefix_len, _CHUNK_T)))  # points per pass
+    for lo in range(0, len(points), size):
+        rows = _batch(points[lo : lo + size], cases)
+        yield rows, _evaluate_rows(rows, path, u, tol)
+
+
+def evaluate(
+    case: Scenario,
+    params: HazardParams,
+    path: ConsumptionPath,
+    u: UtilitySpec,
+    tol: float = DEFAULT_TOLERANCE,
+) -> SeriesResult:
+    """Evaluate any scenario; a known date's tail_bound is the rounding of its finite sum.
+
+    One row of the array core: raises what that row failed with.
+    """
+    result = _evaluate_rows(_batch([params], [case]), path, u, tol)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def eu_individual(
@@ -469,37 +764,7 @@ def eu_individual(
     D of cumulative utility u(c_0) + ... + u(c_D). Rejects the degenerate
     m = M = 0 case, whose lifetime distribution is defective.
     """
-    if params.is_degenerate:
-        raise DivergenceError(
-            "m = M = 0: joint survival is 1 and expected lifetime utility diverges"
-        )
-    return _closed_sum(_log_parts(INDIVIDUAL, params), path, u, tol)
-
-
-def _require_extinction(params: HazardParams) -> None:
-    if params.M == 0.0:
-        raise NoExtinctionError(
-            "M = 0: the extinction-date mixture is defective and the functional undefined"
-        )
-
-
-def _require_finite(case: Scenario, params: HazardParams) -> float:
-    chk = finiteness_check(case, params)
-    if not chk.finite:
-        raise DivergenceError(
-            f"{case.kind}: finiteness requires the weight product < 1, got "
-            f"{chk.product:.6g} (margin {chk.margin:.3g})"
-        )
-    return chk.product
-
-
-def _extinction_series(
-    case: Scenario, params: HazardParams, path: ConsumptionPath, u: UtilitySpec, tol: float
-) -> SeriesResult:
-    """sum_t factor**t u(c_t) for a case that mixes over extinction dates."""
-    _require_extinction(params)
-    _require_finite(case, params)
-    return _closed_sum(_log_parts(case, params), path, u, tol)
+    return evaluate(INDIVIDUAL, params, path, u, tol)
 
 
 def ev_dynasty(
@@ -513,7 +778,7 @@ def ev_dynasty(
     EV = sum_t ((1-M)(1+n))**t u(c_t); finite iff (1-M)(1+n) < 1. With b = 0
     this reduces exactly to the individual functional.
     """
-    return _extinction_series(DYNASTY, params, path, u, tol)
+    return evaluate(DYNASTY, params, path, u, tol)
 
 
 def ev_dynasty_theta(
@@ -528,7 +793,7 @@ def ev_dynasty_theta(
     theta = 0 is per-capita (Millian) weighting, leaving only (1-M)**t.
     Finite iff (1-M)(1+n)**theta < 1.
     """
-    return _extinction_series(DYNASTY_THETA, params, path, u, tol)
+    return evaluate(DYNASTY_THETA, params, path, u, tol)
 
 
 def eg_lineage(
@@ -543,7 +808,7 @@ def eg_lineage(
     on a fraction alpha of the ancestor's weighting, so mortality is hedged
     only partially. Finite iff (1-M)(1+b)**alpha (1-m) < 1.
     """
-    return _extinction_series(LINEAGE, params, path, u, tol)
+    return evaluate(LINEAGE, params, path, u, tol)
 
 
 def eu_known_T(
@@ -586,7 +851,8 @@ def _known_date_sum(
                         + _DENORM * (float(np.sum(au + u_err)) + len(t)))
         value = math.fsum(vals)
         # the error terms are themselves sums of up to 4096 rounded products
-        bound = (math.fsum(errs) + _U * abs(value)) * (1.0 + _rigorous(4.0 * (4096 + 16) * _U))
+        bound = float((math.fsum(errs) + _U * abs(value))
+                      * (1.0 + _rigorous(4.0 * (4096 + 16) * _U)))
     if not (math.isfinite(value) and math.isfinite(bound)):
         raise ValueError("the series value leaves float range")
     return value, bound
@@ -641,13 +907,6 @@ def welfare_window(
     return math.fsum(welfare_window_terms(params, path, u, T + 1))
 
 
-def _ew_preconditions(params: HazardParams) -> float:
-    if params.b <= 0.0:
-        raise ValueError("social welfare needs b > 0; use welfare_window at b = 0")
-    _require_extinction(params)
-    return _require_finite(SOCIAL_WELFARE, params)
-
-
 def ew_social(
     params: HazardParams,
     path: ConsumptionPath,
@@ -661,23 +920,7 @@ def ew_social(
     population simplification is evaluated as well and must agree to 1e-10
     relative.
     """
-    _ew_preconditions(params)
-    b = params.b
-    mod = _Modifier(log_q=-math.log1p(b), one_minus_q=b / (1.0 + b), one_minus_q_err=2.0 * _U,
-                    rq_parts=_log_parts(INDIVIDUAL, params))  # r q = (1-M)(1-m)
-    pref = params.N0 * (1.0 + b) / b
-    result = _closed_sum(_log_parts(SOCIAL_WELFARE, params), path, u, tol, mod, pref, 3.0 * _U)
-    # b (1-m) - m is n without the cancellation of (1+b)(1-m) - 1
-    if abs(b * (1.0 - params.m) - params.m) <= 4.0 * _EPS * (b + params.m):
-        simplified = ew_social_n0_form(params, path, u, tol)
-        scale = max(abs(result.value), abs(simplified.value), 1.0)
-        slack = result.tail_bound + simplified.tail_bound
-        if abs(result.value - simplified.value) > 1e-10 * scale + slack:
-            raise AssertionError(
-                f"general form {result.value!r} and n=0 simplification "
-                f"{simplified.value!r} disagree beyond 1e-10 relative"
-            )
-    return result
+    return evaluate(SOCIAL_WELFARE, params, path, u, tol)
 
 
 def ew_social_n0_form(
@@ -693,10 +936,17 @@ def ew_social_n0_form(
     """
     if params.m <= 0.0:
         raise ValueError("the n = 0 simplification divides by m; needs m > 0")
-    _require_extinction(params)
-    mod = _Modifier(log_q=_log1m(params.m), one_minus_q=params.m, one_minus_q_err=0.0,
-                    rq_parts=_log_parts(INDIVIDUAL, params))  # r q = (1-M)(1-m)
-    return _closed_sum([_log1m(params.M)], path, u, tol, mod, params.N0 / params.m, _U)
+    if params.M == 0.0:
+        raise NoExtinctionError(_NO_EXTINCTION)
+    fails = _Failures(1)
+    row = [np.array([x]) for x in (params.M, params.m, params.N0)]
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf
+        inputs = _n0_rows(*row)
+    value, bound = _closed(inputs, path, u, tol, fails)
+    if fails.exc:
+        raise fails.exc[0]
+    return SeriesResult(value=float(value[0]), truncation_index=path.prefix_len - 1,
+                        tail_bound=float(bound[0]), converged=bool(bound[0] <= tol))
 
 
 def _utility_values(
@@ -751,7 +1001,12 @@ def ew_social_mixture(
     The default tolerance is looser than the closed form's: the rounding bound
     grows with the number of dates, so 1e-10 absolute is generally out of reach.
     """
-    rho = _ew_preconditions(params)
+    rows = _batch([params], [SOCIAL_WELFARE])
+    fails = _Failures(1)
+    _preconditions(rows, fails)
+    if fails.exc:
+        raise fails.exc[0]
+    rho = float(rows.factor[0])
     if not tol > 0.0:
         raise ValueError("tolerance must be > 0")
     # |u(c_{p+k})| <= (a + lin k) gamma**k past the prefix, a and lin to relative error e_env
@@ -760,14 +1015,16 @@ def ew_social_mixture(
     lin = sum(abs(t.coef) for t in terms if t.arith)
     log_gamma = max((t.log_growth for t in terms), default=0.0)
     e_env = max((t.rel_err for t in terms), default=0.0) + _U
-    parts = _log_parts(SOCIAL_WELFARE, params)
-    kernel = _kernel(parts, log_gamma, None, 1.0, 0.0, True)  # 1/(1-R), 1/(1-R)**2
-    if kernel is None:
+    with np.errstate(all="ignore"):  # 1 - R <= 0 is raised below
+        (parts,) = _log_parts(rows.M, rows.b, rows.m, rows.exps)
+        # 1/(1-R), 1/(1-R)**2
+        (L, dL), (LR, dLR) = (_log_sum(x) for x in (parts, np.column_stack([parts, [log_gamma]])))
+        h1, e1, h2, e2, om = (float(x[0]) for x in _kernel(LR, dLR, True))
+    if not om > 0.0:
         raise DivergenceError(f"utility tail grows at rate exp({log_gamma:.6g}) against "
                               f"weight ratio {rho:.6g}: the series diverges")
-    h1, e1, h2, e2 = kernel
     # R = rho gamma; rho = 0 (m or M = 1) is floored so exp(-1e3 t) stands for 0**t
-    (L, dL), (LR, dLR) = _log_sum(parts), _log_sum(parts + [log_gamma])
+    L, dL, LR, dLR = (float(x[0]) for x in (L, dL, LR, dLR))
     L, LR = max(L, -1e3), max(LR, -1e3)
     step = max(dL + _U * abs(L), dLR + _U * abs(LR))  # error of exp(t log R) per period
     p, M, sM = path.prefix_len, params.M, 1.0 - params.M
@@ -836,25 +1093,3 @@ def ew_social_mixture(
         converged=bool(hits[i]),
     )
 
-
-def evaluate(
-    case: Scenario,
-    params: HazardParams,
-    path: ConsumptionPath,
-    u: UtilitySpec,
-    tol: float = DEFAULT_TOLERANCE,
-) -> SeriesResult:
-    """Evaluate any scenario; a known date's tail_bound is the rounding of its finite sum."""
-    if case.kind == "individual":
-        return eu_individual(params, path, u, tol)
-    if case.kind == "dynasty":
-        return ev_dynasty(params, path, u, tol)
-    if case.kind == "dynasty_theta":
-        return ev_dynasty_theta(params, path, u, tol)
-    if case.kind == "lineage":
-        return eg_lineage(params, path, u, tol)
-    if case.kind == "social_welfare":
-        return ew_social(params, path, u, tol)
-    value, bound = _known_date_sum(params.m, case.T, path, u)
-    return SeriesResult(value=value, truncation_index=case.T, tail_bound=bound,
-                        converged=bound <= tol)

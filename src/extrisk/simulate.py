@@ -36,7 +36,7 @@ from .model import (
     _check_int,
     sample_date_counts,
 )
-from .analysis import scenario_sweep
+from .analysis import SweepRow, scenario_sweep
 from .series import (
     DEFAULT_TOLERANCE,
     DYNASTY,
@@ -282,8 +282,19 @@ def mc_compare(
     underflow). A sampled row without finite variance reads "ok: infinite
     variance, mc_se is not an error bar".
     """
+    return _compare(params, scenario_sweep([params], cases, path, u, tol), path, u, config)
+
+
+def _compare(
+    params: HazardParams,
+    swept: Sequence[SweepRow],
+    path: ConsumptionPath,
+    u: UtilitySpec,
+    config: SimulationConfig,
+) -> List[Dict[str, Any]]:
+    """mc_compare's rows from the point's scenario_sweep rows."""
     rows, tables, sampled = [], {}, []
-    for sr in scenario_sweep([params], cases, path, u, tol):
+    for sr in swept:
         row = {**params.cells(), "case": sr.case.label(), "replications": config.replications,
                "analytic": None if sr.series is None else sr.series.value,
                "mc_mean": None, "mc_se": None, "abs_error": None, "within_3se": None,
@@ -519,8 +530,9 @@ def verify_oracle_grid(
 ) -> List[Dict[str, Any]]:
     """Compare every analytic functional with its Monte Carlo estimate per grid point.
 
-    Every point runs ``mc_compare`` on VERIFY_PATH and VERIFY_UTILITY with seed
-    seed + 1000003 i for point i; the rows are the ones ``verify`` writes. A
+    Every point gets ``mc_compare``'s rows on VERIFY_PATH and VERIFY_UTILITY
+    with seed seed + 1000003 i for point i, the closed forms of all points
+    coming from one scenario_sweep; the rows are the ones ``verify`` writes. A
     row is ok when its status is "ok" (every VERIFY_GRID point has a finite
     variance) and |mc - analytic| <= 3 SE. Statistically about 1 in 370
     honest comparisons lands outside +-3 SE, so a full run tolerates one
@@ -530,10 +542,12 @@ def verify_oracle_grid(
     """
     pts = tuple(points) if points is not None else VERIFY_GRID
     cases = [case for case, _ in _VERIFY_FUNCTIONALS]
+    swept = scenario_sweep(pts, cases, VERIFY_PATH, VERIFY_UTILITY, DEFAULT_TOLERANCE)
     rows: List[Dict[str, Any]] = []
     for i, params in enumerate(pts):
         cfg = SimulationConfig(replications=replications, seed=seed + _VERIFY_SEED_STEP * i)
-        compared = mc_compare(params, cases, VERIFY_PATH, VERIFY_UTILITY, DEFAULT_TOLERANCE, cfg)
+        compared = _compare(params, swept[len(cases) * i : len(cases) * (i + 1)], VERIFY_PATH,
+                            VERIFY_UTILITY, cfg)
         for (_, name), r in zip(_VERIFY_FUNCTIONALS, compared):
             rows.append({"functional": name, "point": i, **params.cells(population=False),
                          **{k: r[k] for k in ("analytic", "mc_mean", "mc_se", "abs_error")},

@@ -790,16 +790,31 @@ _ORACLE_CELLS = st.one_of(
                dict(zip(_ORACLE_COLUMNS, [1, 1.0, True, False, 0, 0.0])),
                dict(zip(_ORACLE_COLUMNS, [5e-324, 5e-324, float("nan"), float("inf"),
                                           np.float64(0.1), 0.1])),
-               dict(zip(_ORACLE_COLUMNS, [_REJECTED, "a,b", 'q"', "x\r", "\u00e9", None]))])
+               dict(zip(_ORACLE_COLUMNS, [_REJECTED, "a,b", 'q"', "x\r", "\u00e9", None])),
+               dict(zip(_ORACLE_COLUMNS, ["rejected: a\rb", "\r", '\r"', "\r\n", "", 0.5]))])
 def test_writer_matches_the_csv_and_json_encoders(tmp_path_factory, rows):
     out = tmp_path_factory.mktemp("oracle")
     with contextlib.redirect_stdout(io.StringIO()):
         cli._write_rows(out, "o", _ORACLE_COLUMNS, rows, "both")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_ORACLE_COLUMNS)
-    writer.writerows([row[c] for c in _ORACLE_COLUMNS] for row in rows)
-    assert (out / "o.csv").read_bytes() == buf.getvalue().encode("utf-8")
+
+    def cell(v):  # csv.writer's text, but a field with a lone "\r" is always quoted
+        if isinstance(v, str) and "\r" in v:
+            return '"' + v.replace('"', '""') + '"'
+        if v is None or v == "":  # csv.writer quotes these only as a row's one field
+            return ""
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([v])
+        return buf.getvalue()[:-1]
+
+    expected = "".join(",".join(cell(v) for v in line) + "\n" for line in
+                       [_ORACLE_COLUMNS] + [[row[c] for c in _ORACLE_COLUMNS] for row in rows])
+    assert (out / "o.csv").read_bytes() == expected.encode("utf-8")
+    with open(out / "o.csv", newline="", encoding="utf-8") as fh:
+        records = list(csv.reader(fh))
+    assert records[0] == _ORACLE_COLUMNS and len(records) == len(rows) + 1
+    for row, record in zip(rows, records[1:]):
+        assert all(text == row[c] for c, text in zip(_ORACLE_COLUMNS, record)
+                   if isinstance(row[c], str))
     lines = [json.dumps({c: None if isinstance(row[c], float) and not math.isfinite(row[c])
                          else row[c] for c in _ORACLE_COLUMNS}, allow_nan=False)
              for row in rows]

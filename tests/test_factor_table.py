@@ -9,6 +9,7 @@ derivative identities checked here.
 import math
 from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,7 @@ from extrisk import (
     known_extinction,
 )
 from extrisk.analysis import _factor_in_regime
-from extrisk.series import _log_parts
+from extrisk.series import _log_parts, factor_exponents
 
 CASES = tuple(Scenario(k) for k in ("individual", "dynasty", "dynasty_theta", "lineage",
                                     "social_welfare")) + (known_extinction(5),)
@@ -52,7 +53,9 @@ def test_factor_table(case, params):
     with localcontext(CTX):
         exact, _ = _ratios(kind, params)
         assert abs(Decimal(factor) - exact) <= 4 * _d(ULP) * exact
-    assert math.exp(math.fsum(_log_parts(case, params))) == pytest.approx(factor, rel=1e-13)
+    (parts,) = _log_parts(*(np.array([x]) for x in (params.M, params.b, params.m)),
+                          np.array(factor_exponents(case, params)))
+    assert math.exp(math.fsum(parts[0])) == pytest.approx(factor, rel=1e-13)
 
     n0 = params.with_n_zero()
     assert discount_factor(case, params).factor_n0 == pytest.approx(

@@ -14,9 +14,10 @@ cross-check.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .series import (
     SeriesResult,
     _batch,
     _Batch,
+    _Results,
     _evaluate_grid,
     _finite,
     _pow,
@@ -95,14 +97,23 @@ _NOTES = {
 }
 
 
+def _report_cells(rows: _Batch) -> Dict[str, list]:
+    """The DiscountReport fields of every row of a batch, each a list over the rows."""
+    factor = rows.factor.tolist()
+    factor_n0 = _factor_n(rows.exps, 1.0 - rows.M, 1.0 - rows.m, np.ones(len(rows.M)))  # n = 0
+    return {"factor": factor, "rate_simple": (1.0 - rows.factor).tolist(),
+            "rate_log": [-math.log(f) if f > 0.0 else math.inf for f in factor],
+            "factor_n0": factor_n0.tolist(),
+            "constant": [c.kind != "social_welfare" for c in rows.cases] * len(rows.points)}
+
+
 def _reports(rows: _Batch) -> List[DiscountReport]:
     """discount_factor of every row of a batch, from the batch's factors."""
-    factor_n0 = _factor_n(rows.exps, 1.0 - rows.M, 1.0 - rows.m, np.ones(len(rows.M)))  # n = 0
+    cells = _report_cells(rows)
     cases = rows.cases * len(rows.points)
     # positional: case, factor, rate_simple, rate_log, factor_n0, constant, note
-    return [DiscountReport(case, f, 1.0 - f, -math.log(f) if f > 0.0 else math.inf, f0,
-                           case.kind != "social_welfare", _NOTES.get(case.kind))
-            for case, f, f0 in zip(cases, rows.factor.tolist(), factor_n0.tolist())]
+    return [DiscountReport(case, *fields, _NOTES.get(case.kind)) for case, *fields in zip(
+        cases, *map(cells.get, ("factor", "rate_simple", "rate_log", "factor_n0", "constant")))]
 
 
 def discount_factor(case: Scenario, params: HazardParams) -> DiscountReport:
@@ -232,6 +243,18 @@ def belief_update_response(
 # --- scenario sweeps ---------------------------------------------------------
 
 
+# each sweep cell after the grid parameters and the case, as the DiscountReport,
+# SweepRow or SeriesResult field it shows
+_SWEEP_CELLS = {
+    "factor": "factor", "rate_simple": "rate_simple", "rate_log": "rate_log",
+    "factor_n0": "factor_n0", "constant_factor": "constant", "finite": "finite",
+    "finiteness_product": "factor", "finiteness_margin": "rate_simple", "status": "status",
+    "value": "value", "tail_bound": "tail_bound", "truncation_index": "truncation_index",
+    "converged": "converged",
+}
+_SERIES_FIELDS = ("value", "tail_bound", "truncation_index", "converged")
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """One (parameter point, case) evaluation; divergent points are flagged, kept."""
@@ -245,25 +268,36 @@ class SweepRow:
     @property
     def finite(self) -> bool:
         """finiteness_check's verdict on the report's factor."""
-        return _finite(self.case, self.report.factor)
+        return _finite(self.case.kind, self.report.factor)
 
     def to_dict(self) -> dict:
-        row = {
-            **self.params.cells(),
-            "case": self.case.label(),
-            "factor": self.report.factor,
-            "rate_simple": self.report.rate_simple,
-            "rate_log": self.report.rate_log,
-            "factor_n0": self.report.factor_n0,
-            "constant_factor": self.report.constant,
-            "finite": self.finite,
-            "finiteness_product": self.report.factor,
-            "finiteness_margin": self.report.rate_simple,
-            "status": self.status,
-        }
-        for key in ("value", "tail_bound", "truncation_index", "converged"):
-            row[key] = None if self.series is None else getattr(self.series, key)
-        return row
+        """The row's cells: the grid parameters, the case, then the cells of _SWEEP_CELLS."""
+        series = dict.fromkeys(_SERIES_FIELDS) if self.series is None else vars(self.series)
+        fields = {**vars(self.report), **series, "finite": self.finite, "status": self.status}
+        return {**self.params.cells(), "case": self.case.label(),
+                **{col: fields[name] for col, name in _SWEEP_CELLS.items()}}
+
+
+def _sweep_batches(
+    points: Sequence[HazardParams], cases: Sequence[Scenario], path: ConsumptionPath,
+    u: UtilitySpec, tol: float,
+) -> Iterator[Tuple[_Batch, _Results, List[str]]]:
+    """Each pass of the array core over points x cases, with the status of each of its rows.
+
+    This is the one place a failed evaluation becomes a row status, so every
+    caller reports the same verdict: a row failing with DivergenceError
+    gives "divergent", with ValueError "rejected: <reason>".
+    """
+    for rows, results in _evaluate_grid(points, cases, path, u, tol):
+        status = ["ok"] * len(rows.kinds)
+        for i, exc in results.failed.items():
+            if isinstance(exc, DivergenceError):
+                status[i] = "divergent"
+            elif isinstance(exc, ValueError):
+                status[i] = f"rejected: {exc}"
+            else:
+                raise exc
+        yield rows, results, status
 
 
 def scenario_sweep(
@@ -276,22 +310,44 @@ def scenario_sweep(
     """Evaluate every case at every parameter point; one row per (point, case).
 
     The rows go through the array core a few thousand at a time, and a row's
-    result does not depend on the rows beside it. This is the one place a failed
-    evaluation becomes a row status, so every caller reports the same
-    verdict: a row failing with DivergenceError gives "divergent", with
-    ValueError "rejected: <reason>".
+    result does not depend on the rows beside it. A row failing with
+    DivergenceError has status "divergent", with ValueError "rejected:
+    <reason>", and no series.
     """
     points, cases = list(points), list(cases)
     out: List[SweepRow] = []
     if not cases:
         return out
-    for rows, results in _evaluate_grid(points, cases, path, u, tol):
-        for i, report, series in zip(range(len(results)), _reports(rows), results):
-            status = "ok"
-            if isinstance(series, DivergenceError):
-                series, status = None, "divergent"
-            elif isinstance(series, ValueError):
-                series, status = None, f"rejected: {series}"
+    for rows, results, status in _sweep_batches(points, cases, path, u, tol):
+        for i, report in enumerate(_reports(rows)):
+            series = None if i in results.failed else results.result(i)
             # positional: params, case, report, series, status
-            out.append(SweepRow(rows.points[i // len(cases)], report.case, report, series, status))
+            out.append(SweepRow(rows.points[i // len(cases)], report.case, report, series,
+                                status[i]))
     return out
+
+
+def _sweep_columns(
+    points: Sequence[HazardParams], cases: Sequence[Scenario], path: ConsumptionPath,
+    u: UtilitySpec, tol: float,
+) -> Iterator[Dict[str, list]]:
+    """scenario_sweep's rows as columns, one block per pass of the array core.
+
+    A block maps each SweepRow.to_dict key to the list of its cells in row
+    order; the cells are those to_dict gives, built from the pass's arrays
+    without a SweepRow. Columns showing the same field are the same list.
+    """
+    if not cases:
+        return
+    for rows, results, status in _sweep_batches(points, cases, path, u, tol):
+        fields = {**_report_cells(rows), **results._asdict(), "status": status,
+                  "finite": _finite(rows.kinds, rows.factor).tolist()}
+        params = [p.cells() for p in rows.points]
+        block = {key: _repeat_each([c[key] for c in params], len(cases)) for key in params[0]}
+        block["case"] = [c.label() for c in cases] * len(rows.points)
+        yield {**block, **{col: fields[name] for col, name in _SWEEP_CELLS.items()}}
+
+
+def _repeat_each(values: list, k: int) -> list:
+    """Each value k times in a row: [a, b] -> [a, a, b, b] for k = 2."""
+    return list(itertools.chain.from_iterable(zip(*[values] * k)))

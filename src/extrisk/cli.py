@@ -3,10 +3,13 @@
 Subcommands: eval, simulate, sweep, profile, sensitivity, table1, verify.
 Configs are JSON (nested key/value; NaN and Infinity are rejected); results
 are written as CSV tables and/or JSON arrays with one row per line, whose keys
-follow the CSV header order. Both files are written in one streamed pass that
-formats each cell once, into temp files renamed into place (mode 0666 less
-the umask) only when every row is written. A non-finite float is written as
-its repr (inf) in CSV and as null in JSON, which has no literal for it.
+follow the CSV header order. Output is written a column at a time: sweep and
+eval take their columns straight from each pass of the array core, the other
+subcommands transpose their rows in blocks. Both files are written in one
+streamed pass that formats each distinct value once per column and block,
+into temp files renamed into place (mode 0666 less the umask) only when every
+row is written. A non-finite float is written as its repr (inf) in CSV and as
+null in JSON, which has no literal for it.
 Exit codes: 0 success, 1 malformed config, 2 divergent grid point under
 --strict, 3 failed simulation reproducibility self-check, 4 a verify
 comparison outside 3 SE under --strict. Agent-mode simulate runs its grid
@@ -29,6 +32,7 @@ import sys
 import tempfile
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from types import NoneType
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -39,7 +43,7 @@ from .analysis import (
     belief_update_response,
     discount_factor,
     discount_profile,
-    scenario_sweep,
+    _sweep_columns,
 )
 from .simulate import (
     SimulationConfig,
@@ -252,16 +256,33 @@ def _load_config(args: argparse.Namespace, required: bool) -> RunConfig:
 _CSV_QUOTED = (",", '"', "\n", "\r")
 
 
+_WRITE_BLOCK = 2048  # rows per block of _write_rows: bounds the texts held at once
+
+
 def _write_rows(
     out_dir: Path, name: str, columns: Sequence[str], rows: Iterable[Dict[str, Any]],
     fmt: str,
 ) -> None:
-    """Write rows as <name>.csv and/or <name>.json, printing a line per file written.
+    """_write_columns of dict rows, transposed a block of rows at a time; a missing key is None."""
+    rows = iter(rows)
+    chunks = iter(lambda: list(itertools.islice(rows, _WRITE_BLOCK)), [])  # until rows run out
+    blocks = ([list(map(dict.get, chunk, itertools.repeat(col))) for col in columns]
+              for chunk in chunks)
+    _write_columns(out_dir, name, columns, blocks, fmt)
 
-    One pass over the rows streams both files into temp files beside their
-    targets; each cell's text is built once and serves both. JSON keys follow
-    `columns`. Only when every row is written are the files renamed into
-    place, so a failure leaves the targets untouched and no temp file behind.
+
+def _write_columns(
+    out_dir: Path, name: str, columns: Sequence[str], blocks: Iterable[Sequence[Sequence[Any]]],
+    fmt: str,
+) -> None:
+    """Write blocks of columns as <name>.csv and/or <name>.json, printing a line per file written.
+
+    A block is a list of equal-length cell lists, one per column of
+    `columns`. One pass over the blocks streams both files into temp files
+    beside their targets; each distinct value of a column is formatted once
+    per block, and its text serves both files. JSON keys follow `columns`.
+    Only when every block is written are the files renamed into place, so a
+    failure leaves the targets untouched and no temp file behind.
     """
     targets = [out_dir / f"{name}.{ext}" for ext in ("csv", "json") if fmt in (ext, "both")]
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -275,7 +296,7 @@ def _write_rows(
                 files.append(stack.enter_context(open(fd, "w", encoding="utf-8", newline="")))
             csv_fh = files[0] if fmt != "json" else None
             json_fh = files[-1] if fmt != "csv" else None
-            _stream_rows(csv_fh, json_fh, columns, rows)
+            _stream_columns(csv_fh, json_fh, columns, blocks)
         umask = os.umask(0)
         os.umask(umask)
         for tmp in tmps:
@@ -291,47 +312,78 @@ def _write_rows(
         print(f"wrote {target}")
 
 
-def _stream_rows(csv_fh: Optional[TextIO], json_fh: Optional[TextIO], columns: Sequence[str],
-                 rows: Iterable[Dict[str, Any]]) -> None:
-    """CSV with a header row; a JSON array, one row per line (inf and NaN, which JSON lacks, as null).
+def _texts(v: Any) -> Tuple[str, str]:
+    """A cell's CSV and JSON texts; a non-finite float is null in JSON, None empty and null."""
+    if isinstance(v, float):
+        text = float.__repr__(v)
+        return text, text if math.isfinite(v) else "null"
+    if isinstance(v, str):
+        quoted = any(c in v for c in _CSV_QUOTED)
+        return '"' + v.replace('"', '""') + '"' if quoted else v, json.dumps(v)
+    if v is None:
+        return "", "null"
+    if isinstance(v, bool):
+        return ("True", "true") if v else ("False", "false")
+    if isinstance(v, int):
+        text = int.__repr__(v)
+        return text, text
+    raise TypeError(f"cannot write a cell of type {type(v).__name__}")
 
-    A cell's (CSV, JSON) texts are built once per value: the memo holds
-    strings and the finite floats that are not integers. A float equal to an
-    int or a bool (0.0 and -0.0 among them) would share its text, so those
-    floats, like ints and bools, are formatted each time.
+
+_NULL = {"": "null", "inf": "null", "-inf": "null", "nan": "null"}  # JSON's texts of these
+
+
+def _column_texts(cells: Sequence[Any]) -> Tuple[Sequence[str], Sequence[str]]:
+    """A column's CSV and JSON texts, each distinct value formatted once.
+
+    A column of floats and None is keyed by value, any other by (type,
+    value), so that 1, 1.0 and True stay apart. A float zero shares its key
+    with the other zero, so a column holding one is formatted cell by cell.
     """
-    memo: Dict[Any, Tuple[str, str]] = {None: ("", "null")}  # a string never equals a float
+    types = set(map(type, cells))
+    if all(t is NoneType or issubclass(t, float) for t in types):
+        distinct = dict.fromkeys(cells)
+        if 0.0 in distinct:
+            csv_texts = [_texts(v)[0] for v in cells]
+        else:
+            texts = {None: ""}
+            distinct.pop(None, None)
+            texts.update(zip(distinct, map(float.__repr__, distinct)))
+            csv_texts = list(map(texts.__getitem__, cells))
+        if _NULL.keys().isdisjoint(csv_texts):
+            return csv_texts, csv_texts
+        return csv_texts, list(map(_NULL.get, csv_texts, csv_texts))
+    keys = list(zip(map(type, cells), cells))
+    distinct = dict.fromkeys(keys)
+    if any((t, 0.0) in distinct for t in types if issubclass(t, float)):
+        pairs = map(_texts, cells)
+    else:
+        pairs = map(dict(zip(distinct, [_texts(v) for _, v in distinct])).__getitem__, keys)
+    csv_texts, json_texts = zip(*pairs)
+    return csv_texts, json_texts
 
-    def texts(v: Any) -> Tuple[str, str]:
-        if isinstance(v, float):
-            text = float.__repr__(v)
-            if not math.isfinite(v):
-                return text, "null"
-            if not v.is_integer():
-                memo[v] = (text, text)
-            return text, text
-        if isinstance(v, str):
-            quoted = any(c in v for c in _CSV_QUOTED)
-            pair = memo[v] = ('"' + v.replace('"', '""') + '"' if quoted else v, json.dumps(v))
-            return pair
-        if isinstance(v, bool):
-            return ("True", "true") if v else ("False", "false")
-        if isinstance(v, int):
-            text = int.__repr__(v)
-            return text, text
-        raise TypeError(f"cannot write a cell of type {type(v).__name__}")
 
-    known = memo.get
+def _stream_columns(csv_fh: Optional[TextIO], json_fh: Optional[TextIO], columns: Sequence[str],
+                    blocks: Iterable[Sequence[Sequence[Any]]]) -> None:
+    """CSV with a header row; a JSON array, one row per line.
+
+    Each block's rows are joined from its columns' texts; a cell list given
+    for two columns is formatted once.
+    """
     json_line = "{" + ", ".join(json.dumps(col).replace("%", "%%") + ": %s" for col in columns) + "}"
     if csv_fh:
-        csv_fh.write(",".join(texts(col)[0] for col in columns) + "\n")
+        csv_fh.write(",".join(_texts(col)[0] for col in columns) + "\n")
     sep = "[\n"
-    for row in rows:
-        csv_cells, json_cells = zip(*[known(v) or texts(v) for v in map(row.get, columns)])
+    for block in blocks:
+        if not (block and len(block[0])):
+            continue
+        distinct = {id(cells): cells for cells in block}
+        texts = {key: _column_texts(cells) for key, cells in distinct.items()}
+        csv_cols, json_cols = zip(*[texts[id(cells)] for cells in block])
         if csv_fh:
-            csv_fh.write(",".join(csv_cells) + "\n")
+            csv_fh.write("\n".join(map(",".join, zip(*csv_cols))) + "\n")
         if json_fh:
-            json_fh.write(sep + json_line % json_cells)
+            json_fh.write(sep + ",\n".join(map(json_line.__mod__, zip(*json_cols))))
             sep = ",\n"
     if json_fh:
         json_fh.write("[]\n" if sep == "[\n" else "\n]\n")
@@ -356,16 +408,19 @@ _SWEEP_COLUMNS = [
 
 
 def _cmd_sweep(args: argparse.Namespace, out_dir: Path, columns: Sequence[str]) -> int:
-    """sweep and eval: scenario_sweep rows projected onto the command's columns."""
+    """sweep and eval: scenario_sweep's columns, written a pass of the array core at a time."""
     cfg = _load_config(args, required=True)
-    results = scenario_sweep(cfg.grid, cfg.cases, cfg.path, cfg.utility, cfg.tolerance)
-    rows = [r.to_dict() for r in results]
-    by_status = collections.Counter(row["status"].split(":")[0] for row in rows)
-    print(f"{args.command}: {len(rows)} rows, {by_status['ok']} ok, "
+    blocks = list(_sweep_columns(cfg.grid, cfg.cases, cfg.path, cfg.utility, cfg.tolerance))
+    statuses = collections.Counter(itertools.chain.from_iterable(b["status"] for b in blocks))
+    by_status = collections.Counter()
+    for status, count in statuses.items():
+        by_status[status.split(":")[0]] += count
+    print(f"{args.command}: {sum(statuses.values())} rows, {by_status['ok']} ok, "
           f"{by_status['divergent']} divergent, {by_status['rejected']} rejected; "
-          f"{sum(row['converged'] is False for row in rows)} not converged")
-    _write_rows(out_dir, args.command, columns, rows, args.format)
-    return _exit_code(args, [row["status"] for row in rows])
+          f"{sum(b['converged'].count(False) for b in blocks)} not converged")
+    _write_columns(out_dir, args.command, columns, ([b[col] for col in columns] for b in blocks),
+                   args.format)
+    return _exit_code(args, list(statuses))
 
 
 _TABLE1_COLUMNS = ["m", "M", "b", "theta", "alpha", "N0", "n", "case", "factor", "factor_n0"]

@@ -29,14 +29,14 @@ birth rates lose no digits. Every 1-R is computed as -expm1(log R), with
 log R summed from log1p of the hazard factors, never by forming R first.
 
 The closed form runs as numpy arrays over rows, one row per (point, case):
-scenario_sweep evaluates a grid in a few passes of ``_evaluate_rows``, and
-evaluate and the functionals are its one-row calls. The social-welfare
-modifier is a per-row mask, and so is the check of ew_social against
-ew_social_n0_form at n = 0, whose rows join the same pass. Failures are
-per-row masks too: each row keeps the first exception its own evaluation
-meets (a failed precondition, divergence, a float-range exit), so no row
-depends on the rows beside it. The prefix goes in blocks of at most 4096
-dates.
+scenario_sweep and the columns of sweep and eval evaluate a grid in a few
+passes of ``_evaluate_rows``, and evaluate and the functionals are its one-row
+calls. The social-welfare modifier is a per-row mask, and so is the check of
+ew_social against ew_social_n0_form at n = 0, whose rows join the same pass.
+Failures are per-row masks too: each row keeps the first exception its own
+evaluation meets (a failed precondition, divergence, a float-range exit), so
+no row depends on the rows beside it. The prefix goes in blocks of at most
+4096 dates.
 
 tail_bound is a running rounding-error bound (Higham, Accuracy and Stability
 of Numerical Algorithms, ch. 3): each piece of the closed form is a product
@@ -262,12 +262,17 @@ def weight_ratio(case: Scenario, params: HazardParams) -> float:
 def finiteness_check(case: Scenario, params: HazardParams) -> FinitenessResult:
     """Convergence product for the case, its distance from 1, and whether its series is finite."""
     product = math.prod(factor_pieces(case, params))
-    return FinitenessResult(finite=_finite(case, product), product=product, margin=1.0 - product)
+    return FinitenessResult(finite=_finite(case.kind, product), product=product,
+                            margin=1.0 - product)
 
 
-def _finite(case: Scenario, product: float) -> bool:
-    """A known date's sum is finite; every other series converges iff its product is < 1."""
-    return case.kind == "known_extinction" or product < 1.0
+def _finite(kind: Union[str, np.ndarray], product: Union[float, np.ndarray]
+            ) -> Union[bool, np.ndarray]:
+    """A known date's sum is finite; every other series converges iff its product is < 1.
+
+    kind and product are one row's or arrays over rows.
+    """
+    return (kind == "known_extinction") | (product < 1.0)
 
 
 def weight_sequence(case: Scenario, params: HazardParams, length: int) -> np.ndarray:
@@ -675,11 +680,27 @@ def _preconditions(rows: _Batch, fails: _Failures) -> None:
         f"{factor[i]:.6g} (margin {1.0 - factor[i]:.3g})"))
 
 
+class _Results(NamedTuple):
+    """A pass's SeriesResult fields, each a list over its rows, and each failed row's exception.
+
+    A failed row's fields are None.
+    """
+
+    value: List[Optional[float]]
+    truncation_index: List[Optional[int]]
+    tail_bound: List[Optional[float]]
+    converged: List[Optional[bool]]
+    failed: Dict[int, Exception]
+
+    def result(self, i: int) -> Union[SeriesResult, Exception]:
+        """Row i's SeriesResult, or the exception its evaluation raises."""
+        return self.failed.get(i) or SeriesResult(
+            self.value[i], self.truncation_index[i], self.tail_bound[i], self.converged[i])
+
+
 @np.errstate(all="ignore")  # rows that fail their preconditions carry inf and nan
-def _evaluate_rows(
-    rows: _Batch, path: ConsumptionPath, u: UtilitySpec, tol: float
-) -> List[Union[SeriesResult, Exception]]:
-    """Each row's SeriesResult, or the exception its evaluation raises, in one pass over the rows.
+def _evaluate_rows(rows: _Batch, path: ConsumptionPath, u: UtilitySpec, tol: float) -> _Results:
+    """Each row's SeriesResult fields, or the exception its evaluation raises, in one pass.
 
     A row's result does not depend on the rows beside it. Social welfare at
     n = 0 is evaluated in its n = 0 form as well, in the same pass, and the
@@ -687,9 +708,11 @@ def _evaluate_rows(
     """
     n = len(rows.kinds)
     b, m = rows.b, rows.m
-    # b (1-m) - m is n without the cancellation of (1+b)(1-m) - 1
+    # b (1-m) - m is n without the cancellation of (1+b)(1-m) - 1; its rounding
+    # scales with the two terms, not with b, which may dwarf them at m = 1
+    bm = b * (1.0 - m)
     n0 = np.flatnonzero((rows.kinds == "social_welfare")
-                        & (np.abs(b * (1.0 - m) - m) <= 4.0 * _EPS * (b + m)))
+                        & (np.abs(bm - m) <= 4.0 * _EPS * (bm + m)))
     fails = _Failures(n + len(n0))
     _preconditions(rows, fails)
     known = rows.kinds == "known_extinction"
@@ -699,35 +722,37 @@ def _evaluate_rows(
         n0_rows = _n0_rows(rows.M[n0], m[n0], rows.N0[n0])
         inputs = _Rows(*(np.concatenate([a, z]) for a, z in zip(inputs, n0_rows)))
     value, bound = _closed(inputs, path, u, tol, fails)
-    value, bound, last = value.tolist(), bound.tolist(), path.prefix_len - 1
-    failed = fails.exc.get
-    out: List[Union[SeriesResult, Exception]] = [
-        failed(i) or SeriesResult(v, last, e, e <= tol) for i, v, e in zip(range(n), value, bound)]
+    value, bound = value.tolist(), bound.tolist()
+    values, bounds, index = value[:n], bound[:n], [path.prefix_len - 1] * n
+    failed = {i: e for i, e in fails.exc.items() if i < n}
     for i in np.flatnonzero(known).tolist():
         T = rows.cases[i % len(rows.cases)].T
         try:
-            v, e = _known_date_sum(float(m[i]), T, path, u)
-            out[i] = SeriesResult(value=v, truncation_index=T, tail_bound=e, converged=e <= tol)
+            values[i], bounds[i] = _known_date_sum(float(m[i]), T, path, u)
+            index[i] = T
         except ValueError as exc:
-            out[i] = exc
+            failed[i] = exc
     for j, i in enumerate(n0.tolist(), start=n):
-        general = out[i]
-        if isinstance(general, SeriesResult):
-            if j in fails.exc:
-                out[i] = fails.exc[j]
-            elif abs(general.value - value[j]) > (
-                    1e-10 * max(abs(general.value), abs(value[j]), 1.0)
-                    + general.tail_bound + bound[j]):
-                raise AssertionError(
-                    f"general form {general.value!r} and n=0 simplification "
-                    f"{value[j]!r} disagree beyond 1e-10 relative")
+        if i in failed:
+            continue
+        if j in fails.exc:
+            failed[i] = fails.exc[j]
+        elif abs(value[i] - value[j]) > (1e-10 * max(abs(value[i]), abs(value[j]), 1.0)
+                                         + bound[i] + bound[j]):
+            raise AssertionError(
+                f"general form {value[i]!r} and n=0 simplification "
+                f"{value[j]!r} disagree beyond 1e-10 relative")
+    out = _Results(values, index, bounds, [e <= tol for e in bounds], failed)
+    for i in failed:
+        for cells in out[:4]:
+            cells[i] = None
     return out
 
 
 def _evaluate_grid(
     points: Sequence[HazardParams], cases: Sequence[Scenario], path: ConsumptionPath,
     u: UtilitySpec, tol: float,
-) -> Iterator[Tuple[_Batch, List[Union[SeriesResult, Exception]]]]:
+) -> Iterator[Tuple[_Batch, _Results]]:
     """_evaluate_rows over the rows of points x cases, in passes of a bounded number of rows."""
     size = max(1, _BLOCK // (len(cases) * min(path.prefix_len, _CHUNK_T)))  # points per pass
     for lo in range(0, len(points), size):
@@ -746,7 +771,7 @@ def evaluate(
 
     One row of the array core: raises what that row failed with.
     """
-    result = _evaluate_rows(_batch([params], [case]), path, u, tol)[0]
+    result = _evaluate_rows(_batch([params], [case]), path, u, tol).result(0)
     if isinstance(result, Exception):
         raise result
     return result

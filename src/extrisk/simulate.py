@@ -203,7 +203,7 @@ def mc_table(
     base = math.prod(pieces[1:])  # the growth (1+b)**eb (1-m)**em
     if params.M <= 0.0:
         raise NoExtinctionError("M = 0: there is no extinction date to sample")
-    if not _finite(case, math.prod(pieces)):  # evaluate passing implies this does
+    if not _finite(case.kind, math.prod(pieces)):  # evaluate passing implies this does
         raise DivergenceError(f"(1-M) * {base:.6g} >= 1: the expectation is infinite")
     cap = config.horizon_cap or default_horizon_cap(1.0 - params.M)
     if case.kind == "social_welfare":

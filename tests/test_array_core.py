@@ -23,9 +23,11 @@ from extrisk import (
     Scenario,
     UtilitySpec,
     evaluate,
+    ew_social,
     known_extinction,
     scenario_sweep,
 )
+from extrisk.analysis import _sweep_columns
 from extrisk.series import _CHUNK_T, _LIBM, _U
 
 CASES = [Scenario(k) for k in ("individual", "dynasty", "dynasty_theta", "lineage",
@@ -118,6 +120,56 @@ def test_every_rejection_message_is_the_functional_s():
         "rejected: social welfare needs b > 0; use welfare_window at b = 0",
         "rejected: the prefactor inf leaves float range",
     }
+
+
+def test_social_welfare_at_m_one_and_a_huge_birth_rate_is_not_its_n0_form():
+    # n = (1+b)(1-m) - 1 = -1, not 0: the cohort dies in its first period, w_0 = N0 = 1
+    res = ew_social(HazardParams(m=1.0, M=0.02, b=1e300), ConsumptionPath.constant(1.0),
+                    UtilitySpec.linear())
+    assert abs(res.value - 1.0) <= res.tail_bound and res.converged
+
+
+# --- adversarial grids: every row present, the CLI's columns equal to the rows ---
+
+ADVERSARIAL_HAZARDS = (0.0, 5e-324, 1e-300, 1e-17, 1e-7, 0.02, 0.5, 1.0 - 1e-16, 1.0)
+ADVERSARIAL_BIRTHS = (0.0, 5e-324, 1e-300, 1e-17, 1e-7, 0.02, 0.5, 1.0, 1e10, 1e300)
+ADVERSARIAL_ECONOMIES = [
+    (ConsumptionPath(prefix=(5e-324, 1.0)), UtilitySpec.log()),  # a subnormal c_t
+    (ConsumptionPath(prefix=(5e-324, 1.0)), UtilitySpec.crra(3.0)),  # u(c_t) overflows
+    (ConsumptionPath(prefix=(1e300, 2.0)), UtilitySpec.linear()),  # a huge c_t
+    (ConsumptionPath.constant(1e300), UtilitySpec.crra(0.5)),
+    (ConsumptionPath(prefix=PREFIX, tail="geometric", ratio=0.0), UtilitySpec.linear()),
+    (ConsumptionPath(prefix=PREFIX, tail="geometric", ratio=0.0), UtilitySpec.log()),
+]
+
+
+@st.composite
+def adversarial_grids(draw):
+    def some(values):
+        return draw(st.lists(st.sampled_from(values), min_size=1, max_size=2, unique=True))
+
+    theta = draw(st.sampled_from((0.0, 0.5, 1.0)))
+    points = [HazardParams(m=m, M=M, b=b, theta=theta, N0=N0)
+              for m in some(ADVERSARIAL_HAZARDS) for M in some(ADVERSARIAL_HAZARDS)
+              for b in some(ADVERSARIAL_BIRTHS) for N0 in some((1.0, 1e300))]
+    return (points, *draw(st.sampled_from(ADVERSARIAL_ECONOMIES)))
+
+
+@given(grid=adversarial_grids())
+@example(grid=([HazardParams(m=1.0, M=0.02, b=1e300)], ConsumptionPath.constant(1.0),
+               UtilitySpec.linear()))
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_adversarial_grids_give_every_row_and_the_cli_columns_hold_its_cells(grid):
+    points, path, u = grid
+    rows = scenario_sweep(points, CASES, path, u)
+    assert [(r.params, r.case) for r in rows] == [(p, c) for p in points for c in CASES]
+    expected = {}
+    for row in rows:
+        for col, v in row.to_dict().items():
+            expected.setdefault(col, []).append(repr(v))
+    blocks = list(_sweep_columns(points, CASES, path, u, 1e-10))
+    assert {col: [repr(v) for block in blocks for v in block[col]] for col in blocks[0]} \
+        == expected
 
 
 # --- every row of a random grid within its bound of the 50-digit oracle -------

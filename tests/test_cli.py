@@ -796,7 +796,31 @@ def test_writer_matches_the_csv_and_json_encoders(tmp_path_factory, rows):
     out = tmp_path_factory.mktemp("oracle")
     with contextlib.redirect_stdout(io.StringIO()):
         cli._write_rows(out, "o", _ORACLE_COLUMNS, rows, "both")
+    check_written_as_the_encoders_write(out, rows)
 
+
+def _block_scale_row(i):
+    """Row i of a table spanning three writer blocks; each column takes one path of the writer."""
+    last = 2 * cli._WRITE_BLOCK + 3  # the one row of the last block with a zero in column d"
+    return dict(zip(_ORACLE_COLUMNS, [
+        [0.0, -0.0, 0.1, np.float64(-0.0), float("nan")][i % 5],  # floats with both zeros
+        [1, 1.0, True, None, '"q"\r', -0.0, False, 0, 0.0][i % 9],  # mixed types with zeros
+        -0.0 if i == last else [np.float64(0.1), 1e-300, float("inf"), float("-inf"), None][i % 5],
+        [1, 1.0, True, None, "\r", "a,b", np.float64(2.5), float("nan")][i % 8],
+        float(i),  # 0.0 in the first block only
+        f"r{i % 3}\r",
+    ]))
+
+
+def test_writer_matches_the_encoders_across_blocks(tmp_path, capsys):
+    rows = [_block_scale_row(i) for i in range(2 * cli._WRITE_BLOCK + 11)]
+    cli._write_rows(tmp_path, "o", _ORACLE_COLUMNS, rows, "both")
+    check_written_as_the_encoders_write(tmp_path, rows)
+    assert capsys.readouterr().out.count("wrote ") == 2
+
+
+def check_written_as_the_encoders_write(out, rows):
+    """o.csv and o.json in out hold rows as csv.writer and json.dumps write them."""
     def cell(v):  # csv.writer's text, but a field with a lone "\r" is always quoted
         if isinstance(v, str) and "\r" in v:
             return '"' + v.replace('"', '""') + '"'

@@ -6,7 +6,8 @@ are written as CSV tables and/or JSON arrays with one row per line, whose keys
 follow the CSV header order. Output is written a column at a time: sweep and
 eval take their columns straight from each pass of the array core, the other
 subcommands transpose their rows in blocks. Both files are written in one
-streamed pass that formats each distinct value once per column and block,
+streamed pass that formats each distinct value once per column and block and
+joins each JSON row from its cells and key prefixes built once per file,
 into temp files renamed into place (mode 0666 less the umask) only when every
 row is written. A non-finite float is written as its repr (inf) in CSV and as
 null in JSON, which has no literal for it.
@@ -189,8 +190,9 @@ class RunConfig:
             if "n0_values" in sim:  # agent mode's, not SimulationConfig's
                 n0_values = sim.pop("n0_values")
                 if not (isinstance(n0_values, list) and n0_values
-                        and all(type(v) is int and v >= 1 for v in n0_values)):
-                    raise ConfigError("simulation.n0_values: expected a list of positive integers")
+                        and all(type(v) is int and 1 <= v < 2**63 for v in n0_values)):
+                    raise ConfigError("simulation.n0_values: expected a list of positive integers "
+                                      "below 2**63")
         return cls(
             cases=_parse_cases(raw.get("cases")),
             grid=_parse_grid(raw["grid"]),
@@ -336,31 +338,40 @@ _NULL = {"": "null", "inf": "null", "-inf": "null", "nan": "null"}  # JSON's tex
 def _column_texts(cells: Sequence[Any]) -> Tuple[Sequence[str], Sequence[str]]:
     """A column's CSV and JSON texts, each distinct value formatted once.
 
-    A column of floats and None is keyed by value, any other by (type,
-    value), so that 1, 1.0 and True stay apart. A float zero shares its key
-    with the other zero, so a column holding one is formatted cell by cell.
+    A column is keyed by value where that cannot merge two different texts:
+    floats (np.float64 too) with None, or one other type with None. A column
+    that mixes types is keyed by (type, value), so that 1, 1.0 and True stay
+    apart. A float zero shares its key with the other zero, so a column
+    holding one is formatted cell by cell. A float column's JSON texts are
+    its CSV texts unless a distinct value is None or not finite.
     """
     types = set(map(type, cells))
-    if all(t is NoneType or issubclass(t, float) for t in types):
-        distinct = dict.fromkeys(cells)
-        if 0.0 in distinct:
-            csv_texts = [_texts(v)[0] for v in cells]
-        else:
-            texts = {None: ""}
-            distinct.pop(None, None)
-            texts.update(zip(distinct, map(float.__repr__, distinct)))
-            csv_texts = list(map(texts.__getitem__, cells))
-        if _NULL.keys().isdisjoint(csv_texts):
-            return csv_texts, csv_texts
-        return csv_texts, list(map(_NULL.get, csv_texts, csv_texts))
-    keys = list(zip(map(type, cells), cells))
-    distinct = dict.fromkeys(keys)
-    if any((t, 0.0) in distinct for t in types if issubclass(t, float)):
-        pairs = map(_texts, cells)
+    types.discard(NoneType)
+    floats = all(issubclass(t, float) for t in types)
+    if floats or len(types) == 1:
+        keys, distinct = cells, dict.fromkeys(cells)
+        zero = floats and 0.0 in distinct
     else:
-        pairs = map(dict(zip(distinct, [_texts(v) for _, v in distinct])).__getitem__, keys)
-    csv_texts, json_texts = zip(*pairs)
-    return csv_texts, json_texts
+        keys = list(zip(map(type, cells), cells))
+        distinct = dict.fromkeys(keys)
+        zero = any((t, 0.0) in distinct for t in types if issubclass(t, float))
+    if zero:
+        csv_texts, json_texts = zip(*map(_texts, cells))
+        return csv_texts, json_texts
+    if floats:
+        none = None in distinct
+        distinct.pop(None, None)
+        nulls = none or not all(map(math.isfinite, distinct))
+        csv_map = dict(zip(distinct, map(float.__repr__, distinct)))
+        csv_map[None] = ""
+        csv_texts = list(map(csv_map.__getitem__, cells))
+        return csv_texts, list(map(_NULL.get, csv_texts, csv_texts)) if nulls else csv_texts
+    values = distinct if keys is cells else [v for _, v in distinct]
+    csv_list, json_list = zip(*map(_texts, values))
+    csv_texts = list(map(dict(zip(distinct, csv_list)).__getitem__, keys))
+    if csv_list == json_list:
+        return csv_texts, csv_texts
+    return csv_texts, list(map(dict(zip(distinct, json_list)).__getitem__, keys))
 
 
 def _stream_columns(csv_fh: Optional[TextIO], json_fh: Optional[TextIO], columns: Sequence[str],
@@ -368,9 +379,11 @@ def _stream_columns(csv_fh: Optional[TextIO], json_fh: Optional[TextIO], columns
     """CSV with a header row; a JSON array, one row per line.
 
     Each block's rows are joined from its columns' texts; a cell list given
-    for two columns is formatted once.
+    for two columns is formatted once. A JSON row is one join of its cells
+    between key prefixes built once per call: '{"m": ', ', "M": ', ... '}'.
     """
-    json_line = "{" + ", ".join(json.dumps(col).replace("%", "%%") + ": %s" for col in columns) + "}"
+    prefixes = [("{" if i == 0 else ", ") + json.dumps(col) + ": " for i, col in enumerate(columns)]
+    key_texts, close = list(map(itertools.repeat, prefixes)), itertools.repeat("}")
     if csv_fh:
         csv_fh.write(",".join(_texts(col)[0] for col in columns) + "\n")
     sep = "[\n"
@@ -383,7 +396,8 @@ def _stream_columns(csv_fh: Optional[TextIO], json_fh: Optional[TextIO], columns
         if csv_fh:
             csv_fh.write("\n".join(map(",".join, zip(*csv_cols))) + "\n")
         if json_fh:
-            json_fh.write(sep + ",\n".join(map(json_line.__mod__, zip(*json_cols))))
+            parts = [part for pair in zip(key_texts, json_cols) for part in pair]
+            json_fh.write(sep + ",\n".join(map("".join, zip(*parts, close))))
             sep = ",\n"
     if json_fh:
         json_fh.write("[]\n" if sep == "[\n" else "\n]\n")
@@ -618,6 +632,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # parse_args fills a new namespace per call, so one tree serves every run
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="extrisk",

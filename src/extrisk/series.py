@@ -235,8 +235,8 @@ class _Batch(NamedTuple):
 
 def _batch(points: Sequence[HazardParams], cases: Sequence[Scenario]) -> _Batch:
     """The rows of points x cases; each factor is math.prod(factor_pieces) to the bit."""
-    M, b, m, N0 = np.array([(p.M, p.b, p.m, p.N0) for p in points for _ in cases],
-                           dtype=float).reshape(-1, 4).T
+    per_point = np.array([(p.M, p.b, p.m, p.N0) for p in points], dtype=float).reshape(-1, 4)
+    M, b, m, N0 = np.repeat(per_point, len(cases), axis=0).T
     exps = np.array([_EXPONENTS[c.kind](p) for p in points for c in cases],
                     dtype=float).reshape(-1, 3)
     eM, eb, em = exps.T

@@ -436,8 +436,8 @@ def abm_smoothing_study(
     """
     if params.b <= 0.0:
         raise ValueError("the smoothed comparison needs b > 0")
-    if any(n0 < 1 or n0 != int(n0) for n0 in n0_values):
-        raise ValueError("head counts must be positive integers")
+    if any(not 1 <= n0 < 2**63 or n0 != int(n0) for n0 in n0_values):
+        raise ValueError("head counts must be positive integers below 2**63")
     if params.M <= 0.0:
         raise NoExtinctionError("the study mixes over extinction dates; needs M > 0")
     reps = config.replications

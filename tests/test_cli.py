@@ -219,6 +219,22 @@ def test_strict_flags_divergent_points(tmp_path):
     assert rows[0]["value"] == ""  # flagged, never numeric
 
 
+def test_flags_of_one_run_do_not_carry_into_the_next(tmp_path, capsys):
+    cfg = write_config(tmp_path, {**BASE_CONFIG, "cases": ["individual", "dynasty"],
+                                  "grid": {"m": [0.0], "M": [0.005], "b": [0.01]}})
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli_run(["eval", "--config", cfg, "--out", str(first), "--strict",
+                    "--format", "csv", "--tolerance", "1e-20"]) == 2
+    assert cli_run(["eval", "--config", cfg, "--out", str(second)]) == 0  # divergent, not strict
+    assert sorted(p.name for p in first.iterdir()) == ["eval.csv"]
+    assert sorted(p.name for p in second.iterdir()) == ["eval.csv", "eval.json"]
+    tight, config = read_csv(first / "eval.csv")[0], read_csv(second / "eval.csv")[0]
+    assert tight["case"] == config["case"] == "individual"
+    assert 1e-20 < float(config["tail_bound"]) <= 1e-10  # converged under the config's tolerance
+    assert (tight["converged"], config["converged"]) == ("False", "True")
+    assert capsys.readouterr().out.count("wrote ") == 3
+
+
 def test_empty_grid_produces_header_only(tmp_path):
     cfg = write_config(tmp_path, {"grid": {"m": [], "M": [0.1]}})
     out = tmp_path / "out"
@@ -375,6 +391,24 @@ def test_simulate_agent_mode_underflowing_consumption_is_a_config_error(tmp_path
     assert capsys.readouterr().err == ("config error: agent-mode simulate at m=0.02, M=0.001, "
                                        "b=0.03: log utility needs consumption > 0\n")
     assert not out.exists()
+
+
+def test_agent_mode_head_counts_beyond_int64_are_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "grid": {"m": [0.02], "M": [0.05], "b": [0.03]},
+        "simulation": {"replications": 20, "seed": 3, "mode": "agent",
+                       "n0_values": [10, 100_000_000_000_000_000_000]},
+    })
+    out = tmp_path / "abm"
+    assert cli_run(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("config error: simulation.n0_values: expected a list of "
+                                       "positive integers below 2**63\n")
+    assert not out.exists()
+    largest = {"grid": {"m": [0.02], "M": [0.05]},
+               "simulation": {"mode": "agent", "n0_values": [2**63 - 1]}}
+    assert cli.RunConfig.from_dict(largest).n0_values == [2**63 - 1]
+    with pytest.raises(cli.ConfigError, match="n0_values"):
+        cli.RunConfig.from_dict({**largest, "simulation": {"mode": "agent", "n0_values": [2**63]}})
 
 
 def _run_fresh(argv):
@@ -799,27 +833,36 @@ def test_writer_matches_the_csv_and_json_encoders(tmp_path_factory, rows):
     check_written_as_the_encoders_write(out, rows)
 
 
+# one type with None in each column, then ints and bools; a name a JSON key must escape
+_BLOCK_COLUMNS = _ORACLE_COLUMNS + ["bool", "int", "str", "ints and bools", 'k"%s": }{%%']
+
+
 def _block_scale_row(i):
     """Row i of a table spanning three writer blocks; each column takes one path of the writer."""
     last = 2 * cli._WRITE_BLOCK + 3  # the one row of the last block with a zero in column d"
-    return dict(zip(_ORACLE_COLUMNS, [
+    return dict(zip(_BLOCK_COLUMNS, [
         [0.0, -0.0, 0.1, np.float64(-0.0), float("nan")][i % 5],  # floats with both zeros
         [1, 1.0, True, None, '"q"\r', -0.0, False, 0, 0.0][i % 9],  # mixed types with zeros
         -0.0 if i == last else [np.float64(0.1), 1e-300, float("inf"), float("-inf"), None][i % 5],
         [1, 1.0, True, None, "\r", "a,b", np.float64(2.5), float("nan")][i % 8],
         float(i),  # 0.0 in the first block only
         f"r{i % 3}\r",
+        [True, None, False][i % 3],
+        [2**53 + 1, None, 0, -(2**63), 10**30 + i][i % 5],  # beyond a float's exact integers
+        ["", None, 'say "hi"', "a,b", "null", "\u00e9"][i % 6],  # "" and None: one CSV text
+        [1, True, 0, False][i % 4],  # equal as values, apart as texts
+        [0.5, None, 1e300][i % 3],
     ]))
 
 
 def test_writer_matches_the_encoders_across_blocks(tmp_path, capsys):
     rows = [_block_scale_row(i) for i in range(2 * cli._WRITE_BLOCK + 11)]
-    cli._write_rows(tmp_path, "o", _ORACLE_COLUMNS, rows, "both")
-    check_written_as_the_encoders_write(tmp_path, rows)
+    cli._write_rows(tmp_path, "o", _BLOCK_COLUMNS, rows, "both")
+    check_written_as_the_encoders_write(tmp_path, rows, _BLOCK_COLUMNS)
     assert capsys.readouterr().out.count("wrote ") == 2
 
 
-def check_written_as_the_encoders_write(out, rows):
+def check_written_as_the_encoders_write(out, rows, columns=_ORACLE_COLUMNS):
     """o.csv and o.json in out hold rows as csv.writer and json.dumps write them."""
     def cell(v):  # csv.writer's text, but a field with a lone "\r" is always quoted
         if isinstance(v, str) and "\r" in v:
@@ -831,16 +874,16 @@ def check_written_as_the_encoders_write(out, rows):
         return buf.getvalue()[:-1]
 
     expected = "".join(",".join(cell(v) for v in line) + "\n" for line in
-                       [_ORACLE_COLUMNS] + [[row[c] for c in _ORACLE_COLUMNS] for row in rows])
+                       [columns] + [[row[c] for c in columns] for row in rows])
     assert (out / "o.csv").read_bytes() == expected.encode("utf-8")
     with open(out / "o.csv", newline="", encoding="utf-8") as fh:
         records = list(csv.reader(fh))
-    assert records[0] == _ORACLE_COLUMNS and len(records) == len(rows) + 1
+    assert records[0] == columns and len(records) == len(rows) + 1
     for row, record in zip(rows, records[1:]):
-        assert all(text == row[c] for c, text in zip(_ORACLE_COLUMNS, record)
+        assert all(text == row[c] for c, text in zip(columns, record)
                    if isinstance(row[c], str))
     lines = [json.dumps({c: None if isinstance(row[c], float) and not math.isfinite(row[c])
-                         else row[c] for c in _ORACLE_COLUMNS}, allow_nan=False)
+                         else row[c] for c in columns}, allow_nan=False)
              for row in rows]
     assert (out / "o.json").read_bytes() == \
         ("[\n" + ",\n".join(lines) + "\n]\n" if rows else "[]\n").encode("utf-8")

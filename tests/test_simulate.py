@@ -307,7 +307,8 @@ def test_bernoulli_pair_rejects_large_birth_rate():
 # --- agent-based runs ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n0_values", [[0], [1, 2.5]])
+# the last two are beyond numpy's int64, which holds the populations
+@pytest.mark.parametrize("n0_values", [[0], [1, 2.5], [1, 2**63], [100_000_000_000_000_000_000]])
 def test_abm_study_rejects_head_counts_that_are_not_positive_integers(n0_values):
     p = HazardParams(m=0.1, M=0.1, b=0.1)
     cfg = SimulationConfig(replications=10, seed=0, mode="agent")

@@ -4,47 +4,37 @@ Each functional has an independent estimator: sample the random date (the
 individual death date, or the extinction date), evaluate the realized
 discounted sum, and average. Estimates are bit-reproducible from the seed
 and must land within a few standard errors of the closed series values.
+``mc_compare`` sets both side by side for a whole grid in one call, one
+seeded config per point.
 """
 
 from extrisk import (
+    DEFAULT_TOLERANCE,
+    DYNASTY,
+    INDIVIDUAL,
+    LINEAGE,
+    SOCIAL_WELFARE,
     SimulationConfig,
     VERIFY_GRID,
     VERIFY_PATH,
     VERIFY_UTILITY,
-    eg_lineage,
-    eu_individual,
-    ev_dynasty,
-    ew_social,
-    mc_eg_lineage,
-    mc_eu_individual,
-    mc_ev_dynasty,
-    mc_ew_social,
+    mc_compare,
 )
 
-params = VERIFY_GRID[1]
+points = VERIFY_GRID[1:3]
+cases = [INDIVIDUAL, DYNASTY, LINEAGE, SOCIAL_WELFARE]
 path, u = VERIFY_PATH, VERIFY_UTILITY
-config = SimulationConfig(replications=400_000, seed=20240613)
+configs = [SimulationConfig(replications=400_000, seed=20240613 + i) for i in range(len(points))]
 
-print(f"point: m={params.m} M={params.M} b={params.b} "
-      f"theta={params.theta} alpha={params.alpha}")
-print(f"{config.replications} replications, seed {config.seed}\n")
+rows = mc_compare(points, cases, path, u, DEFAULT_TOLERANCE, configs)
+print(f"{configs[0].replications} replications per point, seed 20240613 + point index\n")
+print(f"{'m':>5s} {'M':>5s} {'b':>6s} {'functional':<15s} {'analytic':>10s} "
+      f"{'mc mean':>10s} {'se':>8s} {'|z|':>5s}")
+for r in rows:
+    z = r["abs_error"] / r["mc_se"]
+    print(f"{r['m']:>5.2f} {r['M']:>5.2f} {r['b']:>6.3f} {r['case']:<15s} {r['analytic']:>10.5f} "
+          f"{r['mc_mean']:>10.5f} {r['mc_se']:>8.5f} {z:>5.2f}")
 
-pairs = [
-    ("individual", eu_individual(params, path, u).value,
-     mc_eu_individual(params, path, u, config)),
-    ("dynasty", ev_dynasty(params, path, u).value,
-     mc_ev_dynasty(params, path, u, 1.0, config)),
-    ("lineage", eg_lineage(params, path, u).value,
-     mc_eg_lineage(params, path, u, config)),
-    ("social welfare", ew_social(params, path, u).value,
-     mc_ew_social(params, path, u, config)),
-]
-print(f"{'functional':<16s} {'analytic':>12s} {'mc mean':>12s} {'se':>9s} {'|z|':>6s}")
-for name, analytic, est in pairs:
-    z = abs(est.mean - analytic) / est.standard_error
-    print(f"{name:<16s} {analytic:>12.5f} {est.mean:>12.5f} "
-          f"{est.standard_error:>9.5f} {z:>6.2f}")
-
-again = mc_eu_individual(params, path, u, config)
-print(f"\nre-running with the same seed reproduces the estimate bit for bit: "
-      f"{again == pairs[0][2]}")
+again = mc_compare(points[:1], cases, path, u, DEFAULT_TOLERANCE, configs[:1])
+print(f"\nre-running the first point alone with its seed reproduces its rows bit for bit: "
+      f"{again == rows[:len(cases)]}")

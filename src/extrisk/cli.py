@@ -558,8 +558,8 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
               f"max cap_hit_fraction {hit:.3g}")
         _write_rows(out_dir, "simulate", _ABM_COLUMNS, rows, args.format)
         return 0
-    rows = [row for params in cfg.grid
-            for row in mc_compare(params, cfg.cases, cfg.path, cfg.utility, cfg.tolerance, sim)]
+    rows = mc_compare(cfg.grid, cfg.cases, cfg.path, cfg.utility, cfg.tolerance,
+                      [sim] * len(cfg.grid))
     by_status = collections.Counter(row["status"].split(":")[0] for row in rows)
     masses = [row["truncated_mass"] for row in rows if row["truncated_mass"] is not None]
     counts = ", ".join(f"{n} {status}" for status, n in sorted(by_status.items()))

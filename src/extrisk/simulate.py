@@ -8,8 +8,8 @@ one ``SeedSequence([seed, stream_tag])`` generator that draws the histogram of
 its dates (``sample_date_counts``): each well-filled early date as one binomial
 count, the sparse tail as shifted geometric dates. Estimates are bit-for-bit
 reproducible from (seed, config). ``mc_compare`` sets each case's closed form
-beside its estimate; it is the one comparison that smoothed ``simulate`` and
-``verify_oracle_grid`` (``verify``) write.
+beside its estimate over a grid; smoothed ``simulate`` and ``verify_oracle_grid``
+(``verify``) each write one call of it.
 
 The agent-based mode keeps an integer population with Bernoulli deaths and
 stochastic births per survivor, and quantifies the error of the smooth
@@ -20,6 +20,7 @@ by the sampler of smoothed mode.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -36,7 +37,7 @@ from .model import (
     _check_int,
     sample_date_counts,
 )
-from .analysis import SweepRow, scenario_sweep
+from .analysis import scenario_sweep
 from .series import (
     DEFAULT_TOLERANCE,
     DYNASTY,
@@ -73,6 +74,7 @@ __all__ = [
 ]
 
 _CAP_LIMIT = 1 << 21
+_INT64_MAX = 2**63 - 1  # the largest head count agent mode holds
 # stream tags: death dates, extinction dates (shared by every extinction-date case), then
 # agent dates and offspring, one stream each for all head counts; 3, 4 retired, never reused
 _TAG_EU, _TAG_EV, _TAG_ABM_T, _TAG_ABM = 1, 2, 5, 6
@@ -265,58 +267,52 @@ def mc_verdict(
 
 
 def mc_compare(
-    params: HazardParams,
+    points: Sequence[HazardParams],
     cases: Sequence[Scenario],
     path: ConsumptionPath,
     u: UtilitySpec,
     tol: float,
-    config: SimulationConfig,
+    configs: Sequence[SimulationConfig],
 ) -> List[Dict[str, Any]]:
-    """Each case's closed form beside its Monte Carlo estimate: one row per case.
+    """Each case's closed form beside its Monte Carlo estimate: one row per (point, case).
 
-    The rows are those smoothed ``simulate`` writes. The analytic verdict is
-    ``scenario_sweep``'s status; an ok row is then sampled with ``mc_table`` and
-    ``mc_estimates`` and judged by ``mc_verdict``, unless its date is known
-    ("deterministic (no sampling)") or its table cannot be built ("ok: not
-    sampled: <reason>": the closed form can hold where the sampled c_t
-    underflow). A sampled row without finite variance reads "ok: infinite
-    variance, mc_se is not an error bar".
+    Point i is sampled under configs[i], whatever points lie beside it. The
+    analytic verdict is the status of one ``scenario_sweep`` over all points;
+    an ok row is then sampled with ``mc_table`` and ``mc_estimates`` and judged
+    by ``mc_verdict``, unless its date is known ("deterministic (no sampling)")
+    or its table cannot be built ("ok: not sampled: <reason>": the closed form
+    can hold where the sampled c_t underflow). A sampled row without finite
+    variance reads "ok: infinite variance, mc_se is not an error bar".
     """
-    return _compare(params, scenario_sweep([params], cases, path, u, tol), path, u, config)
-
-
-def _compare(
-    params: HazardParams,
-    swept: Sequence[SweepRow],
-    path: ConsumptionPath,
-    u: UtilitySpec,
-    config: SimulationConfig,
-) -> List[Dict[str, Any]]:
-    """mc_compare's rows from the point's scenario_sweep rows."""
-    rows, tables, sampled = [], {}, []
-    for sr in swept:
-        row = {**params.cells(), "case": sr.case.label(), "replications": config.replications,
-               "analytic": None if sr.series is None else sr.series.value,
-               "mc_mean": None, "mc_se": None, "abs_error": None, "within_3se": None,
-               "truncated_mass": None, "status": sr.status}
-        if sr.status == "ok" and sr.case.kind == "known_extinction":
-            row["status"] = "deterministic (no sampling)"
-        elif sr.status == "ok":
-            try:
-                tables[sr.case] = mc_table(sr.case, params, path, u, config)
-            except ValueError as exc:
-                row["status"] = f"ok: not sampled: {exc}"
-            else:
-                sampled.append((sr.case, row))
-        rows.append(row)
-    ests = mc_estimates(params, tables, config)
-    for case, row in sampled:
-        est = ests[case]
-        err, within, finite_variance = mc_verdict(case, params, path, u, est, row["analytic"])
-        row.update(mc_mean=est.mean, mc_se=est.standard_error, abs_error=err,
-                   within_3se=within, truncated_mass=est.truncated_mass)
-        if not finite_variance:
-            row["status"] = "ok: infinite variance, mc_se is not an error bar"
+    if len(points) != len(configs):
+        raise ValueError(f"one SimulationConfig per point: {len(configs)} for {len(points)} points")
+    swept = iter(scenario_sweep(points, cases, path, u, tol))
+    rows: List[Dict[str, Any]] = []
+    for params, config in zip(points, configs):
+        tables, sampled = {}, []
+        for sr in itertools.islice(swept, len(cases)):
+            row = {**params.cells(), "case": sr.case.label(), "replications": config.replications,
+                   "analytic": None if sr.series is None else sr.series.value,
+                   "mc_mean": None, "mc_se": None, "abs_error": None, "within_3se": None,
+                   "truncated_mass": None, "status": sr.status}
+            if sr.status == "ok" and sr.case.kind == "known_extinction":
+                row["status"] = "deterministic (no sampling)"
+            elif sr.status == "ok":
+                try:
+                    tables[sr.case] = mc_table(sr.case, params, path, u, config)
+                except ValueError as exc:
+                    row["status"] = f"ok: not sampled: {exc}"
+                else:
+                    sampled.append((sr.case, row))
+            rows.append(row)
+        ests = mc_estimates(params, tables, config)
+        for case, row in sampled:
+            est = ests[case]
+            err, within, finite_variance = mc_verdict(case, params, path, u, est, row["analytic"])
+            row.update(mc_mean=est.mean, mc_se=est.standard_error, abs_error=err,
+                       within_3se=within, truncated_mass=est.truncated_mass)
+            if not finite_variance:
+                row["status"] = "ok: infinite variance, mc_se is not an error bar"
     return rows
 
 
@@ -386,11 +382,16 @@ def mc_ew_social(
 def _offspring(
     rng: np.random.Generator, survivors: np.ndarray, b: float, law: str
 ) -> np.ndarray:
+    """Births per survivor count, held at 2**63 - 1 where they would pass it."""
     if law == "poisson":
-        return rng.poisson(b * survivors)
+        try:
+            return rng.poisson(b * survivors)
+        except ValueError:  # numpy draws no mean within 10 sd of 2**63: the largest count passes it
+            return np.where(survivors == survivors.max(), _INT64_MAX, 0)
     if b > 2.0:
         raise ValueError("bernoulli-pair needs b <= 2 (pair probability b/2)")
-    return 2 * rng.binomial(survivors, b / 2.0)
+    pairs = rng.binomial(survivors, b / 2.0)
+    return np.where(pairs > _INT64_MAX // 2, _INT64_MAX, 2 * pairs)
 
 
 @dataclass(frozen=True)
@@ -432,7 +433,8 @@ def abm_smoothing_study(
     every head count (common random numbers), so the rows differ only through
     integer-population noise, which shrinks as 1/sqrt(n0). All head counts
     advance together on one offspring stream, so a row depends on the whole
-    n0_values list.
+    n0_values list. A population that passes 2**63 - 1, int64's largest
+    value, raises ValueError naming its n0 and the period.
     """
     if params.b <= 0.0:
         raise ValueError("the smoothed comparison needs b > 0")
@@ -471,6 +473,9 @@ def abm_smoothing_study(
             nv = n[:, :moving]
             survivors = rng.binomial(nv, 1.0 - params.m)
             np.add(survivors, _offspring(rng, survivors, params.b, config.offspring_law), out=nv)
+            if nv.min() < 0:  # both terms lie in [0, 2**63 - 1], so a sum past it wraps negative
+                n0 = n0s[np.any(nv < 0, axis=1)][0]
+                raise ValueError(f"the head count from n0={n0} outgrows int64 at period {t + 1}")
             died[:, :moving] |= nv == 0
     percap = welfare / n0s[:, None]
     gap = percap - np.repeat(smooth_cum[::-1], counts[::-1])
@@ -526,40 +531,34 @@ _VERIFY_FUNCTIONALS = (
 def verify_oracle_grid(
     replications: int = 1_000_000,
     seed: int = 20240613,
-    points: Optional[Sequence[HazardParams]] = None,
+    points: Sequence[HazardParams] = VERIFY_GRID,
 ) -> List[Dict[str, Any]]:
     """Compare every analytic functional with its Monte Carlo estimate per grid point.
 
-    Every point gets ``mc_compare``'s rows on VERIFY_PATH and VERIFY_UTILITY
-    with seed seed + 1000003 i for point i, the closed forms of all points
-    coming from one scenario_sweep; the rows are the ones ``verify`` writes. A
-    row is ok when its status is "ok" (every VERIFY_GRID point has a finite
-    variance) and |mc - analytic| <= 3 SE. Statistically about 1 in 370
-    honest comparisons lands outside +-3 SE, so a full run tolerates one
-    stray failure. The four extinction-date rows of one point average over
-    the same draws of T, so their errors are correlated and stray failures can
-    come in clusters of one point's rows rather than independently.
+    The rows ``verify`` writes, from one ``mc_compare`` call on VERIFY_PATH and
+    VERIFY_UTILITY with seed seed + 1000003 i at point i. A row is ok when its
+    status is "ok" (every VERIFY_GRID point has a finite variance) and
+    |mc - analytic| <= 3 SE. Statistically about 1 in 370 honest comparisons
+    lands outside +-3 SE, so a full run tolerates one stray failure. The four
+    extinction-date rows of one point average over the same draws of T, so
+    their errors are correlated and stray failures can come in clusters of one
+    point's rows rather than independently.
     """
-    pts = tuple(points) if points is not None else VERIFY_GRID
-    cases = [case for case, _ in _VERIFY_FUNCTIONALS]
-    swept = scenario_sweep(pts, cases, VERIFY_PATH, VERIFY_UTILITY, DEFAULT_TOLERANCE)
-    rows: List[Dict[str, Any]] = []
-    for i, params in enumerate(pts):
-        cfg = SimulationConfig(replications=replications, seed=seed + _VERIFY_SEED_STEP * i)
-        compared = _compare(params, swept[len(cases) * i : len(cases) * (i + 1)], VERIFY_PATH,
-                            VERIFY_UTILITY, cfg)
-        for (_, name), r in zip(_VERIFY_FUNCTIONALS, compared):
-            rows.append({"functional": name, "point": i, **params.cells(population=False),
-                         **{k: r[k] for k in ("analytic", "mc_mean", "mc_se", "abs_error")},
-                         "ok": r["status"] == "ok" and r["within_3se"],
-                         "truncated_mass": r["truncated_mass"]})
-    return rows
+    configs = [SimulationConfig(replications=replications, seed=seed + _VERIFY_SEED_STEP * i)
+               for i in range(len(points))]
+    k = len(_VERIFY_FUNCTIONALS)
+    compared = mc_compare(points, [case for case, _ in _VERIFY_FUNCTIONALS], VERIFY_PATH,
+                          VERIFY_UTILITY, DEFAULT_TOLERANCE, configs)
+    return [{"functional": name, "point": i, **params.cells(population=False),
+             **{key: r[key] for key in ("analytic", "mc_mean", "mc_se", "abs_error")},
+             "ok": r["status"] == "ok" and r["within_3se"],
+             "truncated_mass": r["truncated_mass"]}
+            for i, params in enumerate(points)
+            for (_, name), r in zip(_VERIFY_FUNCTIONALS, compared[k * i : k * (i + 1)])]
 
 
 def reproducibility_selfcheck() -> bool:
     """Run one estimator twice with the same seed; True when bit-identical."""
-    cfg = SimulationConfig(replications=50_000, seed=97)
-    params = VERIFY_GRID[0]
-    a = mc_eu_individual(params, VERIFY_PATH, VERIFY_UTILITY, cfg)
-    b = mc_eu_individual(params, VERIFY_PATH, VERIFY_UTILITY, cfg)
-    return a == b
+    args = (VERIFY_GRID[0], VERIFY_PATH, VERIFY_UTILITY,
+            SimulationConfig(replications=50_000, seed=97))
+    return mc_eu_individual(*args) == mc_eu_individual(*args)

@@ -411,6 +411,19 @@ def test_agent_mode_head_counts_beyond_int64_are_a_config_error(tmp_path, capsys
         cli.RunConfig.from_dict({**largest, "simulation": {"mode": "agent", "n0_values": [2**63]}})
 
 
+def test_agent_mode_population_grown_past_int64_is_a_config_error_naming_the_cause(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "grid": {"m": [0.02], "M": [0.005], "b": [0.5]},
+        "simulation": {"replications": 50, "seed": 1, "mode": "agent", "n0_values": [1]},
+    })
+    out = tmp_path / "abm"
+    assert cli_run(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: agent-mode simulate at m=0.02, M=0.005, b=0.5: "
+                          "the head count from n0=1 outgrows int64 at period ")
+    assert not out.exists()
+
+
 def _run_fresh(argv):
     """Run ``python argv`` in a fresh interpreter that imports extrisk from this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")

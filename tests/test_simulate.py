@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from extrisk import (
+    DEFAULT_TOLERANCE,
     DYNASTY,
     DYNASTY_THETA,
     INDIVIDUAL,
@@ -30,6 +31,7 @@ from extrisk import (
     eu_individual,
     ev_dynasty_theta,
     ew_social,
+    mc_compare,
     mc_eg_lineage,
     mc_eu_individual,
     mc_ev_dynasty,
@@ -263,6 +265,61 @@ def test_verify_rows_equal_single_estimator_calls():
             est.mean, est.standard_error, est.truncated_mass), (r["functional"], r["point"])
 
 
+# every row status: ok, infinite variance and deterministic (point 0), not sampled (point 1,
+# c_t = 0.5**t underflows inside the cap), divergent (point 2), rejected at M = 0 (point 3)
+# and at b = 0 (point 4), and the individual case divergent at m = M = 0 (point 5)
+MIXED_POINTS = [
+    HazardParams(m=0.02, M=0.05, b=0.06, theta=0.5, alpha=0.5),
+    HazardParams(m=0.02, M=0.001, b=0.01),
+    HazardParams(m=0.0, M=0.01, b=0.03),
+    HazardParams(m=0.02, M=0.0, b=0.03),
+    HazardParams(m=0.02, M=0.05, b=0.0),
+    HazardParams(m=0.0, M=0.0, b=0.0),
+]
+MIXED_CASES = [INDIVIDUAL, DYNASTY, DYNASTY_THETA, LINEAGE, SOCIAL_WELFARE,
+               Scenario("known_extinction", T=3)]
+HALVING = ConsumptionPath(prefix=(1.0,), tail="geometric", ratio=0.5)
+
+
+def test_mc_compare_rows_do_not_depend_on_their_batch():
+    configs = [SimulationConfig(replications=2_000, seed=5 + i) for i in range(len(MIXED_POINTS))]
+    args = (MIXED_CASES, HALVING, VERIFY_UTILITY, 1e-10)
+    grid = mc_compare(MIXED_POINTS, *args, configs)
+    singles = [row for p, cfg in zip(MIXED_POINTS, configs) for row in mc_compare([p], *args, [cfg])]
+    assert len(grid) == len(MIXED_POINTS) * len(MIXED_CASES)
+    assert [{k: repr(v) for k, v in row.items()} for row in grid] == [
+        {k: repr(v) for k, v in row.items()} for row in singles]
+    assert {row["status"].split(":")[0] for row in grid} == {
+        "ok", "deterministic (no sampling)", "divergent", "rejected"}
+    assert {row["status"] for row in grid if row["status"].startswith("ok:")} == {
+        "ok: infinite variance, mc_se is not an error bar",
+        "ok: not sampled: log utility needs consumption > 0"}
+    reasons = {row["status"] for row in grid if row["status"].startswith("rejected")}
+    assert any("M = 0" in r for r in reasons) and any("b > 0" in r for r in reasons)
+
+
+def test_mc_compare_needs_one_config_per_point():
+    cfg = SimulationConfig(replications=100, seed=1)
+    for configs in ([cfg], [cfg] * 3):
+        with pytest.raises(ValueError, match=f"per point: {len(configs)} for 2 points"):
+            mc_compare(VERIFY_GRID[:2], [INDIVIDUAL], VERIFY_PATH, VERIFY_UTILITY, 1e-10, configs)
+
+
+def test_verify_point_rows_equal_a_one_point_mc_compare():
+    reps, seed = 3_000, 11
+    rows = verify_oracle_grid(replications=reps, seed=seed)
+    cases = [INDIVIDUAL, DYNASTY, DYNASTY_THETA, LINEAGE, SOCIAL_WELFARE]
+    for i, params in enumerate(VERIFY_GRID):
+        cfg = SimulationConfig(replications=reps, seed=seed + 1_000_003 * i)
+        single = mc_compare([params], cases, VERIFY_PATH, VERIFY_UTILITY, DEFAULT_TOLERANCE, [cfg])
+        point = [r for r in rows if r["point"] == i]
+        assert len(point) == len(single) == 5
+        for r, s in zip(point, single):
+            keys = ("analytic", "mc_mean", "mc_se", "abs_error", "truncated_mass")
+            assert [repr(r[k]) for k in keys] == [repr(s[k]) for k in keys]
+            assert r["ok"] == (s["status"] == "ok" and s["within_3se"])
+
+
 def test_mc_table_rejects_deterministic_case():
     with pytest.raises(ValueError):
         mc_table(Scenario("known_extinction", T=3), VERIFY_GRID[0], ONE, LINEAR, CFG)
@@ -368,6 +425,26 @@ def test_abm_bernoulli_pair_law_runs():
     rows = abm_smoothing_study(p, ONE, LINEAR, [20], cfg)
     assert rows[0].runs == 300
     assert rows[0].mean_welfare_per_capita > 0.0
+
+
+@pytest.mark.parametrize("law", ["poisson", "bernoulli-pair"])
+def test_abm_head_count_past_int64_at_period_one_raises(law):
+    # b = 2 about triples 0.92 * 2**63 heads: bernoulli-pair's 2 * pairs used to wrap to a
+    # positive count and the study to return a gap; the Poisson mean is past numpy's largest
+    p = HazardParams(m=0.02, M=0.5, b=2.0)
+    cfg = SimulationConfig(replications=20, seed=3, mode="agent", offspring_law=law)
+    n0 = int(0.92 * 2**63)
+    with pytest.raises(ValueError, match=f"n0={n0} outgrows int64 at period 1$"):
+        abm_smoothing_study(p, ONE, LINEAR, [1, n0], cfg)
+
+
+@pytest.mark.parametrize("law", ["poisson", "bernoulli-pair"])
+def test_abm_population_grown_past_int64_raises_naming_head_count_and_period(law):
+    # (1+b)(1-m) = 1.47 per period from one head: past 2**63 - 1 long before the cap
+    p = HazardParams(m=0.02, M=0.005, b=0.5)
+    cfg = SimulationConfig(replications=50, seed=1, mode="agent", offspring_law=law)
+    with pytest.raises(ValueError, match=r"n0=1 outgrows int64 at period \d+$"):
+        abm_smoothing_study(p, ONE, LINEAR, [1], cfg)
 
 
 def test_abm_deterministic_populations_match_the_smoothed_path():

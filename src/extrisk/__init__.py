@@ -45,7 +45,6 @@ from .series import (
     ew_social_n0_form,
     finiteness_check,
     known_extinction,
-    weight_ratio,
     weight_sequence,
     welfare_window,
     welfare_window_direct,
@@ -76,10 +75,7 @@ from .simulate import (
     mc_eu_individual,
     mc_ev_dynasty,
     mc_compare,
-    mc_estimates,
     mc_ew_social,
-    mc_table,
-    mc_verdict,
     reproducibility_selfcheck,
     verify_oracle_grid,
 )

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import ConsumptionPath, DivergenceError, HazardParams, UtilitySpec
+from .model import ConsumptionPath, DivergenceError, HazardParams, UtilitySpec, _check_int
 from .series import (
     DEFAULT_TOLERANCE,
     Scenario,
@@ -31,9 +31,7 @@ from .series import (
     _Results,
     _evaluate_grid,
     _finite,
-    _pow,
     factor_exponents,
-    factor_pieces,
     one_minus_q_power,
     weight_sequence,
 )
@@ -84,12 +82,6 @@ class DiscountProfile:
     long_run: float
 
 
-def _factor_n(exps: np.ndarray, sM: np.ndarray, sm: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """(1-M)**eM (1-m)**(em-eb) (1+n)**eb per row: the factor with g = 1+n in place of b."""
-    eM, eb, em = exps.T
-    return _pow(sM, eM) * _pow(sm, em - eb) * _pow(g, eb)
-
-
 _NOTES = {
     "known_extinction": ("fixed extinction date: only individual mortality discounts; "
                          "extinction prospects carry no weight"),
@@ -100,7 +92,7 @@ _NOTES = {
 def _report_cells(rows: _Batch) -> Dict[str, list]:
     """The DiscountReport fields of every row of a batch, each a list over the rows."""
     factor = rows.factor.tolist()
-    factor_n0 = _factor_n(rows.exps, 1.0 - rows.M, 1.0 - rows.m, np.ones(len(rows.M)))  # n = 0
+    factor_n0 = rows.factor_n(np.ones(len(rows.M)))  # n = 0
     return {"factor": factor, "rate_simple": (1.0 - rows.factor).tolist(),
             "rate_log": [-math.log(f) if f > 0.0 else math.inf for f in factor],
             "factor_n0": factor_n0.tolist(),
@@ -147,8 +139,7 @@ def discount_profile(params: HazardParams, horizon: int) -> DiscountProfile:
     """Social-welfare weight-ratio profile r_0, ..., r_{horizon-1}. Needs b > 0."""
     if params.b <= 0.0:
         raise ValueError("the social-welfare profile is undefined at b = 0")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    _check_int("horizon", horizon, 1)
     long_run = (1.0 - params.M) * params.gross_growth
     a = one_minus_q_power(params.b, np.arange(1, horizon + 2))  # a[k] = 1 - q**(k+1)
     return DiscountProfile(ratios=long_run * a[1:] / a[:-1], long_run=long_run)
@@ -194,13 +185,15 @@ def _closed_derivatives(case: Scenario, params: HazardParams, regime: str):
 
 
 def _factor_in_regime(
-    case: Scenario, m: float, M: float, base: HazardParams, regime: str
-) -> float:
-    """Factor as a function of the perceived hazards, holding b or n at its base value."""
-    if regime == "b-fixed":
-        return math.prod(factor_pieces(case, replace(base, m=m, M=M)))
-    row = [np.array([x]) for x in (1.0 - M, 1.0 - m, base.gross_growth)]
-    return float(_factor_n(np.array([factor_exponents(case, base)]), *row)[0])
+    case: Scenario, base: HazardParams, hazards: Sequence[Tuple[float, float]]
+) -> Dict[str, List[float]]:
+    """The factor at each perceived (m, M), holding b ("b-fixed") or n ("n-fixed") at base's.
+
+    One batch gives both regimes at every point.
+    """
+    rows = _batch([replace(base, m=m, M=M) for m, M in hazards], [case])
+    return {"b-fixed": rows.factor.tolist(),
+            "n-fixed": rows.factor_n(np.full(len(hazards), base.gross_growth)).tolist()}
 
 
 def belief_update_response(
@@ -222,12 +215,13 @@ def belief_update_response(
             raise ValueError(
                 f"finite-difference step d{name}={h!r} crosses the boundary at {name}={x!r}"
             )
+    m, M = params.m, params.M
+    factors = _factor_in_regime(case, params, [(m, M + dM), (m, M - dM), (m + dm, M), (m - dm, M)])
     regimes = []
-    for regime in ("b-fixed", "n-fixed"):
+    for regime, (up_M, down_M, up_m, down_m) in factors.items():
         cd_M, cd_m = _closed_derivatives(case, params, regime)
-        f = lambda m, M: _factor_in_regime(case, m, M, params, regime)
-        fd_M = (f(params.m, params.M + dM) - f(params.m, params.M - dM)) / (2.0 * dM)
-        fd_m = (f(params.m + dm, params.M) - f(params.m - dm, params.M)) / (2.0 * dm)
+        fd_M = (up_M - down_M) / (2.0 * dM)
+        fd_m = (up_m - down_m) / (2.0 * dm)
         regimes.append(
             RegimeSensitivity(
                 regime=regime,
@@ -316,8 +310,6 @@ def scenario_sweep(
     """
     points, cases = list(points), list(cases)
     out: List[SweepRow] = []
-    if not cases:
-        return out
     for rows, results, status in _sweep_batches(points, cases, path, u, tol):
         for i, report in enumerate(_reports(rows)):
             series = None if i in results.failed else results.result(i)
@@ -337,8 +329,6 @@ def _sweep_columns(
     order; the cells are those to_dict gives, built from the pass's arrays
     without a SweepRow. Columns showing the same field are the same list.
     """
-    if not cases:
-        return
     for rows, results, status in _sweep_batches(points, cases, path, u, tol):
         fields = {**_report_cells(rows), **results._asdict(), "status": status,
                   "finite": _finite(rows.kinds, rows.factor).tolist()}

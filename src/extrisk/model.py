@@ -269,15 +269,13 @@ def lifetime_pmf(params: HazardParams, t: int) -> float:
 
     Degenerate m = M = 0 gives 0 for every t (check ``params.is_degenerate``).
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_int("t", t, 0)
     return params.joint_survival**t * params.death_hazard
 
 
 def lifetime_cdf(params: HazardParams, t: int) -> float:
     """P(D <= t) = 1 - ((1-m)(1-M))**(t+1)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    _check_int("t", t, 0)
     return 1.0 - params.joint_survival ** (t + 1)
 
 
@@ -289,9 +287,9 @@ def lifetime_pmf_known_T(m: float, T: int, t: int) -> float:
     finite T.
     """
     _check_prob("m", m)
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    if t < 0 or t > T:
+    _check_int("T", T, 0)
+    _check_int("t", t, 0)
+    if t > T:
         raise ValueError(f"t must lie in [0, T={T}], got {t}")
     if t == T:
         return (1.0 - m) ** T
@@ -301,8 +299,7 @@ def lifetime_pmf_known_T(m: float, T: int, t: int) -> float:
 def extinction_pmf(M: float, T: int) -> float:
     """P_X(T) = (1-M)**T M, the geometric extinction-date law (0 for all T if M=0)."""
     _check_prob("M", M)
-    if T < 0:
-        raise ValueError("T must be >= 0")
+    _check_int("T", T, 0)
     return (1.0 - M) ** T * M
 
 

@@ -4,8 +4,9 @@ Every functional here has the shape  sum_t w_t u(c_t)  where the weights w_t
 encode survival odds and population weighting. Each case discounts at one
 per-period factor f = (1-M)**eM (1+b)**eb (1-m)**em, and the exponent table
 ``_EXPONENTS`` (read through factor_exponents) is the only place the cases'
-formulas are written; every factor, log-ratio, regime factor and derivative
-elsewhere is derived from it. With (1+n) = (1+b)(1-m):
+formulas are written, and ``_batch`` the only code that multiplies them into
+factors and growths; every factor, log-ratio, regime factor and derivative
+elsewhere is derived from them. With (1+n) = (1+b)(1-m):
 
     case              (eM, eb, em)            weights
     individual        (1, 0, 1)               w_t = ((1-M)(1-m))**t
@@ -22,7 +23,7 @@ constant or geometric, and the tail table ``_tail_terms`` writes u(c_t) there
 as a few geometric or arithmetico-geometric terms, each summed in closed form,
 so an evaluation costs O(p) whatever the hazards. The same terms bound the
 extinction-date mixture's tail and give the Monte Carlo variance check
-(simulate.mc_verdict) its growth. The modifier's tail
+(simulate._verdict) its growth. The modifier's tail
   sum_{t>=p} R**t (1 - q**(t+1)) = R**p [(1-R) a_p + R (1-q)] / ((1-R)(1-Rq)),
 with a_p = 1 - q**(p+1) = -expm1((p+1) log q), has no subtraction, so small
 birth rates lose no digits. Every 1-R is computed as -expm1(log R), with
@@ -80,10 +81,8 @@ __all__ = [
     "known_extinction",
     "FinitenessResult",
     "factor_exponents",
-    "factor_pieces",
     "one_minus_q_power",
     "finiteness_check",
-    "weight_ratio",
     "weight_sequence",
     "eu_individual",
     "ev_dynasty",
@@ -144,7 +143,7 @@ SOCIAL_WELFARE = Scenario("social_welfare")
 
 
 def known_extinction(T: int) -> Scenario:
-    return Scenario("known_extinction", T=int(T))
+    return Scenario("known_extinction", T=T)
 
 
 @dataclass(frozen=True)
@@ -192,18 +191,6 @@ def factor_exponents(case: Scenario, params: HazardParams) -> Tuple[float, float
     return _EXPONENTS[case.kind](params)
 
 
-def factor_pieces(case: Scenario, params: HazardParams) -> List[float]:
-    """The factor as pieces: (1-M)**eM, then the growth (1+b)**eb (1-m)**em.
-
-    Equal exponents eb = em = e make one growth piece (1+n)**e. The factor is
-    math.prod of the pieces, the growth math.prod of all but the first.
-    """
-    eM, eb, em = factor_exponents(case, params)
-    if eb == em:
-        return [(1.0 - params.M) ** eM, params.gross_growth**eb]
-    return [(1.0 - params.M) ** eM, (1.0 + params.b) ** eb, (1.0 - params.m) ** em]
-
-
 def _pow(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     """x**e elementwise by Python's float power, which numpy's power does not match in every bit.
 
@@ -219,7 +206,8 @@ def _pow(x: np.ndarray, e: np.ndarray) -> np.ndarray:
 class _Batch(NamedTuple):
     """Every (point, case) row of a grid as arrays, point-major, with its exponents and factor.
 
-    Row i is (points[i // len(cases)], cases[i % len(cases)]).
+    Row i is (points[i // len(cases)], cases[i % len(cases)]). ``_batch`` and
+    factor_n are the only code that multiplies the exponents' pieces into factors.
     """
 
     points: Sequence[HazardParams]
@@ -230,21 +218,33 @@ class _Batch(NamedTuple):
     m: np.ndarray
     N0: np.ndarray
     exps: np.ndarray  # (rows, 3): eM, eb, em
-    factor: np.ndarray
+    factor: np.ndarray  # (1-M)**eM (1+b)**eb (1-m)**em
+    growth: np.ndarray  # (1+b)**eb (1-m)**em: the weights' growth given survival to date
+
+    def factor_n(self, g: np.ndarray) -> np.ndarray:
+        """(1-M)**eM (1-m)**(em-eb) g**eb per row: the factor with g = 1+n in place of b."""
+        eM, eb, em = self.exps.T
+        return _pow(1.0 - self.M, eM) * _pow(1.0 - self.m, em - eb) * _pow(g, eb)
 
 
 def _batch(points: Sequence[HazardParams], cases: Sequence[Scenario]) -> _Batch:
-    """The rows of points x cases; each factor is math.prod(factor_pieces) to the bit."""
+    """The rows of points x cases, with each row's factor and growth.
+
+    Equal exponents eb = em = e make one growth piece (1+n)**e. The factor
+    multiplies (1-M)**eM and the growth pieces left to right, so it need not
+    equal (1-M)**eM * growth in float.
+    """
     per_point = np.array([(p.M, p.b, p.m, p.N0) for p in points], dtype=float).reshape(-1, 4)
     M, b, m, N0 = np.repeat(per_point, len(cases), axis=0).T
     exps = np.array([_EXPONENTS[c.kind](p) for p in points for c in cases],
                     dtype=float).reshape(-1, 3)
     eM, eb, em = exps.T
     one = eb == em  # one growth piece (1+n)**e
-    factor = (_pow(1.0 - M, eM) * _pow(np.where(one, (1.0 + b) * (1.0 - m), 1.0 + b), eb)
-              * _pow(1.0 - m, np.where(one, 0.0, em)))
+    births = _pow(np.where(one, (1.0 + b) * (1.0 - m), 1.0 + b), eb)
+    deaths = _pow(1.0 - m, np.where(one, 0.0, em))
+    factor = _pow(1.0 - M, eM) * births * deaths
     kinds = np.tile(np.array([c.kind for c in cases], dtype=str), len(points))
-    return _Batch(points, cases, kinds, M, b, m, N0, exps, factor)
+    return _Batch(points, cases, kinds, M, b, m, N0, exps, factor, births * deaths)
 
 
 def one_minus_q_power(b: float, k: np.ndarray) -> np.ndarray:
@@ -252,16 +252,9 @@ def one_minus_q_power(b: float, k: np.ndarray) -> np.ndarray:
     return -np.expm1(k * -math.log1p(b))
 
 
-def weight_ratio(case: Scenario, params: HazardParams) -> float:
-    """Constant per-period weight ratio of the case (social welfare excluded)."""
-    if case.kind == "social_welfare":
-        raise ValueError("social_welfare has no constant weight ratio; see weight_sequence")
-    return math.prod(factor_pieces(case, params))
-
-
 def finiteness_check(case: Scenario, params: HazardParams) -> FinitenessResult:
     """Convergence product for the case, its distance from 1, and whether its series is finite."""
-    product = math.prod(factor_pieces(case, params))
+    product = float(_batch([params], [case]).factor[0])
     return FinitenessResult(finite=_finite(case.kind, product), product=product,
                             margin=1.0 - product)
 
@@ -283,16 +276,15 @@ def weight_sequence(case: Scenario, params: HazardParams, length: int) -> np.nda
     social-welfare weights include the N0 (1+b)/b prefactor; known_extinction
     weights are zero strictly after T.
     """
-    if length < 0:
-        raise ValueError("length must be >= 0")
+    _check_int("length", length, 0)
+    if case.kind == "social_welfare" and params.b <= 0.0:
+        raise ValueError("social welfare weights need b > 0")
+    factor = float(_batch([params], [case]).factor[0])
     if case.kind == "social_welfare":
-        if params.b <= 0.0:
-            raise ValueError("social welfare weights need b > 0")
         t = np.arange(length)
-        rho = math.prod(factor_pieces(case, params))
         pref = params.N0 * (1.0 + params.b) / params.b
-        return pref * np.power(rho, t) * one_minus_q_power(params.b, t + 1)
-    w = np.full(length, weight_ratio(case, params))
+        return pref * np.power(factor, t) * one_minus_q_power(params.b, t + 1)
+    w = np.full(length, factor)
     w[:1] = 1.0
     np.cumprod(w, out=w)
     if case.kind == "known_extinction":
@@ -332,7 +324,7 @@ def _log_parts(
 
     The summands are eM log(1-M), eb log1p(b), em log(1-m), with log(1-x) as
     log1p(-x), -inf at x = 1. A zero exponent gives 0, also against log 0 =
-    -inf, as 0.0**0.0 = 1 in factor_pieces.
+    -inf, as 0.0**0.0 = 1 in the batch's factor.
     """
     logs = np.log1p(np.array([-M, b, -m]).T)
     return [np.where(e == 0.0, 0.0, e * logs) for e in exps]
@@ -753,7 +745,12 @@ def _evaluate_grid(
     points: Sequence[HazardParams], cases: Sequence[Scenario], path: ConsumptionPath,
     u: UtilitySpec, tol: float,
 ) -> Iterator[Tuple[_Batch, _Results]]:
-    """_evaluate_rows over the rows of points x cases, in passes of a bounded number of rows."""
+    """_evaluate_rows over the rows of points x cases, in passes of a bounded number of rows.
+
+    No cases make no rows and no pass.
+    """
+    if not cases:
+        return
     size = max(1, _BLOCK // (len(cases) * min(path.prefix_len, _CHUNK_T)))  # points per pass
     for lo in range(0, len(points), size):
         rows = _batch(points[lo : lo + size], cases)
@@ -844,6 +841,7 @@ def eu_known_T(
     The finite sum sum_{t=0}^{T} (1-m)**t u(c_t): only the individual death
     hazard discounts, independently of when extinction is scheduled.
     """
+    _check_int("T", T, 0)
     return _known_date_sum(m, T, path, u)[0]
 
 
@@ -860,8 +858,6 @@ def _known_date_sum(
     """
     if not 0.0 <= m <= 1.0:
         raise ValueError(f"m must lie in [0, 1], got {m!r}")
-    if T < 0:
-        raise ValueError("T must be >= 0")
     vals, errs = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is raised below
         for start in range(0, T + 1, 4096):
@@ -906,8 +902,7 @@ def welfare_window_direct(
     The inner remaining-utility sums use the exact backward recurrence
     inner_t = u(c_t) + (1-m) inner_{t+1}. Works for any b >= 0.
     """
-    if T < 0:
-        raise ValueError("T must be >= 0")
+    _check_int("T", T, 0)
     uu = np.asarray(u(path.values(0, T + 1)), dtype=float)
     inner = np.empty(T + 1)
     inner[T] = uu[T]
@@ -925,8 +920,7 @@ def welfare_window(
     Uses the closed form for b > 0 and falls back to the direct double sum at
     b = 0 (the closed form divides by b).
     """
-    if T < 0:
-        raise ValueError("T must be >= 0")
+    _check_int("T", T, 0)
     if params.b <= 0.0:
         return welfare_window_direct(params, T, path, u)
     return math.fsum(welfare_window_terms(params, path, u, T + 1))

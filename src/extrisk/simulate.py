@@ -2,14 +2,16 @@
 
 Smoothed-mode estimators average the realized discounted sum over the random
 date (death date D or extinction date T), read from a cumulative table per
-case (``mc_table``). Every extinction-date case of one parameter point shares
-one stream of T (``mc_estimates``), so a point costs two streams. A stream is
+case (``_table``). Every extinction-date case of one parameter point shares
+one stream of T (``_estimates``), so a point costs two streams. A stream is
 one ``SeedSequence([seed, stream_tag])`` generator that draws the histogram of
 its dates (``sample_date_counts``): each well-filled early date as one binomial
 count, the sparse tail as shifted geometric dates. Estimates are bit-for-bit
-reproducible from (seed, config). ``mc_compare`` sets each case's closed form
-beside its estimate over a grid; smoothed ``simulate`` and ``verify_oracle_grid``
-(``verify``) each write one call of it.
+reproducible from (seed, config). ``mc_compare``, the one public spelling of
+the comparison, sets each case's closed form beside its estimate over a grid;
+smoothed ``simulate`` and ``verify_oracle_grid`` (``verify``) each write one
+call of it. The one-case wrappers (``mc_eu_individual`` and its siblings)
+sample one row the same way.
 
 The agent-based mode keeps an integer population with Bernoulli deaths and
 stochastic births per survivor, and quantifies the error of the smooth
@@ -20,7 +22,6 @@ by the sampler of smoothed mode.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -37,7 +38,7 @@ from .model import (
     _check_int,
     sample_date_counts,
 )
-from .analysis import scenario_sweep
+from .analysis import _sweep_batches
 from .series import (
     DEFAULT_TOLERANCE,
     DYNASTY,
@@ -46,9 +47,9 @@ from .series import (
     LINEAGE,
     SOCIAL_WELFARE,
     Scenario,
+    _batch,
     _finite,
     _tail_terms,
-    factor_pieces,
     welfare_window_terms,
 )
 
@@ -64,9 +65,6 @@ __all__ = [
     "mc_ev_dynasty",
     "mc_eg_lineage",
     "mc_ew_social",
-    "mc_table",
-    "mc_estimates",
-    "mc_verdict",
     "mc_compare",
     "abm_smoothing_study",
     "verify_oracle_grid",
@@ -177,9 +175,10 @@ def _estimate_from_dates(
     return estimates
 
 
-def mc_table(
+def _table(
     case: Scenario,
     params: HazardParams,
+    growth: float,
     path: ConsumptionPath,
     u: UtilitySpec,
     config: SimulationConfig,
@@ -188,50 +187,36 @@ def mc_table(
 
     The individual case samples the death date D, capped from the joint
     survival; every other case samples the extinction date T, capped from
-    1 - M, and sums base**t u(c_t) (social welfare: the window terms of
-    W(0, T), which grow like (1+n)**t). Raises when there is nothing to
-    sample or the expectation is infinite.
+    1 - M, and sums growth**t u(c_t), with growth the row's ``_Batch.growth``
+    (social welfare: the window terms of W(0, T), which grow like (1+n)**t).
+    The caller has checked that there is a date to sample and a finite
+    expectation; a ValueError is a table that cannot be built.
     """
     if case.kind == "individual":
-        if params.is_degenerate:
-            raise DegenerateHazardError("m = M = 0: lifetimes are infinite")
         cap = config.horizon_cap or default_horizon_cap(params.joint_survival)
         return np.cumsum(np.asarray(u(path.values(0, cap + 1)), dtype=float))
-    if case.kind == "social_welfare" and params.b <= 0.0:
-        raise ValueError("social welfare needs b > 0")
-    if case.kind == "known_extinction":
-        raise ValueError(f"{case.label()} is deterministic: there is no date to sample")
-    pieces = factor_pieces(case, params)
-    base = math.prod(pieces[1:])  # the growth (1+b)**eb (1-m)**em
-    if params.M <= 0.0:
-        raise NoExtinctionError("M = 0: there is no extinction date to sample")
-    if not _finite(case.kind, math.prod(pieces)):  # evaluate passing implies this does
-        raise DivergenceError(f"(1-M) * {base:.6g} >= 1: the expectation is infinite")
     cap = config.horizon_cap or default_horizon_cap(1.0 - params.M)
     if case.kind == "social_welfare":
         return np.cumsum(welfare_window_terms(params, path, u, cap + 1))
     uu = np.asarray(u(path.values(0, cap + 1)), dtype=float)
-    return np.cumsum(np.power(base, np.arange(cap + 1)) * uu)
+    return np.cumsum(np.power(growth, np.arange(cap + 1)) * uu)
 
 
-def mc_estimates(
+def _estimates(
     params: HazardParams,
     tables: Dict[Scenario, np.ndarray],
     config: SimulationConfig,
 ) -> Dict[Scenario, SimEstimate]:
-    """Estimate every case from its ``mc_table`` with two streams of draws.
+    """Estimate every case from its ``_table`` with two streams of draws.
 
     The individual case averages over death dates; all other cases average
     over one shared stream of extinction dates (common random numbers), so
     their estimates are correlated. Each estimate equals the one a batch of
-    that case alone gives.
+    that case alone gives. The caller has checked that each stream's hazard
+    is positive.
     """
     deaths = [c for c in tables if c.kind == "individual"]
     extinctions = [c for c in tables if c.kind != "individual"]
-    if deaths and params.is_degenerate:
-        raise DegenerateHazardError("m = M = 0: lifetimes are infinite")
-    if extinctions and params.M <= 0.0:
-        raise NoExtinctionError("M = 0: the extinction date is never drawn")
     out: Dict[Scenario, SimEstimate] = {}
     for tag, hazard, cases in ((_TAG_EU, params.death_hazard, deaths),
                                (_TAG_EV, params.M, extinctions)):
@@ -241,9 +226,10 @@ def mc_estimates(
     return out
 
 
-def mc_verdict(
+def _verdict(
     case: Scenario,
     params: HazardParams,
+    growth: float,
     path: ConsumptionPath,
     u: UtilitySpec,
     est: SimEstimate,
@@ -253,14 +239,14 @@ def mc_verdict(
 
     The SE is an error bar only if the table's realized sum has finite variance:
     s (G gamma)**2 < 1, with s the survival of the sampled date per period, G
-    mc_table's growth of the weights (1 for the individual case) and gamma
-    the largest growth of a tail term of u(c_t), 0 when the tail has none.
+    the row's growth (1 for the individual case) and gamma the largest growth
+    of a tail term of u(c_t), 0 when the tail has none.
     """
     err = abs(est.mean - analytic)
     if case.kind == "individual":
         s, g = params.joint_survival, 1.0
     else:
-        s, g = 1.0 - params.M, math.prod(factor_pieces(case, params)[1:])
+        s, g = 1.0 - params.M, growth
     if s * g:  # else the realized sum ends at date 0, and a ratio-0 tail may have no terms
         g *= max((math.exp(t.log_growth) for t in _tail_terms(path, u)), default=0.0)
     return err, err <= 3.0 * est.standard_error + 1e-12, s * g * g < 1.0
@@ -277,42 +263,48 @@ def mc_compare(
     """Each case's closed form beside its Monte Carlo estimate: one row per (point, case).
 
     Point i is sampled under configs[i], whatever points lie beside it. The
-    analytic verdict is the status of one ``scenario_sweep`` over all points;
-    an ok row is then sampled with ``mc_table`` and ``mc_estimates`` and judged
-    by ``mc_verdict``, unless its date is known ("deterministic (no sampling)")
-    or its table cannot be built ("ok: not sampled: <reason>": the closed form
-    can hold where the sampled c_t underflow). A sampled row without finite
-    variance reads "ok: infinite variance, mc_se is not an error bar".
+    analytic verdict is each row's status from the passes of the array core
+    (``analysis._sweep_batches``); an ok row is then sampled with ``_table`` at
+    the growth of its own pass and ``_estimates``, and judged by ``_verdict``,
+    unless its date is known ("deterministic (no sampling)") or its table
+    cannot be built ("ok: not sampled: <reason>": the closed form can hold
+    where the sampled c_t underflow). A sampled row without finite variance
+    reads "ok: infinite variance, mc_se is not an error bar". No row builds a
+    batch of its own.
     """
     if len(points) != len(configs):
         raise ValueError(f"one SimulationConfig per point: {len(configs)} for {len(points)} points")
-    swept = iter(scenario_sweep(points, cases, path, u, tol))
+    config_of = iter(configs)
     rows: List[Dict[str, Any]] = []
-    for params, config in zip(points, configs):
-        tables, sampled = {}, []
-        for sr in itertools.islice(swept, len(cases)):
-            row = {**params.cells(), "case": sr.case.label(), "replications": config.replications,
-                   "analytic": None if sr.series is None else sr.series.value,
-                   "mc_mean": None, "mc_se": None, "abs_error": None, "within_3se": None,
-                   "truncated_mass": None, "status": sr.status}
-            if sr.status == "ok" and sr.case.kind == "known_extinction":
-                row["status"] = "deterministic (no sampling)"
-            elif sr.status == "ok":
-                try:
-                    tables[sr.case] = mc_table(sr.case, params, path, u, config)
-                except ValueError as exc:
-                    row["status"] = f"ok: not sampled: {exc}"
-                else:
-                    sampled.append((sr.case, row))
-            rows.append(row)
-        ests = mc_estimates(params, tables, config)
-        for case, row in sampled:
-            est = ests[case]
-            err, within, finite_variance = mc_verdict(case, params, path, u, est, row["analytic"])
-            row.update(mc_mean=est.mean, mc_se=est.standard_error, abs_error=err,
-                       within_3se=within, truncated_mass=est.truncated_mass)
-            if not finite_variance:
-                row["status"] = "ok: infinite variance, mc_se is not an error bar"
+    for batch, results, status in _sweep_batches(points, cases, path, u, tol):
+        growth, k = batch.growth.tolist(), len(cases)
+        for j, params in enumerate(batch.points):
+            config = next(config_of)
+            tables, sampled = {}, []
+            for i, case in enumerate(cases, start=j * k):
+                row = {**params.cells(), "case": case.label(), "replications": config.replications,
+                       "analytic": results.value[i], "mc_mean": None, "mc_se": None,
+                       "abs_error": None, "within_3se": None, "truncated_mass": None,
+                       "status": status[i]}
+                if status[i] == "ok" and case.kind == "known_extinction":
+                    row["status"] = "deterministic (no sampling)"
+                elif status[i] == "ok":
+                    try:
+                        tables[case] = _table(case, params, growth[i], path, u, config)
+                    except ValueError as exc:
+                        row["status"] = f"ok: not sampled: {exc}"
+                    else:
+                        sampled.append((case, growth[i], row))
+                rows.append(row)
+            ests = _estimates(params, tables, config)
+            for case, g, row in sampled:
+                est = ests[case]
+                err, within, finite_variance = _verdict(case, params, g, path, u, est,
+                                                        row["analytic"])
+                row.update(mc_mean=est.mean, mc_se=est.standard_error, abs_error=err,
+                           within_3se=within, truncated_mass=est.truncated_mass)
+                if not finite_variance:
+                    row["status"] = "ok: infinite variance, mc_se is not an error bar"
     return rows
 
 
@@ -323,7 +315,20 @@ def _mc_one(
     u: UtilitySpec,
     config: SimulationConfig,
 ) -> SimEstimate:
-    return mc_estimates(params, {case: mc_table(case, params, path, u, config)}, config)[case]
+    """One case's estimate at one point; raises when there is nothing to sample or it is infinite."""
+    if case.kind == "individual" and params.is_degenerate:
+        raise DegenerateHazardError("m = M = 0: lifetimes are infinite")
+    if case.kind == "social_welfare" and params.b <= 0.0:
+        raise ValueError("social welfare needs b > 0")
+    if case.kind == "known_extinction":
+        raise ValueError(f"{case.label()} is deterministic: there is no date to sample")
+    if case.kind != "individual" and params.M <= 0.0:
+        raise NoExtinctionError("M = 0: there is no extinction date to sample")
+    rows = _batch([params], [case])
+    growth = float(rows.growth[0])
+    if case.kind != "individual" and not _finite(case.kind, rows.factor[0]):
+        raise DivergenceError(f"(1-M) * {growth:.6g} >= 1: the expectation is infinite")
+    return _estimates(params, {case: _table(case, params, growth, path, u, config)}, config)[case]
 
 
 def mc_eu_individual(

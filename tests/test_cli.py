@@ -243,6 +243,17 @@ def test_empty_grid_produces_header_only(tmp_path):
     assert len(text) == 1 and text[0].startswith("m,M,b")
 
 
+@pytest.mark.parametrize("sub, columns", [("sweep", cli._SWEEP_COLUMNS),
+                                          ("eval", cli._EVAL_COLUMNS),
+                                          ("simulate", cli._SIMULATE_COLUMNS)])
+def test_an_empty_case_list_writes_header_only(tmp_path, sub, columns):
+    cfg = write_config(tmp_path, {**BASE_CONFIG, "cases": [], "simulation": {"replications": 100}})
+    out = tmp_path / "out"
+    assert cli_run([sub, "--config", cfg, "--out", str(out), "--format", "both"]) == 0
+    assert (out / f"{sub}.json").read_text(encoding="utf-8") == "[]\n"
+    assert (out / f"{sub}.csv").read_text(encoding="utf-8") == ",".join(columns) + "\n"
+
+
 # --- other subcommands ------------------------------------------------------------
 
 

@@ -1,9 +1,9 @@
 """The per-case exponent table against independent references.
 
 Every factor is (1-M)**eM (1+b)**eb (1-m)**em with exponents read from one
-table. A wrong exponent would move the float factor away from the 50-digit
-oracle, split the log-parts from the factor, or break the n = 0, regime and
-derivative identities checked here.
+table, and every growth (1+b)**eb (1-m)**em. A wrong exponent would move the
+float factor or growth away from the 50-digit oracle, split the log-parts from
+the factor, or break the n = 0, regime and derivative identities checked here.
 """
 
 import math
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decimal_oracle import CTX, _d, _ratios
+from decimal_oracle import CTX, ONE, _d, _pow, _ratios
 from extrisk import (
     HazardParams,
     Scenario,
@@ -23,7 +23,7 @@ from extrisk import (
     known_extinction,
 )
 from extrisk.analysis import _factor_in_regime
-from extrisk.series import _log_parts, factor_exponents
+from extrisk.series import _batch, _log_parts, factor_exponents
 
 CASES = tuple(Scenario(k) for k in ("individual", "dynasty", "dynasty_theta", "lineage",
                                     "social_welfare")) + (known_extinction(5),)
@@ -53,6 +53,11 @@ def test_factor_table(case, params):
     with localcontext(CTX):
         exact, _ = _ratios(kind, params)
         assert abs(Decimal(factor) - exact) <= 4 * _d(ULP) * exact
+        # the weights' growth given survival, which the Monte Carlo tables raise to t
+        _, eb, em = factor_exponents(case, params)
+        growth = _batch([params], [case]).growth[0]
+        exact = _pow(ONE + _d(params.b), eb) * _pow(ONE - _d(params.m), em)
+        assert abs(Decimal(growth) - exact) <= 4 * _d(ULP) * exact
     (parts,) = _log_parts(*(np.array([x]) for x in (params.M, params.b, params.m)),
                           np.array(factor_exponents(case, params)))
     assert math.exp(math.fsum(parts[0])) == pytest.approx(factor, rel=1e-13)
@@ -61,8 +66,7 @@ def test_factor_table(case, params):
     assert discount_factor(case, params).factor_n0 == pytest.approx(
         discount_factor(case, n0).factor, rel=1e-12, abs=1e-12)
 
-    regime = {r: _factor_in_regime(case, params.m, params.M, params, r)
-              for r in ("b-fixed", "n-fixed")}
+    regime = {r: f[0] for r, f in _factor_in_regime(case, params, [(params.m, params.M)]).items()}
     assert regime["b-fixed"] == factor
     assert regime["n-fixed"] == pytest.approx(factor, rel=1e-13)
 

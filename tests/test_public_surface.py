@@ -1,0 +1,73 @@
+"""Each module of the package uses every name it imports and defines every name it exports.
+
+Read with the standard library's ast only, so the check needs nothing the
+suite does not already have. The imports of the package's __init__ are its
+public names, so they are not checked for use.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "extrisk"
+MODULES = sorted(SRC.glob("*.py"), key=lambda p: p.name)
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _imports(nodes):
+    """(bound name, line) of every import among the nodes; __future__ excluded."""
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _exported(tree: ast.Module):
+    """The names listed in the module's __all__, or None without one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return [ast.literal_eval(elt) for elt in node.value.elts]
+    return None
+
+
+def _defined(tree: ast.Module):
+    """Names bound at module level: functions, classes, assignments and imports."""
+    names = {name for name, _ in _imports(tree.body)}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def test_the_package_has_modules():
+    assert {p.name for p in MODULES} >= {"__init__.py", "model.py", "series.py", "analysis.py",
+                                         "simulate.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = _parse(path)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used.update(_exported(tree) or ())
+    unused = [f"{name} (line {line})" for name, line in _imports(ast.walk(tree)) if name not in used]
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_exported_name_is_defined(path):
+    tree = _parse(path)
+    missing = [name for name in _exported(tree) or () if name not in _defined(tree)]
+    assert not missing, f"{path.name} exports names it does not define: {', '.join(missing)}"

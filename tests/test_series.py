@@ -18,6 +18,8 @@ from extrisk import (
     NoExtinctionError,
     Scenario,
     UtilitySpec,
+    discount_factor,
+    discount_profile,
     eg_lineage,
     eu_individual,
     eu_known_T,
@@ -27,8 +29,12 @@ from extrisk import (
     extinction_pmf,
     finiteness_check,
     known_extinction,
-    weight_ratio,
+    lifetime_cdf,
+    lifetime_pmf,
+    lifetime_pmf_known_T,
     weight_sequence,
+    welfare_window,
+    welfare_window_direct,
 )
 from extrisk.series import _LIBM, _U, _rigorous, _tail_terms
 
@@ -305,10 +311,10 @@ def test_weight_ratios_are_constant(case):
     p = HazardParams(m=0.07, M=0.03, b=0.06, theta=0.4, alpha=0.6)
     w = weight_sequence(case, p, 52)
     ratios = w[1:] / w[:-1]
-    assert np.max(np.abs(ratios - weight_ratio(case, p))) < 1e-12
+    assert np.max(np.abs(ratios - discount_factor(case, p).factor)) < 1e-12
     loop = [1.0]  # the running product w_t = w_{t-1} * rho, bit for bit
     for _ in range(51):
-        loop.append(loop[-1] * weight_ratio(case, p))
+        loop.append(loop[-1] * discount_factor(case, p).factor)
     assert w.tolist() == loop
 
 
@@ -337,6 +343,33 @@ def test_scenario_validation():
         known_extinction(-1)
     with pytest.raises(ValueError):
         Scenario("unknown_case")
+
+
+GROWING = HazardParams(m=0.1, M=0.05, b=0.2)
+# each call takes its integer argument k = 2 in one place
+INTEGER_ARGUMENTS = {
+    "known_extinction T": lambda k: known_extinction(k),
+    "eu_known_T T": lambda k: eu_known_T(0.1, k, ONE, LINEAR),
+    "welfare_window T": lambda k: welfare_window(GROWING, k, ONE, LINEAR),
+    "welfare_window_direct T": lambda k: welfare_window_direct(GROWING, k, ONE, LINEAR),
+    "weight_sequence length": lambda k: weight_sequence(DYNASTY, GROWING, k),
+    "discount_profile horizon": lambda k: discount_profile(GROWING, k),
+    "lifetime_pmf t": lambda k: lifetime_pmf(GROWING, k),
+    "lifetime_cdf t": lambda k: lifetime_cdf(GROWING, k),
+    "lifetime_pmf_known_T T": lambda k: lifetime_pmf_known_T(0.1, k, 1),
+    "lifetime_pmf_known_T t": lambda k: lifetime_pmf_known_T(0.1, 3, k),
+    "extinction_pmf T": lambda k: extinction_pmf(0.05, k),
+}
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, np.float64(2.0), True, -1], ids=repr)
+@pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
+def test_integer_arguments_reject_floats_bools_and_negatives(name, bad):
+    call = INTEGER_ARGUMENTS[name]
+    with pytest.raises(ValueError, match="must be an integer"):
+        call(bad)
+    a, b = call(np.int64(2)), call(2)  # numpy integers stay accepted
+    np.testing.assert_equal(getattr(a, "__dict__", a), getattr(b, "__dict__", b))
 
 
 def test_evaluate_dispatch_known_extinction():

@@ -35,17 +35,17 @@ from extrisk import (
     mc_eg_lineage,
     mc_eu_individual,
     mc_ev_dynasty,
-    mc_estimates,
     mc_ew_social,
-    mc_table,
-    mc_verdict,
     reproducibility_selfcheck,
     sample_date_counts,
     verify_oracle_grid,
     welfare_window_terms,
 )
 from extrisk.model import _CHUNK
-from extrisk.simulate import _TAG_ABM_T, _TAG_EU, _TAG_EV, _offspring
+from extrisk.series import _batch
+from extrisk.simulate import (
+    _TAG_ABM_T, _TAG_EU, _TAG_EV, _estimates, _mc_one, _offspring, _table, _verdict,
+)
 
 ONE = ConsumptionPath.constant(1.0)
 LINEAR = UtilitySpec.linear()
@@ -171,14 +171,6 @@ def test_mc_rejections():
         mc_ev_dynasty(HazardParams(m=0.1, M=0.1, b=0.1), ONE, LINEAR, 1.5, CFG)
 
 
-def test_mc_estimates_rejects_a_stream_without_hazard():
-    table = np.zeros(5)
-    with pytest.raises(DegenerateHazardError):
-        mc_estimates(HazardParams(m=0.0, M=0.0), {INDIVIDUAL: table}, CFG)
-    with pytest.raises(NoExtinctionError):
-        mc_estimates(HazardParams(m=0.1, M=0.0, b=0.1), {DYNASTY: table}, CFG)
-
-
 def test_simulation_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(replications=0)
@@ -231,8 +223,9 @@ def test_histogram_estimate_matches_direct_mean_over_the_same_streams():
     reps, cap = _CHUNK + 5_000, 12
     cfg = SimulationConfig(replications=reps, seed=8, horizon_cap=cap)
     cases = (INDIVIDUAL, DYNASTY, DYNASTY_THETA, LINEAGE, SOCIAL_WELFARE)
-    tables = {c: mc_table(c, p, VERIFY_PATH, VERIFY_UTILITY, cfg) for c in cases}
-    ests = mc_estimates(p, tables, cfg)
+    growth = _batch([p], cases).growth.tolist()
+    tables = {c: _table(c, p, g, VERIFY_PATH, VERIFY_UTILITY, cfg) for c, g in zip(cases, growth)}
+    ests = _estimates(p, tables, cfg)
     lifetimes = _stream_dates(p.death_hazard, reps, cap, 8, _TAG_EU)
     extinctions = _stream_dates(p.M, reps, cap, 8, _TAG_EV)
     for case in cases:
@@ -322,7 +315,7 @@ def test_verify_point_rows_equal_a_one_point_mc_compare():
 
 def test_mc_table_rejects_deterministic_case():
     with pytest.raises(ValueError):
-        mc_table(Scenario("known_extinction", T=3), VERIFY_GRID[0], ONE, LINEAR, CFG)
+        _mc_one(Scenario("known_extinction", T=3), VERIFY_GRID[0], ONE, LINEAR, CFG)
 
 
 # --- horizon cap -----------------------------------------------------------------------
@@ -496,15 +489,19 @@ def test_mc_verdict_error_bar_and_growing_crra_tail():
     flat = ConsumptionPath(prefix=(1.0,))
     decaying = ConsumptionPath(prefix=(1.0,), tail="geometric", ratio=0.99)
     crra = UtilitySpec.crra(3.0)
-    err, within, finite_variance = mc_verdict(INDIVIDUAL, params, flat, crra, est, 1.3)
+
+    def mc_verdict(case, *rest):  # at the growth of the case's row
+        return _verdict(case, params, _batch([params], [case]).growth[0], *rest)
+
+    err, within, finite_variance = mc_verdict(INDIVIDUAL, flat, crra, est, 1.3)
     assert err == pytest.approx(0.3) and within and finite_variance
-    assert not mc_verdict(INDIVIDUAL, params, flat, crra, est, 1.31)[1]
+    assert not mc_verdict(INDIVIDUAL, flat, crra, est, 1.31)[1]
     # s = (1-m)(1-M) = 0.9702 and u(c_t) grows like 0.99**-2: 0.9702 * 1.0203**2 = 1.0100
-    assert not mc_verdict(INDIVIDUAL, params, decaying, crra, est, 1.3)[2]
+    assert not mc_verdict(INDIVIDUAL, decaying, crra, est, 1.3)[2]
     # sigma < 1: u(c_t) decays with c_t, so only the weights count
-    assert mc_verdict(INDIVIDUAL, params, decaying, UtilitySpec.crra(0.5), est, 1.3)[2]
+    assert mc_verdict(INDIVIDUAL, decaying, UtilitySpec.crra(0.5), est, 1.3)[2]
     # linear u(c_t) decays with c_t and log u(c_t) grows only linearly in t
-    assert mc_verdict(INDIVIDUAL, params, decaying, UtilitySpec.linear(), est, 1.3)[2]
-    assert mc_verdict(INDIVIDUAL, params, decaying, UtilitySpec.log(), est, 1.3)[2]
+    assert mc_verdict(INDIVIDUAL, decaying, UtilitySpec.linear(), est, 1.3)[2]
+    assert mc_verdict(INDIVIDUAL, decaying, UtilitySpec.log(), est, 1.3)[2]
     # (1-M)(1+n)**2 = 1.0087 for the dynasty; (1-M)(1+n) = 0.9993 keeps its mean finite
-    assert not mc_verdict(DYNASTY, params, flat, crra, est, 1.3)[2]
+    assert not mc_verdict(DYNASTY, flat, crra, est, 1.3)[2]

@@ -21,14 +21,13 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import ConsumptionPath, DivergenceError, HazardParams, UtilitySpec, _check_int
+from .model import ConsumptionPath, HazardParams, UtilitySpec, _check_int
 from .series import (
     DEFAULT_TOLERANCE,
     Scenario,
     SeriesResult,
     _batch,
     _Batch,
-    _Results,
     _evaluate_grid,
     _finite,
     factor_exponents,
@@ -272,28 +271,6 @@ class SweepRow:
                 **{col: fields[name] for col, name in _SWEEP_CELLS.items()}}
 
 
-def _sweep_batches(
-    points: Sequence[HazardParams], cases: Sequence[Scenario], path: ConsumptionPath,
-    u: UtilitySpec, tol: float,
-) -> Iterator[Tuple[_Batch, _Results, List[str]]]:
-    """Each pass of the array core over points x cases, with the status of each of its rows.
-
-    This is the one place a failed evaluation becomes a row status, so every
-    caller reports the same verdict: a row failing with DivergenceError
-    gives "divergent", with ValueError "rejected: <reason>".
-    """
-    for rows, results in _evaluate_grid(points, cases, path, u, tol):
-        status = ["ok"] * len(rows.kinds)
-        for i, exc in results.failed.items():
-            if isinstance(exc, DivergenceError):
-                status[i] = "divergent"
-            elif isinstance(exc, ValueError):
-                status[i] = f"rejected: {exc}"
-            else:
-                raise exc
-        yield rows, results, status
-
-
 def scenario_sweep(
     points: Iterable[HazardParams],
     cases: Sequence[Scenario],
@@ -310,12 +287,12 @@ def scenario_sweep(
     """
     points, cases = list(points), list(cases)
     out: List[SweepRow] = []
-    for rows, results, status in _sweep_batches(points, cases, path, u, tol):
+    for rows, results in _evaluate_grid(points, cases, path, u, tol):
         for i, report in enumerate(_reports(rows)):
             series = None if i in results.failed else results.result(i)
             # positional: params, case, report, series, status
             out.append(SweepRow(rows.points[i // len(cases)], report.case, report, series,
-                                status[i]))
+                                results.status[i]))
     return out
 
 
@@ -329,8 +306,8 @@ def _sweep_columns(
     order; the cells are those to_dict gives, built from the pass's arrays
     without a SweepRow. Columns showing the same field are the same list.
     """
-    for rows, results, status in _sweep_batches(points, cases, path, u, tol):
-        fields = {**_report_cells(rows), **results._asdict(), "status": status,
+    for rows, results in _evaluate_grid(points, cases, path, u, tol):
+        fields = {**_report_cells(rows), **results._asdict(),
                   "finite": _finite(rows.kinds, rows.factor).tolist()}
         params = [p.cells() for p in rows.points]
         block = {key: _repeat_each([c[key] for c in params], len(cases)) for key in params[0]}

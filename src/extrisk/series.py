@@ -673,9 +673,12 @@ def _preconditions(rows: _Batch, fails: _Failures) -> None:
 
 
 class _Results(NamedTuple):
-    """A pass's SeriesResult fields, each a list over its rows, and each failed row's exception.
+    """A pass's SeriesResult fields and statuses, each a list over its rows, and its failures.
 
-    A failed row's fields are None.
+    A failed row's fields are None and ``failed`` holds its exception:
+    DivergenceError gives the status "divergent", ValueError "rejected:
+    <reason>" (no row fails with anything else), and every other row reads
+    "ok". Every sweep and Monte Carlo row takes its status from here.
     """
 
     value: List[Optional[float]]
@@ -683,6 +686,7 @@ class _Results(NamedTuple):
     tail_bound: List[Optional[float]]
     converged: List[Optional[bool]]
     failed: Dict[int, Exception]
+    status: List[str]
 
     def result(self, i: int) -> Union[SeriesResult, Exception]:
         """Row i's SeriesResult, or the exception its evaluation raises."""
@@ -734,10 +738,12 @@ def _evaluate_rows(rows: _Batch, path: ConsumptionPath, u: UtilitySpec, tol: flo
             raise AssertionError(
                 f"general form {value[i]!r} and n=0 simplification "
                 f"{value[j]!r} disagree beyond 1e-10 relative")
-    out = _Results(values, index, bounds, [e <= tol for e in bounds], failed)
-    for i in failed:
+    status = ["ok"] * n
+    out = _Results(values, index, bounds, [e <= tol for e in bounds], failed, status)
+    for i, exc in failed.items():
         for cells in out[:4]:
             cells[i] = None
+        status[i] = "divergent" if isinstance(exc, DivergenceError) else f"rejected: {exc}"
     return out
 
 
@@ -747,7 +753,8 @@ def _evaluate_grid(
 ) -> Iterator[Tuple[_Batch, _Results]]:
     """_evaluate_rows over the rows of points x cases, in passes of a bounded number of rows.
 
-    No cases make no rows and no pass.
+    The one row-evaluation path: scenario_sweep, the sweep columns and
+    mc_compare each walk its passes. No cases make no rows and no pass.
     """
     if not cases:
         return
@@ -886,6 +893,7 @@ def welfare_window_terms(
 
     term_t = N0 (1+b)/b * u(c_t) (1+n)**t (1 - (1+b)**-(t+1)); requires b > 0.
     """
+    _check_int("length", length, 0)
     if params.b <= 0.0:
         raise ValueError("the closed-form window terms need b > 0")
     t = np.arange(length)

@@ -1,17 +1,22 @@
 """Monte Carlo verification of the analytic functionals, plus an agent-based mode.
 
 Smoothed-mode estimators average the realized discounted sum over the random
-date (death date D or extinction date T), read from a cumulative table per
-case (``_table``). Every extinction-date case of one parameter point shares
-one stream of T (``_estimates``), so a point costs two streams. A stream is
-one ``SeedSequence([seed, stream_tag])`` generator that draws the histogram of
-its dates (``sample_date_counts``): each well-filled early date as one binomial
+date that ends it, read from a cumulative table per case (``_table``).
+``_date`` is the one table of that date: the individual case ends at its
+death date D, every other case at the extinction date T, and it gives the
+date's stream tag, hazard, survival and weight growth. ``_table`` (cap and
+weights), ``_estimates`` (one stream per tag) and ``_verdict`` (the variance
+check) all read it. Every extinction-date case of one parameter point shares
+one stream of T, so a point costs two streams. A stream is one
+``SeedSequence([seed, stream_tag])`` generator that draws the histogram of its
+dates (``sample_date_counts``): each well-filled early date as one binomial
 count, the sparse tail as shifted geometric dates. Estimates are bit-for-bit
 reproducible from (seed, config). ``mc_compare``, the one public spelling of
-the comparison, sets each case's closed form beside its estimate over a grid;
-smoothed ``simulate`` and ``verify_oracle_grid`` (``verify``) each write one
-call of it. The one-case wrappers (``mc_eu_individual`` and its siblings)
-sample one row the same way.
+the comparison, walks the passes of the array core (``series._evaluate_grid``)
+and sets each case's closed form beside its estimate over a grid; smoothed
+``simulate`` and ``verify_oracle_grid`` (``verify``) each write one call of
+it. The one-case wrappers (``mc_eu_individual`` and its siblings) sample one
+row the same way.
 
 The agent-based mode keeps an integer population with Bernoulli deaths and
 stochastic births per survivor, and quantifies the error of the smooth
@@ -23,6 +28,7 @@ by the sampler of smoothed mode.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -38,7 +44,6 @@ from .model import (
     _check_int,
     sample_date_counts,
 )
-from .analysis import _sweep_batches
 from .series import (
     DEFAULT_TOLERANCE,
     DYNASTY,
@@ -48,6 +53,7 @@ from .series import (
     SOCIAL_WELFARE,
     Scenario,
     _batch,
+    _evaluate_grid,
     _finite,
     _tail_terms,
     welfare_window_terms,
@@ -127,52 +133,17 @@ def default_horizon_cap(survival: float) -> int:
     return int(min(max(need, 1), _CAP_LIMIT))
 
 
-def _estimate_from_dates(
-    config: SimulationConfig,
-    tag: int,
-    hazard: float,
-    tables: Sequence[np.ndarray],
-) -> List[SimEstimate]:
-    """Average every table's cum[min(date, cap)] over one stream of geometric dates.
+def _date(case: Scenario, params: HazardParams, growth: float) -> Tuple[int, float, float, float]:
+    """(stream tag, hazard, survival, G) of the random date that ends the case's realized sum.
 
-    ``sample_date_counts`` on ``SeedSequence([seed, tag])`` draws the counts per
-    date 0..cap+1 (dense bins as binomials, the sparse tail as shifted
-    geometrics), the last bin holding the dates beyond the cap. All tables
-    must share one cap: len(table) = cap + 1.
+    The individual case ends at its death date D, drawn at the joint hazard
+    and surviving (1-m)(1-M) per period, with G = 1: it sums u(c_t)
+    unweighted. Every other case ends at the extinction date T, drawn at M
+    and surviving 1-M, with G the row's ``_Batch.growth``.
     """
-    cap = len(tables[0]) - 1
-    total = config.replications
-    rng = np.random.default_rng(np.random.SeedSequence([config.seed, tag]))
-    counts = sample_date_counts(hazard, total, cap, rng)
-    truncated = int(counts[-1])
-    counts = counts[:-1]
-    counts[-1] += truncated  # clipped draws take the value at the cap
-    weights = counts.astype(float)
-    # center on a drawn value, the median date's, so constant outcomes get SE exactly 0
-    median = int(np.searchsorted(np.cumsum(counts), (total + 1) // 2))
-    estimates = []
-    for cum in tables:
-        if len(cum) != cap + 1:
-            raise ValueError("tables sharing one stream must share one horizon cap")
-        shift = float(cum[median])
-        centered = cum - shift
-        weighted = weights * centered
-        mean_centered = float(np.sum(weighted)) / total
-        if total > 1:
-            sumsq = float(np.sum(weighted * centered))
-            var = max(sumsq - total * mean_centered * mean_centered, 0.0) / (total - 1)
-            se = math.sqrt(var / total)
-        else:
-            se = 0.0
-        estimates.append(
-            SimEstimate(
-                mean=shift + mean_centered,
-                standard_error=se,
-                replications=total,
-                truncated_mass=truncated / total,
-            )
-        )
-    return estimates
+    if case.kind == "individual":
+        return _TAG_EU, params.death_hazard, params.joint_survival, 1.0
+    return _TAG_EV, params.M, 1.0 - params.M, growth
 
 
 def _table(
@@ -185,21 +156,18 @@ def _table(
 ) -> np.ndarray:
     """Cumulative table cum[t], t = 0..cap: the case's realized sum when its date is t.
 
-    The individual case samples the death date D, capped from the joint
-    survival; every other case samples the extinction date T, capped from
-    1 - M, and sums growth**t u(c_t), with growth the row's ``_Batch.growth``
-    (social welfare: the window terms of W(0, T), which grow like (1+n)**t).
-    The caller has checked that there is a date to sample and a finite
-    expectation; a ValueError is a table that cannot be built.
+    The cap comes from the survival of the case's ``_date``, and the table
+    sums its G**t u(c_t) (social welfare: the window terms of W(0, T), which
+    grow like (1+n)**t). The caller has checked that there is a date to
+    sample and a finite expectation; a ValueError is a table that cannot be
+    built.
     """
-    if case.kind == "individual":
-        cap = config.horizon_cap or default_horizon_cap(params.joint_survival)
-        return np.cumsum(np.asarray(u(path.values(0, cap + 1)), dtype=float))
-    cap = config.horizon_cap or default_horizon_cap(1.0 - params.M)
+    _, _, survival, g = _date(case, params, growth)
+    cap = config.horizon_cap or default_horizon_cap(survival)
     if case.kind == "social_welfare":
         return np.cumsum(welfare_window_terms(params, path, u, cap + 1))
     uu = np.asarray(u(path.values(0, cap + 1)), dtype=float)
-    return np.cumsum(np.power(growth, np.arange(cap + 1)) * uu)
+    return np.cumsum(np.power(g, np.arange(cap + 1)) * uu)
 
 
 def _estimates(
@@ -207,22 +175,47 @@ def _estimates(
     tables: Dict[Scenario, np.ndarray],
     config: SimulationConfig,
 ) -> Dict[Scenario, SimEstimate]:
-    """Estimate every case from its ``_table`` with two streams of draws.
+    """Average every case's ``_table`` cum[min(date, cap)] over the stream of its ``_date``.
 
-    The individual case averages over death dates; all other cases average
-    over one shared stream of extinction dates (common random numbers), so
-    their estimates are correlated. Each estimate equals the one a batch of
-    that case alone gives. The caller has checked that each stream's hazard
-    is positive.
+    One stream per tag: ``sample_date_counts`` on ``SeedSequence([seed, tag])``
+    draws the counts per date 0..cap+1 (dense bins as binomials, the sparse
+    tail as shifted geometrics), the last bin holding the dates beyond the
+    cap. The extinction-date cases share one stream (common random numbers)
+    and so one cap, and their estimates are correlated; each estimate equals
+    the one a table of that case alone gives. The caller has checked that
+    each stream's hazard is positive.
     """
-    deaths = [c for c in tables if c.kind == "individual"]
-    extinctions = [c for c in tables if c.kind != "individual"]
+    streams: Dict[Tuple[int, float], List[Scenario]] = {}
+    for case in tables:  # the growth picks no stream
+        streams.setdefault(_date(case, params, 1.0)[:2], []).append(case)
+    total = config.replications
     out: Dict[Scenario, SimEstimate] = {}
-    for tag, hazard, cases in ((_TAG_EU, params.death_hazard, deaths),
-                               (_TAG_EV, params.M, extinctions)):
-        if cases:
-            ests = _estimate_from_dates(config, tag, hazard, [tables[c] for c in cases])
-            out.update(zip(cases, ests))
+    for (tag, hazard), cases in streams.items():
+        cap = len(tables[cases[0]]) - 1
+        rng = np.random.default_rng(np.random.SeedSequence([config.seed, tag]))
+        counts = sample_date_counts(hazard, total, cap, rng)
+        truncated = int(counts[-1])
+        counts = counts[:-1]
+        counts[-1] += truncated  # clipped draws take the value at the cap
+        weights = counts.astype(float)
+        # center on a drawn value, the median date's, so constant outcomes get SE exactly 0
+        median = int(np.searchsorted(np.cumsum(counts), (total + 1) // 2))
+        for case in cases:
+            cum = tables[case]
+            if len(cum) != cap + 1:
+                raise ValueError("tables sharing one stream must share one horizon cap")
+            shift = float(cum[median])
+            centered = cum - shift
+            weighted = weights * centered
+            mean_centered = float(np.sum(weighted)) / total
+            if total > 1:
+                sumsq = float(np.sum(weighted * centered))
+                var = max(sumsq - total * mean_centered * mean_centered, 0.0) / (total - 1)
+                se = math.sqrt(var / total)
+            else:
+                se = 0.0
+            out[case] = SimEstimate(mean=shift + mean_centered, standard_error=se,
+                                    replications=total, truncated_mass=truncated / total)
     return out
 
 
@@ -238,15 +231,12 @@ def _verdict(
     """(|mc - analytic|, within 3 SE + 1e-12, the SE is an error bar).
 
     The SE is an error bar only if the table's realized sum has finite variance:
-    s (G gamma)**2 < 1, with s the survival of the sampled date per period, G
-    the row's growth (1 for the individual case) and gamma the largest growth
-    of a tail term of u(c_t), 0 when the tail has none.
+    s (G gamma)**2 < 1, with s and G the survival and growth of the case's
+    ``_date`` and gamma the largest growth of a tail term of u(c_t), 0 when
+    the tail has none.
     """
     err = abs(est.mean - analytic)
-    if case.kind == "individual":
-        s, g = params.joint_survival, 1.0
-    else:
-        s, g = 1.0 - params.M, growth
+    _, _, s, g = _date(case, params, growth)
     if s * g:  # else the realized sum ends at date 0, and a ratio-0 tail may have no terms
         g *= max((math.exp(t.log_growth) for t in _tail_terms(path, u)), default=0.0)
     return err, err <= 3.0 * est.standard_error + 1e-12, s * g * g < 1.0
@@ -263,8 +253,8 @@ def mc_compare(
     """Each case's closed form beside its Monte Carlo estimate: one row per (point, case).
 
     Point i is sampled under configs[i], whatever points lie beside it. The
-    analytic verdict is each row's status from the passes of the array core
-    (``analysis._sweep_batches``); an ok row is then sampled with ``_table`` at
+    analytic verdict is each row's status in its pass of the array core
+    (``series._evaluate_grid``); an ok row is then sampled with ``_table`` at
     the growth of its own pass and ``_estimates``, and judged by ``_verdict``,
     unless its date is known ("deterministic (no sampling)") or its table
     cannot be built ("ok: not sampled: <reason>": the closed form can hold
@@ -276,8 +266,8 @@ def mc_compare(
         raise ValueError(f"one SimulationConfig per point: {len(configs)} for {len(points)} points")
     config_of = iter(configs)
     rows: List[Dict[str, Any]] = []
-    for batch, results, status in _sweep_batches(points, cases, path, u, tol):
-        growth, k = batch.growth.tolist(), len(cases)
+    for batch, results in _evaluate_grid(points, cases, path, u, tol):
+        growth, status, k = batch.growth.tolist(), results.status, len(cases)
         for j, params in enumerate(batch.points):
             config = next(config_of)
             tables, sampled = {}, []
@@ -443,8 +433,9 @@ def abm_smoothing_study(
     """
     if params.b <= 0.0:
         raise ValueError("the smoothed comparison needs b > 0")
-    if any(not 1 <= n0 < 2**63 or n0 != int(n0) for n0 in n0_values):
-        raise ValueError("head counts must be positive integers below 2**63")
+    if len(n0_values) == 0 or any(isinstance(n0, bool) or not isinstance(n0, numbers.Integral)
+                            or not 1 <= n0 < 2**63 for n0 in n0_values):
+        raise ValueError("head counts must be a non-empty list of positive integers below 2**63")
     if params.M <= 0.0:
         raise NoExtinctionError("the study mixes over extinction dates; needs M > 0")
     reps = config.replications

@@ -1,8 +1,9 @@
-"""Each module of the package uses every name it imports and defines every name it exports.
+"""Each module of the package uses every name it imports, defines every name it exports
+and imports only the modules of the layers below it.
 
 Read with the standard library's ast only, so the check needs nothing the
 suite does not already have. The imports of the package's __init__ are its
-public names, so they are not checked for use.
+public names, so they are not checked for use or layering.
 """
 
 import ast
@@ -12,6 +13,15 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "extrisk"
 MODULES = sorted(SRC.glob("*.py"), key=lambda p: p.name)
+# the package modules each module may import: the model, the series on it, the
+# analysis and the Monte Carlo on the series, the command line on all four
+LAYERS = {
+    "model": set(),
+    "series": {"model"},
+    "analysis": {"model", "series"},
+    "simulate": {"model", "series"},
+    "cli": {"model", "series", "analysis", "simulate"},
+}
 
 
 def _parse(path: Path) -> ast.Module:
@@ -71,3 +81,29 @@ def test_every_exported_name_is_defined(path):
     tree = _parse(path)
     missing = [name for name in _exported(tree) or () if name not in _defined(tree)]
     assert not missing, f"{path.name} exports names it does not define: {', '.join(missing)}"
+
+
+def _package_imports(tree: ast.Module):
+    """(package module, line) of every import of a module of this package, relative or not."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["extrisk" if node.level else "", node.module]))
+            names = ([f"{module}.{alias.name}" for alias in node.names]
+                     if module == "extrisk" else [module])
+        else:
+            continue
+        for name in names:
+            top, _, rest = name.partition(".")
+            if top == "extrisk" and rest:
+                yield rest.split(".")[0], node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_module_imports_only_the_layers_below_it(path):
+    assert path.stem in LAYERS, f"{path.name} has no layer in LAYERS"
+    wrong = [f"{name} (line {line})" for name, line in _package_imports(_parse(path))
+             if name not in LAYERS[path.stem]]
+    assert not wrong, f"{path.name} imports modules outside its layers: {', '.join(wrong)}"

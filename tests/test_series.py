@@ -35,6 +35,7 @@ from extrisk import (
     weight_sequence,
     welfare_window,
     welfare_window_direct,
+    welfare_window_terms,
 )
 from extrisk.series import _LIBM, _U, _rigorous, _tail_terms
 
@@ -359,6 +360,7 @@ INTEGER_ARGUMENTS = {
     "lifetime_pmf_known_T T": lambda k: lifetime_pmf_known_T(0.1, k, 1),
     "lifetime_pmf_known_T t": lambda k: lifetime_pmf_known_T(0.1, 3, k),
     "extinction_pmf T": lambda k: extinction_pmf(0.05, k),
+    "welfare_window_terms length": lambda k: welfare_window_terms(GROWING, ONE, LINEAR, k),
 }
 
 

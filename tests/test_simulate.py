@@ -44,7 +44,7 @@ from extrisk import (
 from extrisk.model import _CHUNK
 from extrisk.series import _batch
 from extrisk.simulate import (
-    _TAG_ABM_T, _TAG_EU, _TAG_EV, _estimates, _mc_one, _offspring, _table, _verdict,
+    _TAG_ABM_T, _TAG_EU, _TAG_EV, _date, _estimates, _mc_one, _offspring, _table, _verdict,
 )
 
 ONE = ConsumptionPath.constant(1.0)
@@ -218,6 +218,42 @@ def _stream_dates(hazard, reps, cap, seed, tag):
     return np.repeat(np.arange(cap + 2), sample_date_counts(hazard, reps, cap, rng))
 
 
+def test_individual_table_does_not_read_the_growth():
+    p = HazardParams(m=0.05, M=0.1, b=0.02)
+    cfg = SimulationConfig(replications=10, seed=0, horizon_cap=40)
+    unweighted = _table(INDIVIDUAL, p, 1.0, VERIFY_PATH, VERIFY_UTILITY, cfg)
+    assert unweighted.tobytes() == np.cumsum(
+        VERIFY_UTILITY(VERIFY_PATH.values(0, 41))).tobytes()
+    for g in (0.0, 0.5, 1.03, 7.0, math.inf, math.nan):
+        assert _table(INDIVIDUAL, p, g, VERIFY_PATH, VERIFY_UTILITY, cfg).tobytes() \
+            == unweighted.tobytes()
+
+
+def test_each_case_is_estimated_over_the_stream_of_its_date(monkeypatch):
+    p = HazardParams(m=0.05, M=0.1, b=0.02, theta=0.5, alpha=0.3)
+    cfg = SimulationConfig(replications=1_000, seed=8, horizon_cap=12)
+    cases = (INDIVIDUAL, DYNASTY, DYNASTY_THETA, LINEAGE, SOCIAL_WELFARE)
+    growth = _batch([p], cases).growth.tolist()
+    drawn = []
+
+    def recording(hazard, total, cap, rng):
+        drawn.append((int(rng.bit_generator.seed_seq.entropy[1]), hazard))
+        return sample_date_counts(hazard, total, cap, rng)
+
+    monkeypatch.setattr("extrisk.simulate.sample_date_counts", recording)
+    tables = {c: _table(c, p, g, VERIFY_PATH, VERIFY_UTILITY, cfg) for c, g in zip(cases, growth)}
+    for case, g in zip(cases, growth):
+        drawn.clear()
+        _estimates(p, {case: tables[case]}, cfg)
+        assert drawn == [_date(case, p, g)[:2]]
+    drawn.clear()
+    _estimates(p, tables, cfg)  # one stream per tag
+    assert drawn == [(_TAG_EU, p.death_hazard), (_TAG_EV, p.M)]
+    assert _date(INDIVIDUAL, p, growth[0]) == (_TAG_EU, p.death_hazard, p.joint_survival, 1.0)
+    for case, g in zip(cases[1:], growth[1:]):
+        assert _date(case, p, g) == (_TAG_EV, p.M, 1.0 - p.M, g)
+
+
 def test_histogram_estimate_matches_direct_mean_over_the_same_streams():
     p = HazardParams(m=0.05, M=0.1, b=0.02, theta=0.5, alpha=0.3)
     reps, cap = _CHUNK + 5_000, 12
@@ -357,8 +393,9 @@ def test_bernoulli_pair_rejects_large_birth_rate():
 # --- agent-based runs ---------------------------------------------------------------------
 
 
-# the last two are beyond numpy's int64, which holds the populations
-@pytest.mark.parametrize("n0_values", [[0], [1, 2.5], [1, 2**63], [100_000_000_000_000_000_000]])
+# [1, 2**63] and [10**20] are beyond numpy's int64, which holds the populations
+@pytest.mark.parametrize("n0_values", [[0], [1, 2.5], [1, 2**63], [100_000_000_000_000_000_000],
+                                       [True], [2.0], []])
 def test_abm_study_rejects_head_counts_that_are_not_positive_integers(n0_values):
     p = HazardParams(m=0.1, M=0.1, b=0.1)
     cfg = SimulationConfig(replications=10, seed=0, mode="agent")
@@ -376,6 +413,7 @@ def test_abm_study_reads_its_dates_from_the_date_histogram():
     clipped[-1] += counts[-1]
     windows = np.cumsum(welfare_window_terms(replace(p, N0=1.0), ONE, LINEAR, 11))
     rows = abm_smoothing_study(p, ONE, LINEAR, [1, 4], cfg)
+    assert abm_smoothing_study(p, ONE, LINEAR, np.array([1, 4]), cfg) == rows  # numpy head counts
     assert 0 < counts[-1] < cfg.replications
     for row in rows:
         assert row.cap_hit_fraction == counts[-1] / cfg.replications

@@ -41,7 +41,6 @@ from .series import (
     ev_dynasty_theta,
     evaluate,
     ew_social,
-    ew_social_mixture,
     ew_social_n0_form,
     finiteness_check,
     known_extinction,

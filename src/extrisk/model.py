@@ -59,7 +59,7 @@ def _check_prob(name: str, value: float, *, closed_top: bool = True) -> None:
 
 def _is_number(value: object) -> bool:
     """A real number; a bool is not one here."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
 
 
 def _check_int(name: str, value: object, lo: int) -> None:
@@ -92,6 +92,9 @@ class HazardParams:
     N0: float = 1.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not _is_number(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         _check_prob("m", self.m)
         _check_prob("M", self.M)
         if not (self.b >= 0.0 and math.isfinite(self.b)):

@@ -21,9 +21,8 @@ modifier is 1 except for social welfare (q = 1/(1+b)) and its n = 0 form
 (q = 1-m). Past the explicit prefix of p periods the consumption path is
 constant or geometric, and the tail table ``_tail_terms`` writes u(c_t) there
 as a few geometric or arithmetico-geometric terms, each summed in closed form,
-so an evaluation costs O(p) whatever the hazards. The same terms bound the
-extinction-date mixture's tail and give the Monte Carlo variance check
-(simulate._verdict) its growth. The modifier's tail
+so an evaluation costs O(p) whatever the hazards. The same terms give the
+Monte Carlo variance check (simulate._verdict) its growth. The modifier's tail
   sum_{t>=p} R**t (1 - q**(t+1)) = R**p [(1-R) a_p + R (1-q)] / ((1-R)(1-Rq)),
 with a_p = 1 - q**(p+1) = -expm1((p+1) log q), has no subtraction, so small
 birth rates lose no digits. Every 1-R is computed as -expm1(log R), with
@@ -94,7 +93,6 @@ __all__ = [
     "welfare_window_terms",
     "ew_social",
     "ew_social_n0_form",
-    "ew_social_mixture",
     "evaluate",
 ]
 
@@ -150,12 +148,11 @@ def known_extinction(T: int) -> Scenario:
 class SeriesResult:
     """Series value.
 
-    tail_bound is a rigorous upper bound on |true value - value|: for the
-    closed forms the rounding error, for the extinction-date mixture the
-    omitted dates plus a gamma_k bound on the rounding of its cumulative
-    sums. truncation_index is the last summed term; for the closed forms
-    that is the last explicit prefix period, for the mixture the last date.
-    converged means tail_bound <= the requested tolerance.
+    tail_bound is a rigorous upper bound on |true value - value|, the
+    rounding error of the closed form or of a known date's finite sum.
+    truncation_index is the last summed term: the last explicit prefix
+    period of a closed form, the date T of a known date. converged means
+    tail_bound <= the requested tolerance.
     """
 
     value: float
@@ -510,8 +507,8 @@ def _n0_rows(M: np.ndarray, m: np.ndarray, N0: np.ndarray) -> _Rows:
 
 
 def _kernel(
-    LR: np.ndarray, dR: np.ndarray, need_h2: bool, rows: Optional[_Rows] = None,
-    LRq: np.ndarray = None, dRq: np.ndarray = None, a_p: np.ndarray = 1.0, e_a: np.ndarray = 0.0,
+    LR: np.ndarray, dR: np.ndarray, need_h2: bool, rows: _Rows,
+    LRq: np.ndarray, dRq: np.ndarray, a_p: np.ndarray, e_a: np.ndarray,
 ) -> Tuple[np.ndarray, ...]:
     """H1 = sum_j R**j m_j and H2 = sum_j (j+1) R**j m_j per row, their relative errors, and 1 - R.
 
@@ -526,7 +523,7 @@ def _kernel(
     e_om = _LIBM + R * dR / om
     h1, e1 = 1.0 / om, e_om + _U
     h2, e2 = h1 * h1, 2.0 * e1 + _U
-    if rows is None or not rows.mod.any():
+    if not rows.mod.any():
         return h1, e1, h2, e2, om
     mod = rows.mod
     e_R = _LIBM + dR
@@ -551,7 +548,7 @@ def _kernel(
 
 @np.errstate(all="ignore")  # failed rows carry inf and nan
 def _closed(
-    rows: _Rows, path: ConsumptionPath, u: UtilitySpec, tol: float, fails: _Failures
+    rows: _Rows, path: ConsumptionPath, u: UtilitySpec, fails: _Failures
 ) -> Tuple[np.ndarray, np.ndarray]:
     """pref * sum_t r**t m_t u(c_t) per row, summed in closed form, and its tail_bound.
 
@@ -563,8 +560,6 @@ def _closed(
     """
     n, p = len(rows.pref), path.prefix_len
     pref, mod = rows.pref, rows.mod
-    if not tol > 0.0:
-        fails.add(np.ones(n, dtype=bool), lambda i: ValueError("tolerance must be > 0"))
     fails.add(~np.isfinite(pref),
               lambda i: ValueError(f"the prefactor {float(pref[i])!r} leaves float range"))
     try:
@@ -655,11 +650,17 @@ def _closed(
 # --- the functionals ---------------------------------------------------------
 
 _NO_EXTINCTION = "M = 0: the extinction-date mixture is defective and the functional undefined"
+_TOLERANCE = "tolerance must be finite and > 0"
 
 
-def _preconditions(rows: _Batch, fails: _Failures) -> None:
-    """Fail each row whose parameters its functional rejects, in the order the functional checks."""
+def _preconditions(rows: _Batch, tol: float, fails: _Failures) -> None:
+    """Fail each row whose parameters its functional rejects, in the order the functional checks.
+
+    A tolerance that is not finite and > 0 fails every row first.
+    """
     kinds, M, m, factor = rows.kinds, rows.M, rows.m, rows.factor
+    if not (tol > 0.0 and math.isfinite(tol)):
+        fails.add(np.ones(len(kinds), dtype=bool), lambda i: ValueError(_TOLERANCE))
     individual = kinds == "individual"
     mixes = ~individual & (kinds != "known_extinction")  # a mixture over extinction dates
     fails.add((kinds == "social_welfare") & ~(rows.b > 0.0), lambda i: ValueError(
@@ -710,14 +711,14 @@ def _evaluate_rows(rows: _Batch, path: ConsumptionPath, u: UtilitySpec, tol: flo
     n0 = np.flatnonzero((rows.kinds == "social_welfare")
                         & (np.abs(bm - m) <= 4.0 * _EPS * (bm + m)))
     fails = _Failures(n + len(n0))
-    _preconditions(rows, fails)
+    _preconditions(rows, tol, fails)
     known = rows.kinds == "known_extinction"
     fails.bad[:n] |= known  # a finite sum, not a closed form
     inputs = _closed_rows(rows)
     if len(n0):
         n0_rows = _n0_rows(rows.M[n0], m[n0], rows.N0[n0])
         inputs = _Rows(*(np.concatenate([a, z]) for a, z in zip(inputs, n0_rows)))
-    value, bound = _closed(inputs, path, u, tol, fails)
+    value, bound = _closed(inputs, path, u, fails)
     value, bound = value.tolist(), bound.tolist()
     values, bounds, index = value[:n], bound[:n], [path.prefix_len - 1] * n
     failed = {i: e for i, e in fails.exc.items() if i < n}
@@ -965,11 +966,13 @@ def ew_social_n0_form(
         raise ValueError("the n = 0 simplification divides by m; needs m > 0")
     if params.M == 0.0:
         raise NoExtinctionError(_NO_EXTINCTION)
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ValueError(_TOLERANCE)
     fails = _Failures(1)
     row = [np.array([x]) for x in (params.M, params.m, params.N0)]
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf
         inputs = _n0_rows(*row)
-    value, bound = _closed(inputs, path, u, tol, fails)
+    value, bound = _closed(inputs, path, u, fails)
     if fails.exc:
         raise fails.exc[0]
     return SeriesResult(value=float(value[0]), truncation_index=path.prefix_len - 1,
@@ -1003,120 +1006,3 @@ def _utility_values(
     return uu, ((1.0 + s1 * np.abs(uu)) / s1
                 * _rigorous(_LIBM + _U * np.abs(s1 * np.log(c)) + s1 * e_c)
                 + _rigorous(3.0 * _U) * np.abs(uu))
-
-
-def ew_social_mixture(
-    params: HazardParams,
-    path: ConsumptionPath,
-    u: UtilitySpec,
-    tol: float = 1e-8,
-) -> SeriesResult:
-    """EW evaluated from its definition, sum_T P_X(T) W(0, T), in one vectorized pass.
-
-    Independent route used to cross-check ew_social: the windows W(0, T) are
-    cumulative sums of welfare_window_terms, and the value is the fsum of
-    P_X(T) W(0, T) over T <= T*. What that omits is at most
-      (1-M)**(T*+1) sum_{t<=T*} |term_t|  +  sum_{t>T*} |term_t| (1-M)**t,
-    the second bounded by an envelope of |u| past the prefix. The rounding
-    bound is Higham's (Accuracy and Stability of Numerical Algorithms, ch. 3-4):
-    gamma_T = T u / (1 - T u) of the summed |terms| for the T-th cumulative
-    sum, and a relative error of term t that grows like 3 t u, since (1+n)**t
-    raises a rounded (1+b)(1-m), plus the error of u(c_t). T* is the first
-    date whose bound meets tol, else the date with the least bound. The
-    number of dates is set up front from the envelope, at most 2**20.
-
-    The default tolerance is looser than the closed form's: the rounding bound
-    grows with the number of dates, so 1e-10 absolute is generally out of reach.
-    """
-    rows = _batch([params], [SOCIAL_WELFARE])
-    fails = _Failures(1)
-    _preconditions(rows, fails)
-    if fails.exc:
-        raise fails.exc[0]
-    rho = float(rows.factor[0])
-    if not tol > 0.0:
-        raise ValueError("tolerance must be > 0")
-    # |u(c_{p+k})| <= (a + lin k) gamma**k past the prefix, a and lin to relative error e_env
-    terms = _tail_terms(path, u)
-    a = sum(abs(t.coef) for t in terms)
-    lin = sum(abs(t.coef) for t in terms if t.arith)
-    log_gamma = max((t.log_growth for t in terms), default=0.0)
-    e_env = max((t.rel_err for t in terms), default=0.0) + _U
-    with np.errstate(all="ignore"):  # 1 - R <= 0 is raised below
-        (parts,) = _log_parts(rows.M, rows.b, rows.m, rows.exps)
-        # 1/(1-R), 1/(1-R)**2
-        (L, dL), (LR, dLR) = (_log_sum(x) for x in (parts, np.column_stack([parts, [log_gamma]])))
-        h1, e1, h2, e2, om = (float(x[0]) for x in _kernel(LR, dLR, True))
-    if not om > 0.0:
-        raise DivergenceError(f"utility tail grows at rate exp({log_gamma:.6g}) against "
-                              f"weight ratio {rho:.6g}: the series diverges")
-    # R = rho gamma; rho = 0 (m or M = 1) is floored so exp(-1e3 t) stands for 0**t
-    L, dL, LR, dLR = (float(x[0]) for x in (L, dL, LR, dLR))
-    L, LR = max(L, -1e3), max(LR, -1e3)
-    step = max(dL + _U * abs(L), dLR + _U * abs(LR))  # error of exp(t log R) per period
-    p, M, sM = path.prefix_len, params.M, 1.0 - params.M
-    pref = params.N0 * (1.0 + params.b) / params.b
-
-    def tail(t0: np.ndarray) -> np.ndarray:
-        """Bound on pref * sum_{t >= t0} rho**t |u(c_t)| for dates t0 >= p."""
-        k = t0 - p
-        e = e_env + max(e1, e2) + 2.0 * _LIBM + 10.0 * _U + 2.0 * t0 * step
-        R_t = np.exp(p * L + k * LR) + _DENORM
-        return pref * R_t * ((a + lin * k) * h1 + lin * h2) * (1.0 + _rigorous(e))
-
-    # At most 2**20 dates (some 200 MB of arrays), fewer where pref (1+n)**t |u|
-    # could leave float range or a geometric c_t the normal range (log, CRRA).
-    head = np.abs(np.asarray(u(np.array(path.prefix)), dtype=float))
-    J = (1 << 20) - p  # tail dates
-    # under e**600, which leaves e**109 for sums of 2**20 terms and 1/(1-R)**2
-    room = 600.0 - math.log(pref) - math.log1p(head.sum() + a + lin * J)
-    growth = math.log(max(params.gross_growth, 1.0)) + max(log_gamma, 0.0)
-    if growth > 0.0:
-        J = min(J, int(max(room, -1.0) / growth) - p)
-    if path.tail == "geometric" and path.ratio > 0.0 and u.family != "linear":
-        J = min(J, int((max(0.0, -math.log(path.prefix[-1])) - 690.0) / math.log(path.ratio)))
-    if J < 0 or room == -math.inf:
-        raise ValueError("the extinction-date mixture leaves float range within the prefix")
-    # The first of 160 log-spaced counts j of tail dates after which the omitted
-    # part (the prefix's share, j tail terms at their largest, the tail) is at
-    # most tol/8, which leaves the rest of tol to the rounding.
-    j = np.unique(np.geomspace(1.0, J + 1.0, 160).astype(np.int64)) - 1
-    lam = max(sM, math.exp(LR))
-    prior = (pref * (sM ** (j + 1) * float(head @ np.exp(np.arange(p) * L))
-                     + sM * math.exp(p * L) * j * (a + lin * j) * lam ** np.maximum(j - 1, 0))
-             + tail(p + j))
-    n = p + int(j[prior <= tol / 8.0].min(initial=J))
-
-    t = np.arange(n)
-    terms = welfare_window_terms(params, path, u, n)
-    # |term_t - exact| <= |term_t| r_t + pref (1+n)**t a_t |error of u(c_t)|, the weight
-    # pref (1+n)**t a_t being the term at u = 1; r_t covers pref, a_t, (1+n)**t, 3 products
-    weight = welfare_window_terms(params, ConsumptionPath.constant(1.0), UtilitySpec.linear(), n)
-    r = _rigorous(8.0 * _U + 3.0 * _LIBM + 3.0 * _U * t)
-    uu, u_err = _utility_values(path, u, 0, n)
-    # a product or libm result that underflows is off by _DENORM times the later factors
-    g_max = max(params.gross_growth, 1.0) ** n
-    term_err = np.cumsum(np.abs(terms) * r + weight * (1.0 + r) * u_err
-                         + _DENORM * g_max * (2.0 * pref + 3.0) * (1.0 + np.abs(uu) + u_err))
-    windows = np.cumsum(terms)
-    summed = np.cumsum(np.abs(terms))
-    win_err = t * _U / (1.0 - t * _U) * summed + term_err  # gamma_T, then the terms' own
-    surv = np.power(sM, np.arange(n + 1))  # (1-M)**T
-    r_s = _rigorous(_LIBM + _U * (np.arange(n + 1) + 2.0))  # from 1-M, its power and the product
-    px = surv[:n] * M
-    # per date: errors of P_X(T) and W(0, T), of their product, and of fsum's result
-    mix_err = np.cumsum(px * ((1.0 + r_s[:n]) * win_err + (r_s[:n] + 2.0 * _U) * np.abs(windows))
-                        + 2.0 * _DENORM * (np.abs(windows) + win_err + 1.0))
-    T = t[p - 1:]
-    omitted = (surv[T + 1] * (1.0 + r_s[T + 1]) + _DENORM) * (summed[T] + term_err[T]) + tail(T + 1)
-    # each bound is a sum of at most 2n + 32 rounded nonnegative products
-    bound = (omitted + mix_err[T]) * (1.0 + _rigorous(4.0 * (n + 16) * _U))
-    hits = bound <= tol
-    i = int(hits.argmax() if hits.any() else bound.argmin())
-    return SeriesResult(
-        value=math.fsum(px[: p + i] * windows[: p + i]),
-        truncation_index=p + i - 1,
-        tail_bound=float(bound[i]),
-        converged=bool(hits[i]),
-    )
-

@@ -10,11 +10,13 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from decimal_oracle import exact_mixture
 from extrisk import (
     DYNASTY,
     DYNASTY_THETA,
@@ -35,7 +37,6 @@ from extrisk import (
     eu_known_T,
     evaluate,
     ew_social,
-    ew_social_mixture,
     ew_social_n0_form,
     extinction_pmf,
     factor_from_weights,
@@ -125,17 +126,17 @@ def test_criterion_3_ew_dual_formulas(capsys):
         b = ew_social_n0_form(params, path, u)
         scale = max(abs(a.value), abs(b.value), 1.0)
         assert abs(a.value - b.value) <= 1e-10 * scale + a.tail_bound + b.tail_bound
-    general_points = [p for p in VERIFY_GRID[:6]]
+    general_points = VERIFY_GRID[:6]
     for params in general_points:
         a = ew_social(params, VERIFY_PATH, VERIFY_UTILITY)
-        b = ew_social_mixture(params, VERIFY_PATH, VERIFY_UTILITY)
-        assert abs(a.value - b.value) <= a.tail_bound + b.tail_bound
+        mixture = exact_mixture(params, VERIFY_PATH, VERIFY_UTILITY)
+        assert abs(Decimal(a.value) - mixture.value) <= Decimal(a.tail_bound) + mixture.bound
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         report(3, elapsed, 5.0, f"social welfare: general form vs n=0 simplification "
-                                f"({len(n0_points)} points, 1e-10 relative) and vs the "
+                                f"({len(n0_points)} points, 1e-10 relative) and vs the exact "
                                 f"extinction-date mixture ({len(general_points)} points, "
-                                f"combined tail bounds)")
+                                f"tail bound plus truncation bound)")
 
 
 def test_criterion_4_monte_carlo_oracles(capsys):

@@ -24,6 +24,7 @@ from extrisk import (
     UtilitySpec,
     evaluate,
     ew_social,
+    ew_social_n0_form,
     known_extinction,
     scenario_sweep,
 )
@@ -120,6 +121,19 @@ def test_every_rejection_message_is_the_functional_s():
         "rejected: social welfare needs b > 0; use welfare_window at b = 0",
         "rejected: the prefactor inf leaves float range",
     }
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-10])
+def test_a_tolerance_not_finite_and_positive_fails_every_row(tol):
+    path, u = ConsumptionPath(prefix=PREFIX), UtilitySpec.log()
+    message = "tolerance must be finite and > 0"
+    for case in CASES:
+        with pytest.raises(ValueError, match=message):
+            evaluate(case, HazardParams(m=0.1, M=0.1, b=0.05), path, u, tol)
+    with pytest.raises(ValueError, match=message):
+        ew_social_n0_form(HazardParams(m=0.1, M=0.1).with_n_zero(), path, u, tol)
+    rows = scenario_sweep(mixed_grid()[:9], CASES, path, u, tol)
+    assert {r.status for r in rows} == {f"rejected: {message}"}
 
 
 def test_social_welfare_at_m_one_and_a_huge_birth_rate_is_not_its_n0_form():

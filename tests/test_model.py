@@ -92,6 +92,13 @@ def test_invalid_params_rejected(kwargs):
         HazardParams(**kwargs)
 
 
+@pytest.mark.parametrize("value", [True, "0.1", None])
+@pytest.mark.parametrize("field", ["m", "M", "b", "theta", "alpha", "N0"])
+def test_every_field_rejects_a_bool_or_a_non_number(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a number, got {value!r}$"):
+        HazardParams(**{"m": 0.1, "M": 0.1, field: value})
+
+
 def test_unit_hazards_are_allowed():
     assert HazardParams(m=1.0, M=0.0).death_hazard == 1.0
     assert HazardParams(m=0.0, M=1.0).death_hazard == 1.0

@@ -1,4 +1,9 @@
-"""Welfare-window and expected-social-welfare cross-checks."""
+"""Welfare-window and expected-social-welfare cross-checks.
+
+ew_social is checked against the decimal oracle's extinction-date mixture,
+which builds every window W(0, T) from its definition, and the oracle's
+mixture against its own closed form.
+"""
 
 import math
 from decimal import Decimal, localcontext
@@ -15,10 +20,12 @@ from extrisk import (
     HazardParams,
     NoExtinctionError,
     SOCIAL_WELFARE,
+    VERIFY_GRID,
+    VERIFY_PATH,
+    VERIFY_UTILITY,
     UtilitySpec,
     discount_profile,
     ew_social,
-    ew_social_mixture,
     ew_social_n0_form,
     welfare_window,
     welfare_window_direct,
@@ -123,21 +130,41 @@ def test_ew_n0_simplification_agrees(m):
     assert abs(a.value - b.value) <= 1e-10 * scale + a.tail_bound + b.tail_bound
 
 
-@pytest.mark.parametrize(
-    "params",
-    [
-        HazardParams(m=0.02, M=0.01, b=0.025),
-        HazardParams(m=0.10, M=0.05, b=0.05),
-        HazardParams(m=0.30, M=0.20, b=0.5, N0=2.0),
-        HazardParams(m=0.25, M=0.004, b=0.2),
-        HazardParams(m=0.50, M=0.30, b=0.8),
-    ],
-)
+MIXTURE_PARAMS = [
+    HazardParams(m=0.02, M=0.01, b=0.025),
+    HazardParams(m=0.10, M=0.05, b=0.05),
+    HazardParams(m=0.30, M=0.20, b=0.5, N0=2.0),
+    HazardParams(m=0.25, M=0.004, b=0.2),
+    HazardParams(m=0.50, M=0.30, b=0.8),
+]
+
+
+@pytest.mark.parametrize("params", MIXTURE_PARAMS)
 def test_ew_matches_mixture_definition(params):
     a = ew_social(params, BUMPY, LOG)
-    b = ew_social_mixture(params, BUMPY, LOG)
-    assert a.converged and b.converged
-    assert abs(a.value - b.value) <= a.tail_bound + b.tail_bound
+    mixture = decimal_oracle.exact_mixture(params, BUMPY, LOG)
+    assert a.converged
+    assert abs(Decimal(a.value) - mixture.value) <= Decimal(a.tail_bound) + mixture.bound
+
+
+# acceptance 3's points, then the five above
+@pytest.mark.parametrize(
+    "params,path,u",
+    [(p, VERIFY_PATH, VERIFY_UTILITY) for p in VERIFY_GRID[:6]]
+    + [(p, BUMPY, LOG) for p in MIXTURE_PARAMS],
+)
+def test_exact_mixture_agrees_with_the_exact_closed_form(params, path, u):
+    """Two exact routes to EW that share no algebra, within the mixture's truncation bound."""
+    mixture = decimal_oracle.exact_mixture(params, path, u)
+    closed = decimal_oracle.exact("social_welfare", params, path, u)
+    # the bound can be tight to 1e-17 of itself, so 1e-40 relative covers the 50-digit rounding
+    with localcontext(decimal_oracle.CTX):
+        slack = mixture.bound + Decimal("1e-40") * abs(closed)
+        assert mixture.bound <= decimal_oracle.MIXTURE_TOLERANCE * 2 * abs(closed)
+        assert abs(mixture.value - closed) <= slack
+        # the dates past the stop move the sum by no more than the bound says
+        doubled = decimal_oracle.exact_mixture(params, path, u, 2 * mixture.last)
+        assert abs(doubled.value - mixture.value) <= slack
 
 
 def test_ew_rejections():
@@ -148,11 +175,6 @@ def test_ew_rejections():
     # (1-M)(1+n) = 0.996 * 1.029 >= 1
     with pytest.raises(DivergenceError):
         ew_social(HazardParams(m=0.02, M=0.004, b=0.05), ONE, LINEAR)
-    with pytest.raises(DivergenceError):
-        ew_social_mixture(HazardParams(m=0.02, M=0.004, b=0.05), ONE, LINEAR)
-    for tol in (0.0, float("nan")):
-        with pytest.raises(ValueError):
-            ew_social_mixture(HazardParams(m=0.02, M=0.01, b=0.03), ONE, LINEAR, tol)
 
 
 def test_ew_tail_bound_honest_against_longer_sum():

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -24,12 +24,14 @@ import numpy as np
 from .model import ConsumptionPath, HazardParams, UtilitySpec, _check_int
 from .series import (
     DEFAULT_TOLERANCE,
+    DYNASTY,
     Scenario,
     SeriesResult,
     _batch,
     _Batch,
-    _evaluate_grid,
+    _evaluate_rows,
     _finite,
+    _passes,
     factor_exponents,
     one_minus_q_power,
     weight_sequence,
@@ -89,7 +91,7 @@ _NOTES = {
 
 
 def _report_cells(rows: _Batch) -> Dict[str, list]:
-    """The DiscountReport fields of every row of a batch, each a list over the rows."""
+    """The DiscountReport fields after case, in field order, each a list over a batch's rows."""
     factor = rows.factor.tolist()
     factor_n0 = rows.factor_n(np.ones(len(rows.M)))  # n = 0
     return {"factor": factor, "rate_simple": (1.0 - rows.factor).tolist(),
@@ -100,11 +102,9 @@ def _report_cells(rows: _Batch) -> Dict[str, list]:
 
 def _reports(rows: _Batch) -> List[DiscountReport]:
     """discount_factor of every row of a batch, from the batch's factors."""
-    cells = _report_cells(rows)
-    cases = rows.cases * len(rows.points)
-    # positional: case, factor, rate_simple, rate_log, factor_n0, constant, note
-    return [DiscountReport(case, *fields, _NOTES.get(case.kind)) for case, *fields in zip(
-        cases, *map(cells.get, ("factor", "rate_simple", "rate_log", "factor_n0", "constant")))]
+    # positional: case, then _report_cells in field order, then the note
+    return [DiscountReport(case, *fields, _NOTES.get(case.kind))
+            for case, *fields in zip(rows.cases * len(rows.points), *_report_cells(rows).values())]
 
 
 def discount_factor(case: Scenario, params: HazardParams) -> DiscountReport:
@@ -142,6 +142,20 @@ def discount_profile(params: HazardParams, horizon: int) -> DiscountProfile:
     long_run = (1.0 - params.M) * params.gross_growth
     a = one_minus_q_power(params.b, np.arange(1, horizon + 2))  # a[k] = 1 - q**(k+1)
     return DiscountProfile(ratios=long_run * a[1:] / a[:-1], long_run=long_run)
+
+
+def _profile_columns(points: Sequence[HazardParams], horizon: int) -> Iterator[Dict[str, list]]:
+    """discount_profile at every point with b > 0 as columns, a block per point: its weight
+    ratios r_t (t < horizon) and long-run factor, then its dynasty factor, from one batch.
+    """
+    points = [p for p in points if p.b > 0.0]
+    cells = {"case": ["social_welfare"] * (horizon + 1) + ["dynasty"],
+             "parameter": ["weight_ratio"] * horizon + ["long_run_factor", "factor"],
+             "t": [*range(horizon), None, None]}
+    for params, factor in zip(points, _batch(points, [DYNASTY]).factor.tolist()):
+        prof = discount_profile(params, horizon)
+        yield {**{k: [v] * (horizon + 2) for k, v in params.cells(population=False).items()},
+               **cells, "value": [*prof.ratios.tolist(), prof.long_run, factor]}
 
 
 # --- belief-update comparative statics --------------------------------------
@@ -183,62 +197,70 @@ def _closed_derivatives(case: Scenario, params: HazardParams, regime: str):
     return d_M, d_m
 
 
-def _factor_in_regime(
-    case: Scenario, base: HazardParams, hazards: Sequence[Tuple[float, float]]
-) -> Dict[str, List[float]]:
-    """The factor at each perceived (m, M), holding b ("b-fixed") or n ("n-fixed") at base's.
+def _step_error(params: HazardParams, dM: float, dm: float) -> Optional[str]:
+    """Why the steps dM, dm are rejected at params, or None: not finite and > 0, or crossing."""
+    for name, x, h in (("M", params.M, dM), ("m", params.m, dm)):
+        if not (h > 0.0 and math.isfinite(h)):
+            return f"d{name} must be finite and > 0, got {h!r}"
+        if x - h < 0.0 or x + h >= 1.0:
+            return f"finite-difference step d{name}={h!r} crosses the boundary at {name}={x!r}"
 
-    One batch gives both regimes at every point.
+
+_REGIME_FIELDS = [f.name for f in fields(RegimeSensitivity)]
+
+
+def _sensitivity_columns(points: Sequence[HazardParams], cases: Sequence[Scenario], dM: float,
+                         dm: float, prefix_len: int) -> Iterator[Dict[str, list]]:
+    """belief_update_response at every (point, case) as columns: a b-fixed row, then n-fixed.
+
+    A pass's points perturbed by +-dM and +-dm are one batch, whose factors are
+    the b-fixed ones and whose factor_n at each point's own 1+n the n-fixed
+    ones. A point _step_error rejects reads "rejected: <reason>" in both rows.
     """
-    rows = _batch([replace(base, m=m, M=M) for m, M in hazards], [case])
-    return {"b-fixed": rows.factor.tolist(),
-            "n-fixed": rows.factor_n(np.full(len(hazards), base.gross_growth)).tolist()}
+    for run in _passes(points, len(cases), prefix_len):
+        errors = [_step_error(p, dM, dm) for p in run]
+        ok = [p for p, error in zip(run, errors) if error is None]
+        batch = _batch([replace(p, m=m, M=M) for p in ok for m, M in (
+            (p.m, p.M + dM), (p.m, p.M - dM), (p.m + dm, p.M), (p.m - dm, p.M))], cases)
+        g = np.repeat([p.gross_growth for p in ok], 4 * len(cases))
+        # f[regime, point, (M + dM, M - dM, m + dm, m - dm), case]
+        f = np.stack([batch.factor, batch.factor_n(g)]).reshape(2, len(ok), 4, len(cases))
+        fd = (f[:, :, 0::2] - f[:, :, 1::2]) / np.array([[2.0 * dM], [2.0 * dm]])
+        fd = iter(fd.transpose(1, 3, 0, 2).reshape(-1, 2).tolist())  # per point, case, regime
+        rows = [[case.label(), regime,
+                 *([None] * 4 if error else [*_closed_derivatives(case, p, regime), *next(fd)]),
+                 f"rejected: {error}" if error else "ok"]
+                for p, error in zip(run, errors) for case in cases
+                for regime in ("b-fixed", "n-fixed")]
+        params = [p.cells(population=False) for p in run]
+        yield {**{key: _repeat_each([c[key] for c in params], 2 * len(cases)) for key in params[0]},
+               **dict(zip(["case", *_REGIME_FIELDS, "status"], map(list, zip(*rows))))}
 
 
-def belief_update_response(
-    case: Scenario,
-    params: HazardParams,
-    dM: float = 1e-6,
-    dm: float = 1e-6,
-) -> SensitivityReport:
+def belief_update_response(case: Scenario, params: HazardParams, dM: float = 1e-6,
+                           dm: float = 1e-6) -> SensitivityReport:
     """How the discount factor responds to belief updates about M and about m.
 
     Reports closed-form derivatives and central finite differences (steps dM,
-    dm) under both regimes. Perturbed hazards must stay inside [0, 1); steps
-    that cross a boundary are rejected.
+    dm) under both regimes: the one-point case of _sensitivity_columns.
+    Perturbed hazards must stay inside [0, 1); steps that cross a boundary
+    are rejected.
     """
-    for name, x, h in (("M", params.M, dM), ("m", params.m, dm)):
-        if not (h > 0.0 and math.isfinite(h)):
-            raise ValueError(f"d{name} must be finite and > 0, got {h!r}")
-        if x - h < 0.0 or x + h >= 1.0:
-            raise ValueError(
-                f"finite-difference step d{name}={h!r} crosses the boundary at {name}={x!r}"
-            )
-    m, M = params.m, params.M
-    factors = _factor_in_regime(case, params, [(m, M + dM), (m, M - dM), (m + dm, M), (m - dm, M)])
-    regimes = []
-    for regime, (up_M, down_M, up_m, down_m) in factors.items():
-        cd_M, cd_m = _closed_derivatives(case, params, regime)
-        fd_M = (up_M - down_M) / (2.0 * dM)
-        fd_m = (up_m - down_m) / (2.0 * dm)
-        regimes.append(
-            RegimeSensitivity(
-                regime=regime,
-                d_factor_d_M=cd_M,
-                d_factor_d_m=cd_m,
-                fd_d_factor_d_M=fd_M,
-                fd_d_factor_d_m=fd_m,
-            )
-        )
-    return SensitivityReport(case=case, b_fixed=regimes[0], n_fixed=regimes[1])
+    block = next(_sensitivity_columns([params], [case], dM, dm, 1))
+    if block["status"][0] != "ok":
+        raise ValueError(block["status"][0].removeprefix("rejected: "))
+    b_fixed, n_fixed = (RegimeSensitivity(*cells)
+                        for cells in zip(*map(block.get, _REGIME_FIELDS)))
+    return SensitivityReport(case=case, b_fixed=b_fixed, n_fixed=n_fixed)
 
 
 # --- scenario sweeps ---------------------------------------------------------
 
 
-# each sweep cell after the grid parameters and the case, as the DiscountReport,
-# SweepRow or SeriesResult field it shows
+# each sweep cell as the grid parameter, the case, or the DiscountReport, SweepRow
+# or SeriesResult field it shows
 _SWEEP_CELLS = {
+    **{key: key for key in ("m", "M", "b", "theta", "alpha", "N0", "n", "case")},
     "factor": "factor", "rate_simple": "rate_simple", "rate_log": "rate_log",
     "factor_n0": "factor_n0", "constant_factor": "constant", "finite": "finite",
     "finiteness_product": "factor", "finiteness_margin": "rate_simple", "status": "status",
@@ -264,11 +286,11 @@ class SweepRow:
         return _finite(self.case.kind, self.report.factor)
 
     def to_dict(self) -> dict:
-        """The row's cells: the grid parameters, the case, then the cells of _SWEEP_CELLS."""
+        """The row's cells, keyed as _SWEEP_CELLS."""
         series = dict.fromkeys(_SERIES_FIELDS) if self.series is None else vars(self.series)
-        fields = {**vars(self.report), **series, "finite": self.finite, "status": self.status}
-        return {**self.params.cells(), "case": self.case.label(),
-                **{col: fields[name] for col, name in _SWEEP_CELLS.items()}}
+        cells = {**vars(self.report), **series, **self.params.cells(), "case": self.case.label(),
+                 "finite": self.finite, "status": self.status}
+        return {col: cells[name] for col, name in _SWEEP_CELLS.items()}
 
 
 def scenario_sweep(
@@ -287,13 +309,30 @@ def scenario_sweep(
     """
     points, cases = list(points), list(cases)
     out: List[SweepRow] = []
-    for rows, results in _evaluate_grid(points, cases, path, u, tol):
+    for run in _passes(points, len(cases), path.prefix_len):
+        rows = _batch(run, cases)
+        results = _evaluate_rows(rows, path, u, tol)
         for i, report in enumerate(_reports(rows)):
             series = None if i in results.failed else results.result(i)
             # positional: params, case, report, series, status
-            out.append(SweepRow(rows.points[i // len(cases)], report.case, report, series,
+            out.append(SweepRow(run[i // len(cases)], report.case, report, series,
                                 results.status[i]))
     return out
+
+
+def _factor_columns(
+    points: Sequence[HazardParams], cases: Sequence[Scenario], prefix_len: int,
+) -> Iterator[Tuple[_Batch, Dict[str, list]]]:
+    """The batch of each pass over points x cases, with its rows' cells as lists in row order.
+
+    The cells are each HazardParams.cells key, "case", and the DiscountReport
+    fields that discount_factor gives each row.
+    """
+    for run in _passes(points, len(cases), prefix_len):
+        rows = _batch(run, cases)
+        params = [p.cells() for p in run]
+        cells = {key: _repeat_each([c[key] for c in params], len(cases)) for key in params[0]}
+        yield rows, {**cells, "case": [c.label() for c in cases] * len(run), **_report_cells(rows)}
 
 
 def _sweep_columns(
@@ -306,13 +345,10 @@ def _sweep_columns(
     order; the cells are those to_dict gives, built from the pass's arrays
     without a SweepRow. Columns showing the same field are the same list.
     """
-    for rows, results in _evaluate_grid(points, cases, path, u, tol):
-        fields = {**_report_cells(rows), **results._asdict(),
+    for rows, cells in _factor_columns(points, cases, path.prefix_len):
+        fields = {**cells, **_evaluate_rows(rows, path, u, tol)._asdict(),
                   "finite": _finite(rows.kinds, rows.factor).tolist()}
-        params = [p.cells() for p in rows.points]
-        block = {key: _repeat_each([c[key] for c in params], len(cases)) for key in params[0]}
-        block["case"] = [c.label() for c in cases] * len(rows.points)
-        yield {**block, **{col: fields[name] for col, name in _SWEEP_CELLS.items()}}
+        yield {col: fields[name] for col, name in _SWEEP_CELLS.items()}
 
 
 def _repeat_each(values: list, k: int) -> list:

@@ -3,14 +3,14 @@
 Subcommands: eval, simulate, sweep, profile, sensitivity, table1, verify.
 Configs are JSON (nested key/value; NaN and Infinity are rejected); results
 are written as CSV tables and/or JSON arrays with one row per line, whose keys
-follow the CSV header order. Output is written a column at a time: sweep and
-eval take their columns straight from each pass of the array core, the other
-subcommands transpose their rows in blocks. Both files are written in one
-streamed pass that formats each distinct value once per column and block and
-joins each JSON row from its cells and key prefixes built once per file,
-into temp files renamed into place (mode 0666 less the umask) only when every
-row is written. A non-finite float is written as its repr (inf) in CSV and as
-null in JSON, which has no literal for it.
+follow the CSV header order. Output is written a column at a time: the grid
+subcommands (eval, sweep, table1, sensitivity, profile) take their columns
+from each pass of the array core, simulate and verify transpose their rows in
+blocks. Both files are written in one streamed pass that formats each distinct
+value once per column and block and joins each JSON row from its cells and key
+prefixes built once per file, into temp files renamed into place (mode 0666
+less the umask) only when every row is written. A non-finite float is written
+as its repr (inf) in CSV and as null in JSON, which has no literal for it.
 Exit codes: 0 success, 1 malformed config, 2 divergent grid point under
 --strict, 3 failed simulation reproducibility self-check, 4 a verify
 comparison outside 3 SE under --strict. Agent-mode simulate runs its grid
@@ -39,13 +39,8 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Text
 import numpy as np
 
 from .model import ConsumptionPath, HazardParams, UtilitySpec
-from .series import DEFAULT_TOLERANCE, DYNASTY, Scenario
-from .analysis import (
-    belief_update_response,
-    discount_factor,
-    discount_profile,
-    _sweep_columns,
-)
+from .series import DEFAULT_TOLERANCE, Scenario
+from .analysis import _factor_columns, _profile_columns, _sensitivity_columns, _sweep_columns
 from .simulate import (
     SimulationConfig,
     VERIFY_GRID,
@@ -268,21 +263,22 @@ def _write_rows(
     """_write_columns of dict rows, transposed a block of rows at a time; a missing key is None."""
     rows = iter(rows)
     chunks = iter(lambda: list(itertools.islice(rows, _WRITE_BLOCK)), [])  # until rows run out
-    blocks = ([list(map(dict.get, chunk, itertools.repeat(col))) for col in columns]
+    blocks = ({col: list(map(dict.get, chunk, itertools.repeat(col))) for col in columns}
               for chunk in chunks)
     _write_columns(out_dir, name, columns, blocks, fmt)
 
 
 def _write_columns(
-    out_dir: Path, name: str, columns: Sequence[str], blocks: Iterable[Sequence[Sequence[Any]]],
+    out_dir: Path, name: str, columns: Sequence[str], blocks: Iterable[Dict[str, Sequence[Any]]],
     fmt: str,
 ) -> None:
     """Write blocks of columns as <name>.csv and/or <name>.json, printing a line per file written.
 
-    A block is a list of equal-length cell lists, one per column of
-    `columns`. One pass over the blocks streams both files into temp files
-    beside their targets; each distinct value of a column is formatted once
-    per block, and its text serves both files. JSON keys follow `columns`.
+    A block maps each of `columns` (other keys are not written) to its
+    cells, lists of one length. One pass over the blocks streams both files
+    into temp files beside their targets; each distinct value of a column is
+    formatted once per block, and its text serves both files. JSON keys
+    follow `columns`.
     Only when every block is written are the files renamed into place, so a
     failure leaves the targets untouched and no temp file behind.
     """
@@ -375,7 +371,7 @@ def _column_texts(cells: Sequence[Any]) -> Tuple[Sequence[str], Sequence[str]]:
 
 
 def _stream_columns(csv_fh: Optional[TextIO], json_fh: Optional[TextIO], columns: Sequence[str],
-                    blocks: Iterable[Sequence[Sequence[Any]]]) -> None:
+                    blocks: Iterable[Dict[str, Sequence[Any]]]) -> None:
     """CSV with a header row; a JSON array, one row per line.
 
     Each block's rows are joined from its columns' texts; a cell list given
@@ -388,6 +384,7 @@ def _stream_columns(csv_fh: Optional[TextIO], json_fh: Optional[TextIO], columns
         csv_fh.write(",".join(_texts(col)[0] for col in columns) + "\n")
     sep = "[\n"
     for block in blocks:
+        block = [block[col] for col in columns]
         if not (block and len(block[0])):
             continue
         distinct = {id(cells): cells for cells in block}
@@ -432,8 +429,7 @@ def _cmd_sweep(args: argparse.Namespace, out_dir: Path, columns: Sequence[str]) 
     print(f"{args.command}: {sum(statuses.values())} rows, {by_status['ok']} ok, "
           f"{by_status['divergent']} divergent, {by_status['rejected']} rejected; "
           f"{sum(b['converged'].count(False) for b in blocks)} not converged")
-    _write_columns(out_dir, args.command, columns, ([b[col] for col in columns] for b in blocks),
-                   args.format)
+    _write_columns(out_dir, args.command, columns, blocks, args.format)
     return _exit_code(args, list(statuses))
 
 
@@ -442,13 +438,8 @@ _TABLE1_COLUMNS = ["m", "M", "b", "theta", "alpha", "N0", "n", "case", "factor",
 
 def _cmd_table1(args: argparse.Namespace, out_dir: Path) -> int:
     cfg = _load_config(args, required=False)
-    rows = []
-    for params in cfg.grid:
-        for case in _DEFAULT_CASES:
-            rep = discount_factor(case, params)
-            rows.append({**params.cells(), "case": case.label(),
-                         "factor": rep.factor, "factor_n0": rep.factor_n0})
-    _write_rows(out_dir, "table1", _TABLE1_COLUMNS, rows, args.format)
+    blocks = _factor_columns(cfg.grid, _DEFAULT_CASES, cfg.path.prefix_len)
+    _write_columns(out_dir, "table1", _TABLE1_COLUMNS, (cells for _, cells in blocks), args.format)
     return 0
 
 
@@ -457,20 +448,8 @@ _PROFILE_COLUMNS = ["m", "M", "b", "theta", "alpha", "case", "parameter", "t", "
 
 def _cmd_profile(args: argparse.Namespace, out_dir: Path) -> int:
     cfg = _load_config(args, required=False)
-    rows = []
-    for params in cfg.grid:
-        if params.b <= 0.0:
-            continue
-        prof = discount_profile(params, cfg.horizon)
-        base = params.cells(population=False)
-        for t, r in enumerate(prof.ratios):
-            rows.append({**base, "case": "social_welfare", "parameter": "weight_ratio",
-                         "t": t, "value": float(r)})
-        rows.append({**base, "case": "social_welfare", "parameter": "long_run_factor",
-                     "t": None, "value": prof.long_run})
-        rows.append({**base, "case": "dynasty", "parameter": "factor",
-                     "t": None, "value": discount_factor(DYNASTY, params).factor})
-    _write_rows(out_dir, "profile", _PROFILE_COLUMNS, rows, args.format)
+    _write_columns(out_dir, "profile", _PROFILE_COLUMNS, _profile_columns(cfg.grid, cfg.horizon),
+                   args.format)
     return 0
 
 
@@ -483,20 +462,8 @@ _SENSITIVITY_COLUMNS = [
 def _cmd_sensitivity(args: argparse.Namespace, out_dir: Path) -> int:
     cfg = _load_config(args, required=False)
     step = _positive_finite(args.step, "--step")
-    rows = []
-    for params in cfg.grid:
-        base = params.cells(population=False)
-        for case in cfg.cases:
-            try:
-                rep = belief_update_response(case, params, dM=step, dm=step)
-            except ValueError as exc:  # the derivative cells stay empty
-                rows.extend({**dict.fromkeys(_SENSITIVITY_COLUMNS), **base, "case": case.label(),
-                             "regime": regime, "status": f"rejected: {exc}"}
-                            for regime in ("b-fixed", "n-fixed"))
-                continue
-            for reg in (rep.b_fixed, rep.n_fixed):
-                rows.append({**base, "case": case.label(), **asdict(reg), "status": "ok"})
-    _write_rows(out_dir, "sensitivity", _SENSITIVITY_COLUMNS, rows, args.format)
+    blocks = _sensitivity_columns(cfg.grid, cfg.cases, step, step, cfg.path.prefix_len)
+    _write_columns(out_dir, "sensitivity", _SENSITIVITY_COLUMNS, blocks, args.format)
     return 0
 
 

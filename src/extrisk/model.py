@@ -50,11 +50,9 @@ class DivergenceError(ArithmeticError):
     """An infinite series violates its finiteness condition."""
 
 
-def _check_prob(name: str, value: float, *, closed_top: bool = True) -> None:
-    hi_ok = value <= 1.0 if closed_top else value < 1.0
-    if not (0.0 <= value and hi_ok):
-        top = "1]" if closed_top else "1)"
-        raise ValueError(f"{name} must lie in [0, {top}, got {value!r}")
+def _check_prob(name: str, value: float) -> None:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 def _is_number(value: object) -> bool:

@@ -29,14 +29,14 @@ birth rates lose no digits. Every 1-R is computed as -expm1(log R), with
 log R summed from log1p of the hazard factors, never by forming R first.
 
 The closed form runs as numpy arrays over rows, one row per (point, case):
-scenario_sweep and the columns of sweep and eval evaluate a grid in a few
-passes of ``_evaluate_rows``, and evaluate and the functionals are its one-row
-calls. The social-welfare modifier is a per-row mask, and so is the check of
-ew_social against ew_social_n0_form at n = 0, whose rows join the same pass.
-Failures are per-row masks too: each row keeps the first exception its own
-evaluation meets (a failed precondition, divergence, a float-range exit), so
-no row depends on the rows beside it. The prefix goes in blocks of at most
-4096 dates.
+scenario_sweep, the columns of sweep and eval, and mc_compare evaluate a grid
+in a few passes of ``_evaluate_rows`` over the runs of ``_passes``, and
+evaluate and the functionals are its one-row calls. The social-welfare
+modifier is a per-row mask, and so is the check of ew_social against
+ew_social_n0_form at n = 0, whose rows join the same pass. Failures are
+per-row masks too: each row keeps the first exception its own evaluation meets
+(a failed precondition, divergence, a float-range exit), so no row depends on
+the rows beside it. The prefix goes in blocks of at most 4096 dates.
 
 tail_bound is a running rounding-error bound (Higham, Accuracy and Stability
 of Numerical Algorithms, ch. 3): each piece of the closed form is a product
@@ -748,21 +748,17 @@ def _evaluate_rows(rows: _Batch, path: ConsumptionPath, u: UtilitySpec, tol: flo
     return out
 
 
-def _evaluate_grid(
-    points: Sequence[HazardParams], cases: Sequence[Scenario], path: ConsumptionPath,
-    u: UtilitySpec, tol: float,
-) -> Iterator[Tuple[_Batch, _Results]]:
-    """_evaluate_rows over the rows of points x cases, in passes of a bounded number of rows.
+def _passes(points: Sequence[HazardParams], cases: int,
+            prefix_len: int) -> Iterator[Sequence[HazardParams]]:
+    """The one cut of a grid into passes: runs of points, each run one _batch of points x cases.
 
-    The one row-evaluation path: scenario_sweep, the sweep columns and
-    mc_compare each walk its passes. No cases make no rows and no pass.
+    A run holds one point at least, else at most _BLOCK rows x prefix dates.
+    No cases make no rows and no pass.
     """
-    if not cases:
-        return
-    size = max(1, _BLOCK // (len(cases) * min(path.prefix_len, _CHUNK_T)))  # points per pass
-    for lo in range(0, len(points), size):
-        rows = _batch(points[lo : lo + size], cases)
-        yield rows, _evaluate_rows(rows, path, u, tol)
+    if cases:
+        size = max(1, _BLOCK // (cases * min(prefix_len, _CHUNK_T)))  # points per pass
+        for lo in range(0, len(points), size):
+            yield points[lo : lo + size]
 
 
 def evaluate(

@@ -12,7 +12,7 @@ one stream of T, so a point costs two streams. A stream is one
 dates (``sample_date_counts``): each well-filled early date as one binomial
 count, the sparse tail as shifted geometric dates. Estimates are bit-for-bit
 reproducible from (seed, config). ``mc_compare``, the one public spelling of
-the comparison, walks the passes of the array core (``series._evaluate_grid``)
+the comparison, walks the passes of the array core (``series._passes``)
 and sets each case's closed form beside its estimate over a grid; smoothed
 ``simulate`` and ``verify_oracle_grid`` (``verify``) each write one call of
 it. The one-case wrappers (``mc_eu_individual`` and its siblings) sample one
@@ -53,8 +53,9 @@ from .series import (
     SOCIAL_WELFARE,
     Scenario,
     _batch,
-    _evaluate_grid,
+    _evaluate_rows,
     _finite,
+    _passes,
     _tail_terms,
     welfare_window_terms,
 )
@@ -254,7 +255,7 @@ def mc_compare(
 
     Point i is sampled under configs[i], whatever points lie beside it. The
     analytic verdict is each row's status in its pass of the array core
-    (``series._evaluate_grid``); an ok row is then sampled with ``_table`` at
+    (``series._evaluate_rows``); an ok row is then sampled with ``_table`` at
     the growth of its own pass and ``_estimates``, and judged by ``_verdict``,
     unless its date is known ("deterministic (no sampling)") or its table
     cannot be built ("ok: not sampled: <reason>": the closed form can hold
@@ -266,9 +267,11 @@ def mc_compare(
         raise ValueError(f"one SimulationConfig per point: {len(configs)} for {len(points)} points")
     config_of = iter(configs)
     rows: List[Dict[str, Any]] = []
-    for batch, results in _evaluate_grid(points, cases, path, u, tol):
+    for run in _passes(points, len(cases), path.prefix_len):
+        batch = _batch(run, cases)
+        results = _evaluate_rows(batch, path, u, tol)
         growth, status, k = batch.growth.tolist(), results.status, len(cases)
-        for j, params in enumerate(batch.points):
+        for j, params in enumerate(run):
             config = next(config_of)
             tables, sampled = {}, []
             for i, case in enumerate(cases, start=j * k):
@@ -454,7 +457,7 @@ def abm_smoothing_study(
     n0s = np.array([int(n0) for n0 in n0_values], dtype=np.int64)
     shape = (len(n0s), reps)
     n = np.repeat(n0s[:, None], reps, axis=1)
-    f, welfare, died = np.zeros(shape), np.zeros(shape), np.zeros(shape, bool)
+    f, welfare = np.zeros(shape), np.zeros(shape)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _TAG_ABM]))
     # Runs are sorted by date, latest first, so the runs alive at t are the prefix
     # [:live[t]] and those that see t+1 the prefix [:live[t+1]]. F_t = (1-m) F_{t-1}
@@ -472,7 +475,7 @@ def abm_smoothing_study(
             if nv.min() < 0:  # both terms lie in [0, 2**63 - 1], so a sum past it wraps negative
                 n0 = n0s[np.any(nv < 0, axis=1)][0]
                 raise ValueError(f"the head count from n0={n0} outgrows int64 at period {t + 1}")
-            died[:, :moving] |= nv == 0
+    # zero is absorbing and a count is frozen after its run's date: a run died off iff it ends at 0
     percap = welfare / n0s[:, None]
     gap = percap - np.repeat(smooth_cum[::-1], counts[::-1])
     smooth_mean = counts @ smooth_cum / reps
@@ -482,7 +485,7 @@ def abm_smoothing_study(
             n0=int(n0),
             runs=reps,
             mean_abs_gap=float(np.mean(np.abs(gap[i]))),
-            die_off_frequency=float(np.mean(died[i])),
+            die_off_frequency=float(np.mean(n[i] == 0)),
             mean_welfare_per_capita=float(np.mean(percap[i])),
             smoothed_mean_per_capita=float(smooth_mean),
             cap_hit_fraction=float(hit_frac),

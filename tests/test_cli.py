@@ -18,13 +18,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from extrisk import (
+    DYNASTY,
     ConsumptionPath,
     HazardParams,
     UtilitySpec,
+    belief_update_response,
+    discount_factor,
+    discount_profile,
     evaluate,
     known_extinction,
 )
-from extrisk import cli
+from extrisk import analysis, cli
 from extrisk.analysis import scenario_sweep
 from extrisk.cli import run as cli_run
 from extrisk.series import Scenario
@@ -323,6 +327,80 @@ def test_sensitivity_gives_a_boundary_point_a_row_status(tmp_path):
             assert r["status"] == "ok" and all(r[k] != "" for k in derivs)
     doc = json.loads((out / "sensitivity.json").read_text(encoding="utf-8"))
     assert [list(row) for row in doc] == [list(rows[0])] * 8
+
+
+# 11 x 6 x 5 = 330 points at a five-date prefix: three passes at the five default cases
+# (163 points each) and at these six (136 points each). m = 1 - 5e-7 and M in {0, 5e-7}
+# cross the boundary at the default step 1e-6, so their sensitivity rows are rejected.
+_THREE_PASSES = {
+    "cases": ["individual", "dynasty", "dynasty_theta", "lineage", "social_welfare",
+              {"known_extinction": 3}],
+    "grid": {"m": [0.0, 1e-7, 0.001, 0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 0.9, 1.0 - 5e-7],
+             "M": [0.0, 5e-7, 1e-4, 0.01, 0.05, 0.3],
+             "b": [0.0, 1e-12, 0.01, 0.03, 0.5],
+             "theta": [0.5], "alpha": [0.25]},
+    "path": {"prefix": [0.8, 1.1, 1.25, 1.18, 1.3], "tail": "constant"},
+    "horizon": 4,
+}
+
+
+def _rows_point_by_point(command, cfg):
+    """A grid subcommand's rows, each (point, case) from its one-point library function."""
+    for params in cfg.grid:
+        base = params.cells(population=False)
+        if command == "table1":
+            for case in cli._DEFAULT_CASES:
+                rep = discount_factor(case, params)
+                yield {**params.cells(), "case": case.label(), "factor": rep.factor,
+                       "factor_n0": rep.factor_n0}
+        elif command == "sweep":
+            for row in scenario_sweep([params], cfg.cases, cfg.path, cfg.utility, cfg.tolerance):
+                yield row.to_dict()
+        elif command == "profile" and params.b > 0.0:
+            prof = discount_profile(params, cfg.horizon)
+            for t, r in enumerate(prof.ratios.tolist()):
+                yield {**base, "case": "social_welfare", "parameter": "weight_ratio", "t": t,
+                       "value": r}
+            yield {**base, "case": "social_welfare", "parameter": "long_run_factor",
+                   "value": prof.long_run}
+            yield {**base, "case": "dynasty", "parameter": "factor",
+                   "value": discount_factor(DYNASTY, params).factor}
+        elif command == "sensitivity":
+            for case in cfg.cases:
+                try:
+                    rep = belief_update_response(case, params)
+                except ValueError as exc:
+                    for regime in ("b-fixed", "n-fixed"):
+                        yield {**base, "case": case.label(), "regime": regime,
+                               "status": f"rejected: {exc}"}
+                    continue
+                for reg in (rep.b_fixed, rep.n_fixed):
+                    yield {**base, "case": case.label(), **vars(reg), "status": "ok"}
+
+
+@pytest.mark.parametrize("command, columns, passes", [
+    ("table1", cli._TABLE1_COLUMNS, 3),
+    ("sensitivity", cli._SENSITIVITY_COLUMNS, 3),
+    ("profile", cli._PROFILE_COLUMNS, 1),
+    ("sweep", cli._SWEEP_COLUMNS, 3),
+])
+def test_grid_subcommands_write_their_point_by_point_rows_from_a_batch_per_pass(
+        tmp_path, monkeypatch, capsys, command, columns, passes):
+    config = write_config(tmp_path, _THREE_PASSES)
+    cfg = cli.RunConfig.from_file(config)
+    rows = list(_rows_point_by_point(command, cfg))
+    statuses = {r.get("status", "ok").split(":")[0] for r in rows}
+    assert statuses == ({"ok", "rejected", "divergent"} if command == "sweep"
+                        else {"ok", "rejected"} if command == "sensitivity" else {"ok"})
+    assert len({r["case"] for r in rows}) == {"table1": 5, "profile": 2}.get(command, 6)
+    cli._write_rows(tmp_path / "by_point", command, columns, rows, "both")
+    batches = []
+    batch = analysis._batch
+    monkeypatch.setattr(analysis, "_batch", lambda *args: batches.append(args) or batch(*args))
+    assert cli_run([command, "--config", config, "--out", str(tmp_path / "cli")]) == 0
+    assert len(batches) == passes
+    for name in (f"{command}.csv", f"{command}.json"):
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "by_point" / name).read_bytes()
 
 
 def test_sweep_and_simulate_smoke(tmp_path, capsys):

@@ -22,7 +22,6 @@ from extrisk import (
     discount_factor,
     known_extinction,
 )
-from extrisk.analysis import _factor_in_regime
 from extrisk.series import _batch, _log_parts, factor_exponents
 
 CASES = tuple(Scenario(k) for k in ("individual", "dynasty", "dynasty_theta", "lineage",
@@ -66,9 +65,9 @@ def test_factor_table(case, params):
     assert discount_factor(case, params).factor_n0 == pytest.approx(
         discount_factor(case, n0).factor, rel=1e-12, abs=1e-12)
 
-    regime = {r: f[0] for r, f in _factor_in_regime(case, params, [(params.m, params.M)]).items()}
-    assert regime["b-fixed"] == factor
-    assert regime["n-fixed"] == pytest.approx(factor, rel=1e-13)
+    # the n-fixed regime's factor at the point's own 1+n is the factor
+    n_fixed = _batch([params], [case]).factor_n(np.array([params.gross_growth]))[0]
+    assert n_fixed == pytest.approx(factor, rel=1e-13)
 
     # central differences with steps inside the hazards; rounding costs about eps/h
     dM, dm = min(1e-6, params.M / 2), min(1e-6, params.m / 2)

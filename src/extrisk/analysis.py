@@ -14,7 +14,6 @@ cross-check.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -29,9 +28,11 @@ from .series import (
     SeriesResult,
     _batch,
     _Batch,
+    _columns,
     _evaluate_rows,
     _finite,
     _passes,
+    _points,
     factor_exponents,
     one_minus_q_power,
     weight_sequence,
@@ -90,21 +91,22 @@ _NOTES = {
 }
 
 
-def _report_cells(rows: _Batch) -> Dict[str, list]:
-    """The DiscountReport fields after case, in field order, each a list over a batch's rows."""
-    factor = rows.factor.tolist()
-    factor_n0 = rows.factor_n(np.ones(len(rows.M)))  # n = 0
-    return {"factor": factor, "rate_simple": (1.0 - rows.factor).tolist(),
-            "rate_log": [-math.log(f) if f > 0.0 else math.inf for f in factor],
-            "factor_n0": factor_n0.tolist(),
+def _report_cells(rows: _Batch) -> Dict[str, Sequence]:
+    """The DiscountReport fields after case, in field order, over a batch's rows: the factors
+    and rate_simple as float arrays, rate_log and constant as lists.
+    """
+    return {"factor": rows.factor, "rate_simple": 1.0 - rows.factor,
+            "rate_log": [-math.log(f) if f > 0.0 else math.inf for f in rows.factor.tolist()],
+            "factor_n0": rows.factor_n(np.ones(len(rows.M))),  # n = 0
             "constant": [c.kind != "social_welfare" for c in rows.cases] * len(rows.points)}
 
 
 def _reports(rows: _Batch) -> List[DiscountReport]:
     """discount_factor of every row of a batch, from the batch's factors."""
+    cells = [c.tolist() if isinstance(c, np.ndarray) else c for c in _report_cells(rows).values()]
     # positional: case, then _report_cells in field order, then the note
     return [DiscountReport(case, *fields, _NOTES.get(case.kind))
-            for case, *fields in zip(rows.cases * len(rows.points), *_report_cells(rows).values())]
+            for case, *fields in zip(rows.cases * len(rows.points), *cells)]
 
 
 def discount_factor(case: Scenario, params: HazardParams) -> DiscountReport:
@@ -113,7 +115,7 @@ def discount_factor(case: Scenario, params: HazardParams) -> DiscountReport:
     known_extinction carries a note: with the extinction date fixed, only the
     individual death hazard discounts and the factor ignores M entirely.
     """
-    return _reports(_batch([params], [case]))[0]
+    return _reports(_batch(_columns([params]), [case]))[0]
 
 
 def factor_from_weights(case: Scenario, params: HazardParams) -> float:
@@ -144,18 +146,19 @@ def discount_profile(params: HazardParams, horizon: int) -> DiscountProfile:
     return DiscountProfile(ratios=long_run * a[1:] / a[:-1], long_run=long_run)
 
 
-def _profile_columns(points: Sequence[HazardParams], horizon: int) -> Iterator[Dict[str, list]]:
-    """discount_profile at every point with b > 0 as columns, a block per point: its weight
-    ratios r_t (t < horizon) and long-run factor, then its dynasty factor, from one batch.
+def _profile_columns(points: np.ndarray, horizon: int) -> Iterator[Dict[str, Sequence]]:
+    """discount_profile at every point of parameter columns with b > 0 as columns, a block per
+    point: its weight ratios r_t (t < horizon) and long-run factor, then its dynasty factor,
+    from one batch. Every block gives the same case, parameter and t lists.
     """
-    points = [p for p in points if p.b > 0.0]
+    points = [p for p in _points(points) if p.b > 0.0]
     cells = {"case": ["social_welfare"] * (horizon + 1) + ["dynasty"],
              "parameter": ["weight_ratio"] * horizon + ["long_run_factor", "factor"],
              "t": [*range(horizon), None, None]}
-    for params, factor in zip(points, _batch(points, [DYNASTY]).factor.tolist()):
+    for params, factor in zip(points, _batch(_columns(points), [DYNASTY]).factor.tolist()):
         prof = discount_profile(params, horizon)
-        yield {**{k: [v] * (horizon + 2) for k, v in params.cells(population=False).items()},
-               **cells, "value": [*prof.ratios.tolist(), prof.long_run, factor]}
+        yield {**{k: np.full(horizon + 2, v) for k, v in params.cells(population=False).items()},
+               **cells, "value": np.append(prof.ratios, (prof.long_run, factor))}
 
 
 # --- belief-update comparative statics --------------------------------------
@@ -207,21 +210,24 @@ def _step_error(params: HazardParams, dM: float, dm: float) -> Optional[str]:
 
 
 _REGIME_FIELDS = [f.name for f in fields(RegimeSensitivity)]
+_PARAMS = [f.name for f in fields(HazardParams)]  # the columns of series._columns
 
 
-def _sensitivity_columns(points: Sequence[HazardParams], cases: Sequence[Scenario], dM: float,
-                         dm: float, prefix_len: int) -> Iterator[Dict[str, list]]:
-    """belief_update_response at every (point, case) as columns: a b-fixed row, then n-fixed.
+def _sensitivity_columns(points: np.ndarray, cases: Sequence[Scenario], dM: float,
+                         dm: float, prefix_len: int) -> Iterator[Dict[str, Sequence]]:
+    """belief_update_response at every (point, case) of parameter columns as columns: a b-fixed
+    row, then n-fixed.
 
     A pass's points perturbed by +-dM and +-dm are one batch, whose factors are
     the b-fixed ones and whose factor_n at each point's own 1+n the n-fixed
     ones. A point _step_error rejects reads "rejected: <reason>" in both rows.
     """
-    for run in _passes(points, len(cases), prefix_len):
+    for columns in _passes(points, len(cases), prefix_len):
+        run = _points(columns)
         errors = [_step_error(p, dM, dm) for p in run]
         ok = [p for p, error in zip(run, errors) if error is None]
-        batch = _batch([replace(p, m=m, M=M) for p in ok for m, M in (
-            (p.m, p.M + dM), (p.m, p.M - dM), (p.m + dm, p.M), (p.m - dm, p.M))], cases)
+        batch = _batch(_columns([replace(p, m=m, M=M) for p in ok for m, M in (
+            (p.m, p.M + dM), (p.m, p.M - dM), (p.m + dm, p.M), (p.m - dm, p.M))]), cases)
         g = np.repeat([p.gross_growth for p in ok], 4 * len(cases))
         # f[regime, point, (M + dM, M - dM, m + dm, m - dm), case]
         f = np.stack([batch.factor, batch.factor_n(g)]).reshape(2, len(ok), 4, len(cases))
@@ -232,8 +238,7 @@ def _sensitivity_columns(points: Sequence[HazardParams], cases: Sequence[Scenari
                  f"rejected: {error}" if error else "ok"]
                 for p, error in zip(run, errors) for case in cases
                 for regime in ("b-fixed", "n-fixed")]
-        params = [p.cells(population=False) for p in run]
-        yield {**{key: _repeat_each([c[key] for c in params], 2 * len(cases)) for key in params[0]},
+        yield {**dict(zip(_PARAMS[:5], np.repeat(columns, 2 * len(cases), axis=0).T)),  # m..alpha
                **dict(zip(["case", *_REGIME_FIELDS, "status"], map(list, zip(*rows))))}
 
 
@@ -246,7 +251,7 @@ def belief_update_response(case: Scenario, params: HazardParams, dM: float = 1e-
     Perturbed hazards must stay inside [0, 1); steps that cross a boundary
     are rejected.
     """
-    block = next(_sensitivity_columns([params], [case], dM, dm, 1))
+    block = next(_sensitivity_columns(_columns([params]), [case], dM, dm, 1))
     if block["status"][0] != "ok":
         raise ValueError(block["status"][0].removeprefix("rejected: "))
     b_fixed, n_fixed = (RegimeSensitivity(*cells)
@@ -310,7 +315,7 @@ def scenario_sweep(
     points, cases = list(points), list(cases)
     out: List[SweepRow] = []
     for run in _passes(points, len(cases), path.prefix_len):
-        rows = _batch(run, cases)
+        rows = _batch(_columns(run), cases)
         results = _evaluate_rows(rows, path, u, tol)
         for i, report in enumerate(_reports(rows)):
             series = None if i in results.failed else results.result(i)
@@ -321,36 +326,34 @@ def scenario_sweep(
 
 
 def _factor_columns(
-    points: Sequence[HazardParams], cases: Sequence[Scenario], prefix_len: int,
-) -> Iterator[Tuple[_Batch, Dict[str, list]]]:
-    """The batch of each pass over points x cases, with its rows' cells as lists in row order.
+    points: np.ndarray, cases: Sequence[Scenario], prefix_len: int,
+) -> Iterator[Tuple[_Batch, Dict[str, Sequence]]]:
+    """The batch of each pass over parameter columns x cases, with its rows' cells in row order.
 
-    The cells are each HazardParams.cells key, "case", and the DiscountReport
+    The cells are each HazardParams.cells key, as float arrays from the
+    columns (n by HazardParams.n's operations), "case", and the DiscountReport
     fields that discount_factor gives each row.
     """
+    labels: Dict[int, list] = {}  # one list per pass size, which the writer formats once
     for run in _passes(points, len(cases), prefix_len):
         rows = _batch(run, cases)
-        params = [p.cells() for p in run]
-        cells = {key: _repeat_each([c[key] for c in params], len(cases)) for key in params[0]}
-        yield rows, {**cells, "case": [c.label() for c in cases] * len(run), **_report_cells(rows)}
+        cells = dict(zip(_PARAMS, np.repeat(run, len(cases), axis=0).T))
+        cells["n"] = (1.0 + cells["b"]) * (1.0 - cells["m"]) - 1.0
+        cells["case"] = labels.setdefault(len(run), [c.label() for c in cases] * len(run))
+        yield rows, {**cells, **_report_cells(rows)}
 
 
 def _sweep_columns(
-    points: Sequence[HazardParams], cases: Sequence[Scenario], path: ConsumptionPath,
+    points: np.ndarray, cases: Sequence[Scenario], path: ConsumptionPath,
     u: UtilitySpec, tol: float,
-) -> Iterator[Dict[str, list]]:
-    """scenario_sweep's rows as columns, one block per pass of the array core.
+) -> Iterator[Dict[str, Sequence]]:
+    """scenario_sweep's rows at parameter columns as columns, one block per pass of the core.
 
-    A block maps each SweepRow.to_dict key to the list of its cells in row
-    order; the cells are those to_dict gives, built from the pass's arrays
-    without a SweepRow. Columns showing the same field are the same list.
+    A block maps each SweepRow.to_dict key to its cells in row order, a list
+    or a float array; the cells are those to_dict gives, built from the pass's
+    arrays without a SweepRow. Columns showing the same field are one object.
     """
     for rows, cells in _factor_columns(points, cases, path.prefix_len):
         fields = {**cells, **_evaluate_rows(rows, path, u, tol)._asdict(),
                   "finite": _finite(rows.kinds, rows.factor).tolist()}
         yield {col: fields[name] for col, name in _SWEEP_CELLS.items()}
-
-
-def _repeat_each(values: list, k: int) -> list:
-    """Each value k times in a row: [a, b] -> [a, a, b, b] for k = 2."""
-    return list(itertools.chain.from_iterable(zip(*[values] * k)))

@@ -3,14 +3,18 @@
 Subcommands: eval, simulate, sweep, profile, sensitivity, table1, verify.
 Configs are JSON (nested key/value; NaN and Infinity are rejected); results
 are written as CSV tables and/or JSON arrays with one row per line, whose keys
-follow the CSV header order. Output is written a column at a time: the grid
+follow the CSV header order. A config's grid is held as parameter columns;
+only simulate, profile and sensitivity, which run points one at a time, build
+a HazardParams per point. Output is written a column at a time: the grid
 subcommands (eval, sweep, table1, sensitivity, profile) take their columns
 from each pass of the array core, simulate and verify transpose their rows in
 blocks. Both files are written in one streamed pass that formats each distinct
-value once per column and block and joins each JSON row from its cells and key
-prefixes built once per file, into temp files renamed into place (mode 0666
-less the umask) only when every row is written. A non-finite float is written
-as its repr (inf) in CSV and as null in JSON, which has no literal for it.
+value once per column and block (a float once per bit pattern; a column given
+again in the next block is not formatted again) and joins each JSON row from
+its cells and key prefixes built once per file, into temp files renamed into
+place (mode 0666 less the umask) only when every row is written. A non-finite
+float is written as its repr (inf) in CSV and as null in JSON, which has no
+literal for it.
 Exit codes: 0 success, 1 malformed config, 2 divergent grid point under
 --strict, 3 failed simulation reproducibility self-check, 4 a verify
 comparison outside 3 SE under --strict. Agent-mode simulate runs its grid
@@ -39,7 +43,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Text
 import numpy as np
 
 from .model import ConsumptionPath, HazardParams, UtilitySpec
-from .series import DEFAULT_TOLERANCE, Scenario
+from .series import DEFAULT_TOLERANCE, Scenario, _columns, _points
 from .analysis import _factor_columns, _profile_columns, _sensitivity_columns, _sweep_columns
 from .simulate import (
     SimulationConfig,
@@ -91,11 +95,13 @@ def _check_number(x: Any, where: str) -> None:
         raise ConfigError(f"{where}: expected a number, got {x!r}")
 
 
-# grid axes in product order, with the values an omitted axis takes (m and M are required)
+# grid axes in product order, which is HazardParams' field order and so the order of the
+# grid's columns, with the values an omitted axis takes (m and M are required)
 _GRID_DEFAULTS = {"m": None, "M": None, "b": [0.0], "theta": [1.0], "alpha": [0.5], "N0": [1.0]}
 
 
-def _parse_grid(raw: Any) -> List[HazardParams]:
+def _parse_grid(raw: Any) -> np.ndarray:
+    """The grid's points as parameter columns (series._columns), in the order of the product."""
     if not isinstance(raw, dict):
         raise ConfigError("grid: expected an object with per-parameter value lists")
     for key in raw:
@@ -105,13 +111,18 @@ def _parse_grid(raw: Any) -> List[HazardParams]:
         if required not in raw:
             raise ConfigError(f"grid.{required}: required")
     axes = [_as_float_list(raw.get(k, d), f"grid.{k}") for k, d in _GRID_DEFAULTS.items()]
-    points = []
-    for m, M, b, theta, alpha, n0 in itertools.product(*axes):
-        try:
-            points.append(HazardParams(m=m, M=M, b=b, theta=theta, alpha=alpha, N0=n0))
-        except ValueError as exc:
-            raise ConfigError(f"grid: invalid point (m={m}, M={M}, b={b}, theta={theta}, alpha={alpha}, N0={n0}): {exc}")
-    return points
+    try:  # each check is on one field, so the points are valid iff every axis value is
+        for key, axis in zip(_GRID_DEFAULTS, axes):
+            for x in axis:
+                HazardParams(**{"m": 0.0, "M": 0.0, key: x})
+    except ValueError:  # name the first invalid point, if an empty axis leaves any point
+        for point in itertools.product(*axes):
+            try:
+                HazardParams(*point)
+            except ValueError as exc:
+                where = ", ".join(f"{k}={x}" for k, x in zip(_GRID_DEFAULTS, point))
+                raise ConfigError(f"grid: invalid point ({where}): {exc}")
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def _parse_cases(raw: Any) -> List[Scenario]:
@@ -157,7 +168,7 @@ _REPLICATIONS = 100_000  # a config's default; SimulationConfig's is 1,000,000
 @dataclass
 class RunConfig:
     cases: List[Scenario]
-    grid: List[HazardParams]
+    grid: np.ndarray  # parameter columns (series._columns), a row per point
     path: ConsumptionPath
     utility: UtilitySpec
     tolerance: float
@@ -204,7 +215,7 @@ class RunConfig:
     def from_file(cls, path: str) -> "RunConfig":
         try:
             text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {path}: {exc}")
         return cls.from_dict(json.loads(text, parse_constant=_reject_constant))
 
@@ -223,7 +234,7 @@ def _positive_finite(x: Any, where: str) -> float:
 def _default_config() -> RunConfig:
     """The built-in grid, path and utility under a config file's other defaults."""
     return replace(RunConfig.from_dict({"grid": {"m": [], "M": []}}),
-                   grid=list(VERIFY_GRID), path=VERIFY_PATH, utility=VERIFY_UTILITY)
+                   grid=_columns(VERIFY_GRID), path=VERIFY_PATH, utility=VERIFY_UTILITY)
 
 
 def _load_config(args: argparse.Namespace, required: bool) -> RunConfig:
@@ -328,68 +339,68 @@ def _texts(v: Any) -> Tuple[str, str]:
     raise TypeError(f"cannot write a cell of type {type(v).__name__}")
 
 
-_NULL = {"": "null", "inf": "null", "-inf": "null", "nan": "null"}  # JSON's texts of these
-
-
 def _column_texts(cells: Sequence[Any]) -> Tuple[Sequence[str], Sequence[str]]:
     """A column's CSV and JSON texts, each distinct value formatted once.
 
-    A column is keyed by value where that cannot merge two different texts:
-    floats (np.float64 too) with None, or one other type with None. A column
-    that mixes types is keyed by (type, value), so that 1, 1.0 and True stay
-    apart. A float zero shares its key with the other zero, so a column
-    holding one is formatted cell by cell. A float column's JSON texts are
-    its CSV texts unless a distinct value is None or not finite.
+    A float column, a float64 array or a list of floats (np.float64 too)
+    and None, is keyed by the bit patterns of its values, so that 0.0 and
+    -0.0 stay apart; its JSON texts are its CSV texts unless a cell is None
+    or not finite. A column of one other type (with None) is keyed by value,
+    and a column that mixes types is formatted cell by cell, so that 1, 1.0
+    and True stay apart.
     """
-    types = set(map(type, cells))
-    types.discard(NoneType)
-    floats = all(issubclass(t, float) for t in types)
-    if floats or len(types) == 1:
-        keys, distinct = cells, dict.fromkeys(cells)
-        zero = floats and 0.0 in distinct
-    else:
-        keys = list(zip(map(type, cells), cells))
-        distinct = dict.fromkeys(keys)
-        zero = any((t, 0.0) in distinct for t in types if issubclass(t, float))
-    if zero:
-        csv_texts, json_texts = zip(*map(_texts, cells))
-        return csv_texts, json_texts
-    if floats:
-        none = None in distinct
-        distinct.pop(None, None)
-        nulls = none or not all(map(math.isfinite, distinct))
-        csv_map = dict(zip(distinct, map(float.__repr__, distinct)))
-        csv_map[None] = ""
-        csv_texts = list(map(csv_map.__getitem__, cells))
-        return csv_texts, list(map(_NULL.get, csv_texts, csv_texts)) if nulls else csv_texts
-    values = distinct if keys is cells else [v for _, v in distinct]
-    csv_list, json_list = zip(*map(_texts, values))
-    csv_texts = list(map(dict(zip(distinct, csv_list)).__getitem__, keys))
-    if csv_list == json_list:
-        return csv_texts, csv_texts
-    return csv_texts, list(map(dict(zip(distinct, json_list)).__getitem__, keys))
+    if isinstance(cells, np.ndarray) and cells.dtype != np.float64:
+        cells = cells.tolist()
+    none: List[int] = []
+    if not isinstance(cells, np.ndarray):
+        types = set(map(type, cells))
+        types.discard(NoneType)
+        if not (types and all(issubclass(t, float) for t in types)):
+            if len(types) > 1:
+                return tuple(zip(*map(_texts, cells)))
+            distinct = dict.fromkeys(cells)
+            csv_list, json_list = zip(*map(_texts, distinct))
+            csv_texts = list(map(dict(zip(distinct, csv_list)).__getitem__, cells))
+            if csv_list == json_list:
+                return csv_texts, csv_texts
+            return csv_texts, list(map(dict(zip(distinct, json_list)).__getitem__, cells))
+        values = np.array(cells, dtype=float)  # None reads nan
+        none = [i for i in np.flatnonzero(np.isnan(values)).tolist() if cells[i] is None]
+        cells = values
+    keys, index = np.unique(cells.view(np.int64), return_inverse=True)
+    index[none] = len(keys)  # None's texts follow the distinct values'
+    distinct = keys.view(np.float64)
+    finite = np.isfinite(distinct)
+    texts = np.array([*map(float.__repr__, distinct.tolist()), ""], dtype=object)
+    csv_texts = texts[index].tolist()
+    if none or not finite.all():
+        return csv_texts, np.where(np.append(finite, False), texts, "null")[index].tolist()
+    return csv_texts, csv_texts
 
 
 def _stream_columns(csv_fh: Optional[TextIO], json_fh: Optional[TextIO], columns: Sequence[str],
                     blocks: Iterable[Dict[str, Sequence[Any]]]) -> None:
     """CSV with a header row; a JSON array, one row per line.
 
-    Each block's rows are joined from its columns' texts; a cell list given
-    for two columns is formatted once. A JSON row is one join of its cells
-    between key prefixes built once per call: '{"m": ', ', "M": ', ... '}'.
+    Each block's rows are joined from its columns' texts. A cell list given
+    for two columns is formatted once, and one given again in the next block
+    is not formatted again (it must not have changed). A JSON row is one join
+    of its cells between key prefixes built once per call: '{"m": ', ...'}'.
     """
     prefixes = [("{" if i == 0 else ", ") + json.dumps(col) + ": " for i, col in enumerate(columns)]
     key_texts, close = list(map(itertools.repeat, prefixes)), itertools.repeat("}")
     if csv_fh:
         csv_fh.write(",".join(_texts(col)[0] for col in columns) + "\n")
-    sep = "[\n"
+    sep, texts = "[\n", {}
     for block in blocks:
         block = [block[col] for col in columns]
         if not (block and len(block[0])):
             continue
         distinct = {id(cells): cells for cells in block}
-        texts = {key: _column_texts(cells) for key, cells in distinct.items()}
-        csv_cols, json_cols = zip(*[texts[id(cells)] for cells in block])
+        # an entry holds its cells, so no other list takes their id while it is kept
+        texts = {key: texts.get(key) or (cells, _column_texts(cells))
+                 for key, cells in distinct.items()}
+        csv_cols, json_cols = zip(*[texts[id(cells)][1] for cells in block])
         if csv_fh:
             csv_fh.write("\n".join(map(",".join, zip(*csv_cols))) + "\n")
         if json_fh:
@@ -504,11 +515,11 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
     if not reproducibility_selfcheck():
         print("simulation reproducibility self-check FAILED", file=sys.stderr)
         return 3
-    sim = cfg.simulation
+    sim, points = cfg.simulation, _points(cfg.grid)
     if sim.mode == "agent":
         study = functools.partial(abm_smoothing_study, path=cfg.path, u=cfg.utility,
                                   n0_values=cfg.n0_values, config=sim)
-        workers = max(1, min(len(cfg.grid), _usable_cpus()))
+        workers = max(1, min(len(points), _usable_cpus()))
         if workers > 1:
             # imported here: about 12 ms that every other run would pay at start-up
             import concurrent.futures
@@ -517,16 +528,16 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
             # fork, not 3.14's forkserver default, under which each worker re-imports numpy
             ctx = multiprocessing.get_context("fork") if sys.platform == "linux" else None
             with concurrent.futures.ProcessPoolExecutor(workers, mp_context=ctx) as pool:
-                rows = _abm_rows(cfg.grid, pool.map(study, cfg.grid))
+                rows = _abm_rows(points, pool.map(study, points))
         else:
-            rows = _abm_rows(cfg.grid, map(study, cfg.grid))
+            rows = _abm_rows(points, map(study, points))
         hit = max((row["cap_hit_fraction"] for row in rows), default=0.0)
-        print(f"simulate: {len(rows)} rows, grid points {len(cfg.grid)}, workers {workers}; "
+        print(f"simulate: {len(rows)} rows, grid points {len(points)}, workers {workers}; "
               f"max cap_hit_fraction {hit:.3g}")
         _write_rows(out_dir, "simulate", _ABM_COLUMNS, rows, args.format)
         return 0
-    rows = mc_compare(cfg.grid, cfg.cases, cfg.path, cfg.utility, cfg.tolerance,
-                      [sim] * len(cfg.grid))
+    rows = mc_compare(points, cfg.cases, cfg.path, cfg.utility, cfg.tolerance,
+                      [sim] * len(points))
     by_status = collections.Counter(row["status"].split(":")[0] for row in rows)
     masses = [row["truncated_mass"] for row in rows if row["truncated_mass"] is not None]
     counts = ", ".join(f"{n} {status}" for status, n in sorted(by_status.items()))

@@ -31,7 +31,9 @@ log R summed from log1p of the hazard factors, never by forming R first.
 The closed form runs as numpy arrays over rows, one row per (point, case):
 scenario_sweep, the columns of sweep and eval, and mc_compare evaluate a grid
 in a few passes of ``_evaluate_rows`` over the runs of ``_passes``, and
-evaluate and the functionals are its one-row calls. The social-welfare
+evaluate and the functionals are its one-row calls. A pass's points enter
+``_batch`` as parameter columns (``_columns``), and each case's exponents
+are one call of ``_EXPONENTS`` on them. The social-welfare
 modifier is a per-row mask, and so is the check of ew_social against
 ew_social_n0_form at n = 0, whose rows join the same pass. Failures are
 per-row masks too: each row keeps the first exception its own evaluation meets
@@ -173,19 +175,20 @@ class FinitenessResult:
 # Every per-period discount factor is (1-M)**eM (1+b)**eb (1-m)**em. Extinction
 # risk enters every case but the known date; births hedge mortality fully,
 # partly or not at all. Social welfare's entry is its long-run factor.
+# Each entry takes theta and alpha, one point's or a column of them.
 _EXPONENTS = {
-    "individual": lambda p: (1.0, 0.0, 1.0),
-    "dynasty": lambda p: (1.0, 1.0, 1.0),
-    "social_welfare": lambda p: (1.0, 1.0, 1.0),
-    "dynasty_theta": lambda p: (1.0, p.theta, p.theta),
-    "lineage": lambda p: (1.0, p.alpha, 1.0),
-    "known_extinction": lambda p: (0.0, 0.0, 1.0),
+    "individual": lambda theta, alpha: (1.0, 0.0, 1.0),
+    "dynasty": lambda theta, alpha: (1.0, 1.0, 1.0),
+    "social_welfare": lambda theta, alpha: (1.0, 1.0, 1.0),
+    "dynasty_theta": lambda theta, alpha: (1.0, theta, theta),
+    "lineage": lambda theta, alpha: (1.0, alpha, 1.0),
+    "known_extinction": lambda theta, alpha: (0.0, 0.0, 1.0),
 }
 
 
 def factor_exponents(case: Scenario, params: HazardParams) -> Tuple[float, float, float]:
     """Exponents (eM, eb, em) of (1-M), (1+b) and (1-m) in the case's per-period factor."""
-    return _EXPONENTS[case.kind](params)
+    return _EXPONENTS[case.kind](params.theta, params.alpha)
 
 
 def _pow(x: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -194,10 +197,21 @@ def _pow(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     x**0 = 1 and x**1 = x take no call.
     """
     out = np.where(e == 0.0, 1.0, x)
-    k = np.flatnonzero((e != 0.0) & (e != 1.0))
+    k = ((e != 0.0) & (e != 1.0)).nonzero()[0]
     if len(k):
         out[k] = [a**c for a, c in zip(x[k].tolist(), e[k].tolist())]
     return out
+
+
+def _columns(points: Sequence[HazardParams]) -> np.ndarray:
+    """Points as parameter columns: a row per point, a column per HazardParams field in order."""
+    return np.array([(p.m, p.M, p.b, p.theta, p.alpha, p.N0) for p in points],
+                    dtype=float).reshape(-1, 6)
+
+
+def _points(columns: np.ndarray) -> List[HazardParams]:
+    """The HazardParams of each row of parameter columns."""
+    return [HazardParams(*row) for row in columns.tolist()]
 
 
 class _Batch(NamedTuple):
@@ -207,7 +221,7 @@ class _Batch(NamedTuple):
     factor_n are the only code that multiplies the exponents' pieces into factors.
     """
 
-    points: Sequence[HazardParams]
+    points: np.ndarray  # parameter columns, as _columns gives them
     cases: Sequence[Scenario]
     kinds: np.ndarray  # of str
     M: np.ndarray
@@ -224,17 +238,21 @@ class _Batch(NamedTuple):
         return _pow(1.0 - self.M, eM) * _pow(1.0 - self.m, em - eb) * _pow(g, eb)
 
 
-def _batch(points: Sequence[HazardParams], cases: Sequence[Scenario]) -> _Batch:
-    """The rows of points x cases, with each row's factor and growth.
+def _batch(points: np.ndarray, cases: Sequence[Scenario]) -> _Batch:
+    """The rows of points x cases, with each row's factor and growth; points are _columns.
 
+    Each case's exponents come from one call on the theta and alpha columns.
     Equal exponents eb = em = e make one growth piece (1+n)**e. The factor
     multiplies (1-M)**eM and the growth pieces left to right, so it need not
     equal (1-M)**eM * growth in float.
     """
-    per_point = np.array([(p.M, p.b, p.m, p.N0) for p in points], dtype=float).reshape(-1, 4)
-    M, b, m, N0 = np.repeat(per_point, len(cases), axis=0).T
-    exps = np.array([_EXPONENTS[c.kind](p) for p in points for c in cases],
-                    dtype=float).reshape(-1, 3)
+    _, _, _, theta, alpha, _ = points.T
+    exps = np.empty((len(points), len(cases), 3))
+    for j, case in enumerate(cases):
+        for k, e in enumerate(_EXPONENTS[case.kind](theta, alpha)):
+            exps[:, j, k] = e
+    m, M, b, _, _, N0 = np.repeat(points, len(cases), axis=0).T
+    exps = exps.reshape(-1, 3)
     eM, eb, em = exps.T
     one = eb == em  # one growth piece (1+n)**e
     births = _pow(np.where(one, (1.0 + b) * (1.0 - m), 1.0 + b), eb)
@@ -251,7 +269,7 @@ def one_minus_q_power(b: float, k: np.ndarray) -> np.ndarray:
 
 def finiteness_check(case: Scenario, params: HazardParams) -> FinitenessResult:
     """Convergence product for the case, its distance from 1, and whether its series is finite."""
-    product = float(_batch([params], [case]).factor[0])
+    product = float(_batch(_columns([params]), [case]).factor[0])
     return FinitenessResult(finite=_finite(case.kind, product), product=product,
                             margin=1.0 - product)
 
@@ -276,7 +294,7 @@ def weight_sequence(case: Scenario, params: HazardParams, length: int) -> np.nda
     _check_int("length", length, 0)
     if case.kind == "social_welfare" and params.b <= 0.0:
         raise ValueError("social welfare weights need b > 0")
-    factor = float(_batch([params], [case]).factor[0])
+    factor = float(_batch(_columns([params]), [case]).factor[0])
     if case.kind == "social_welfare":
         t = np.arange(length)
         pref = params.N0 * (1.0 + params.b) / params.b
@@ -748,9 +766,10 @@ def _evaluate_rows(rows: _Batch, path: ConsumptionPath, u: UtilitySpec, tol: flo
     return out
 
 
-def _passes(points: Sequence[HazardParams], cases: int,
-            prefix_len: int) -> Iterator[Sequence[HazardParams]]:
+def _passes(points: Sequence, cases: int, prefix_len: int) -> Iterator[Sequence]:
     """The one cut of a grid into passes: runs of points, each run one _batch of points x cases.
+
+    points are HazardParams or the rows of _columns.
 
     A run holds one point at least, else at most _BLOCK rows x prefix dates.
     No cases make no rows and no pass.
@@ -772,7 +791,7 @@ def evaluate(
 
     One row of the array core: raises what that row failed with.
     """
-    result = _evaluate_rows(_batch([params], [case]), path, u, tol).result(0)
+    result = _evaluate_rows(_batch(_columns([params]), [case]), path, u, tol).result(0)
     if isinstance(result, Exception):
         raise result
     return result

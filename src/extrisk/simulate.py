@@ -53,6 +53,7 @@ from .series import (
     SOCIAL_WELFARE,
     Scenario,
     _batch,
+    _columns,
     _evaluate_rows,
     _finite,
     _passes,
@@ -268,7 +269,7 @@ def mc_compare(
     config_of = iter(configs)
     rows: List[Dict[str, Any]] = []
     for run in _passes(points, len(cases), path.prefix_len):
-        batch = _batch(run, cases)
+        batch = _batch(_columns(run), cases)
         results = _evaluate_rows(batch, path, u, tol)
         growth, status, k = batch.growth.tolist(), results.status, len(cases)
         for j, params in enumerate(run):
@@ -317,7 +318,7 @@ def _mc_one(
         raise ValueError(f"{case.label()} is deterministic: there is no date to sample")
     if case.kind != "individual" and params.M <= 0.0:
         raise NoExtinctionError("M = 0: there is no extinction date to sample")
-    rows = _batch([params], [case])
+    rows = _batch(_columns([params]), [case])
     growth = float(rows.growth[0])
     if case.kind != "individual" and not _finite(case.kind, rows.factor[0]):
         raise DivergenceError(f"(1-M) * {growth:.6g} >= 1: the expectation is infinite")

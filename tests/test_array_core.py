@@ -29,7 +29,7 @@ from extrisk import (
     scenario_sweep,
 )
 from extrisk.analysis import _sweep_columns
-from extrisk.series import _CHUNK_T, _LIBM, _U
+from extrisk.series import _CHUNK_T, _LIBM, _U, _columns
 
 CASES = [Scenario(k) for k in ("individual", "dynasty", "dynasty_theta", "lineage",
                                "social_welfare")] + [known_extinction(7)]
@@ -181,9 +181,10 @@ def test_adversarial_grids_give_every_row_and_the_cli_columns_hold_its_cells(gri
     for row in rows:
         for col, v in row.to_dict().items():
             expected.setdefault(col, []).append(repr(v))
-    blocks = list(_sweep_columns(points, CASES, path, u, 1e-10))
-    assert {col: [repr(v) for block in blocks for v in block[col]] for col in blocks[0]} \
-        == expected
+    blocks = list(_sweep_columns(_columns(points), CASES, path, u, 1e-10))
+    cells = {col: [v for block in blocks for v in np.asarray(block[col], dtype=object).tolist()]
+             for col in blocks[0]}  # a float array's cells as floats
+    assert {col: list(map(repr, v)) for col, v in cells.items()} == expected
 
 
 # --- every row of a random grid within its bound of the 50-digit oracle -------

@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from extrisk import (
 from extrisk import analysis, cli
 from extrisk.analysis import scenario_sweep
 from extrisk.cli import run as cli_run
-from extrisk.series import Scenario
+from extrisk.series import Scenario, _batch, _points, factor_exponents
 from extrisk.simulate import VERIFY_GRID, VERIFY_PATH
 
 
@@ -88,6 +89,58 @@ def test_invalid_hazard_value_is_reported(tmp_path, capsys):
     code = cli_run(["eval", "--config", cfg, "--out", str(tmp_path)])
     assert code == 1
     assert "grid" in capsys.readouterr().err
+
+
+_POINT = "config error: grid: invalid point (m={}, M={}, b={}, theta={}, alpha={}, N0={}): "
+
+
+# the first invalid point in product order, with its first failing field's message; a grid
+# with an empty axis has no points, so an invalid value on another axis is never reached
+@pytest.mark.parametrize("grid, err", [
+    ({"m": [0.1, 0.2], "M": [0.1], "b": [0.0, -1.0, 0.5]},
+     _POINT.format(0.1, 0.1, -1.0, 1.0, 0.5, 1.0) + "b must be finite and >= 0, got -1.0"),
+    ({"m": [0.5, 1.5], "M": [0.1], "alpha": [0.5, 2.0]},
+     _POINT.format(0.5, 0.1, 0.0, 1.0, 2.0, 1.0) + "alpha must lie in (0, 1), got 2.0"),
+    ({"m": [1.5], "M": [-0.1], "alpha": [2.0]},
+     _POINT.format(1.5, -0.1, 0.0, 1.0, 2.0, 1.0) + "m must lie in [0, 1], got 1.5"),
+    ({"m": [0.1, 0.2], "M": [0.1], "N0": [2, 0]},
+     _POINT.format(0.1, 0.1, 0.0, 1.0, 0.5, 0.0) + "N0 must be finite and > 0, got 0.0"),
+    ({"m": [0.1], "M": [0.1], "theta": {"linspace": [0.8, 1.6, 3]}},
+     _POINT.format(0.1, 0.1, 0.0, "1.2000000000000002", 0.5, 1.0)
+     + "theta must lie in [0, 1], got 1.2000000000000002"),
+    ({"m": [0.1], "M": [0.1], "b": [0.5, True]},
+     "config error: grid.b[1]: expected a number, got True"),
+    ({"m": [], "M": [2.0]}, None),
+    ({"m": [0.1], "M": [0.2], "N0": [1, 0], "b": []}, None),
+], ids=["later-axis", "first-invalid-point", "first-failing-field", "N0", "linspace", "bool",
+        "empty-m", "empty-b"])
+def test_invalid_grid_names_its_first_invalid_point(tmp_path, capsys, grid, err):
+    cfg = write_config(tmp_path, {"grid": grid})
+    out = tmp_path / "out"
+    assert cli_run(["eval", "--config", cfg, "--out", str(out)]) == (1 if err else 0)
+    if err:
+        assert capsys.readouterr().err == err + "\n"
+        assert not out.exists()
+    else:
+        assert (out / "eval.json").read_text(encoding="utf-8") == "[]\n"
+
+
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_bytes(b"\xff\xfe" + json.dumps(BASE_CONFIG).encode("utf-16-le"))
+    out = tmp_path / "out"
+    assert cli_run(["eval", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: cannot read {cfg}: ")
+    assert not out.exists()
+
+
+def test_the_readme_example_config_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("expanded as a cartesian product:\n\n```json\n")[1].split("```")[0]
+    cfg = write_config(tmp_path, example)
+    for sub in ("eval", "sweep"):
+        assert cli_run([sub, "--config", cfg, "--out", str(tmp_path / sub)]) == 0
+        assert len(read_csv(tmp_path / sub / f"{sub}.csv")) == 8  # 2 points x 4 cases
 
 
 @pytest.mark.parametrize(
@@ -346,7 +399,7 @@ _THREE_PASSES = {
 
 def _rows_point_by_point(command, cfg):
     """A grid subcommand's rows, each (point, case) from its one-point library function."""
-    for params in cfg.grid:
+    for params in _points(cfg.grid):
         base = params.cells(population=False)
         if command == "table1":
             for case in cli._DEFAULT_CASES:
@@ -891,7 +944,7 @@ def test_sweep_reruns_in_fresh_processes_are_byte_identical(tmp_path):
 def test_json_text_peaks_below_three_times_its_length(tmp_path):
     cfg = cli.RunConfig.from_dict({"grid": {"m": {"linspace": [0.01, 0.2, 50]},
                                             "M": {"linspace": [0.001, 0.05, 20]}, "b": [0.03]}})
-    results = scenario_sweep(cfg.grid, cfg.cases, cfg.path, cfg.utility, cfg.tolerance)
+    results = scenario_sweep(_points(cfg.grid), cfg.cases, cfg.path, cfg.utility, cfg.tolerance)
     rows = [r.to_dict() for r in results]  # the sweep columns, in order
     assert len(rows) == 5_000 and list(rows[0]) == cli._SWEEP_COLUMNS
     tracemalloc.start()
@@ -1020,3 +1073,60 @@ def test_sweep_and_eval_print_rows_by_status(tmp_path, capsys, sub):
             statuses.count("rejected"), unconverged) == (72, 37, 15, 20, 4)
     assert capsys.readouterr().out.splitlines()[0] == \
         f"{sub}: 72 rows, 37 ok, 15 divergent, 20 rejected; 4 not converged"
+
+
+# floats that repeat across cells and key on their bits: both zeros, NaNs, infinities,
+# the smallest subnormal, and values whose repr switches notation
+_FLOAT_CELLS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, float("nan"), -float("nan"), float("inf"), float("-inf"), 5e-324, 1e16, 1e-5]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cells=st.lists(st.one_of(_FLOAT_CELLS, st.none()), min_size=1, max_size=40),
+       as_np=st.booleans())
+def test_float_columns_are_written_as_each_cell_alone(cells, as_np):
+    """A float column's texts, as a list with None or a float64 array, are _texts of each cell."""
+    expected = list(map(cli._texts, cells))
+    if as_np:
+        cells = [None if v is None else np.float64(v) for v in cells]
+    assert list(zip(*cli._column_texts(cells))) == expected
+    floats = [v for v in cells if v is not None]
+    if floats:
+        texts = cli._column_texts(np.array(floats, dtype=float))
+        assert list(zip(*texts)) == list(map(cli._texts, floats))
+
+
+_AXIS = st.lists(st.floats(0.0, 1.0) | st.just(-0.0), min_size=1, max_size=3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(m=_AXIS, M=_AXIS, b=st.lists(st.floats(0.0, 1e3), min_size=1, max_size=3),
+       theta=_AXIS, alpha=st.lists(st.floats(1e-9, 1.0, exclude_max=True), min_size=1, max_size=2))
+def test_grid_columns_give_the_cells_and_factors_of_their_points(m, M, b, theta, alpha):
+    """Parameter cells built from the grid's columns, and _batch's exponents, factors and
+    growths, equal bit for bit those built from each point's HazardParams one row at a time."""
+    grid = {"m": m, "M": M, "b": b, "theta": theta, "alpha": alpha, "N0": [2.5]}
+    columns = cli.RunConfig.from_dict({"grid": grid}).grid
+    points = [HazardParams(*p) for p in itertools.product(*grid.values())]
+    cases = cli._DEFAULT_CASES + (known_extinction(3),)
+    blocks = [cells for _, cells in analysis._factor_columns(columns, cases, prefix_len=1)]
+    for key in points[0].cells():
+        cells = np.concatenate([block[key] for block in blocks])
+        expected = np.array([p.cells()[key] for p in points for _ in cases])
+        assert np.array_equal(cells.view(np.int64), expected.view(np.int64)), key
+
+    def power(x, e):  # _pow's Python float power, one cell at a time
+        return 1.0 if e == 0.0 else x if e == 1.0 else x**e
+
+    rows = _batch(columns, cases)
+    exps, factor, growth = [], [], []
+    for p in points:
+        for case in cases:
+            eM, eb, em = factor_exponents(case, p)
+            births, deaths = ((power(p.gross_growth, eb), 1.0) if eb == em
+                              else (power(1.0 + p.b, eb), power(1.0 - p.m, em)))
+            exps.append((eM, eb, em))
+            factor.append(power(1.0 - p.M, eM) * births * deaths)
+            growth.append(births * deaths)
+    for got, want in ((rows.exps, exps), (rows.factor, factor), (rows.growth, growth)):
+        assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64))

@@ -22,7 +22,7 @@ from extrisk import (
     discount_factor,
     known_extinction,
 )
-from extrisk.series import _batch, _log_parts, factor_exponents
+from extrisk.series import _batch, _columns, _log_parts, factor_exponents
 
 CASES = tuple(Scenario(k) for k in ("individual", "dynasty", "dynasty_theta", "lineage",
                                     "social_welfare")) + (known_extinction(5),)
@@ -54,7 +54,7 @@ def test_factor_table(case, params):
         assert abs(Decimal(factor) - exact) <= 4 * _d(ULP) * exact
         # the weights' growth given survival, which the Monte Carlo tables raise to t
         _, eb, em = factor_exponents(case, params)
-        growth = _batch([params], [case]).growth[0]
+        growth = _batch(_columns([params]), [case]).growth[0]
         exact = _pow(ONE + _d(params.b), eb) * _pow(ONE - _d(params.m), em)
         assert abs(Decimal(growth) - exact) <= 4 * _d(ULP) * exact
     (parts,) = _log_parts(*(np.array([x]) for x in (params.M, params.b, params.m)),
@@ -66,7 +66,7 @@ def test_factor_table(case, params):
         discount_factor(case, n0).factor, rel=1e-12, abs=1e-12)
 
     # the n-fixed regime's factor at the point's own 1+n is the factor
-    n_fixed = _batch([params], [case]).factor_n(np.array([params.gross_growth]))[0]
+    n_fixed = _batch(_columns([params]), [case]).factor_n(np.array([params.gross_growth]))[0]
     assert n_fixed == pytest.approx(factor, rel=1e-13)
 
     # central differences with steps inside the hazards; rounding costs about eps/h

@@ -42,7 +42,7 @@ from extrisk import (
     welfare_window_terms,
 )
 from extrisk.model import _CHUNK
-from extrisk.series import _batch
+from extrisk.series import _batch, _columns
 from extrisk.simulate import (
     _TAG_ABM_T, _TAG_EU, _TAG_EV, _date, _estimates, _mc_one, _offspring, _table, _verdict,
 )
@@ -233,7 +233,7 @@ def test_each_case_is_estimated_over_the_stream_of_its_date(monkeypatch):
     p = HazardParams(m=0.05, M=0.1, b=0.02, theta=0.5, alpha=0.3)
     cfg = SimulationConfig(replications=1_000, seed=8, horizon_cap=12)
     cases = (INDIVIDUAL, DYNASTY, DYNASTY_THETA, LINEAGE, SOCIAL_WELFARE)
-    growth = _batch([p], cases).growth.tolist()
+    growth = _batch(_columns([p]), cases).growth.tolist()
     drawn = []
 
     def recording(hazard, total, cap, rng):
@@ -259,7 +259,7 @@ def test_histogram_estimate_matches_direct_mean_over_the_same_streams():
     reps, cap = _CHUNK + 5_000, 12
     cfg = SimulationConfig(replications=reps, seed=8, horizon_cap=cap)
     cases = (INDIVIDUAL, DYNASTY, DYNASTY_THETA, LINEAGE, SOCIAL_WELFARE)
-    growth = _batch([p], cases).growth.tolist()
+    growth = _batch(_columns([p]), cases).growth.tolist()
     tables = {c: _table(c, p, g, VERIFY_PATH, VERIFY_UTILITY, cfg) for c, g in zip(cases, growth)}
     ests = _estimates(p, tables, cfg)
     lifetimes = _stream_dates(p.death_hazard, reps, cap, 8, _TAG_EU)
@@ -529,7 +529,7 @@ def test_mc_verdict_error_bar_and_growing_crra_tail():
     crra = UtilitySpec.crra(3.0)
 
     def mc_verdict(case, *rest):  # at the growth of the case's row
-        return _verdict(case, params, _batch([params], [case]).growth[0], *rest)
+        return _verdict(case, params, _batch(_columns([params]), [case]).growth[0], *rest)
 
     err, within, finite_variance = mc_verdict(INDIVIDUAL, flat, crra, est, 1.3)
     assert err == pytest.approx(0.3) and within and finite_variance

@@ -551,8 +551,10 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
 def _cmd_verify(args: argparse.Namespace, out_dir: Path) -> int:
     reps = args.reps if args.reps is not None else 100_000_000
     seed = args.seed if args.seed is not None else 20240613
-    if reps < 1:
-        raise ConfigError("--reps must be >= 1")
+    try:
+        SimulationConfig(replications=reps)  # its constructor checks the count
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     spread = _VERIFY_SEED_STEP * (len(VERIFY_GRID) - 1)  # the last point runs on seed + spread
     if not 0 <= seed < 2**64 - spread:
         raise ConfigError(f"--seed must lie in [0, {2**64 - 1 - spread}]: grid point i runs "

@@ -34,11 +34,11 @@ in a few passes of ``_evaluate_rows`` over the runs of ``_passes``, and
 evaluate and the functionals are its one-row calls. A pass's points enter
 ``_batch`` as parameter columns (``_columns``), and each case's exponents
 are one call of ``_EXPONENTS`` on them. The social-welfare
-modifier is a per-row mask, and so is the check of ew_social against
-ew_social_n0_form at n = 0, whose rows join the same pass. Failures are
-per-row masks too: each row keeps the first exception its own evaluation meets
-(a failed precondition, divergence, a float-range exit), so no row depends on
-the rows beside it. The prefix goes in blocks of at most 4096 dates.
+modifier is a per-row mask. Each row is evaluated once: a known date by its
+finite sum, never by the closed form; no pass runs ew_social_n0_form. Failures
+are per-row masks too: each row keeps the first exception its own evaluation
+meets (a failed precondition, divergence, a float-range exit), so no row
+depends on the rows beside it. The prefix goes in blocks of at most 4096 dates.
 
 tail_bound is a running rounding-error bound (Higham, Accuracy and Stability
 of Numerical Algorithms, ch. 3): each piece of the closed form is a product
@@ -99,8 +99,7 @@ __all__ = [
 ]
 
 DEFAULT_TOLERANCE = 1e-10
-_EPS = float(np.finfo(float).eps)
-_U = _EPS / 2.0  # unit roundoff
+_U = float(np.finfo(float).eps) / 2.0  # unit roundoff
 _LIBM = 4.0 * _U  # relative error of one libm call: log, log1p, exp, expm1, pow
 _DENORM = 2.0**-1074  # absolute error of a result that underflows
 
@@ -322,7 +321,7 @@ class _Failures:
         self.exc: Dict[int, Exception] = {}
 
     def add(self, mask: np.ndarray, make: Callable[[int], Exception]) -> None:
-        """Rows i with mask[i] fail with make(i), unless they failed before; mask may be shorter."""
+        """Rows i with mask[i] fail with make(i), unless they failed before."""
         if not mask.any():
             return
         new = mask.nonzero()[0]
@@ -717,49 +716,35 @@ class _Results(NamedTuple):
 def _evaluate_rows(rows: _Batch, path: ConsumptionPath, u: UtilitySpec, tol: float) -> _Results:
     """Each row's SeriesResult fields, or the exception its evaluation raises, in one pass.
 
-    A row's result does not depend on the rows beside it. Social welfare at
-    n = 0 is evaluated in its n = 0 form as well, in the same pass, and the
-    two must agree to 1e-10 relative (AssertionError otherwise).
+    A row's result does not depend on the rows beside it, and each row is
+    evaluated once: a known date by its finite sum, every other row by the
+    closed form.
     """
     n = len(rows.kinds)
-    b, m = rows.b, rows.m
-    # b (1-m) - m is n without the cancellation of (1+b)(1-m) - 1; its rounding
-    # scales with the two terms, not with b, which may dwarf them at m = 1
-    bm = b * (1.0 - m)
-    n0 = np.flatnonzero((rows.kinds == "social_welfare")
-                        & (np.abs(bm - m) <= 4.0 * _EPS * (bm + m)))
-    fails = _Failures(n + len(n0))
+    fails = _Failures(n)
     _preconditions(rows, tol, fails)
     known = rows.kinds == "known_extinction"
-    fails.bad[:n] |= known  # a finite sum, not a closed form
-    inputs = _closed_rows(rows)
-    if len(n0):
-        n0_rows = _n0_rows(rows.M[n0], m[n0], rows.N0[n0])
-        inputs = _Rows(*(np.concatenate([a, z]) for a, z in zip(inputs, n0_rows)))
-    value, bound = _closed(inputs, path, u, fails)
-    value, bound = value.tolist(), bound.tolist()
-    values, bounds, index = value[:n], bound[:n], [path.prefix_len - 1] * n
-    failed = {i: e for i, e in fails.exc.items() if i < n}
-    for i in np.flatnonzero(known).tolist():
+    value, bound = np.zeros((2, n))
+    if not known.any():
+        value, bound = _closed(_closed_rows(rows), path, u, fails)
+    elif not known.all():  # the other rows take the closed form alone, numbered from 0
+        keep = np.flatnonzero(~known)
+        part = _Failures(len(keep))
+        part.bad |= fails.bad[keep]
+        value[keep], bound[keep] = _closed(_Rows(*(a[keep] for a in _closed_rows(rows))),
+                                           path, u, part)
+        fails.exc.update(zip(keep[list(part.exc)].tolist(), part.exc.values()))
+    values, bounds, index = value.tolist(), bound.tolist(), [path.prefix_len - 1] * n
+    for i in np.flatnonzero(known & ~fails.bad).tolist():
         T = rows.cases[i % len(rows.cases)].T
         try:
-            values[i], bounds[i] = _known_date_sum(float(m[i]), T, path, u)
+            values[i], bounds[i] = _known_date_sum(float(rows.m[i]), T, path, u)
             index[i] = T
         except ValueError as exc:
-            failed[i] = exc
-    for j, i in enumerate(n0.tolist(), start=n):
-        if i in failed:
-            continue
-        if j in fails.exc:
-            failed[i] = fails.exc[j]
-        elif abs(value[i] - value[j]) > (1e-10 * max(abs(value[i]), abs(value[j]), 1.0)
-                                         + bound[i] + bound[j]):
-            raise AssertionError(
-                f"general form {value[i]!r} and n=0 simplification "
-                f"{value[j]!r} disagree beyond 1e-10 relative")
+            fails.exc[i] = exc
     status = ["ok"] * n
-    out = _Results(values, index, bounds, [e <= tol for e in bounds], failed, status)
-    for i, exc in failed.items():
+    out = _Results(values, index, bounds, [e <= tol for e in bounds], fails.exc, status)
+    for i, exc in fails.exc.items():
         for cells in out[:4]:
             cells[i] = None
         status[i] = "divergent" if isinstance(exc, DivergenceError) else f"rejected: {exc}"
@@ -959,9 +944,8 @@ def ew_social(
     """Expected social welfare EW = sum_T P_X(T) W(0, T) in closed series form.
 
     EW = N0 (1+b)/b sum_t u(c_t) ((1-M)(1+n))**t (1 - (1+b)**-(t+1)); finite
-    iff (1-M)(1+n) < 1, and requires b > 0, M > 0. When n = 0 the constant
-    population simplification is evaluated as well and must agree to 1e-10
-    relative.
+    iff (1-M)(1+n) < 1, and requires b > 0, M > 0. The same form serves every
+    b > 0, n = 0 included; ew_social_n0_form is the constant-population form.
     """
     return evaluate(SOCIAL_WELFARE, params, path, u, tol)
 

@@ -80,7 +80,7 @@ __all__ = [
 ]
 
 _CAP_LIMIT = 1 << 21
-_INT64_MAX = 2**63 - 1  # the largest head count agent mode holds
+_INT64_MAX = 2**63 - 1  # the largest head count agent mode holds, and replication count
 # stream tags: death dates, extinction dates (shared by every extinction-date case), then
 # agent dates and offspring, one stream each for all head counts; 3, 4 retired, never reused
 _TAG_EU, _TAG_EV, _TAG_ABM_T, _TAG_ABM = 1, 2, 5, 6
@@ -104,6 +104,8 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         _check_int("replications", self.replications, 1)
+        if self.replications > _INT64_MAX:
+            raise ValueError(f"replications must be at most 2**63 - 1, got {self.replications!r}")
         _check_int("seed", self.seed, 0)
         if self.seed >= 2**64:
             raise ValueError("seed must be an unsigned 64-bit integer")

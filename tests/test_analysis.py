@@ -105,6 +105,11 @@ def test_factor_from_weights_rejects_social_welfare():
         factor_from_weights(SOCIAL_WELFARE, HazardParams(m=0.1, M=0.1, b=0.1))
 
 
+def test_factor_from_weights_rejects_a_known_date_with_one_weight():
+    with pytest.raises(ValueError, match="^known_extinction with T = 0 has no consecutive weights$"):
+        factor_from_weights(known_extinction(0), HazardParams(m=0.1, M=0.1, b=0.1))
+
+
 @pytest.mark.parametrize("case", ALL_TABLE_CASES)
 @pytest.mark.parametrize("params", [p for p in VERIFY_GRID if p.m < 1.0])
 def test_n0_column_equals_substitution(case, params):

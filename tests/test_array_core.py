@@ -28,6 +28,7 @@ from extrisk import (
     known_extinction,
     scenario_sweep,
 )
+from extrisk import series
 from extrisk.analysis import _sweep_columns
 from extrisk.series import _CHUNK_T, _LIBM, _U, _columns
 
@@ -46,7 +47,7 @@ def mixed_grid():
         HazardParams(m=0.02, M=0.0, b=0.03),  # M = 0: the mixtures are rejected
         HazardParams(m=0.0, M=0.0),  # the individual diverges too
         HazardParams(m=0.05, M=0.02, b=0.0),  # social welfare needs b > 0
-        HazardParams(m=0.02, M=0.01, theta=0.3).with_n_zero(),  # n = 0: the two EW forms agree
+        HazardParams(m=0.02, M=0.01, theta=0.3).with_n_zero(),  # n = 0, in the general form
         HazardParams(m=0.05, M=0.02, b=1e-300, N0=1e10),  # N0 (1+b)/b leaves float range
         HazardParams(m=1e-7, M=1e-7, b=1e-12),
         HazardParams(m=1.0, M=0.3, b=0.2),  # r = 0 for most cases
@@ -110,6 +111,21 @@ def test_a_long_prefix_runs_in_blocks_and_equals_one_row_calls():
     grid = mixed_grid()[:9]
     statuses = check_rows_equal_one_row_calls(grid, LONG, UtilitySpec.log())
     assert statuses == {"ok", "divergent", "rejected"}
+
+
+def test_each_row_enters_the_closed_form_once_and_a_known_date_never(monkeypatch):
+    sizes, closed = [], series._closed
+    monkeypatch.setattr(series, "_closed", lambda rows, *args: sizes.append(len(rows.pref))
+                        or closed(rows, *args))
+    path, u, grid = ConsumptionPath(prefix=PREFIX), UtilitySpec.log(), mixed_grid()[:9]
+    scenario_sweep(grid, CASES, path, u)  # one pass, one known date among its cases
+    assert sizes == [len(grid) * (len(CASES) - 1)]
+    sizes.clear()
+    scenario_sweep(grid, [known_extinction(0), known_extinction(7)], path, u)
+    evaluate(known_extinction(7), grid[0], path, u)
+    assert sizes == []
+    ew_social(HazardParams(m=0.02, M=0.01).with_n_zero(), path, u)  # n = 0: one row, not two
+    assert sizes == [1]
 
 
 def test_every_rejection_message_is_the_functional_s():

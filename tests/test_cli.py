@@ -206,6 +206,48 @@ def test_config_values_of_the_wrong_type_exit_one(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+_GRID = {"m": [0.02], "M": [0.01]}
+_LISTS = "grid.b: expected a list of numbers or {'linspace': [lo, hi, k]}"
+_CASE = "expected a case name or {'known_extinction': T}"
+
+
+# each config's shape is wrong where the parser checks it, or an override is out of range;
+# 2**63 - 1 is the most replications numpy counts in int64
+@pytest.mark.parametrize("payload, flags, message", [
+    ({"grid": {**_GRID, "b": {"linspace": [0.0, 0.1, 2], "k": 2}}}, [], _LISTS),
+    ({"grid": {**_GRID, "b": {"range": [0.0, 0.1]}}}, [], _LISTS),
+    ({"grid": {**_GRID, "b": {"linspace": [0.0, 0.1]}}}, [], "grid.b.linspace: expected [lo, hi, k]"),
+    ({"grid": {**_GRID, "b": {"linspace": "0:0.1:2"}}}, [], "grid.b.linspace: expected [lo, hi, k]"),
+    ({"grid": {"m": 0.02, "M": [0.01]}}, [], "grid.m: expected a list of numbers"),
+    ({"grid": [[0.02], [0.01]]}, [], "grid: expected an object with per-parameter value lists"),
+    ({"grid": {"m": [0.02]}}, [], "grid.M: required"),
+    ({"grid": {"M": [0.01]}}, [], "grid.m: required"),
+    ({"grid": _GRID, "cases": "individual"}, [], "cases: expected a list"),
+    ({"grid": _GRID, "cases": [3]}, [], f"cases[0]: {_CASE}"),
+    ({"grid": _GRID, "cases": ["individual", {"known_extinction": 3, "T": 3}]}, [],
+     f"cases[1]: {_CASE}"),
+    ({"grid": _GRID, "path": [1.0]}, [], "path: expected an object"),
+    ({"grid": _GRID, "utility": {"family": "log", "gamma": 2.0}}, [], "utility.gamma: unknown key"),
+    ([_GRID], [], "top level: expected a JSON object"),
+    ({"grid": _GRID, "grids": _GRID}, [], "grids: unknown top-level key"),
+    ({"utility": {"family": "log"}}, [], "grid: required"),
+    ({"grid": _GRID}, ["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    ({"grid": _GRID}, ["--reps", str(2**63)], f"replications must be at most 2**63 - 1, got {2**63}"),
+    ({"grid": _GRID, "simulation": {"replications": 10**20}}, [],
+     f"simulation: replications must be at most 2**63 - 1, got {10**20}"),
+], ids=["linspace-extra-key", "not-linspace", "linspace-short", "linspace-string", "axis-number",
+        "grid-list", "no-M", "no-m", "cases-string", "case-number", "case-extra-key",
+        "section-list", "section-unknown-key", "top-level-list", "top-level-unknown-key",
+        "no-grid", "seed-override", "reps-override", "replications-past-int64"])
+def test_malformed_configs_and_overrides_exit_one_with_their_message(
+        tmp_path, capsys, payload, flags, message):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli_run(["simulate", "--config", cfg, *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
 def test_missing_config_for_eval(tmp_path, capsys):
     code = cli_run(["eval", "--out", str(tmp_path)])
     assert code == 1
@@ -644,12 +686,14 @@ def test_subcommands_reject_flags_they_do_not_read(tmp_path, capsys, sub, flag):
 
 
 @pytest.mark.parametrize("flags", [["--reps", "0"], ["--seed", "-1"],
-                                   ["--seed", str(2**64 - 1)]])
+                                   ["--seed", str(2**64 - 1)], ["--reps", str(10**20)]])
 def test_verify_rejects_replications_and_seeds_it_cannot_run(tmp_path, capsys, flags):
     # the grid's last point runs on seed + 1000003 * 11, which must fit in 64 bits too
+    # the replication count is SimulationConfig's to check, as for simulate
     out = tmp_path / "v"
     assert cli_run(["verify", *flags, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.startswith(f"config error: {flags[0]} must ")
+    name = "replications" if flags[0] == "--reps" else flags[0]
+    assert capsys.readouterr().err.startswith(f"config error: {name} must ")
     assert not out.exists()
 
 

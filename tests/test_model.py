@@ -16,12 +16,14 @@ from extrisk import (
     ConsumptionPath,
     DegenerateHazardError,
     HazardParams,
+    NoExtinctionError,
     UtilitySpec,
     extinction_pmf,
     lifetime_cdf,
     lifetime_pmf,
     lifetime_pmf_known_T,
     sample_date_counts,
+    sample_extinction_times,
     sample_lifetimes,
 )
 from extrisk.model import _CHUNK
@@ -277,6 +279,17 @@ def test_date_counts_follow_the_geometric_law(p, reps, seed):
     assert _geometric_chi2_pvalue(counts, p) > 1e-4
 
 
+def test_extinction_times_follow_the_geometric_law():
+    draws = sample_extinction_times(0.05, 200_000, np.random.default_rng(13))
+    assert draws.dtype == np.int64 and draws.min() == 0
+    assert _geometric_chi2_pvalue(np.bincount(draws, minlength=1_000), 0.05) > 1e-4
+
+
+def test_extinction_times_need_an_extinction_hazard():
+    with pytest.raises(NoExtinctionError, match="^M = 0: the extinction date is never drawn$"):
+        sample_extinction_times(0.0, 10, np.random.default_rng(0))
+
+
 def test_date_counts_at_certain_failure_fill_bin_zero():
     for size in (10, 1_000):  # below and above the dense-bin switch
         counts = sample_date_counts(1.0, size, 5, np.random.default_rng(0))
@@ -375,3 +388,15 @@ def test_log_rejects_nonpositive_consumption():
     with pytest.raises(ValueError):
         UtilitySpec.crra(2.0)(np.array([1.0, -1.0]))
     assert UtilitySpec.linear()(0.0) == 0.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ConsumptionPath.constant(1.0).value(-1), "t must be >= 0"),
+    (lambda: ConsumptionPath.constant(1.0).values(3, 2), "need 0 <= start <= stop"),
+    (lambda: UtilitySpec("cubic"), "unknown utility family 'cubic'"),
+    (lambda: UtilitySpec("log", sigma=2.0), "log utility takes no sigma"),
+], ids=["negative-date", "reversed-range", "unknown-family", "log-with-sigma"])
+def test_paths_and_utilities_reject_what_they_cannot_evaluate(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message

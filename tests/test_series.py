@@ -12,6 +12,7 @@ from extrisk import (
     DYNASTY_THETA,
     INDIVIDUAL,
     LINEAGE,
+    SOCIAL_WELFARE,
     ConsumptionPath,
     DivergenceError,
     HazardParams,
@@ -26,6 +27,7 @@ from extrisk import (
     ev_dynasty,
     ev_dynasty_theta,
     evaluate,
+    ew_social_n0_form,
     extinction_pmf,
     finiteness_check,
     known_extinction,
@@ -372,6 +374,32 @@ def test_integer_arguments_reject_floats_bools_and_negatives(name, bad):
         call(bad)
     a, b = call(np.int64(2)), call(2)  # numpy integers stay accepted
     np.testing.assert_equal(getattr(a, "__dict__", a), getattr(b, "__dict__", b))
+
+
+# each call is outside the domain of its formula: the n = 0 form divides by m and mixes over
+# extinction dates, and the social-welfare weights divide by b
+REJECTIONS = {
+    "n0 form at m = 0": (lambda: ew_social_n0_form(HazardParams(m=0.0, M=0.01), ONE, LOG),
+                         ValueError, "the n = 0 simplification divides by m; needs m > 0"),
+    "n0 form at M = 0": (lambda: ew_social_n0_form(HazardParams(m=0.02, M=0.0).with_n_zero(),
+                                                   ONE, LOG),
+                         NoExtinctionError, "M = 0: the extinction-date mixture is defective "
+                                            "and the functional undefined"),
+    "window terms at b = 0": (lambda: welfare_window_terms(HazardParams(m=0.02, M=0.01), ONE,
+                                                           LOG, 5),
+                              ValueError, "the closed-form window terms need b > 0"),
+    "social weights at b = 0": (lambda: weight_sequence(SOCIAL_WELFARE,
+                                                        HazardParams(m=0.02, M=0.01), 5),
+                                ValueError, "social welfare weights need b > 0"),
+}
+
+
+@pytest.mark.parametrize("name", REJECTIONS)
+def test_calls_outside_their_formula_raise_its_message(name):
+    call, error, message = REJECTIONS[name]
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_evaluate_dispatch_known_extinction():

@@ -4,7 +4,7 @@ The property: |value - exact| <= tail_bound, and the program calls a sum
 divergent exactly when the oracle does. Hazards run down to 1e-6 and birth
 rates down to 1e-12, over constant and geometric tails under log, CRRA and
 linear utility; the known-date sum with dates up to 3,000, and two up to
-60,000.
+60,000. At exact n = 0 points both forms of social welfare are held to it.
 """
 
 import math
@@ -103,6 +103,25 @@ def check_against_oracle(kind, params, path, u):
 def test_value_within_bound_of_exact(kind, economy):
     assume(abs(margin(kind, *economy)) > VERDICT_MARGIN)
     check_against_oracle(kind, *economy)
+
+
+N_ZERO_HAZARDS = [(m, M) for m in (1e-6, 1e-3, 0.02, 0.3) for M in (1e-6, 1e-3, 0.05)]
+N_ZERO_UTILITIES = {"log": UtilitySpec.log(), "linear": UtilitySpec.linear(),
+                    "crra-0.5": UtilitySpec.crra(0.5), "crra-3": UtilitySpec.crra(3.0)}
+N_ZERO_PATHS = {"constant": BUMPY,
+                "geometric": ConsumptionPath(prefix=BUMPY.prefix, tail="geometric", ratio=0.9999)}
+
+
+# at n = 0 social welfare has two forms, the general one and
+# (N0/m) sum_t (1-M)**t (1-(1-m)**(t+1)); each is held to its own exact value at the same floats
+@pytest.mark.parametrize("path", N_ZERO_PATHS)
+@pytest.mark.parametrize("u", N_ZERO_UTILITIES)
+@pytest.mark.parametrize("kind", ("social_welfare", "n0_form"))
+def test_both_social_welfare_forms_within_bound_of_exact_at_n_zero(kind, u, path):
+    for m, M in N_ZERO_HAZARDS:
+        economy = (HazardParams(m=m, M=M).with_n_zero(), N_ZERO_PATHS[path], N_ZERO_UTILITIES[u])
+        assert abs(margin(kind, *economy)) > VERDICT_MARGIN
+        check_against_oracle(kind, *economy)
 
 
 @pytest.mark.parametrize("b", [1e-4, 1e-8, 1e-12, 1e-45, 1e-300])

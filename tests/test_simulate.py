@@ -184,6 +184,19 @@ def test_simulation_config_validation():
         SimulationConfig(horizon_cap=0)
 
 
+# numpy takes seeds below 2**64 and counts draws in int64; the largest counts still construct
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(seed=2**64), "seed must be an unsigned 64-bit integer"),
+    (dict(replications=2**63), f"replications must be at most 2**63 - 1, got {2**63}"),
+], ids=["seed", "replications"])
+def test_simulation_config_rejects_counts_past_64_bits(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        SimulationConfig(**kwargs)
+    assert str(exc.value) == message
+    config = SimulationConfig(replications=2**63 - 1, seed=2**64 - 1)  # constructed, never run
+    assert (config.replications, config.seed) == (2**63 - 1, 2**64 - 1)
+
+
 # --- reproducibility --------------------------------------------------------------------
 
 
@@ -401,6 +414,19 @@ def test_abm_study_rejects_head_counts_that_are_not_positive_integers(n0_values)
     cfg = SimulationConfig(replications=10, seed=0, mode="agent")
     with pytest.raises(ValueError, match="head counts"):
         abm_smoothing_study(p, ONE, LINEAR, n0_values, cfg)
+
+
+# the study compares the smoothed welfare window, which divides by b, over extinction dates
+@pytest.mark.parametrize("params, error, message", [
+    (HazardParams(m=0.1, M=0.1), ValueError, "the smoothed comparison needs b > 0"),
+    (HazardParams(m=0.1, M=0.0, b=0.1), NoExtinctionError,
+     "the study mixes over extinction dates; needs M > 0"),
+], ids=["b=0", "M=0"])
+def test_abm_study_rejects_points_outside_its_comparison(params, error, message):
+    cfg = SimulationConfig(replications=10, seed=0, mode="agent")
+    with pytest.raises(error) as exc:
+        abm_smoothing_study(params, ONE, LINEAR, [1], cfg)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_abm_study_reads_its_dates_from_the_date_histogram():

@@ -211,6 +211,7 @@ def _step_error(params: HazardParams, dM: float, dm: float) -> Optional[str]:
 
 _REGIME_FIELDS = [f.name for f in fields(RegimeSensitivity)]
 _PARAMS = [f.name for f in fields(HazardParams)]  # the columns of series._columns
+_SENSITIVITY_CELLS = [*_PARAMS[:5], "case", *_REGIME_FIELDS, "status"]  # a block's keys in order
 
 
 def _sensitivity_columns(points: np.ndarray, cases: Sequence[Scenario], dM: float,
@@ -238,8 +239,8 @@ def _sensitivity_columns(points: np.ndarray, cases: Sequence[Scenario], dM: floa
                  f"rejected: {error}" if error else "ok"]
                 for p, error in zip(run, errors) for case in cases
                 for regime in ("b-fixed", "n-fixed")]
-        yield {**dict(zip(_PARAMS[:5], np.repeat(columns, 2 * len(cases), axis=0).T)),  # m..alpha
-               **dict(zip(["case", *_REGIME_FIELDS, "status"], map(list, zip(*rows))))}
+        yield dict(zip(_SENSITIVITY_CELLS, [*np.repeat(columns[:, :5], 2 * len(cases), axis=0).T,
+                                            *map(list, zip(*rows))]))
 
 
 def belief_update_response(case: Scenario, params: HazardParams, dM: float = 1e-6,
@@ -318,7 +319,7 @@ def scenario_sweep(
         rows = _batch(_columns(run), cases)
         results = _evaluate_rows(rows, path, u, tol)
         for i, report in enumerate(_reports(rows)):
-            series = None if i in results.failed else results.result(i)
+            series = None if i in results.failed.exc else results.result(i)
             # positional: params, case, report, series, status
             out.append(SweepRow(run[i // len(cases)], report.case, report, series,
                                 results.status[i]))

@@ -34,8 +34,7 @@ import json
 import math
 import os
 import sys
-import tempfile
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from types import NoneType
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
@@ -43,10 +42,12 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Text
 import numpy as np
 
 from .model import ConsumptionPath, HazardParams, UtilitySpec
-from .series import DEFAULT_TOLERANCE, Scenario, _columns, _points
-from .analysis import _factor_columns, _profile_columns, _sensitivity_columns, _sweep_columns
+from .series import _EXPONENTS, DEFAULT_TOLERANCE, Scenario, _columns, _points
+from .analysis import (_PARAMS, _SENSITIVITY_CELLS, _SWEEP_CELLS, _factor_columns,
+                       _profile_columns, _sensitivity_columns, _sweep_columns)
 from .simulate import (
     SimulationConfig,
+    SmoothingGapRow,
     VERIFY_GRID,
     VERIFY_PATH,
     VERIFY_UTILITY,
@@ -59,7 +60,7 @@ from .simulate import (
 
 OUT_DIR_ENV = "EXTRISK_OUT"
 
-_CASE_NAMES = ("individual", "dynasty", "dynasty_theta", "lineage", "social_welfare")
+_CASE_NAMES = tuple(kind for kind in _EXPONENTS if kind != "known_extinction")
 _DEFAULT_CASES = tuple(Scenario(k) for k in _CASE_NAMES)
 
 
@@ -96,8 +97,9 @@ def _check_number(x: Any, where: str) -> None:
 
 
 # grid axes in product order, which is HazardParams' field order and so the order of the
-# grid's columns, with the values an omitted axis takes (m and M are required)
-_GRID_DEFAULTS = {"m": None, "M": None, "b": [0.0], "theta": [1.0], "alpha": [0.5], "N0": [1.0]}
+# grid's columns, with the values an omitted axis takes: its field's default (None: required)
+_GRID_DEFAULTS = {f.name: None if f.default is MISSING else [f.default]
+                  for f in fields(HazardParams)}
 
 
 def _parse_grid(raw: Any) -> np.ndarray:
@@ -107,9 +109,9 @@ def _parse_grid(raw: Any) -> np.ndarray:
     for key in raw:
         if key not in _GRID_DEFAULTS:
             raise ConfigError(f"grid.{key}: unknown parameter (use {sorted(_GRID_DEFAULTS)})")
-    for required in ("m", "M"):
-        if required not in raw:
-            raise ConfigError(f"grid.{required}: required")
+    for key, default in _GRID_DEFAULTS.items():
+        if default is None and key not in raw:
+            raise ConfigError(f"grid.{key}: required")
     axes = [_as_float_list(raw.get(k, d), f"grid.{k}") for k, d in _GRID_DEFAULTS.items()]
     try:  # each check is on one field, so the points are valid iff every axis value is
         for key, axis in zip(_GRID_DEFAULTS, axes):
@@ -299,17 +301,13 @@ def _write_columns(
     try:
         with contextlib.ExitStack() as stack:
             files = []
-            for target in targets:
-                fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=target.name + ".", suffix=".tmp")
+            for target in targets:  # "x": a new file, with the mode open() gives under the umask
+                tmp = out_dir / f"{target.name}.{os.urandom(6).hex()}.tmp"
+                files.append(stack.enter_context(open(tmp, "x", encoding="utf-8", newline="")))
                 tmps.append(tmp)
-                files.append(stack.enter_context(open(fd, "w", encoding="utf-8", newline="")))
             csv_fh = files[0] if fmt != "json" else None
             json_fh = files[-1] if fmt != "csv" else None
             _stream_columns(csv_fh, json_fh, columns, blocks)
-        umask = os.umask(0)
-        os.umask(umask)
-        for tmp in tmps:
-            os.chmod(tmp, 0o666 & ~umask)  # mkstemp creates 0600; give what open() would
         for tmp, target in zip(tmps, targets):
             os.replace(tmp, target)
     except BaseException:
@@ -421,12 +419,7 @@ _EVAL_COLUMNS = [
     "m", "M", "b", "theta", "alpha", "N0", "n", "case",
     "value", "tail_bound", "truncation_index", "converged", "status", "finiteness_margin",
 ]
-_SWEEP_COLUMNS = [
-    "m", "M", "b", "theta", "alpha", "N0", "n", "case",
-    "factor", "rate_simple", "rate_log", "factor_n0", "constant_factor",
-    "finite", "finiteness_product", "finiteness_margin", "status",
-    "value", "tail_bound", "truncation_index", "converged",
-]
+_SWEEP_COLUMNS = list(_SWEEP_CELLS)
 
 
 def _cmd_sweep(args: argparse.Namespace, out_dir: Path, columns: Sequence[str]) -> int:
@@ -464,10 +457,7 @@ def _cmd_profile(args: argparse.Namespace, out_dir: Path) -> int:
     return 0
 
 
-_SENSITIVITY_COLUMNS = [
-    "m", "M", "b", "theta", "alpha", "case", "regime",
-    "d_factor_d_M", "d_factor_d_m", "fd_d_factor_d_M", "fd_d_factor_d_m", "status",
-]
+_SENSITIVITY_COLUMNS = _SENSITIVITY_CELLS
 
 
 def _cmd_sensitivity(args: argparse.Namespace, out_dir: Path) -> int:
@@ -483,11 +473,7 @@ _SIMULATE_COLUMNS = [
     "analytic", "mc_mean", "mc_se", "abs_error", "within_3se",
     "replications", "truncated_mass", "status",
 ]
-_ABM_COLUMNS = [
-    "m", "M", "b", "theta", "alpha", "n0", "runs", "mean_abs_gap",
-    "die_off_frequency", "mean_welfare_per_capita", "smoothed_mean_per_capita",
-    "cap_hit_fraction", "welfare_gap_se",
-]
+_ABM_COLUMNS = _PARAMS[:5] + [f.name for f in fields(SmoothingGapRow)]  # as _abm_rows builds
 
 
 def _usable_cpus() -> int:

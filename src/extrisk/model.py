@@ -50,14 +50,15 @@ class DivergenceError(ArithmeticError):
     """An infinite series violates its finiteness condition."""
 
 
-def _check_prob(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-
-
 def _is_number(value: object) -> bool:
     """A real number; a bool is not one here."""
     return type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+
+
+def _check_prob(name: str, value: object) -> None:
+    """Reject anything but a number in [0, 1]."""
+    if not (_is_number(value) and 0.0 <= value <= 1.0):
+        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 def _check_int(name: str, value: object, lo: int) -> None:
@@ -97,8 +98,7 @@ class HazardParams:
         _check_prob("M", self.M)
         if not (self.b >= 0.0 and math.isfinite(self.b)):
             raise ValueError(f"b must be finite and >= 0, got {self.b!r}")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must lie in [0, 1], got {self.theta!r}")
+        _check_prob("theta", self.theta)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
         if not (self.N0 > 0.0 and math.isfinite(self.N0)):
@@ -226,7 +226,7 @@ class UtilitySpec:
         if self.family not in ("log", "crra", "linear"):
             raise ValueError(f"unknown utility family {self.family!r}")
         if self.family == "crra":
-            if self.sigma is None or not (self.sigma > 0.0 and math.isfinite(self.sigma)):
+            if not (_is_number(self.sigma) and self.sigma > 0.0 and math.isfinite(self.sigma)):
                 raise ValueError("crra needs a finite sigma > 0")
             if self.sigma == 1.0:
                 raise ValueError("crra sigma = 1 is the log family; use log")

@@ -68,6 +68,7 @@ from .model import (
     NoExtinctionError,
     UtilitySpec,
     _check_int,
+    _check_prob,
 )
 
 __all__ = [
@@ -103,14 +104,21 @@ _U = float(np.finfo(float).eps) / 2.0  # unit roundoff
 _LIBM = 4.0 * _U  # relative error of one libm call: log, log1p, exp, expm1, pow
 _DENORM = 2.0**-1074  # absolute error of a result that underflows
 
-_CASE_KINDS = (
-    "individual",
-    "dynasty",
-    "dynasty_theta",
-    "lineage",
-    "social_welfare",
-    "known_extinction",
-)
+# --- the factor table ----------------------------------------------------------
+
+# Every per-period discount factor is (1-M)**eM (1+b)**eb (1-m)**em. Extinction
+# risk enters every case but the known date; births hedge mortality fully,
+# partly or not at all. Social welfare's entry is its long-run factor.
+# Each entry takes theta and alpha, one point's or a column of them. Its keys
+# are the case kinds.
+_EXPONENTS = {
+    "individual": lambda theta, alpha: (1.0, 0.0, 1.0),
+    "dynasty": lambda theta, alpha: (1.0, 1.0, 1.0),
+    "dynasty_theta": lambda theta, alpha: (1.0, theta, theta),
+    "lineage": lambda theta, alpha: (1.0, alpha, 1.0),
+    "social_welfare": lambda theta, alpha: (1.0, 1.0, 1.0),
+    "known_extinction": lambda theta, alpha: (0.0, 0.0, 1.0),
+}
 
 
 @dataclass(frozen=True)
@@ -121,8 +129,8 @@ class Scenario:
     T: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _CASE_KINDS:
-            raise ValueError(f"kind must be one of {_CASE_KINDS}, got {self.kind!r}")
+        if self.kind not in _EXPONENTS:
+            raise ValueError(f"kind must be one of {tuple(_EXPONENTS)}, got {self.kind!r}")
         if self.kind == "known_extinction":
             _check_int("the known extinction date T", self.T, 0)
         elif self.T is not None:
@@ -167,22 +175,6 @@ class FinitenessResult:
     finite: bool
     product: float
     margin: float  # 1 - product; positive means finite
-
-
-# --- the factor table ----------------------------------------------------------
-
-# Every per-period discount factor is (1-M)**eM (1+b)**eb (1-m)**em. Extinction
-# risk enters every case but the known date; births hedge mortality fully,
-# partly or not at all. Social welfare's entry is its long-run factor.
-# Each entry takes theta and alpha, one point's or a column of them.
-_EXPONENTS = {
-    "individual": lambda theta, alpha: (1.0, 0.0, 1.0),
-    "dynasty": lambda theta, alpha: (1.0, 1.0, 1.0),
-    "social_welfare": lambda theta, alpha: (1.0, 1.0, 1.0),
-    "dynasty_theta": lambda theta, alpha: (1.0, theta, theta),
-    "lineage": lambda theta, alpha: (1.0, alpha, 1.0),
-    "known_extinction": lambda theta, alpha: (0.0, 0.0, 1.0),
-}
 
 
 def factor_exponents(case: Scenario, params: HazardParams) -> Tuple[float, float, float]:
@@ -309,26 +301,34 @@ def weight_sequence(case: Scenario, params: HazardParams, length: int) -> np.nda
 # --- closed-form core ---------------------------------------------------------
 
 _RANGE = "the series leaves float range: math range error"  # an exp or expm1 overflowed
-_CHUNK_T = 4096  # prefix dates per block, as in _known_date_sum
+_CHUNK_T = 4096  # dates per block of the prefix and of _known_date_sum
 _BLOCK = 1 << 12  # rows x prefix dates per pass of the core: bounds its memory
 
 
 class _Failures:
-    """The first exception of each row, recorded in the order one row's evaluation meets them."""
+    """The first failure of each row, recorded in the order one row's evaluation meets them.
+
+    A failure is (exception type, message, the row it was recorded as), the message a str or
+    a function of that row; only ``error`` builds the exception, so a divergent row has none.
+    """
 
     def __init__(self, n: int) -> None:
         self.bad = np.zeros(n, dtype=bool)
-        self.exc: Dict[int, Exception] = {}
+        self.exc: Dict[int, Tuple[type, Union[str, Callable[[int], str]], int]] = {}
 
-    def add(self, mask: np.ndarray, make: Callable[[int], Exception]) -> None:
-        """Rows i with mask[i] fail with make(i), unless they failed before."""
+    def add(self, mask: np.ndarray, kind: type, message: Union[str, Callable[[int], str]]) -> None:
+        """Rows i with mask[i] fail as (kind, message, i), unless they failed before."""
         if not mask.any():
             return
         new = mask.nonzero()[0]
         new = new[~self.bad[new]]
         self.bad[new] = True
         for i in new.tolist():
-            self.exc[i] = make(i)
+            self.exc[i] = (kind, message, i)
+
+    def error(self, i: int) -> Exception:
+        kind, message, row = self.exc[i]
+        return kind(message if isinstance(message, str) else message(row))
 
 
 def _log_parts(
@@ -577,14 +577,14 @@ def _closed(
     """
     n, p = len(rows.pref), path.prefix_len
     pref, mod = rows.pref, rows.mod
-    fails.add(~np.isfinite(pref),
-              lambda i: ValueError(f"the prefactor {float(pref[i])!r} leaves float range"))
+    fails.add(~np.isfinite(pref), ValueError,
+              lambda i: f"the prefactor {float(pref[i])!r} leaves float range")
     try:
         terms, error = _tail_terms(path, u), None
     except OverflowError as exc:
-        terms, error = (), ValueError(f"the series leaves float range: {exc}")
+        terms, error = (), (ValueError, f"the series leaves float range: {exc}")
     except ValueError as exc:
-        terms, error = (), exc
+        terms, error = (), (type(exc), str(exc))
     # every log sum in one pass: log r and log r q, each plus each growth of the tail
     growths = list(dict.fromkeys([0.0] + [t.log_growth for t in terms]))
     parts = np.empty((len(growths), 2, n, 4))
@@ -592,16 +592,16 @@ def _closed(
     parts[..., 3] = np.array(growths)[:, None, None]
     LS, dS = (x.reshape(-1, 2, n) for x in _log_sum(parts.reshape(-1, 4)))
     L, dL = LS[0, 0], dS[0, 0]
-    fails.add(~(L < 0.0), lambda i: DivergenceError(f"weight ratio {math.exp(L[i]):.6g} >= 1"))
+    fails.add(~(L < 0.0), DivergenceError, lambda i: f"weight ratio {math.exp(L[i]):.6g} >= 1")
     live = L > -np.inf  # else r = 0 and only the date-0 term survives
     step = np.where(live, dL + _U * np.abs(L), 0.0)  # r**t gains this relative error per period
     uc, e_u, over = _utility(u, np.array(path.prefix))
     if over.any():
-        fails.add(np.where(live, True, over[0]), lambda i: ValueError(_RANGE))
+        fails.add(np.where(live, True, over[0]), ValueError, _RANGE)
 
     # the tail past the prefix, in rows with r > 0
     if error is not None:
-        fails.add(live, lambda i: error)
+        fails.add(live, *error)
     need_h2 = bool(terms) and terms[-1].arith  # an arithmetic term comes last
     values, errs, tail_under = [], [], []
     kernels: Dict[float, Tuple[np.ndarray, ...]] = {}
@@ -614,8 +614,8 @@ def _closed(
             j = growths.index(log_g)
             kernels[log_g] = kernel = _kernel(LS[j, 0], dS[j, 0], need_h2, rows,
                                               LS[j, 1], dS[j, 1], a_p, e_a)
-            fails.add(live & (kernel[4] == -np.inf), lambda i: ValueError(_RANGE))
-            fails.add(live & ~(kernel[4] > 0.0), lambda i, g=log_g: DivergenceError(
+            fails.add(live & (kernel[4] == -np.inf), ValueError, _RANGE)
+            fails.add(live & ~(kernel[4] > 0.0), DivergenceError, lambda i, g=log_g: (
                 f"utility tail grows at rate exp({g:.6g}) against weight ratio "
                 f"{math.exp(L[i]):.6g}: log(rho*gamma) = {L[i] + g:.6g} >= 0, "
                 f"the series diverges"))
@@ -658,9 +658,8 @@ def _closed(
     bound = ((bound + np.abs(pref) * slack * _DENORM
               + (_U * np.abs(value) + _sum_error(depth + d) * size))
              * (1.0 + _gamma(p + len(values) + 16)))
-    fails.add(pos & neg, lambda i: ValueError("-inf + inf in fsum"))
-    fails.add(pos | neg | ~np.isfinite(value),
-              lambda i: ValueError("the series value leaves float range"))
+    fails.add(pos & neg, ValueError, "-inf + inf in fsum")
+    fails.add(pos | neg | ~np.isfinite(value), ValueError, "the series value leaves float range")
     return value, bound
 
 
@@ -670,22 +669,20 @@ _NO_EXTINCTION = "M = 0: the extinction-date mixture is defective and the functi
 _TOLERANCE = "tolerance must be finite and > 0"
 
 
-def _preconditions(rows: _Batch, tol: float, fails: _Failures) -> None:
+def _preconditions(rows: _Batch, fails: _Failures) -> None:
     """Fail each row whose parameters its functional rejects, in the order the functional checks.
 
-    A tolerance that is not finite and > 0 fails every row first.
+    The Monte Carlo wrappers (simulate._mc_one) reject with these failures too.
     """
     kinds, M, m, factor = rows.kinds, rows.M, rows.m, rows.factor
-    if not (tol > 0.0 and math.isfinite(tol)):
-        fails.add(np.ones(len(kinds), dtype=bool), lambda i: ValueError(_TOLERANCE))
     individual = kinds == "individual"
     mixes = ~individual & (kinds != "known_extinction")  # a mixture over extinction dates
-    fails.add((kinds == "social_welfare") & ~(rows.b > 0.0), lambda i: ValueError(
-        "social welfare needs b > 0; use welfare_window at b = 0"))
-    fails.add(individual & (m == 0.0) & (M == 0.0), lambda i: DivergenceError(
-        "m = M = 0: joint survival is 1 and expected lifetime utility diverges"))
-    fails.add(mixes & (M == 0.0), lambda i: NoExtinctionError(_NO_EXTINCTION))
-    fails.add(mixes & ~(factor < 1.0), lambda i: DivergenceError(
+    fails.add((kinds == "social_welfare") & ~(rows.b > 0.0), ValueError,
+              "social welfare needs b > 0; use welfare_window at b = 0")
+    fails.add(individual & (m == 0.0) & (M == 0.0), DivergenceError,
+              "m = M = 0: joint survival is 1 and expected lifetime utility diverges")
+    fails.add(mixes & (M == 0.0), NoExtinctionError, _NO_EXTINCTION)
+    fails.add(mixes & ~_finite(kinds, factor), DivergenceError, lambda i: (
         f"{kinds[i]}: finiteness requires the weight product < 1, got "
         f"{factor[i]:.6g} (margin {1.0 - factor[i]:.3g})"))
 
@@ -693,7 +690,7 @@ def _preconditions(rows: _Batch, tol: float, fails: _Failures) -> None:
 class _Results(NamedTuple):
     """A pass's SeriesResult fields and statuses, each a list over its rows, and its failures.
 
-    A failed row's fields are None and ``failed`` holds its exception:
+    A failed row's fields are None and ``failed`` holds its failure:
     DivergenceError gives the status "divergent", ValueError "rejected:
     <reason>" (no row fails with anything else), and every other row reads
     "ok". Every sweep and Monte Carlo row takes its status from here.
@@ -703,12 +700,12 @@ class _Results(NamedTuple):
     truncation_index: List[Optional[int]]
     tail_bound: List[Optional[float]]
     converged: List[Optional[bool]]
-    failed: Dict[int, Exception]
+    failed: _Failures
     status: List[str]
 
     def result(self, i: int) -> Union[SeriesResult, Exception]:
         """Row i's SeriesResult, or the exception its evaluation raises."""
-        return self.failed.get(i) or SeriesResult(
+        return self.failed.error(i) if i in self.failed.exc else SeriesResult(
             self.value[i], self.truncation_index[i], self.tail_bound[i], self.converged[i])
 
 
@@ -718,11 +715,13 @@ def _evaluate_rows(rows: _Batch, path: ConsumptionPath, u: UtilitySpec, tol: flo
 
     A row's result does not depend on the rows beside it, and each row is
     evaluated once: a known date by its finite sum, every other row by the
-    closed form.
+    closed form. A tolerance that is not finite and > 0 fails every row first.
     """
     n = len(rows.kinds)
     fails = _Failures(n)
-    _preconditions(rows, tol, fails)
+    if not (tol > 0.0 and math.isfinite(tol)):
+        fails.add(np.ones(n, dtype=bool), ValueError, _TOLERANCE)
+    _preconditions(rows, fails)
     known = rows.kinds == "known_extinction"
     value, bound = np.zeros((2, n))
     if not known.any():
@@ -741,13 +740,14 @@ def _evaluate_rows(rows: _Batch, path: ConsumptionPath, u: UtilitySpec, tol: flo
             values[i], bounds[i] = _known_date_sum(float(rows.m[i]), T, path, u)
             index[i] = T
         except ValueError as exc:
-            fails.exc[i] = exc
+            fails.exc[i] = (type(exc), str(exc), i)
     status = ["ok"] * n
-    out = _Results(values, index, bounds, [e <= tol for e in bounds], fails.exc, status)
-    for i, exc in fails.exc.items():
+    out = _Results(values, index, bounds, [e <= tol for e in bounds], fails, status)
+    for i, (kind, _, _) in fails.exc.items():
         for cells in out[:4]:
             cells[i] = None
-        status[i] = "divergent" if isinstance(exc, DivergenceError) else f"rejected: {exc}"
+        status[i] = ("divergent" if issubclass(kind, DivergenceError)
+                     else f"rejected: {fails.error(i)}")
     return out
 
 
@@ -858,18 +858,17 @@ def _known_date_sum(
 ) -> Tuple[float, float]:
     """eu_known_T's value and a bound on its absolute error; ValueError outside float range.
 
-    The dates go in blocks of 4096, each a dot product of the weights (1-m)**t
+    The dates go in blocks of _CHUNK_T, each a dot product of the weights (1-m)**t
     with u(c_t), and fsum adds the blocks. The bound adds, per block, gamma_n of
     the summed |w_t u(c_t)| for the dot product, the weights' error (1-m
     rounded once, raised to t, one libm call), the error of u(c_t) and the
     underflow of a weight or a product; then fsum's rounding.
     """
-    if not 0.0 <= m <= 1.0:
-        raise ValueError(f"m must lie in [0, 1], got {m!r}")
+    _check_prob("m", m)
     vals, errs = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is raised below
-        for start in range(0, T + 1, 4096):
-            t = np.arange(start, min(start + 4096, T + 1))
+        for start in range(0, T + 1, _CHUNK_T):
+            t = np.arange(start, min(start + _CHUNK_T, T + 1))
             w = np.power(1.0 - m, t)
             uu, u_err = _utility_values(path, u, start, start + len(t))
             au = np.abs(uu)
@@ -879,9 +878,9 @@ def _known_date_sum(
                         + float((w * (1.0 + r)) @ u_err)
                         + _DENORM * (float(np.sum(au + u_err)) + len(t)))
         value = math.fsum(vals)
-        # the error terms are themselves sums of up to 4096 rounded products
+        # the error terms are themselves sums of up to _CHUNK_T rounded products
         bound = float((math.fsum(errs) + _U * abs(value))
-                      * (1.0 + _rigorous(4.0 * (4096 + 16) * _U)))
+                      * (1.0 + _rigorous(4.0 * (_CHUNK_T + 16) * _U)))
     if not (math.isfinite(value) and math.isfinite(bound)):
         raise ValueError("the series value leaves float range")
     return value, bound
@@ -973,7 +972,7 @@ def ew_social_n0_form(
         inputs = _n0_rows(*row)
     value, bound = _closed(inputs, path, u, fails)
     if fails.exc:
-        raise fails.exc[0]
+        raise fails.error(0)
     return SeriesResult(value=float(value[0]), truncation_index=path.prefix_len - 1,
                         tail_bound=float(bound[0]), converged=bool(bound[0] <= tol))
 

@@ -16,7 +16,7 @@ the comparison, walks the passes of the array core (``series._passes``)
 and sets each case's closed form beside its estimate over a grid; smoothed
 ``simulate`` and ``verify_oracle_grid`` (``verify``) each write one call of
 it. The one-case wrappers (``mc_eu_individual`` and its siblings) sample one
-row the same way.
+row the same way, rejecting as the core does.
 
 The agent-based mode keeps an integer population with Bernoulli deaths and
 stochastic births per survivor, and quantifies the error of the smooth
@@ -37,7 +37,6 @@ import numpy as np
 from .model import (
     ConsumptionPath,
     DegenerateHazardError,
-    DivergenceError,
     HazardParams,
     NoExtinctionError,
     UtilitySpec,
@@ -54,9 +53,10 @@ from .series import (
     Scenario,
     _batch,
     _columns,
+    _Failures,
     _evaluate_rows,
-    _finite,
     _passes,
+    _preconditions,
     _tail_terms,
     welfare_window_terms,
 )
@@ -311,20 +311,18 @@ def _mc_one(
     u: UtilitySpec,
     config: SimulationConfig,
 ) -> SimEstimate:
-    """One case's estimate at one point; raises when there is nothing to sample or it is infinite."""
+    """One case's estimate at one point; raises on no date to sample, else as _preconditions."""
     if case.kind == "individual" and params.is_degenerate:
         raise DegenerateHazardError("m = M = 0: lifetimes are infinite")
-    if case.kind == "social_welfare" and params.b <= 0.0:
-        raise ValueError("social welfare needs b > 0")
     if case.kind == "known_extinction":
         raise ValueError(f"{case.label()} is deterministic: there is no date to sample")
-    if case.kind != "individual" and params.M <= 0.0:
-        raise NoExtinctionError("M = 0: there is no extinction date to sample")
     rows = _batch(_columns([params]), [case])
-    growth = float(rows.growth[0])
-    if case.kind != "individual" and not _finite(case.kind, rows.factor[0]):
-        raise DivergenceError(f"(1-M) * {growth:.6g} >= 1: the expectation is infinite")
-    return _estimates(params, {case: _table(case, params, growth, path, u, config)}, config)[case]
+    fails = _Failures(1)
+    _preconditions(rows, fails)
+    if fails.exc:
+        raise fails.error(0)
+    table = _table(case, params, float(rows.growth[0]), path, u, config)
+    return _estimates(params, {case: table}, config)[case]
 
 
 def mc_eu_individual(
@@ -383,14 +381,12 @@ def mc_ew_social(
 def _offspring(
     rng: np.random.Generator, survivors: np.ndarray, b: float, law: str
 ) -> np.ndarray:
-    """Births per survivor count, held at 2**63 - 1 where they would pass it."""
+    """Births per survivor count, held at 2**63 - 1; the study checked bernoulli-pair's b <= 2."""
     if law == "poisson":
         try:
             return rng.poisson(b * survivors)
         except ValueError:  # numpy draws no mean within 10 sd of 2**63: the largest count passes it
             return np.where(survivors == survivors.max(), _INT64_MAX, 0)
-    if b > 2.0:
-        raise ValueError("bernoulli-pair needs b <= 2 (pair probability b/2)")
     pairs = rng.binomial(survivors, b / 2.0)
     return np.where(pairs > _INT64_MAX // 2, _INT64_MAX, 2 * pairs)
 
@@ -434,11 +430,14 @@ def abm_smoothing_study(
     every head count (common random numbers), so the rows differ only through
     integer-population noise, which shrinks as 1/sqrt(n0). All head counts
     advance together on one offspring stream, so a row depends on the whole
-    n0_values list. A population that passes 2**63 - 1, int64's largest
-    value, raises ValueError naming its n0 and the period.
+    n0_values list. A population that passes 2**63 - 1, int64's largest value,
+    raises ValueError naming its n0 and the period. bernoulli-pair needs
+    b <= 2, which is checked before any draw.
     """
     if params.b <= 0.0:
         raise ValueError("the smoothed comparison needs b > 0")
+    if config.offspring_law == "bernoulli-pair" and params.b > 2.0:
+        raise ValueError("bernoulli-pair needs b <= 2 (pair probability b/2)")
     if len(n0_values) == 0 or any(isinstance(n0, bool) or not isinstance(n0, numbers.Integral)
                             or not 1 <= n0 < 2**63 for n0 in n0_values):
         raise ValueError("head counts must be a non-empty list of positive integers below 2**63")

@@ -7,6 +7,7 @@ verify build different batches, so a row's cells must not depend on the rows
 beside it.
 """
 
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -126,6 +127,40 @@ def test_each_row_enters_the_closed_form_once_and_a_known_date_never(monkeypatch
     assert sizes == []
     ew_social(HazardParams(m=0.02, M=0.01).with_n_zero(), path, u)  # n = 0: one row, not two
     assert sizes == [1]
+
+
+def test_a_divergent_row_builds_its_exception_only_when_a_one_row_call_raises_it(monkeypatch):
+    built = []
+
+    class Spy(DivergenceError):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(series, "DivergenceError", Spy)
+    # CRRA at sigma = 3 grows 4x a period on a ratio-0.5 tail, past every weight ratio
+    path, u = ConsumptionPath(prefix=PREFIX, tail="geometric", ratio=0.5), UtilitySpec.crra(3.0)
+    grid = [HazardParams(m=0.02, M=0.01, b=b) for b in (0.003, 0.01, 0.5)]
+    cases = [known_extinction(3), Scenario("dynasty"), Scenario("individual")]
+    assert [r.status for r in scenario_sweep(grid, cases, path, u)] == \
+        ["ok", "divergent", "divergent"] * 3
+    assert all(s != "ok" for b in _sweep_columns(_columns(grid), cases, path, u, 1e-10)
+               for s in b["status"][1::3])
+    assert built == []
+    # a message reads its row in the pass that recorded it, here the closed form's, which
+    # holds no known dates: each row raises what it raises alone
+    results = series._evaluate_rows(series._batch(_columns(grid), cases), path, u, 1e-10)
+    for i, (params, case) in enumerate(itertools.product(grid, cases)):
+        if case.kind != "known_extinction":
+            with pytest.raises(Spy) as exc:
+                evaluate(case, params, path, u)
+            assert (type(results.result(i)), str(results.result(i))) == (Spy, str(exc.value))
+    assert str(exc.value) == ("utility tail grows at rate exp(1.38629) against weight ratio "
+                              "0.9702: log(rho*gamma) = 1.35604 >= 0, the series diverges")
+    with pytest.raises(Spy) as exc:
+        evaluate(Scenario("dynasty"), grid[2], path, u)
+    assert str(exc.value) == ("dynasty: finiteness requires the weight product < 1, got 1.4553 "
+                              "(margin -0.455)")
 
 
 def test_every_rejection_message_is_the_functional_s():

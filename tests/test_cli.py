@@ -33,7 +33,7 @@ from extrisk import analysis, cli
 from extrisk.analysis import scenario_sweep
 from extrisk.cli import run as cli_run
 from extrisk.series import Scenario, _batch, _points, factor_exponents
-from extrisk.simulate import VERIFY_GRID, VERIFY_PATH
+from extrisk.simulate import VERIFY_GRID, VERIFY_PATH, SimulationConfig, abm_smoothing_study
 
 
 def write_config(tmp_path: Path, payload) -> str:
@@ -353,6 +353,20 @@ def test_an_empty_case_list_writes_header_only(tmp_path, sub, columns):
     assert (out / f"{sub}.csv").read_text(encoding="utf-8") == ",".join(columns) + "\n"
 
 
+def test_column_lists_are_the_keys_of_the_records_they_write():
+    row = scenario_sweep([VERIFY_GRID[0]], [DYNASTY], VERIFY_PATH, UtilitySpec.log())[0]
+    assert cli._SWEEP_COLUMNS == list(row.to_dict())
+    params = HazardParams(m=0.1, M=0.5, b=0.1)
+    study = abm_smoothing_study(params, VERIFY_PATH, UtilitySpec.log(), [1, 2],
+                                SimulationConfig(replications=10, seed=0, mode="agent"))
+    assert cli._ABM_COLUMNS == list(cli._abm_rows([params], iter([study]))[0])
+    # derived from HazardParams and the factor table, they still read as README states them
+    assert cli._GRID_DEFAULTS == {"m": None, "M": None, "b": [0.0], "theta": [1.0],
+                                  "alpha": [0.5], "N0": [1.0]}
+    assert cli._CASE_NAMES == ("individual", "dynasty", "dynasty_theta", "lineage",
+                               "social_welfare")
+
+
 # --- other subcommands ------------------------------------------------------------
 
 
@@ -608,6 +622,22 @@ def test_agent_mode_population_grown_past_int64_is_a_config_error_naming_the_cau
     assert not out.exists()
 
 
+@pytest.mark.parametrize("M", [0.5, 1.0])
+def test_agent_mode_bernoulli_pairs_above_b_2_are_a_config_error_at_every_hazard(tmp_path, capsys,
+                                                                                 M):
+    # at M = 1 no run lives past date 0, so no birth is drawn: the check comes before the draws
+    cfg = write_config(tmp_path, {
+        "grid": {"m": [0.1], "M": [M], "b": [3.0]},
+        "simulation": {"replications": 50, "seed": 1, "mode": "agent",
+                       "offspring_law": "bernoulli-pair"},
+    })
+    out = tmp_path / "abm"
+    assert cli_run(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"config error: agent-mode simulate at m=0.1, M={M}, "
+                                       "b=3.0: bernoulli-pair needs b <= 2 (pair probability b/2)\n")
+    assert not out.exists()
+
+
 def _run_fresh(argv):
     """Run ``python argv`` in a fresh interpreter that imports extrisk from this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -737,6 +767,15 @@ def test_outputs_get_the_umask_mode(tmp_path, umask, mode):
         os.umask(old)
     for name in ("table1.csv", "table1.json"):
         assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
+
+def test_a_write_never_touches_the_process_umask(tmp_path, monkeypatch):
+    def umask(mask):
+        raise AssertionError("os.umask called during a write")
+
+    monkeypatch.setattr(os, "umask", umask)
+    assert cli_run(["table1", "--out", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table1.csv", "table1.json"]
 
 
 def test_format_csv_only(tmp_path):

@@ -76,3 +76,10 @@ def test_factor_table(case, params):
         for closed, fd, h in ((reg.d_factor_d_M, reg.fd_d_factor_d_M, dM),
                               (reg.d_factor_d_m, reg.fd_d_factor_d_m, dm)):
             assert fd == pytest.approx(closed, rel=1e-5, abs=4 * ULP * (1.0 + factor) / h)
+
+
+def test_the_case_kinds_are_the_factor_table_s_keys():
+    with pytest.raises(ValueError) as exc:
+        Scenario("x")
+    assert str(exc.value) == ("kind must be one of ('individual', 'dynasty', 'dynasty_theta', "
+                              "'lineage', 'social_welfare', 'known_extinction'), got 'x'")

@@ -18,6 +18,7 @@ from extrisk import (
     HazardParams,
     NoExtinctionError,
     UtilitySpec,
+    eu_known_T,
     extinction_pmf,
     lifetime_cdf,
     lifetime_pmf,
@@ -397,6 +398,24 @@ def test_log_rejects_nonpositive_consumption():
     (lambda: UtilitySpec("log", sigma=2.0), "log utility takes no sigma"),
 ], ids=["negative-date", "reversed-range", "unknown-family", "log-with-sigma"])
 def test_paths_and_utilities_reject_what_they_cannot_evaluate(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+# a bool or a str is not a hazard or a sigma, as HazardParams already says of its fields
+@pytest.mark.parametrize("call, message", [
+    (lambda: eu_known_T(True, 3, ConsumptionPath.constant(2.0), UtilitySpec.log()),
+     "m must lie in [0, 1], got True"),
+    (lambda: eu_known_T("0.5", 3, ConsumptionPath.constant(2.0), UtilitySpec.log()),
+     "m must lie in [0, 1], got '0.5'"),
+    (lambda: extinction_pmf(True, 2), "M must lie in [0, 1], got True"),
+    (lambda: lifetime_pmf_known_T(True, 2, 1), "m must lie in [0, 1], got True"),
+    (lambda: UtilitySpec.crra("2"), "crra needs a finite sigma > 0"),
+    (lambda: UtilitySpec.crra(True), "crra needs a finite sigma > 0"),
+], ids=["known-date-bool", "known-date-str", "extinction-pmf-bool", "known-pmf-bool",
+        "sigma-str", "sigma-bool"])
+def test_hazards_and_sigma_must_be_numbers(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message

@@ -29,6 +29,7 @@ from extrisk import (
     default_horizon_cap,
     eg_lineage,
     eu_individual,
+    evaluate,
     ev_dynasty_theta,
     ew_social,
     mc_compare,
@@ -156,19 +157,39 @@ def test_mc_ew_general_point():
 # --- rejections ------------------------------------------------------------------------
 
 
+def core_rejection(case, params):
+    """The type and message of the exception the closed form raises at one row."""
+    with pytest.raises((ValueError, DivergenceError)) as exc:
+        evaluate(case, params, ONE, LINEAR)
+    return type(exc.value), str(exc.value)
+
+
 def test_mc_rejections():
     with pytest.raises(DegenerateHazardError):
         mc_eu_individual(HazardParams(m=0.0, M=0.0), ONE, LINEAR, CFG)
-    with pytest.raises(NoExtinctionError):
+    with pytest.raises(NoExtinctionError) as no_date:
         mc_ev_dynasty(HazardParams(m=0.1, M=0.0, b=0.1), ONE, LINEAR, 1.0, CFG)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError) as dynasty:
         mc_ev_dynasty(HazardParams(m=0.0, M=0.005, b=0.01), ONE, LINEAR, 1.0, CFG)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError) as social:
         mc_ew_social(HazardParams(m=0.02, M=0.004, b=0.05), ONE, LINEAR, CFG)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as no_births:
         mc_ew_social(HazardParams(m=0.02, M=0.01, b=0.0), ONE, LINEAR, CFG)
     with pytest.raises(ValueError):
         mc_ev_dynasty(HazardParams(m=0.1, M=0.1, b=0.1), ONE, LINEAR, 1.5, CFG)
+    # each wrapper's rejection is the array core's, type and message
+    for exc, case, params in [
+        (no_date, DYNASTY_THETA, HazardParams(m=0.1, M=0.0, b=0.1)),
+        (dynasty, DYNASTY_THETA, HazardParams(m=0.0, M=0.005, b=0.01)),
+        (social, SOCIAL_WELFARE, HazardParams(m=0.02, M=0.004, b=0.05)),
+        (no_births, SOCIAL_WELFARE, HazardParams(m=0.02, M=0.01, b=0.0)),
+    ]:
+        assert (type(exc.value), str(exc.value)) == core_rejection(case, params)
+    assert str(no_date.value) == ("M = 0: the extinction-date mixture is defective and the "
+                                  "functional undefined")
+    assert str(dynasty.value) == ("dynasty_theta: finiteness requires the weight product < 1, "
+                                  "got 1.00495 (margin -0.00495)")
+    assert str(no_births.value) == "social welfare needs b > 0; use welfare_window at b = 0"
 
 
 def test_simulation_config_validation():
@@ -397,10 +418,13 @@ def test_offspring_mean_preserved(law):
     assert mean_per_survivor == pytest.approx(0.03, abs=0.002)
 
 
-def test_bernoulli_pair_rejects_large_birth_rate():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        _offspring(rng, np.int64(10), 2.5, "bernoulli-pair")
+# at M = 1 every run ends at date 0 and draws no births, so only a check before the draws sees b
+@pytest.mark.parametrize("M", [0.5, 1.0])
+def test_bernoulli_pair_rejects_large_birth_rate(M):
+    cfg = SimulationConfig(replications=50, seed=1, mode="agent", offspring_law="bernoulli-pair")
+    with pytest.raises(ValueError) as exc:
+        abm_smoothing_study(HazardParams(m=0.1, M=M, b=3.0), ONE, LINEAR, [1, 10], cfg)
+    assert str(exc.value) == "bernoulli-pair needs b <= 2 (pair probability b/2)"
 
 
 # --- agent-based runs ---------------------------------------------------------------------

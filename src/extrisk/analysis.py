@@ -28,6 +28,7 @@ from .series import (
     SeriesResult,
     _batch,
     _Batch,
+    _check_births,
     _columns,
     _evaluate_rows,
     _finite,
@@ -138,8 +139,7 @@ def factor_from_weights(case: Scenario, params: HazardParams) -> float:
 
 def discount_profile(params: HazardParams, horizon: int) -> DiscountProfile:
     """Social-welfare weight-ratio profile r_0, ..., r_{horizon-1}. Needs b > 0."""
-    if params.b <= 0.0:
-        raise ValueError("the social-welfare profile is undefined at b = 0")
+    _check_births(params.b)
     _check_int("horizon", horizon, 1)
     long_run = (1.0 - params.M) * params.gross_growth
     a = one_minus_q_power(params.b, np.arange(1, horizon + 2))  # a[k] = 1 - q**(k+1)

@@ -37,11 +37,11 @@ import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 from types import NoneType
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
-from .model import ConsumptionPath, HazardParams, UtilitySpec
+from .model import ConsumptionPath, HazardParams, UtilitySpec, _is_number
 from .series import _EXPONENTS, DEFAULT_TOLERANCE, Scenario, _columns, _points
 from .analysis import (_PARAMS, _SENSITIVITY_CELLS, _SWEEP_CELLS, _factor_columns,
                        _profile_columns, _sensitivity_columns, _sweep_columns)
@@ -52,6 +52,7 @@ from .simulate import (
     VERIFY_PATH,
     VERIFY_UTILITY,
     _VERIFY_SEED_STEP,
+    _check_head_counts,
     abm_smoothing_study,
     mc_compare,
     reproducibility_selfcheck,
@@ -92,7 +93,7 @@ def _as_float_list(value: Any, where: str) -> List[float]:
 
 
 def _check_number(x: Any, where: str) -> None:
-    if not isinstance(x, (int, float)) or isinstance(x, bool):
+    if not _is_number(x):
         raise ConfigError(f"{where}: expected a number, got {x!r}")
 
 
@@ -182,10 +183,10 @@ class RunConfig:
     def from_dict(cls, raw: Dict[str, Any]) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("top level: expected a JSON object")
-        known = {"cases", "grid", "path", "utility", "tolerance", "simulation", "horizon"}
-        extra = set(raw) - known
-        if extra:
-            raise ConfigError(f"{extra.pop()}: unknown top-level key")
+        known = {f.name for f in fields(cls)} - {"n0_values"}  # the simulation object holds it
+        unknown = [key for key in raw if key not in known]
+        if unknown:
+            raise ConfigError(f"{unknown[0]}: unknown top-level key")
         if "grid" not in raw:
             raise ConfigError("grid: required")
         horizon = raw.get("horizon", 2100)
@@ -197,10 +198,10 @@ class RunConfig:
             sim = {"replications": _REPLICATIONS, **sim}
             if "n0_values" in sim:  # agent mode's, not SimulationConfig's
                 n0_values = sim.pop("n0_values")
-                if not (isinstance(n0_values, list) and n0_values
-                        and all(type(v) is int and 1 <= v < 2**63 for v in n0_values)):
-                    raise ConfigError("simulation.n0_values: expected a list of positive integers "
-                                      "below 2**63")
+                try:
+                    _check_head_counts(n0_values)
+                except ValueError as exc:
+                    raise ConfigError(f"simulation.n0_values: {exc}")
         return cls(
             cases=_parse_cases(raw.get("cases")),
             grid=_parse_grid(raw["grid"]),
@@ -227,8 +228,8 @@ def _reject_constant(name: str) -> Any:
 
 
 def _positive_finite(x: Any, where: str) -> float:
-    """x as a float when it is a finite number > 0 (a bool is not a number here)."""
-    if type(x) not in (int, float) or not (x > 0 and math.isfinite(x)):
+    """x as a float when it is a finite number > 0."""
+    if not (_is_number(x) and x > 0 and math.isfinite(x)):
         raise ConfigError(f"{where} must be finite and > 0, got {x!r}")
     return float(x)
 
@@ -496,6 +497,31 @@ def _abm_rows(grid: Sequence[HazardParams], studies: Iterator[List[Any]]) -> Lis
     return rows
 
 
+def _pooled(study: Callable[[HazardParams], List[Any]], points: Sequence[HazardParams],
+            workers: int) -> Iterator[List[Any]]:
+    """map(study, points) on a pool of worker processes, each taking the next point when free.
+
+    Once a study fails, no further one starts, and the results raise the
+    first failure in grid order: every point before it has run.
+    """
+    # imported here: about 12 ms that every other run would pay at start-up
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
+    # fork, not 3.14's forkserver default, under which each worker re-imports numpy
+    ctx = multiprocessing.get_context("fork") if sys.platform == "linux" else None
+    futures, running = [], set()
+    with ProcessPoolExecutor(workers, mp_context=ctx) as pool:
+        for params in points:
+            if len(running) == workers:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                if any(future.exception() for future in done):
+                    break
+            futures.append(pool.submit(study, params))
+            running.add(futures[-1])
+    return (future.result() for future in futures)
+
+
 def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
     cfg = _load_config(args, required=True)
     if not reproducibility_selfcheck():
@@ -506,17 +532,8 @@ def _cmd_simulate(args: argparse.Namespace, out_dir: Path) -> int:
         study = functools.partial(abm_smoothing_study, path=cfg.path, u=cfg.utility,
                                   n0_values=cfg.n0_values, config=sim)
         workers = max(1, min(len(points), _usable_cpus()))
-        if workers > 1:
-            # imported here: about 12 ms that every other run would pay at start-up
-            import concurrent.futures
-            import multiprocessing
-
-            # fork, not 3.14's forkserver default, under which each worker re-imports numpy
-            ctx = multiprocessing.get_context("fork") if sys.platform == "linux" else None
-            with concurrent.futures.ProcessPoolExecutor(workers, mp_context=ctx) as pool:
-                rows = _abm_rows(points, pool.map(study, points))
-        else:
-            rows = _abm_rows(points, map(study, points))
+        rows = _abm_rows(points, _pooled(study, points, workers) if workers > 1
+                         else map(study, points))
         hit = max((row["cap_hit_fraction"] for row in rows), default=0.0)
         print(f"simulate: {len(rows)} rows, grid points {len(points)}, workers {workers}; "
               f"max cap_hit_fraction {hit:.3g}")

@@ -274,6 +274,15 @@ def _finite(kind: Union[str, np.ndarray], product: Union[float, np.ndarray]
     return (kind == "known_extinction") | (product < 1.0)
 
 
+_NO_BIRTHS = "social welfare needs b > 0; use welfare_window at b = 0"
+
+
+def _check_births(b: float) -> None:
+    """Social welfare's rule: its closed form divides by the birth rate b."""
+    if not b > 0.0:
+        raise ValueError(_NO_BIRTHS)
+
+
 def weight_sequence(case: Scenario, params: HazardParams, length: int) -> np.ndarray:
     """First ``length`` series weights w_0, w_1, ... of the case.
 
@@ -283,10 +292,9 @@ def weight_sequence(case: Scenario, params: HazardParams, length: int) -> np.nda
     weights are zero strictly after T.
     """
     _check_int("length", length, 0)
-    if case.kind == "social_welfare" and params.b <= 0.0:
-        raise ValueError("social welfare weights need b > 0")
     factor = float(_batch(_columns([params]), [case]).factor[0])
     if case.kind == "social_welfare":
+        _check_births(params.b)
         t = np.arange(length)
         pref = params.N0 * (1.0 + params.b) / params.b
         return pref * np.power(factor, t) * one_minus_q_power(params.b, t + 1)
@@ -563,7 +571,6 @@ def _kernel(
     return h1, e1, h2, e2, om
 
 
-@np.errstate(all="ignore")  # failed rows carry inf and nan
 def _closed(
     rows: _Rows, path: ConsumptionPath, u: UtilitySpec, fails: _Failures
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -573,7 +580,8 @@ def _closed(
     _tail_terms takes one kernel. A row whose r >= 1 or whose tail term
     outgrows the weights fails with DivergenceError, one that leaves float
     range with ValueError, recorded in fails; the row's value and bound then
-    mean nothing.
+    mean nothing. Call it under np.errstate(all="ignore"): failed rows carry
+    inf and nan.
     """
     n, p = len(rows.pref), path.prefix_len
     pref, mod = rows.pref, rows.mod
@@ -677,8 +685,7 @@ def _preconditions(rows: _Batch, fails: _Failures) -> None:
     kinds, M, m, factor = rows.kinds, rows.M, rows.m, rows.factor
     individual = kinds == "individual"
     mixes = ~individual & (kinds != "known_extinction")  # a mixture over extinction dates
-    fails.add((kinds == "social_welfare") & ~(rows.b > 0.0), ValueError,
-              "social welfare needs b > 0; use welfare_window at b = 0")
+    fails.add((kinds == "social_welfare") & ~(rows.b > 0.0), ValueError, _NO_BIRTHS)
     fails.add(individual & (m == 0.0) & (M == 0.0), DivergenceError,
               "m = M = 0: joint survival is 1 and expected lifetime utility diverges")
     fails.add(mixes & (M == 0.0), NoExtinctionError, _NO_EXTINCTION)
@@ -894,8 +901,7 @@ def welfare_window_terms(
     term_t = N0 (1+b)/b * u(c_t) (1+n)**t (1 - (1+b)**-(t+1)); requires b > 0.
     """
     _check_int("length", length, 0)
-    if params.b <= 0.0:
-        raise ValueError("the closed-form window terms need b > 0")
+    _check_births(params.b)
     t = np.arange(length)
     uu = np.asarray(u(path.values(0, length)), dtype=float)
     pref = params.N0 * (1.0 + params.b) / params.b
@@ -968,9 +974,8 @@ def ew_social_n0_form(
         raise ValueError(_TOLERANCE)
     fails = _Failures(1)
     row = [np.array([x]) for x in (params.M, params.m, params.N0)]
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf
-        inputs = _n0_rows(*row)
-    value, bound = _closed(inputs, path, u, fails)
+    with np.errstate(all="ignore"):  # log1p(-1) = -inf, and a failed row carries inf and nan
+        value, bound = _closed(_n0_rows(*row), path, u, fails)
     if fails.exc:
         raise fails.error(0)
     return SeriesResult(value=float(value[0]), truncation_index=path.prefix_len - 1,

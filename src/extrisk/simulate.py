@@ -27,6 +27,7 @@ by the sampler of smoothed mode.
 
 from __future__ import annotations
 
+import collections.abc
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -52,6 +53,7 @@ from .series import (
     SOCIAL_WELFARE,
     Scenario,
     _batch,
+    _check_births,
     _columns,
     _Failures,
     _evaluate_rows,
@@ -92,8 +94,11 @@ class SimulationConfig:
     """Run description: replication count, master seed, horizon cap, mode.
 
     horizon_cap=None derives the smallest cap H with survival**H < 1e-12 for
-    the sampled date; draws beyond the cap are clipped and their frequency
-    reported as truncated_mass, never silently dropped.
+    the sampled date (``cap``); draws beyond the cap are clipped and their
+    frequency reported as truncated_mass, never silently dropped. A cap,
+    given or derived, is at most 2**21 dates: a table or histogram of that
+    many dates is 16 MB, and a larger given cap is rejected here, before any
+    array is allocated.
     """
 
     replications: int = 1_000_000
@@ -111,10 +116,17 @@ class SimulationConfig:
             raise ValueError("seed must be an unsigned 64-bit integer")
         if self.horizon_cap is not None:
             _check_int("horizon_cap", self.horizon_cap, 1)
+            if self.horizon_cap > _CAP_LIMIT:
+                raise ValueError(f"horizon_cap must be at most 2**21 = {_CAP_LIMIT}, "
+                                 f"got {self.horizon_cap!r}")
         if self.mode not in ("smoothed", "agent"):
             raise ValueError(f"mode must be 'smoothed' or 'agent', got {self.mode!r}")
         if self.offspring_law not in ("poisson", "bernoulli-pair"):
             raise ValueError(f"unknown offspring law {self.offspring_law!r}")
+
+    def cap(self, survival: float) -> int:
+        """The horizon cap of a date that survives each period with this probability."""
+        return self.horizon_cap or default_horizon_cap(survival)
 
 
 @dataclass(frozen=True)
@@ -167,7 +179,7 @@ def _table(
     built.
     """
     _, _, survival, g = _date(case, params, growth)
-    cap = config.horizon_cap or default_horizon_cap(survival)
+    cap = config.cap(survival)
     if case.kind == "social_welfare":
         return np.cumsum(welfare_window_terms(params, path, u, cap + 1))
     uu = np.asarray(u(path.values(0, cap + 1)), dtype=float)
@@ -413,6 +425,16 @@ class SmoothingGapRow:
     welfare_gap_se: float
 
 
+def _check_head_counts(n0_values: Any) -> None:
+    """Agent mode's head counts, which int64 holds: a non-empty sequence or numpy array of
+    integers in [1, 2**63 - 1], else ValueError.
+    """
+    if not (isinstance(n0_values, (collections.abc.Sequence, np.ndarray)) and len(n0_values)
+            and all(not isinstance(n0, bool) and isinstance(n0, numbers.Integral)
+                    and 1 <= n0 <= _INT64_MAX for n0 in n0_values)):
+        raise ValueError("head counts must be a non-empty list of positive integers below 2**63")
+
+
 def abm_smoothing_study(
     params: HazardParams,
     path: ConsumptionPath,
@@ -431,20 +453,22 @@ def abm_smoothing_study(
     integer-population noise, which shrinks as 1/sqrt(n0). All head counts
     advance together on one offspring stream, so a row depends on the whole
     n0_values list. A population that passes 2**63 - 1, int64's largest value,
-    raises ValueError naming its n0 and the period. bernoulli-pair needs
-    b <= 2, which is checked before any draw.
+    raises ValueError naming its n0 and the period.
+
+    Before any draw the study rejects, in this order: b = 0 with social
+    welfare's one message (the smoothed window divides by b), b > 2 under
+    bernoulli-pair, head counts outside ``_check_head_counts`` (the rule the
+    CLI's config check shares) and M = 0. The horizon cap is ``config.cap``
+    of the extinction date's survival 1 - M.
     """
-    if params.b <= 0.0:
-        raise ValueError("the smoothed comparison needs b > 0")
+    _check_births(params.b)
     if config.offspring_law == "bernoulli-pair" and params.b > 2.0:
         raise ValueError("bernoulli-pair needs b <= 2 (pair probability b/2)")
-    if len(n0_values) == 0 or any(isinstance(n0, bool) or not isinstance(n0, numbers.Integral)
-                            or not 1 <= n0 < 2**63 for n0 in n0_values):
-        raise ValueError("head counts must be a non-empty list of positive integers below 2**63")
+    _check_head_counts(n0_values)
     if params.M <= 0.0:
         raise NoExtinctionError("the study mixes over extinction dates; needs M > 0")
     reps = config.replications
-    cap = config.horizon_cap or default_horizon_cap(1.0 - params.M)
+    cap = config.cap(1.0 - params.M)
     rng_T = np.random.default_rng(np.random.SeedSequence([config.seed, _TAG_ABM_T]))
     counts = sample_date_counts(params.M, reps, cap, rng_T)
     hit_frac = counts[-1] / reps

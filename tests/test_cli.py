@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import functools
 import io
 import itertools
 import json
@@ -10,6 +11,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -235,10 +237,16 @@ _CASE = "expected a case name or {'known_extinction': T}"
     ({"grid": _GRID}, ["--reps", str(2**63)], f"replications must be at most 2**63 - 1, got {2**63}"),
     ({"grid": _GRID, "simulation": {"replications": 10**20}}, [],
      f"simulation: replications must be at most 2**63 - 1, got {10**20}"),
+    # caps that numpy cannot allocate: 7 PiB of tables, 745 GiB of agent-mode dates
+    ({"grid": _GRID, "simulation": {"horizon_cap": 10**15}}, [],
+     f"simulation: horizon_cap must be at most 2**21 = 2097152, got {10**15}"),
+    ({"grid": {**_GRID, "b": [0.03]}, "simulation": {"mode": "agent", "horizon_cap": 10**11}}, [],
+     f"simulation: horizon_cap must be at most 2**21 = 2097152, got {10**11}"),
 ], ids=["linspace-extra-key", "not-linspace", "linspace-short", "linspace-string", "axis-number",
         "grid-list", "no-M", "no-m", "cases-string", "case-number", "case-extra-key",
         "section-list", "section-unknown-key", "top-level-list", "top-level-unknown-key",
-        "no-grid", "seed-override", "reps-override", "replications-past-int64"])
+        "no-grid", "seed-override", "reps-override", "replications-past-int64",
+        "horizon_cap-past-2**21", "agent-horizon_cap-past-2**21"])
 def test_malformed_configs_and_overrides_exit_one_with_their_message(
         tmp_path, capsys, payload, flags, message):
     cfg = write_config(tmp_path, payload)
@@ -599,14 +607,58 @@ def test_agent_mode_head_counts_beyond_int64_are_a_config_error(tmp_path, capsys
     })
     out = tmp_path / "abm"
     assert cli_run(["simulate", "--config", cfg, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == ("config error: simulation.n0_values: expected a list of "
-                                       "positive integers below 2**63\n")
+    assert capsys.readouterr().err == ("config error: simulation.n0_values: head counts must be "
+                                       "a non-empty list of positive integers below 2**63\n")
     assert not out.exists()
     largest = {"grid": {"m": [0.02], "M": [0.05]},
                "simulation": {"mode": "agent", "n0_values": [2**63 - 1]}}
     assert cli.RunConfig.from_dict(largest).n0_values == [2**63 - 1]
     with pytest.raises(cli.ConfigError, match="n0_values"):
         cli.RunConfig.from_dict({**largest, "simulation": {"mode": "agent", "n0_values": [2**63]}})
+
+
+# [1, 2**63] and [10**20] are beyond numpy's int64, which holds the populations
+@pytest.mark.parametrize("n0_values", [[0], [1, 2.5], [1, 2**63], [10**20], [True], [2.0], [],
+                                       "12", 12, None, {"1": 1}])
+def test_config_and_study_reject_the_same_head_counts_with_one_message(n0_values):
+    message = "head counts must be a non-empty list of positive integers below 2**63"
+    with pytest.raises(ValueError) as study:
+        abm_smoothing_study(HazardParams(m=0.1, M=0.1, b=0.1), ConsumptionPath.constant(1.0),
+                            UtilitySpec.linear(), n0_values,
+                            SimulationConfig(replications=10, seed=0, mode="agent"))
+    assert type(study.value) is ValueError and str(study.value) == message
+    with pytest.raises(cli.ConfigError) as config:
+        cli.RunConfig.from_dict({"grid": {"m": [0.1], "M": [0.1], "b": [0.1]},
+                                 "simulation": {"mode": "agent", "n0_values": n0_values}})
+    assert str(config.value) == f"simulation.n0_values: {message}"
+
+
+def _counted_study(params, log, **kwargs):
+    """abm_smoothing_study, noting its start in the file log; a point with births sleeps first."""
+    with open(log, "a", encoding="utf-8") as fh:
+        fh.write(f"{params.b}\n")
+    if params.b > 0.0:
+        time.sleep(0.2)
+    return abm_smoothing_study(params, **kwargs)
+
+
+def test_agent_mode_runs_none_of_its_queued_studies_after_a_point_fails(
+        tmp_path, capsys, monkeypatch):
+    # the first of 10 points fails at once, beside the second, and no other study starts
+    log = tmp_path / "starts"
+    monkeypatch.setattr(cli, "abm_smoothing_study", functools.partial(_counted_study, log=log))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    cfg = write_config(tmp_path, {
+        "grid": {"m": [0.02], "M": [0.05], "b": [0.01 * k for k in range(10)]},
+        "simulation": {"replications": 20, "seed": 3, "mode": "agent", "n0_values": [1, 2]},
+    })
+    out = tmp_path / "abm"
+    assert cli_run(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("config error: agent-mode simulate at m=0.02, M=0.05, "
+                                       "b=0.0: social welfare needs b > 0; use welfare_window "
+                                       "at b = 0\n")
+    assert not out.exists()
+    assert sorted(log.read_text(encoding="utf-8").splitlines()) == ["0.0", "0.01"]
 
 
 def test_agent_mode_population_grown_past_int64_is_a_config_error_naming_the_cause(tmp_path, capsys):

@@ -377,7 +377,7 @@ def test_integer_arguments_reject_floats_bools_and_negatives(name, bad):
 
 
 # each call is outside the domain of its formula: the n = 0 form divides by m and mixes over
-# extinction dates, and the social-welfare weights divide by b
+# extinction dates (social welfare's b > 0 is tested in test_social_welfare.py)
 REJECTIONS = {
     "n0 form at m = 0": (lambda: ew_social_n0_form(HazardParams(m=0.0, M=0.01), ONE, LOG),
                          ValueError, "the n = 0 simplification divides by m; needs m > 0"),
@@ -385,12 +385,6 @@ REJECTIONS = {
                                                    ONE, LOG),
                          NoExtinctionError, "M = 0: the extinction-date mixture is defective "
                                             "and the functional undefined"),
-    "window terms at b = 0": (lambda: welfare_window_terms(HazardParams(m=0.02, M=0.01), ONE,
-                                                           LOG, 5),
-                              ValueError, "the closed-form window terms need b > 0"),
-    "social weights at b = 0": (lambda: weight_sequence(SOCIAL_WELFARE,
-                                                        HazardParams(m=0.02, M=0.01), 5),
-                                ValueError, "social welfare weights need b > 0"),
 }
 
 

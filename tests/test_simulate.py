@@ -397,6 +397,18 @@ def test_default_horizon_cap():
     assert 0.99**cap < 1e-12 <= 0.99 ** (cap - 1)
 
 
+def test_a_cap_past_2_21_is_refused_and_one_method_picks_the_cap():
+    # a 2**21-date table is 16 MB; a given cap of 1e15 would ask numpy for petabytes
+    limit = 2**21
+    assert default_horizon_cap(1.0) == default_horizon_cap(1.0 - 1e-15) == limit
+    assert SimulationConfig().cap(0.99) == default_horizon_cap(0.99)
+    assert SimulationConfig(horizon_cap=limit).cap(0.5) == limit
+    for cap in (limit + 1, 10**15):
+        with pytest.raises(ValueError) as exc:
+            SimulationConfig(horizon_cap=cap)
+        assert str(exc.value) == f"horizon_cap must be at most 2**21 = {limit}, got {cap}"
+
+
 def test_truncated_mass_reported():
     p = HazardParams(m=0.1, M=0.1, b=0.0)
     cfg = SimulationConfig(replications=20_000, seed=9, horizon_cap=5)
@@ -430,22 +442,13 @@ def test_bernoulli_pair_rejects_large_birth_rate(M):
 # --- agent-based runs ---------------------------------------------------------------------
 
 
-# [1, 2**63] and [10**20] are beyond numpy's int64, which holds the populations
-@pytest.mark.parametrize("n0_values", [[0], [1, 2.5], [1, 2**63], [100_000_000_000_000_000_000],
-                                       [True], [2.0], []])
-def test_abm_study_rejects_head_counts_that_are_not_positive_integers(n0_values):
-    p = HazardParams(m=0.1, M=0.1, b=0.1)
-    cfg = SimulationConfig(replications=10, seed=0, mode="agent")
-    with pytest.raises(ValueError, match="head counts"):
-        abm_smoothing_study(p, ONE, LINEAR, n0_values, cfg)
-
-
-# the study compares the smoothed welfare window, which divides by b, over extinction dates
+# the study compares the smoothed welfare window over extinction dates (its b > 0 rule, which
+# the window's division by b sets, is tested in test_social_welfare.py, its head counts in
+# test_cli.py)
 @pytest.mark.parametrize("params, error, message", [
-    (HazardParams(m=0.1, M=0.1), ValueError, "the smoothed comparison needs b > 0"),
     (HazardParams(m=0.1, M=0.0, b=0.1), NoExtinctionError,
      "the study mixes over extinction dates; needs M > 0"),
-], ids=["b=0", "M=0"])
+], ids=["M=0"])
 def test_abm_study_rejects_points_outside_its_comparison(params, error, message):
     cfg = SimulationConfig(replications=10, seed=0, mode="agent")
     with pytest.raises(error) as exc:

@@ -20,10 +20,12 @@ from extrisk import (
     HazardParams,
     NoExtinctionError,
     SOCIAL_WELFARE,
+    SimulationConfig,
     VERIFY_GRID,
     VERIFY_PATH,
     VERIFY_UTILITY,
     UtilitySpec,
+    abm_smoothing_study,
     discount_profile,
     ew_social,
     ew_social_n0_form,
@@ -32,6 +34,8 @@ from extrisk import (
     welfare_window_terms,
     weight_sequence,
 )
+from extrisk.analysis import _sweep_columns
+from extrisk.series import _columns
 
 ONE = ConsumptionPath.constant(1.0)
 LINEAR = UtilitySpec.linear()
@@ -175,6 +179,43 @@ def test_ew_rejections():
     # (1-M)(1+n) = 0.996 * 1.029 >= 1
     with pytest.raises(DivergenceError):
         ew_social(HazardParams(m=0.02, M=0.004, b=0.05), ONE, LINEAR)
+
+
+def _rejection(call):
+    """The message of the ValueError the call raises."""
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert type(exc.value) is ValueError
+    return str(exc.value)
+
+
+def _sweep_reason(params):
+    """The reason in the status cell that sweep writes for social welfare at the point."""
+    (status,) = next(_sweep_columns(_columns([params]), [SOCIAL_WELFARE], ONE, LOG,
+                                    1e-10))["status"]
+    assert status.startswith("rejected: ")
+    return status.removeprefix("rejected: ")
+
+
+NO_BIRTHS = HazardParams(m=0.02, M=0.01)  # b = 0
+# the text each entry point of social welfare's b > 0 rule shows at b = 0: a call's message,
+# or the status cell sweep writes after "rejected: "
+NO_BIRTHS_TEXTS = {
+    "ew_social": lambda: _rejection(lambda: ew_social(NO_BIRTHS, ONE, LOG)),
+    "weight_sequence": lambda: _rejection(lambda: weight_sequence(SOCIAL_WELFARE, NO_BIRTHS, 5)),
+    "welfare_window_terms": lambda: _rejection(
+        lambda: welfare_window_terms(NO_BIRTHS, ONE, LOG, 5)),
+    "discount_profile": lambda: _rejection(lambda: discount_profile(NO_BIRTHS, 10)),
+    "abm_smoothing_study": lambda: _rejection(lambda: abm_smoothing_study(
+        NO_BIRTHS, ONE, LINEAR, [1], SimulationConfig(replications=10, seed=0, mode="agent"))),
+    "sweep status": lambda: _sweep_reason(NO_BIRTHS),
+}
+
+
+@pytest.mark.parametrize("name", NO_BIRTHS_TEXTS)
+def test_every_social_welfare_entry_point_gives_the_one_message_at_b_zero(name):
+    # the closed form divides by b; welfare_window alone falls back to the direct double sum
+    assert NO_BIRTHS_TEXTS[name]() == "social welfare needs b > 0; use welfare_window at b = 0"
 
 
 def test_ew_tail_bound_honest_against_longer_sum():

@@ -220,11 +220,20 @@ class RunConfig:
             text = Path(path).read_text(encoding="utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {path}: {exc}")
-        return cls.from_dict(json.loads(text, parse_constant=_reject_constant))
+        return cls.from_dict(json.loads(text, parse_constant=_reject_constant,
+                                        parse_int=_parse_int))
 
 
 def _reject_constant(name: str) -> Any:
     raise ConfigError(f"{name} is not a number extrisk accepts (non-finite)")
+
+
+def _parse_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # past the interpreter's limit on the digits int() reads, 4300 by default
+        raise ConfigError(f"an integer of {len(text.lstrip('-'))} digits is not a number "
+                          f"extrisk accepts")
 
 
 def _positive_finite(x: Any, where: str) -> float:
@@ -297,7 +306,10 @@ def _write_columns(
     failure leaves the targets untouched and no temp file behind.
     """
     targets = [out_dir / f"{name}.{ext}" for ext in ("csv", "json") if fmt in (ext, "both")]
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file where a directory belongs: FileExistsError, NotADirectoryError
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}")
     tmps: List[str] = []
     try:
         with contextlib.ExitStack() as stack:
@@ -642,6 +654,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an array or list past the address space, refused before allocation
+        print(f"config error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
         return 1
 
 

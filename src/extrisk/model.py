@@ -51,8 +51,16 @@ class DivergenceError(ArithmeticError):
 
 
 def _is_number(value: object) -> bool:
-    """A real number; a bool is not one here."""
-    return type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool))
+    """A real number a float can hold; a bool is not one here, nor an integer past float range."""
+    if type(value) is float:
+        return True
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _check_prob(name: str, value: object) -> None:
@@ -185,15 +193,10 @@ class ConsumptionPath:
     def value(self, t: int) -> float:
         if t < 0:
             raise ValueError("t must be >= 0")
-        if t < len(self.prefix):
-            return self.prefix[t]
-        last = self.prefix[-1]
-        if self.tail == "constant":
-            return last
-        return last * self.ratio ** (t - (len(self.prefix) - 1))
+        return float(self.values(t, t + 1)[0])
 
     def values(self, start: int, stop: int) -> np.ndarray:
-        """Consumption for t = start, ..., stop-1 as a float array."""
+        """Consumption for t = start, ..., stop-1 as a float64 array: the one formula for c_t."""
         if start < 0 or stop < start:
             raise ValueError("need 0 <= start <= stop")
         out = np.empty(stop - start, dtype=float)
@@ -215,8 +218,9 @@ class ConsumptionPath:
 class UtilitySpec:
     """Period utility u(c). Families: log, crra (sigma != 1), linear.
 
-    crra uses u(c) = (c**(1-sigma) - 1) / (1-sigma); log is its sigma -> 1
-    limit, linear is u(c) = c. log and crra require c > 0.
+    crra is u(c) = expm1((1-sigma) log c) / (1-sigma), so c near 1 keeps every
+    digit; log is its sigma -> 1 limit, linear is u(c) = c. log and crra
+    require c > 0. Every other module reads u(c) from here.
     """
 
     family: str = "log"
@@ -255,8 +259,8 @@ class UtilitySpec:
             if self.family == "log":
                 out = np.log(arr)
             else:
-                s = self.sigma
-                out = (np.power(arr, 1.0 - s) - 1.0) / (1.0 - s)
+                s1 = 1.0 - self.sigma
+                out = np.expm1(s1 * np.log(arr)) / s1
         if np.isscalar(c) or getattr(c, "ndim", 1) == 0:
             return float(out)
         return out

@@ -434,22 +434,18 @@ def _rigorous(e: float | np.ndarray) -> np.floating | np.ndarray:
 
 
 def _utility(u: UtilitySpec, c: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """u(c) elementwise, its relative error, and where CRRA's expm1 overflows.
+    """u(c) elementwise (UtilitySpec's values), its relative error, and where it overflows.
 
-    CRRA goes through expm1, so c near 1 keeps every digit.
+    CRRA's u is expm1(x) / s1 with x = s1 log c, s1 = 1-sigma.
     """
-    no = np.zeros(c.shape, dtype=bool)
-    if u.family == "linear":
-        return c, np.zeros_like(c), no
-    if u.family == "log":
-        return np.log(c), np.full_like(c, _LIBM), no
-    s1 = 1.0 - u.sigma
-    x = s1 * np.log(c)
     with np.errstate(over="ignore"):
-        em1 = np.expm1(x)
-        # expm1 passes a relative error of x on amplified by x e^x / expm1(x) <= 1 + max(x, 0)
-        return (em1 / s1, _LIBM + (1.0 + np.maximum(x, 0.0)) * (_LIBM + 2.0 * _U) + 2.0 * _U,
-                np.isinf(em1))
+        uc = u(c)
+    over = np.isinf(uc)
+    if u.family != "crra":
+        return uc, np.full_like(c, _LIBM if u.family == "log" else 0.0), over
+    x = (1.0 - u.sigma) * np.log(c)
+    # expm1 passes a relative error of x on amplified by x e^x / expm1(x) <= 1 + max(x, 0)
+    return uc, _LIBM + (1.0 + np.maximum(x, 0.0)) * (_LIBM + 2.0 * _U) + 2.0 * _U, over
 
 
 class _Term(NamedTuple):
@@ -903,7 +899,7 @@ def welfare_window_terms(
     _check_int("length", length, 0)
     _check_births(params.b)
     t = np.arange(length)
-    uu = np.asarray(u(path.values(0, length)), dtype=float)
+    uu = u(path.values(0, length))
     pref = params.N0 * (1.0 + params.b) / params.b
     return pref * uu * np.power(params.gross_growth, t) * one_minus_q_power(params.b, t + 1)
 
@@ -917,7 +913,7 @@ def welfare_window_direct(
     inner_t = u(c_t) + (1-m) inner_{t+1}. Works for any b >= 0.
     """
     _check_int("T", T, 0)
-    uu = np.asarray(u(path.values(0, T + 1)), dtype=float)
+    uu = u(path.values(0, T + 1))
     inner = np.empty(T + 1)
     inner[T] = uu[T]
     for t in range(T - 1, -1, -1):
@@ -987,13 +983,13 @@ def _utility_values(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """u(c_t) for t = start..stop-1 and a bound on the absolute error of each value.
 
-    The prefix values are exact inputs. Past the prefix of a geometric tail
-    c_t is a libm power times c_{p-1}, off by _LIBM + u relative, and either
-    step may underflow (absolute error _DENORM (1 + c_{p-1})); u then adds
-    its own rounding.
+    u's own rounding is _utility's. The prefix values are exact inputs. Past
+    the prefix of a geometric tail c_t is a libm power times c_{p-1}, off by
+    _LIBM + u relative, and either step may underflow (absolute error
+    _DENORM (1 + c_{p-1})); that error moves u(c_t) too.
     """
     c = path.values(start, stop)
-    uu = np.asarray(u(c), dtype=float)
+    uu, e_u, _ = _utility(u, c)
     e_c = d_c = 0.0  # relative and underflow error of c_t
     if path.tail == "geometric":
         tail = np.arange(start, stop) >= path.prefix_len
@@ -1001,11 +997,12 @@ def _utility_values(
         d_c = _DENORM * (1.0 + path.prefix[-1]) * tail
     if u.family == "linear":  # c_t may be subnormal
         return uu, c * e_c + d_c
-    e_c = e_c + d_c / c  # log and CRRA have rejected c_t = 0
+    # c_t off by a factor 1 + d moves log c_t by |log(1 + d)| <= rigorous(d)
+    d = _rigorous(e_c + d_c / c)  # log and CRRA have rejected c_t = 0
     if u.family == "log":
-        return uu, _LIBM * np.abs(uu) + _rigorous(e_c)
-    # (c**s1 - 1) / s1: c**s1 = 1 + s1 u off by libm, the rounded s1 and c's error
-    s1 = abs(1.0 - u.sigma)
-    return uu, ((1.0 + s1 * np.abs(uu)) / s1
-                * _rigorous(_LIBM + _U * np.abs(s1 * np.log(c)) + s1 * e_c)
-                + _rigorous(3.0 * _U) * np.abs(uu))
+        return uu, e_u * np.abs(uu) + d
+    # and CRRA's u by c**s1 |expm1(s1 log(1 + d))| / |s1|; c**s1 = exp(x), x off as in _utility
+    s1 = 1.0 - u.sigma
+    x = s1 * np.log(c)
+    c_s1 = np.exp(x + np.abs(x) * _rigorous(_LIBM + 3.0 * _U))
+    return uu, e_u * np.abs(uu) + c_s1 * np.expm1(abs(s1) * d) / abs(s1)

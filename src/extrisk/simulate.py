@@ -182,7 +182,7 @@ def _table(
     cap = config.cap(survival)
     if case.kind == "social_welfare":
         return np.cumsum(welfare_window_terms(params, path, u, cap + 1))
-    uu = np.asarray(u(path.values(0, cap + 1)), dtype=float)
+    uu = u(path.values(0, cap + 1))
     return np.cumsum(np.power(g, np.arange(cap + 1)) * uu)
 
 
@@ -476,7 +476,7 @@ def abm_smoothing_study(
     t_max = int(np.flatnonzero(counts[:-1])[-1])
     counts = counts[:t_max + 1]
     live = reps - np.concatenate(([0], np.cumsum(counts)))  # runs with T >= t, t = 0..t_max+1
-    uu = np.asarray(u(path.values(0, t_max + 1)), dtype=float)
+    uu = u(path.values(0, t_max + 1))
     smooth_cum = np.cumsum(
         welfare_window_terms(replace(params, N0=1.0), path, u, t_max + 1)
     )

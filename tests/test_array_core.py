@@ -36,6 +36,7 @@ from extrisk.series import _CHUNK_T, _LIBM, _U, _columns
 CASES = [Scenario(k) for k in ("individual", "dynasty", "dynasty_theta", "lineage",
                                "social_welfare")] + [known_extinction(7)]
 PREFIX = (0.8, 1.1, 1.25, 1.18, 1.3)
+NEAR_ONE = (1.0 + 1e-9, 1.0 - 1e-9)
 LONG = ConsumptionPath(prefix=tuple(1.0 + 0.25 * math.sin(t) for t in range(_CHUNK_T + 904)),
                        tail="geometric", ratio=0.99)
 
@@ -68,7 +69,12 @@ COMBOS = [
     (ConsumptionPath(prefix=PREFIX, tail="geometric", ratio=0.9), UtilitySpec.log()),
     (ConsumptionPath(prefix=PREFIX, tail="geometric", ratio=0.9999), UtilitySpec.crra(3.0)),
     (ConsumptionPath(prefix=PREFIX, tail="geometric", ratio=0.5), UtilitySpec.crra(0.5)),
+    # CRRA where c**(1-sigma) - 1 cancels
+    (ConsumptionPath(prefix=NEAR_ONE), UtilitySpec.crra(3.0)),
+    (ConsumptionPath(prefix=NEAR_ONE, tail="geometric", ratio=1.0 - 1e-9), UtilitySpec.crra(3.0)),
 ]
+COMBO_IDS = [f"{'near1-' * (p.prefix == NEAR_ONE)}{p.tail}{p.ratio or ''}-{u.family}{u.sigma or ''}"
+             for p, u in COMBOS]
 
 
 def cells(row):
@@ -100,11 +106,32 @@ def check_rows_equal_one_row_calls(grid, path, u, tol=1e-10):
     return statuses
 
 
-@pytest.mark.parametrize("path,u", COMBOS, ids=[f"{p.tail}{p.ratio or ''}-{u.family}{u.sigma or ''}"
-                                               for p, u in COMBOS])
+@pytest.mark.parametrize("path,u", COMBOS, ids=COMBO_IDS)
 def test_grid_rows_equal_one_row_calls(path, u):
     statuses = check_rows_equal_one_row_calls(mixed_grid(), path, u)
     assert statuses == {"ok", "divergent", "rejected"}
+
+
+@pytest.mark.parametrize("path,u", COMBOS, ids=COMBO_IDS)
+def test_known_date_rows_within_their_bound_of_the_oracle(path, u):
+    T = 7
+    for row in scenario_sweep(mixed_grid(), [known_extinction(T)], path, u):
+        res, m = row.series, row.params.m
+        assert abs(Decimal(res.value) - exact_known(row.params, T, path, u)) <= \
+            Decimal(res.tail_bound), row
+        # where every c_t is an input, the bound is u's own rounding and the sum's: a few
+        # units of roundoff of sum_t (1-m)**t |u(c_t)|, however much c**(1-sigma) - 1 cancels
+        if path.tail == "constant":
+            scale = np.power(1.0 - m, np.arange(T + 1)) @ np.abs(u(path.values(0, T + 1)))
+            assert res.tail_bound <= 1e-13 * scale, row
+
+
+def test_a_known_date_crra_row_near_one_is_bounded_near_roundoff():
+    params, path = HazardParams(m=0.02, M=0.01), ConsumptionPath.constant(1.0 + 1e-9)
+    u = UtilitySpec.crra(3.0)
+    res = evaluate(known_extinction(50), params, path, u)
+    assert abs(Decimal(res.value) - exact_known(params, 50, path, u)) <= Decimal(res.tail_bound)
+    assert res.tail_bound <= 1e-13 * abs(res.value)
 
 
 def test_a_long_prefix_runs_in_blocks_and_equals_one_row_calls():

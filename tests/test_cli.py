@@ -256,6 +256,62 @@ def test_malformed_configs_and_overrides_exit_one_with_their_message(
     assert not out.exists()
 
 
+_BIG = 10**400  # a JSON integer that no float holds
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"grid": {"m": [0.02], "M": [_BIG]}}, f"grid.M[0]: expected a number, got {_BIG!r}"),
+    ({"grid": _GRID, "tolerance": _BIG}, f"tolerance must be finite and > 0, got {_BIG!r}"),
+    ({"grid": _GRID, "path": {"prefix": [_BIG]}},
+     f"path: prefix must be a sequence of numbers, got [{_BIG!r}]"),
+], ids=["grid", "tolerance", "prefix"])
+def test_an_integer_past_float_range_is_a_config_error(tmp_path, capsys, payload, message):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli_run(["eval", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_an_integer_past_the_interpreter_s_digit_limit_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, '{"grid": {"m": [0.02], "M": [1' + "0" * 5000 + ']}}')
+    out = tmp_path / "out"
+    assert cli_run(["eval", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        "config error: an integer of 5001 digits is not a number extrisk accepts\n"
+    assert not out.exists()
+
+
+# each asks numpy or a list for petabytes, refused before any memory is allocated
+@pytest.mark.parametrize("command, payload", [
+    ("eval", {"grid": {"m": {"linspace": [0.01, 0.02, 10**15]}, "M": [0.01]}}),
+    ("profile", {"grid": {**_GRID, "b": [0.03]}, "horizon": 10**15}),
+    ("simulate", {"grid": {**_GRID, "b": [0.03]},
+                  "simulation": {"mode": "agent", "replications": 10**15}}),
+], ids=["eval-linspace", "profile-horizon", "agent-replications"])
+def test_a_config_past_the_memory_exits_one_and_writes_nothing(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert cli_run([command, "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: out of memory")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert "wrote" not in captured.out
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("sub, reason", [("", "File exists"), ("sub", "Not a directory")],
+                         ids=["a-file", "under-a-file"])
+def test_an_out_that_cannot_be_a_directory_exits_one(tmp_path, capsys, sub, reason):
+    target = tmp_path / "FILE"
+    target.write_text("kept", encoding="utf-8")
+    out = target / sub if sub else target
+    assert cli_run(["table1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"config error: cannot create output directory {out}: {reason}\n"
+    assert target.read_text(encoding="utf-8") == "kept"
+
+
 def test_missing_config_for_eval(tmp_path, capsys):
     code = cli_run(["eval", "--out", str(tmp_path)])
     assert code == 1

@@ -5,6 +5,7 @@ import importlib.util
 import math
 import sys
 import tracemalloc
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +96,7 @@ def test_invalid_params_rejected(kwargs):
         HazardParams(**kwargs)
 
 
-@pytest.mark.parametrize("value", [True, "0.1", None])
+@pytest.mark.parametrize("value", [True, "0.1", None, pytest.param(10**400, id="past-float-range")])
 @pytest.mark.parametrize("field", ["m", "M", "b", "theta", "alpha", "N0"])
 def test_every_field_rejects_a_bool_or_a_non_number(field, value):
     with pytest.raises(ValueError, match=f"^{field} must be a number, got {value!r}$"):
@@ -345,7 +346,18 @@ def test_vectorised_values_match_scalar(start, length):
     path = ConsumptionPath(prefix=(1.0, 3.0, 2.5, 0.7), tail="geometric", ratio=0.9)
     vec = path.values(start, start + length)
     ref = [path.value(t) for t in range(start, start + length)]
-    np.testing.assert_allclose(vec, ref, rtol=1e-14)
+    assert list(map(float.hex, vec.tolist())) == list(map(float.hex, ref))
+
+
+@given(prefix=st.lists(st.floats(0.1, 10.0), min_size=1, max_size=4),
+       ratio=st.floats(0.5, 0.9999), start=st.integers(min_value=0, max_value=500))
+@settings(max_examples=50, deadline=None, derandomize=True)
+def test_value_reads_values_bit_for_bit_on_geometric_tails(prefix, ratio, start):
+    path = ConsumptionPath(prefix=tuple(prefix), tail="geometric", ratio=ratio)
+    dates = range(start, start + 100)
+    assert [path.value(t).hex() for t in dates] == \
+        [path.values(t, t + 1)[0].hex() for t in dates] == \
+        list(map(float.hex, path.values(start, start + 100).tolist()))
 
 
 @pytest.mark.parametrize(
@@ -359,6 +371,7 @@ def test_vectorised_values_match_scalar(start, length):
         dict(prefix=(1.0,), tail="geometric", ratio=1.0),
         dict(prefix=(1.0,), tail="weird"),
         dict(prefix=(1.0,), tail="constant", ratio=0.5),
+        dict(prefix=(1.0, 10**400)),  # an integer no float holds
     ],
 )
 def test_invalid_paths_rejected(kwargs):
@@ -372,6 +385,23 @@ def test_utility_families():
     u = UtilitySpec.crra(2.0)
     assert u(2.0) == pytest.approx((2.0**-1 - 1.0) / -1.0, rel=1e-15)
     np.testing.assert_allclose(UtilitySpec.log()(np.array([1.0, math.e])), [0.0, 1.0])
+
+
+# points where c**(1-sigma) - 1 cancels (c near 1) and two away from it
+NEAR_ONE = (1 + 1e-12, 1 - 1e-12, 1 + 1e-9, 1 - 1e-9, 1 + 1e-6, 1 - 1e-6, 0.5, 2.0)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 3.0, 5.0])
+def test_crra_utility_keeps_every_digit_near_one(sigma):
+    u = UtilitySpec.crra(sigma)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        s1 = 1 - Decimal(sigma)
+        exact = [(Decimal(c) ** s1 - 1) / s1 for c in NEAR_ONE]
+    got = [u(c) for c in NEAR_ONE]
+    assert u(np.array(NEAR_ONE)).tolist() == got
+    worst = max(abs(Decimal(g) - e) / abs(e) for g, e in zip(got, exact))
+    assert worst <= Decimal("1e-15"), f"relative error {worst:.3e}"
 
 
 def test_crra_sigma_one_redirects_to_log():
@@ -413,9 +443,11 @@ def test_paths_and_utilities_reject_what_they_cannot_evaluate(call, message):
     (lambda: lifetime_pmf_known_T(True, 2, 1), "m must lie in [0, 1], got True"),
     (lambda: UtilitySpec.crra("2"), "crra needs a finite sigma > 0"),
     (lambda: UtilitySpec.crra(True), "crra needs a finite sigma > 0"),
+    (lambda: UtilitySpec.crra(10**400), "crra needs a finite sigma > 0"),
 ], ids=["known-date-bool", "known-date-str", "extinction-pmf-bool", "known-pmf-bool",
-        "sigma-str", "sigma-bool"])
+        "sigma-str", "sigma-bool", "sigma-past-float-range"])
 def test_hazards_and_sigma_must_be_numbers(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
+

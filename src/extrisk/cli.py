@@ -303,9 +303,10 @@ def _write_columns(
     formatted once per block, and its text serves both files. JSON keys
     follow `columns`.
     Only when every block is written are the files renamed into place, so a
-    failure leaves the targets untouched and no temp file behind.
+    failure leaves the targets untouched and no temp file or new directory behind.
     """
     targets = [out_dir / f"{name}.{ext}" for ext in ("csv", "json") if fmt in (ext, "both")]
+    made = list(itertools.takewhile(lambda d: not d.exists(), (out_dir, *out_dir.parents)))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:  # a file where a directory belongs: FileExistsError, NotADirectoryError
@@ -327,6 +328,9 @@ def _write_columns(
         for tmp in tmps:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
+        for d in made:  # innermost first; a directory something else wrote into stays
+            with contextlib.suppress(OSError):
+                d.rmdir()
         raise
     for target in targets:
         print(f"wrote {target}")

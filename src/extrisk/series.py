@@ -275,12 +275,27 @@ def _finite(kind: Union[str, np.ndarray], product: Union[float, np.ndarray]
 
 
 _NO_BIRTHS = "social welfare needs b > 0; use welfare_window at b = 0"
+_PREFACTOR_RANGE = "the prefactor {!r} leaves float range"
 
 
 def _check_births(b: float) -> None:
     """Social welfare's rule: its closed form divides by the birth rate b."""
     if not b > 0.0:
         raise ValueError(_NO_BIRTHS)
+
+
+def _prefactor(N0, b):
+    """Social welfare's N0 (1+b)/b of numbers or arrays; this order keeps every finite value."""
+    return N0 * (1.0 + b) / b
+
+
+def _welfare_prefactor(N0: float, b: float) -> float:
+    """One point's prefactor, rejected as the core rejects it: b <= 0, then past float range."""
+    _check_births(b)
+    pref = _prefactor(N0, b)
+    if not math.isfinite(pref):
+        raise ValueError(_PREFACTOR_RANGE.format(pref))
+    return pref
 
 
 def weight_sequence(case: Scenario, params: HazardParams, length: int) -> np.ndarray:
@@ -294,9 +309,8 @@ def weight_sequence(case: Scenario, params: HazardParams, length: int) -> np.nda
     _check_int("length", length, 0)
     factor = float(_batch(_columns([params]), [case]).factor[0])
     if case.kind == "social_welfare":
-        _check_births(params.b)
+        pref = _welfare_prefactor(params.N0, params.b)
         t = np.arange(length)
-        pref = params.N0 * (1.0 + params.b) / params.b
         return pref * np.power(factor, t) * one_minus_q_power(params.b, t + 1)
     w = np.full(length, factor)
     w[:1] = 1.0
@@ -513,7 +527,7 @@ def _closed_rows(rows: _Batch) -> _Rows:
     b = rows.b
     sw = rows.kinds == "social_welfare"
     parts, rq_parts = _log_parts(rows.M, b, rows.m, rows.exps, _RQ)
-    return _Rows(parts=parts, pref=np.where(sw, rows.N0 * (1.0 + b) / b, 1.0),
+    return _Rows(parts=parts, pref=np.where(sw, _prefactor(rows.N0, b), 1.0),
                  e_pref=np.where(sw, 3.0 * _U, 0.0), mod=sw, log_q=-np.log1p(b),
                  one_minus_q=b / (1.0 + b), one_minus_q_err=np.full(len(b), 2.0 * _U),
                  rq_parts=rq_parts)
@@ -581,8 +595,7 @@ def _closed(
     """
     n, p = len(rows.pref), path.prefix_len
     pref, mod = rows.pref, rows.mod
-    fails.add(~np.isfinite(pref), ValueError,
-              lambda i: f"the prefactor {float(pref[i])!r} leaves float range")
+    fails.add(~np.isfinite(pref), ValueError, lambda i: _PREFACTOR_RANGE.format(float(pref[i])))
     try:
         terms, error = _tail_terms(path, u), None
     except OverflowError as exc:
@@ -894,13 +907,12 @@ def welfare_window_terms(
 ) -> np.ndarray:
     """Per-date contributions to W(0, T): W(0, T) = sum of the first T+1 terms.
 
-    term_t = N0 (1+b)/b * u(c_t) (1+n)**t (1 - (1+b)**-(t+1)); requires b > 0.
+    term_t = N0 (1+b)/b * u(c_t) (1+n)**t (1 - (1+b)**-(t+1)); needs b > 0, a finite prefactor.
     """
     _check_int("length", length, 0)
-    _check_births(params.b)
+    pref = _welfare_prefactor(params.N0, params.b)
     t = np.arange(length)
     uu = u(path.values(0, length))
-    pref = params.N0 * (1.0 + params.b) / params.b
     return pref * uu * np.power(params.gross_growth, t) * one_minus_q_power(params.b, t + 1)
 
 

@@ -1,16 +1,16 @@
 """Monte Carlo verification of the analytic functionals, plus an agent-based mode.
 
 Smoothed-mode estimators average the realized discounted sum over the random
-date that ends it, read from a cumulative table per case (``_table``).
-``_date`` is the one table of that date: the individual case ends at its
-death date D, every other case at the extinction date T, and it gives the
-date's stream tag, hazard, survival and weight growth. ``_table`` (cap and
-weights), ``_estimates`` (one stream per tag) and ``_verdict`` (the variance
-check) all read it. Every extinction-date case of one parameter point shares
-one stream of T, so a point costs two streams. A stream is one
-``SeedSequence([seed, stream_tag])`` generator that draws the histogram of its
-dates (``sample_date_counts``): each well-filled early date as one binomial
-count, the sparse tail as shifted geometric dates. Estimates are bit-for-bit
+date that ends it, read from a cumulative table per case. ``_date`` is the
+one table of that date: the individual case ends at its death date D, every
+other case at the extinction date T, and it gives the date's stream tag,
+hazard, survival and weight growth; ``_estimates`` and ``_verdict`` (the
+variance check) read it. A stream is one ``SeedSequence([seed, stream_tag])``
+generator that draws the histogram of its dates up to its horizon cap
+(``_date_counts``): each well-filled early date as one binomial count, the
+sparse tail as shifted geometric dates. Every extinction-date case of one
+parameter point shares one stream of T, so a point costs two streams, each
+drawn and clipped once, with u(c_t) evaluated once. Estimates are bit-for-bit
 reproducible from (seed, config). ``mc_compare``, the one public spelling of
 the comparison, walks the passes of the array core (``series._passes``)
 and sets each case's closed form beside its estimate over a grid; smoothed
@@ -31,7 +31,7 @@ import collections.abc
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,13 +53,13 @@ from .series import (
     SOCIAL_WELFARE,
     Scenario,
     _batch,
-    _check_births,
     _columns,
     _Failures,
     _evaluate_rows,
     _passes,
     _preconditions,
     _tail_terms,
+    _welfare_prefactor,
     welfare_window_terms,
 )
 
@@ -162,67 +162,57 @@ def _date(case: Scenario, params: HazardParams, growth: float) -> Tuple[int, flo
     return _TAG_EV, params.M, 1.0 - params.M, growth
 
 
-def _table(
-    case: Scenario,
-    params: HazardParams,
-    growth: float,
-    path: ConsumptionPath,
-    u: UtilitySpec,
-    config: SimulationConfig,
-) -> np.ndarray:
-    """Cumulative table cum[t], t = 0..cap: the case's realized sum when its date is t.
-
-    The cap comes from the survival of the case's ``_date``, and the table
-    sums its G**t u(c_t) (social welfare: the window terms of W(0, T), which
-    grow like (1+n)**t). The caller has checked that there is a date to
-    sample and a finite expectation; a ValueError is a table that cannot be
-    built.
+def _date_counts(tag: int, hazard: float, survival: float,
+                 config: SimulationConfig) -> Tuple[np.ndarray, float]:
+    """The histogram ``sample_date_counts`` draws on ``SeedSequence([seed, tag])`` over dates
+    0..cap, cap = ``config.cap(survival)``, the draws past the cap counted at it, and their share.
     """
-    _, _, survival, g = _date(case, params, growth)
-    cap = config.cap(survival)
-    if case.kind == "social_welfare":
-        return np.cumsum(welfare_window_terms(params, path, u, cap + 1))
-    uu = u(path.values(0, cap + 1))
-    return np.cumsum(np.power(g, np.arange(cap + 1)) * uu)
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, tag]))
+    counts = sample_date_counts(hazard, config.replications, config.cap(survival), rng)
+    clipped = int(counts[-1])
+    counts = counts[:-1]
+    counts[-1] += clipped
+    return counts, clipped / config.replications
 
 
 def _estimates(
-    params: HazardParams,
-    tables: Dict[Scenario, np.ndarray],
+    params: HazardParams, growths: Dict[Scenario, float], path: ConsumptionPath, u: UtilitySpec,
     config: SimulationConfig,
-) -> Dict[Scenario, SimEstimate]:
-    """Average every case's ``_table`` cum[min(date, cap)] over the stream of its ``_date``.
+) -> Dict[Scenario, Union[SimEstimate, str]]:
+    """Each case's estimate at its row growth, or why its stream could not be sampled.
 
-    One stream per tag: ``sample_date_counts`` on ``SeedSequence([seed, tag])``
-    draws the counts per date 0..cap+1 (dense bins as binomials, the sparse
-    tail as shifted geometrics), the last bin holding the dates beyond the
-    cap. The extinction-date cases share one stream (common random numbers)
-    and so one cap, and their estimates are correlated; each estimate equals
-    the one a table of that case alone gives. The caller has checked that
-    each stream's hazard is positive.
+    Per stream of the cases' ``_date``, ``_date_counts`` draws the histogram
+    once and u(c_t) is evaluated once over its dates 0..cap; each case then
+    averages its table cum[t], its realized sum when the date is t: the cumsum
+    of G**t u(c_t) (social welfare: of the window terms of W(0, T)). The
+    extinction-date cases share one stream (common random numbers), so their
+    estimates are correlated, each equal to the one it gets alone. A stream
+    whose u(c_t) cannot be built gives its cases the ValueError's text. The
+    caller has checked each stream's hazard and each case's expectation.
     """
-    streams: Dict[Tuple[int, float], List[Scenario]] = {}
-    for case in tables:  # the growth picks no stream
-        streams.setdefault(_date(case, params, 1.0)[:2], []).append(case)
+    streams: Dict[Tuple[int, float, float], Dict[Scenario, float]] = {}
+    for case, growth in growths.items():
+        tag, hazard, survival, g = _date(case, params, growth)
+        streams.setdefault((tag, hazard, survival), {})[case] = g
     total = config.replications
-    out: Dict[Scenario, SimEstimate] = {}
-    for (tag, hazard), cases in streams.items():
-        cap = len(tables[cases[0]]) - 1
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, tag]))
-        counts = sample_date_counts(hazard, total, cap, rng)
-        truncated = int(counts[-1])
-        counts = counts[:-1]
-        counts[-1] += truncated  # clipped draws take the value at the cap
-        weights = counts.astype(float)
+    out: Dict[Scenario, Union[SimEstimate, str]] = {}
+    for stream, cases in streams.items():
+        counts, clipped = _date_counts(*stream, config)
+        try:
+            uu = u(path.values(0, len(counts)))
+        except ValueError as exc:
+            out.update(dict.fromkeys(cases, str(exc)))
+            continue
         # center on a drawn value, the median date's, so constant outcomes get SE exactly 0
         median = int(np.searchsorted(np.cumsum(counts), (total + 1) // 2))
-        for case in cases:
-            cum = tables[case]
-            if len(cum) != cap + 1:
-                raise ValueError("tables sharing one stream must share one horizon cap")
+        for case, g in cases.items():
+            if case.kind == "social_welfare":
+                cum = np.cumsum(welfare_window_terms(params, path, u, len(counts)))
+            else:
+                cum = np.cumsum(np.power(g, np.arange(len(counts))) * uu)
             shift = float(cum[median])
             centered = cum - shift
-            weighted = weights * centered
+            weighted = counts * centered
             mean_centered = float(np.sum(weighted)) / total
             if total > 1:
                 sumsq = float(np.sum(weighted * centered))
@@ -231,7 +221,7 @@ def _estimates(
             else:
                 se = 0.0
             out[case] = SimEstimate(mean=shift + mean_centered, standard_error=se,
-                                    replications=total, truncated_mass=truncated / total)
+                                    replications=total, truncated_mass=clipped)
     return out
 
 
@@ -270,13 +260,13 @@ def mc_compare(
 
     Point i is sampled under configs[i], whatever points lie beside it. The
     analytic verdict is each row's status in its pass of the array core
-    (``series._evaluate_rows``); an ok row is then sampled with ``_table`` at
-    the growth of its own pass and ``_estimates``, and judged by ``_verdict``,
-    unless its date is known ("deterministic (no sampling)") or its table
-    cannot be built ("ok: not sampled: <reason>": the closed form can hold
-    where the sampled c_t underflow). A sampled row without finite variance
-    reads "ok: infinite variance, mc_se is not an error bar". No row builds a
-    batch of its own.
+    (``series._evaluate_rows``); the ok rows of a point are then sampled in one
+    ``_estimates`` call, each at the growth of its own pass, and judged by
+    ``_verdict``, unless its date is known ("deterministic (no sampling)") or
+    its stream's u(c_t) cannot be built ("ok: not sampled: <reason>": the
+    closed form can hold where the sampled c_t underflow). A sampled row
+    without finite variance reads "ok: infinite variance, mc_se is not an
+    error bar". No row builds a batch of its own.
     """
     if len(points) != len(configs):
         raise ValueError(f"one SimulationConfig per point: {len(configs)} for {len(points)} points")
@@ -288,7 +278,7 @@ def mc_compare(
         growth, status, k = batch.growth.tolist(), results.status, len(cases)
         for j, params in enumerate(run):
             config = next(config_of)
-            tables, sampled = {}, []
+            sampled = []
             for i, case in enumerate(cases, start=j * k):
                 row = {**params.cells(), "case": case.label(), "replications": config.replications,
                        "analytic": results.value[i], "mc_mean": None, "mc_se": None,
@@ -297,16 +287,14 @@ def mc_compare(
                 if status[i] == "ok" and case.kind == "known_extinction":
                     row["status"] = "deterministic (no sampling)"
                 elif status[i] == "ok":
-                    try:
-                        tables[case] = _table(case, params, growth[i], path, u, config)
-                    except ValueError as exc:
-                        row["status"] = f"ok: not sampled: {exc}"
-                    else:
-                        sampled.append((case, growth[i], row))
+                    sampled.append((case, growth[i], row))
                 rows.append(row)
-            ests = _estimates(params, tables, config)
+            ests = _estimates(params, {case: g for case, g, _ in sampled}, path, u, config)
             for case, g, row in sampled:
                 est = ests[case]
+                if isinstance(est, str):
+                    row["status"] = f"ok: not sampled: {est}"
+                    continue
                 err, within, finite_variance = _verdict(case, params, g, path, u, est,
                                                         row["analytic"])
                 row.update(mc_mean=est.mean, mc_se=est.standard_error, abs_error=err,
@@ -333,8 +321,10 @@ def _mc_one(
     _preconditions(rows, fails)
     if fails.exc:
         raise fails.error(0)
-    table = _table(case, params, float(rows.growth[0]), path, u, config)
-    return _estimates(params, {case: table}, config)[case]
+    est = _estimates(params, {case: float(rows.growth[0])}, path, u, config)[case]
+    if isinstance(est, str):
+        raise ValueError(est)
+    return est
 
 
 def mc_eu_individual(
@@ -447,39 +437,33 @@ def abm_smoothing_study(
     Each run keeps an integer population: per period the survivors are
     Binomial(N_t, 1-m) and births follow the configured offspring law per
     survivor, until the run's extinction date T, so a small population can die
-    off before T. The dates are the histogram ``sample_date_counts`` draws on
-    ``SeedSequence([seed, 5])``, clipped at the horizon cap, and are shared by
-    every head count (common random numbers), so the rows differ only through
-    integer-population noise, which shrinks as 1/sqrt(n0). All head counts
-    advance together on one offspring stream, so a row depends on the whole
-    n0_values list. A population that passes 2**63 - 1, int64's largest value,
-    raises ValueError naming its n0 and the period.
+    off before T. The dates are the histogram ``_date_counts`` draws on stream
+    tag 5 at survival 1 - M, and cap_hit_fraction is its clipped share. They
+    are shared by every head count (common random numbers), so the rows differ
+    only through integer-population noise, which shrinks as 1/sqrt(n0). All
+    head counts advance together on one offspring stream, so a row depends on
+    the whole n0_values list. A population that passes 2**63 - 1, int64's
+    largest value, raises ValueError naming its n0 and the period.
 
-    Before any draw the study rejects, in this order: b = 0 with social
-    welfare's one message (the smoothed window divides by b), b > 2 under
-    bernoulli-pair, head counts outside ``_check_head_counts`` (the rule the
-    CLI's config check shares) and M = 0. The horizon cap is ``config.cap``
-    of the extinction date's survival 1 - M.
+    Before any draw the study rejects, in this order: b = 0 or a per-capita
+    window prefactor (1+b)/b past float range with social welfare's messages
+    (the smoothed window divides by b), b > 2 under bernoulli-pair, head
+    counts outside ``_check_head_counts`` (the rule the CLI's config check
+    shares) and M = 0.
     """
-    _check_births(params.b)
+    _welfare_prefactor(1.0, params.b)
     if config.offspring_law == "bernoulli-pair" and params.b > 2.0:
         raise ValueError("bernoulli-pair needs b <= 2 (pair probability b/2)")
     _check_head_counts(n0_values)
     if params.M <= 0.0:
         raise NoExtinctionError("the study mixes over extinction dates; needs M > 0")
     reps = config.replications
-    cap = config.cap(1.0 - params.M)
-    rng_T = np.random.default_rng(np.random.SeedSequence([config.seed, _TAG_ABM_T]))
-    counts = sample_date_counts(params.M, reps, cap, rng_T)
-    hit_frac = counts[-1] / reps
-    counts[cap] += counts[-1]  # clipped dates end at the cap
-    t_max = int(np.flatnonzero(counts[:-1])[-1])
+    counts, hit_frac = _date_counts(_TAG_ABM_T, params.M, 1.0 - params.M, config)
+    t_max = int(np.flatnonzero(counts)[-1])
     counts = counts[:t_max + 1]
     live = reps - np.concatenate(([0], np.cumsum(counts)))  # runs with T >= t, t = 0..t_max+1
     uu = u(path.values(0, t_max + 1))
-    smooth_cum = np.cumsum(
-        welfare_window_terms(replace(params, N0=1.0), path, u, t_max + 1)
-    )
+    smooth_cum = np.cumsum(welfare_window_terms(replace(params, N0=1.0), path, u, t_max + 1))
     n0s = np.array([int(n0) for n0 in n0_values], dtype=np.int64)
     shape = (len(n0s), reps)
     n = np.repeat(n0s[:, None], reps, axis=1)
@@ -514,7 +498,7 @@ def abm_smoothing_study(
             die_off_frequency=float(np.mean(n[i] == 0)),
             mean_welfare_per_capita=float(np.mean(percap[i])),
             smoothed_mean_per_capita=float(smooth_mean),
-            cap_hit_fraction=float(hit_frac),
+            cap_hit_fraction=hit_frac,
             welfare_gap_se=float(gap_se[i]),
         )
         for i, n0 in enumerate(n0s)

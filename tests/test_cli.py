@@ -297,7 +297,7 @@ def test_a_config_past_the_memory_exits_one_and_writes_nothing(tmp_path, capsys,
     assert captured.err.startswith("config error: out of memory")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert "wrote" not in captured.out
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sub, reason", [("", "File exists"), ("sub", "Not a directory")],
@@ -653,6 +653,27 @@ def test_simulate_agent_mode_underflowing_consumption_is_a_config_error(tmp_path
     assert capsys.readouterr().err == ("config error: agent-mode simulate at m=0.02, M=0.001, "
                                        "b=0.03: log utility needs consumption > 0\n")
     assert not out.exists()
+
+
+def test_agent_mode_prefactor_past_float_range_is_a_config_error(tmp_path, capsys):
+    # (1+b)/b = 1e309 is past float range: the smoothed window has no value
+    cfg = write_config(tmp_path, {"grid": {"m": [0.02], "M": [0.05], "b": [1e-309]},
+                                  "simulation": {"replications": 20, "seed": 3, "mode": "agent"}})
+    out = tmp_path / "abm"
+    assert cli_run(["simulate", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("config error: agent-mode simulate at m=0.02, M=0.05, "
+                                       "b=1e-309: the prefactor inf leaves float range\n")
+    assert not out.exists()
+
+
+def test_a_failed_run_keeps_an_out_directory_that_existed(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"grid": {**_GRID, "b": [0.03]}, "horizon": 10**15})
+    out = tmp_path / "out"
+    out.mkdir()
+    for target in (out, out / "new" / "deeper"):  # the directories the run made go
+        assert cli_run(["profile", "--config", cfg, "--out", str(target)]) == 1
+        assert capsys.readouterr().err.startswith("config error: out of memory")
+        assert out.is_dir() and list(out.iterdir()) == []
 
 
 def test_agent_mode_head_counts_beyond_int64_are_a_config_error(tmp_path, capsys):

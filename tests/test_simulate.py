@@ -45,7 +45,7 @@ from extrisk import (
 from extrisk.model import _CHUNK
 from extrisk.series import _batch, _columns
 from extrisk.simulate import (
-    _TAG_ABM_T, _TAG_EU, _TAG_EV, _date, _estimates, _mc_one, _offspring, _table, _verdict,
+    _TAG_ABM_T, _TAG_EU, _TAG_EV, _date, _estimates, _mc_one, _offspring, _verdict,
 )
 
 ONE = ConsumptionPath.constant(1.0)
@@ -252,14 +252,30 @@ def _stream_dates(hazard, reps, cap, seed, tag):
     return np.repeat(np.arange(cap + 2), sample_date_counts(hazard, reps, cap, rng))
 
 
-def test_individual_table_does_not_read_the_growth():
+def _tables(params, growths, cfg, monkeypatch):
+    """Each case's cumulative table cum[0..cap], read off ``_estimates`` bit for bit.
+
+    With every draw pinned at one date t, t is the median date the estimate
+    centers on, so its mean is cum[t] plus an exact 0.
+    """
+    tables = {case: [] for case in growths}
+    with monkeypatch.context() as patch:
+        for t in range(cfg.horizon_cap + 1):
+            patch.setattr("extrisk.simulate.sample_date_counts", lambda hazard, total, cap, rng:
+                          np.bincount([t], minlength=cap + 2) * total)
+            for case, est in _estimates(params, growths, VERIFY_PATH, VERIFY_UTILITY, cfg).items():
+                tables[case].append(est.mean)
+    return {case: np.array(cum) for case, cum in tables.items()}
+
+
+def test_individual_table_does_not_read_the_growth(monkeypatch):
     p = HazardParams(m=0.05, M=0.1, b=0.02)
     cfg = SimulationConfig(replications=10, seed=0, horizon_cap=40)
-    unweighted = _table(INDIVIDUAL, p, 1.0, VERIFY_PATH, VERIFY_UTILITY, cfg)
+    unweighted = _tables(p, {INDIVIDUAL: 1.0}, cfg, monkeypatch)[INDIVIDUAL]
     assert unweighted.tobytes() == np.cumsum(
         VERIFY_UTILITY(VERIFY_PATH.values(0, 41))).tobytes()
     for g in (0.0, 0.5, 1.03, 7.0, math.inf, math.nan):
-        assert _table(INDIVIDUAL, p, g, VERIFY_PATH, VERIFY_UTILITY, cfg).tobytes() \
+        assert _tables(p, {INDIVIDUAL: g}, cfg, monkeypatch)[INDIVIDUAL].tobytes() \
             == unweighted.tobytes()
 
 
@@ -275,27 +291,27 @@ def test_each_case_is_estimated_over_the_stream_of_its_date(monkeypatch):
         return sample_date_counts(hazard, total, cap, rng)
 
     monkeypatch.setattr("extrisk.simulate.sample_date_counts", recording)
-    tables = {c: _table(c, p, g, VERIFY_PATH, VERIFY_UTILITY, cfg) for c, g in zip(cases, growth)}
     for case, g in zip(cases, growth):
         drawn.clear()
-        _estimates(p, {case: tables[case]}, cfg)
+        _estimates(p, {case: g}, VERIFY_PATH, VERIFY_UTILITY, cfg)
         assert drawn == [_date(case, p, g)[:2]]
     drawn.clear()
-    _estimates(p, tables, cfg)  # one stream per tag
+    growths = dict(zip(cases, growth))
+    _estimates(p, growths, VERIFY_PATH, VERIFY_UTILITY, cfg)  # one stream per tag
     assert drawn == [(_TAG_EU, p.death_hazard), (_TAG_EV, p.M)]
     assert _date(INDIVIDUAL, p, growth[0]) == (_TAG_EU, p.death_hazard, p.joint_survival, 1.0)
     for case, g in zip(cases[1:], growth[1:]):
         assert _date(case, p, g) == (_TAG_EV, p.M, 1.0 - p.M, g)
 
 
-def test_histogram_estimate_matches_direct_mean_over_the_same_streams():
+def test_histogram_estimate_matches_direct_mean_over_the_same_streams(monkeypatch):
     p = HazardParams(m=0.05, M=0.1, b=0.02, theta=0.5, alpha=0.3)
     reps, cap = _CHUNK + 5_000, 12
     cfg = SimulationConfig(replications=reps, seed=8, horizon_cap=cap)
     cases = (INDIVIDUAL, DYNASTY, DYNASTY_THETA, LINEAGE, SOCIAL_WELFARE)
-    growth = _batch(_columns([p]), cases).growth.tolist()
-    tables = {c: _table(c, p, g, VERIFY_PATH, VERIFY_UTILITY, cfg) for c, g in zip(cases, growth)}
-    ests = _estimates(p, tables, cfg)
+    growths = dict(zip(cases, _batch(_columns([p]), cases).growth.tolist()))
+    ests = _estimates(p, growths, VERIFY_PATH, VERIFY_UTILITY, cfg)
+    tables = _tables(p, growths, cfg, monkeypatch)
     lifetimes = _stream_dates(p.death_hazard, reps, cap, 8, _TAG_EU)
     extinctions = _stream_dates(p.M, reps, cap, 8, _TAG_EV)
     for case in cases:
@@ -359,6 +375,23 @@ def test_mc_compare_rows_do_not_depend_on_their_batch():
         "ok: not sampled: log utility needs consumption > 0"}
     reasons = {row["status"] for row in grid if row["status"].startswith("rejected")}
     assert any("M = 0" in r for r in reasons) and any("b > 0" in r for r in reasons)
+
+
+@pytest.mark.parametrize("case, estimate", [
+    (INDIVIDUAL, lambda p, cfg: mc_eu_individual(p, HALVING, VERIFY_UTILITY, cfg)),
+    (DYNASTY_THETA, lambda p, cfg: mc_ev_dynasty(p, HALVING, VERIFY_UTILITY, None, cfg)),
+    (LINEAGE, lambda p, cfg: mc_eg_lineage(p, HALVING, VERIFY_UTILITY, cfg)),
+    (SOCIAL_WELFARE, lambda p, cfg: mc_ew_social(p, HALVING, VERIFY_UTILITY, cfg)),
+], ids=["eu_individual", "ev_dynasty", "eg_lineage", "ew_social"])
+def test_a_row_mc_compare_does_not_sample_is_a_one_case_value_error(case, estimate):
+    # c_t = 0.5**t underflows inside the cap of either date at point 1
+    cfg = SimulationConfig(replications=2_000, seed=6)
+    (row,) = mc_compare(MIXED_POINTS[1:2], [case], HALVING, VERIFY_UTILITY, 1e-10, [cfg])
+    assert row["status"] == "ok: not sampled: log utility needs consumption > 0"
+    with pytest.raises(ValueError) as exc:
+        estimate(MIXED_POINTS[1], cfg)
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "log utility needs consumption > 0"
 
 
 def test_mc_compare_needs_one_config_per_point():

@@ -27,6 +27,7 @@ from extrisk import (
     UtilitySpec,
     abm_smoothing_study,
     discount_profile,
+    mc_ew_social,
     ew_social,
     ew_social_n0_form,
     welfare_window,
@@ -216,6 +217,27 @@ NO_BIRTHS_TEXTS = {
 def test_every_social_welfare_entry_point_gives_the_one_message_at_b_zero(name):
     # the closed form divides by b; welfare_window alone falls back to the direct double sum
     assert NO_BIRTHS_TEXTS[name]() == "social welfare needs b > 0; use welfare_window at b = 0"
+
+
+TINY_BIRTHS = HazardParams(m=0.02, M=0.01, b=1e-309)  # N0 (1+b)/b = 1e309 is past float range
+# every entry point that reads the prefactor, as a call's message or sweep's status cell
+TINY_BIRTHS_TEXTS = {
+    "ew_social": lambda: _rejection(lambda: ew_social(TINY_BIRTHS, ONE, LINEAR)),
+    "weight_sequence": lambda: _rejection(lambda: weight_sequence(SOCIAL_WELFARE, TINY_BIRTHS, 5)),
+    "welfare_window_terms": lambda: _rejection(
+        lambda: welfare_window_terms(TINY_BIRTHS, ONE, LINEAR, 5)),
+    "welfare_window": lambda: _rejection(lambda: welfare_window(TINY_BIRTHS, 4, ONE, LINEAR)),
+    "mc_ew_social": lambda: _rejection(lambda: mc_ew_social(
+        TINY_BIRTHS, ONE, LINEAR, SimulationConfig(replications=10, seed=0))),
+    "abm_smoothing_study": lambda: _rejection(lambda: abm_smoothing_study(
+        TINY_BIRTHS, ONE, LINEAR, [1], SimulationConfig(replications=10, seed=0, mode="agent"))),
+    "sweep status": lambda: _sweep_reason(TINY_BIRTHS),
+}
+
+
+@pytest.mark.parametrize("name", TINY_BIRTHS_TEXTS)
+def test_every_social_welfare_entry_point_rejects_a_prefactor_past_float_range(name):
+    assert TINY_BIRTHS_TEXTS[name]() == "the prefactor inf leaves float range"
 
 
 def test_ew_tail_bound_honest_against_longer_sum():

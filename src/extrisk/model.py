@@ -12,6 +12,7 @@ frozen dataclasses and safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -310,7 +311,7 @@ def extinction_pmf(M: float, T: int) -> float:
 
 # --- sampling --------------------------------------------------------------
 
-_CHUNK = 1 << 17  # sparse-tail batch size of sample_date_counts: bounds its memory
+_CHUNK = 1 << 17  # batch and block size of sample_date_counts: bounds its memory
 
 
 def _geometric_from_zero(rng: np.random.Generator, p: float, size: int) -> np.ndarray:
@@ -344,21 +345,50 @@ def sample_extinction_times(
     return _geometric_from_zero(rng, M, size)
 
 
+def _dense_bins(hazard: float, size: int, cap: int) -> int:
+    """How many bins from 0, at most cap + 1, expect at least 64 of ``size`` dates.
+
+    Bin k expects size hazard (1-hazard)**k dates; hazard 1 fills bin 0 alone.
+    """
+    top = size * hazard / 64.0
+    if top < 1.0:
+        return 0
+    if hazard == 1.0:
+        return 1
+    return min(cap + 1, math.floor(math.log(top) / -math.log1p(-hazard)) + 1)
+
+
+def _remainders(hazard: float, length: int) -> np.ndarray:
+    """rem[0..length], rem[k] = rem[k-1] - hazard rem[k-1]: P(date >= k) of a geometric date.
+
+    These are the running remainders numpy's multinomial forms in C from pvals
+    hazard rem[:k] (1.0 minus pvals[0], pvals[1], ... in turn), so it draws
+    each bin as Binomial(left, pvals[k] / rem[k]): hazard to rounding, at most 1.
+    """
+    return np.fromiter(itertools.accumulate(itertools.repeat(None, length),
+                                            lambda r, _: r - hazard * r, initial=1.0),
+                       float, length + 1)
+
+
 def sample_date_counts(hazard: float, size: int, cap: int, rng: np.random.Generator) -> np.ndarray:
     """Histogram int64[cap + 2] of ``size`` geometric dates from 0 with success ``hazard``.
 
     Bins 0..cap count the dates, the last bin the dates beyond the cap. By
     memorylessness a date not in bins < k is in bin k with probability hazard,
-    so each bin expecting at least 64 dates is one Binomial(left, hazard) draw
-    (the conditional-binomial law of the histogram); the sparse tail is k plus
-    one geometric per date, drawn in batches of _CHUNK. Needs 0 < hazard <= 1.
+    so the bins that expect at least 64 dates are one multinomial draw, which
+    numpy makes in C as the chain of conditional binomials Binomial(left,
+    hazard), in blocks of at most _CHUNK bins that share one pvals; the sparse
+    tail is k plus one geometric per date, drawn in batches of _CHUNK. Needs
+    0 < hazard <= 1.
     """
     counts = np.zeros(cap + 2, dtype=np.int64)
-    left, k = int(size), 0
-    while left * hazard >= 64 and k <= cap:  # one binomial call costs ~40 geometric draws
-        counts[k] = drawn = rng.binomial(left, hazard)
-        left -= drawn
-        k += 1
+    left, k, dense = int(size), 0, _dense_bins(hazard, size, cap)
+    rem = _remainders(hazard, min(dense, _CHUNK))
+    while left and k < dense:  # each block: its bins, then the dates left past them
+        block = min(len(rem) - 1, dense - k)
+        drawn = rng.multinomial(left, np.append(hazard * rem[:block], rem[block]))
+        counts[k:k + block] = drawn[:-1]
+        left, k = int(drawn[-1]), k + block
     while left and k <= cap:
         dates = _geometric_from_zero(rng, hazard, min(left, _CHUNK))
         left -= len(dates)

@@ -910,9 +910,12 @@ def welfare_window_terms(
     term_t = N0 (1+b)/b * u(c_t) (1+n)**t (1 - (1+b)**-(t+1)); needs b > 0, a finite prefactor.
     """
     _check_int("length", length, 0)
-    pref = _welfare_prefactor(params.N0, params.b)
-    t = np.arange(length)
-    uu = u(path.values(0, length))
+    return _window_terms(_welfare_prefactor(params.N0, params.b), params, u(path.values(0, length)))
+
+
+def _window_terms(pref: float, params: HazardParams, uu: np.ndarray) -> np.ndarray:
+    """``welfare_window_terms`` for t < len(uu) from u(c_t) and the checked prefactor N0 (1+b)/b."""
+    t = np.arange(len(uu))
     return pref * uu * np.power(params.gross_growth, t) * one_minus_q_power(params.b, t + 1)
 
 

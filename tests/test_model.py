@@ -5,6 +5,7 @@ import importlib.util
 import math
 import sys
 import tracemalloc
+import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -28,7 +29,8 @@ from extrisk import (
     sample_extinction_times,
     sample_lifetimes,
 )
-from extrisk.model import _CHUNK
+from extrisk import model
+from extrisk.model import _CHUNK, _dense_bins, _remainders
 
 
 @pytest.mark.parametrize("module", ["model", "series", "analysis", "simulate"])
@@ -269,11 +271,14 @@ def _geometric_chi2_pvalue(counts, p):
     return 0.5 * math.erfc(z / math.sqrt(2))
 
 
-@pytest.mark.parametrize("p, reps, seed", [
-    (0.01, 1_000_000, 11),  # dense binomial bins up to about bin 500, then the sparse tail
-    (1e-4, 2 * _CHUNK + 3, 12),  # sparse tail only, across two batch boundaries
+@pytest.mark.parametrize("p, reps, seed, block", [
+    (0.01, 1_000_000, 11, _CHUNK),  # dense bins up to about bin 500 in one block, then the tail
+    (0.01, 100_000_000, 14, _CHUNK),  # dense bins up to about bin 960: a chi-square over 1,200 bins
+    (0.01, 1_000_000, 15, 37),  # the dense bins in blocks of 37, the last one short
+    (1e-4, 2 * _CHUNK + 3, 12, _CHUNK),  # sparse tail only, across two batch boundaries
 ])
-def test_date_counts_follow_the_geometric_law(p, reps, seed):
+def test_date_counts_follow_the_geometric_law(p, reps, seed, block, monkeypatch):
+    monkeypatch.setattr(model, "_CHUNK", block)
     cap = 400_000
     counts = sample_date_counts(p, reps, cap, np.random.default_rng(seed))
     assert counts.shape == (cap + 2,) and counts.dtype == np.int64
@@ -296,6 +301,55 @@ def test_date_counts_at_certain_failure_fill_bin_zero():
     for size in (10, 1_000):  # below and above the dense-bin switch
         counts = sample_date_counts(1.0, size, 5, np.random.default_rng(0))
         assert counts.tolist() == [size, 0, 0, 0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("p, size, dense", [
+    (1.0, 1_000, 1),  # every date in bin 0: the single-bin pmf [1], no log1p(-1)
+    (1 - 2**-53, 10**6, 1),  # 1 - hazard is 2**-53: bin 1 expects about 1e-10 dates
+    (0.5, 10**6, 13),
+    (0.5, 128, 1),  # size * hazard is exactly 64: bin 0 is dense, bin 1 is not
+    (0.25, 10**18, 51),  # the last dense bin reaches the cap
+])
+def test_date_counts_at_edge_hazards_keep_every_date_and_warn_nothing(p, size, dense):
+    cap = 50
+    assert _dense_bins(p, size, cap) == dense
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = sample_date_counts(p, size, cap, np.random.default_rng(8))
+    assert counts.sum() == size and counts.min() >= 0
+
+
+@pytest.mark.parametrize("p", [1.0, 1 - 2**-53, 0.75, 0.5, 0.3, 0.01, 2e-3, 1e-4])
+def test_numpy_draws_each_dense_bin_at_the_hazard(p):
+    # numpy's multinomial draws bin k as Binomial(left, pvals[k] / remaining), remaining being
+    # 1.0 minus pvals[0], ..., pvals[k-1] in turn; replay that over every bin the largest count
+    # makes dense
+    length = min(_dense_bins(p, 2**63 - 1, 1 << 21), _CHUNK)
+    rem = _remainders(p, length)
+    pvals = p * rem[:length]
+    remaining = 1.0
+    for k, pk in enumerate(pvals.tolist()):
+        ratio = pk / remaining
+        assert ratio <= 1.0 and abs(ratio - p) <= math.ulp(p), (k, ratio)
+        remaining -= pk
+        assert remaining == rem[k + 1]
+
+
+@pytest.mark.parametrize("block", [_CHUNK, 37])
+def test_dense_bins_are_the_chain_of_conditional_binomials(block, monkeypatch):
+    # the scalar loop the multinomial replaces: per dense bin one Binomial(left, pvals[j] /
+    # remaining), each block starting again from pvals[0] and remaining 1.0; same seed, same draws
+    monkeypatch.setattr(model, "_CHUNK", block)
+    p, size, cap = 0.01, 10**6, 10_000
+    dense = _dense_bins(p, size, cap)
+    counts = sample_date_counts(p, size, cap, np.random.default_rng(21))
+    rng, rem, left, chain = np.random.default_rng(21), _remainders(p, min(dense, block)), size, []
+    for k in range(dense):
+        j = k % block
+        remaining = 1.0 if j == 0 else remaining - p * rem[j - 1]
+        chain.append(int(rng.binomial(left, p * rem[j] / remaining)))
+        left -= chain[-1]
+    assert dense == 503 and counts[:dense].tolist() == chain
 
 
 def test_date_counts_of_one_date():
@@ -321,6 +375,20 @@ def test_date_counts_draw_the_sparse_tail_in_bounded_batches():
         tracemalloc.stop()
     assert counts.sum() == 3_000_000
     assert peak < 8 * 2**20
+
+
+def test_date_counts_draw_the_dense_bins_in_bounded_blocks():
+    # 1e12 dates at 1e-7 expect 9e4 in bin 2**20: every bin is dense, eight blocks of _CHUNK
+    cap = 1 << 20
+    assert _dense_bins(1e-7, 10**12, cap) == cap + 1 > 8 * _CHUNK
+    tracemalloc.start()
+    try:
+        counts = sample_date_counts(1e-7, 10**12, cap, np.random.default_rng(6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == 10**12 and counts[:-1].min() > 0
+    assert peak < counts.nbytes + 8 * 2**20
 
 
 # --- consumption paths and utility ---------------------------------------------------

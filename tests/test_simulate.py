@@ -279,6 +279,17 @@ def test_individual_table_does_not_read_the_growth(monkeypatch):
             == unweighted.tobytes()
 
 
+def test_social_welfare_table_keeps_the_bits_of_the_window_terms(monkeypatch):
+    # the table is built from the u(c_t) its stream shares, not from a second u(c_t)
+    p = HazardParams(m=0.05, M=0.1, b=0.02, theta=0.5, N0=3.0)
+    cfg = SimulationConfig(replications=10, seed=0, horizon_cap=40)
+    cases = (DYNASTY_THETA, SOCIAL_WELFARE)
+    growths = dict(zip(cases, _batch(_columns([p]), cases).growth.tolist()))
+    table = _tables(p, growths, cfg, monkeypatch)[SOCIAL_WELFARE]
+    assert table.tobytes() == np.cumsum(
+        welfare_window_terms(p, VERIFY_PATH, VERIFY_UTILITY, 41)).tobytes()
+
+
 def test_each_case_is_estimated_over_the_stream_of_its_date(monkeypatch):
     p = HazardParams(m=0.05, M=0.1, b=0.02, theta=0.5, alpha=0.3)
     cfg = SimulationConfig(replications=1_000, seed=8, horizon_cap=12)
@@ -490,7 +501,7 @@ def test_abm_study_rejects_points_outside_its_comparison(params, error, message)
 
 
 def test_abm_study_reads_its_dates_from_the_date_histogram():
-    # reps * M = 200 >= 64: the early bins are binomial counts, not one geometric per run
+    # reps * M = 200 >= 64: the early bins are one multinomial draw, not one geometric per run
     p = HazardParams(m=0.02, M=0.2).with_n_zero()
     cfg = SimulationConfig(replications=1_000, seed=29, mode="agent", horizon_cap=10)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _TAG_ABM_T]))

@@ -6,11 +6,12 @@ one table of that date: the individual case ends at its death date D, every
 other case at the extinction date T, and it gives the date's stream tag,
 hazard, survival and weight growth; ``_estimates`` and ``_verdict`` (the
 variance check) read it. A stream is one ``SeedSequence([seed, stream_tag])``
-generator that draws the histogram of its dates up to its horizon cap
-(``_date_counts``): the well-filled early dates in one multinomial draw, the
-sparse tail as shifted geometric dates. Every extinction-date case of one
-parameter point shares one stream of T, so a point costs two streams, each
-drawn and clipped once, with u(c_t) evaluated once. Estimates are bit-for-bit
+generator that draws the histogram of its dates up to its horizon cap and
+ends it at the last date drawn (``_date_counts``): the well-filled early
+dates in one multinomial draw, the sparse tail as shifted geometric dates.
+Every extinction-date case of one parameter point shares one stream of T, so
+a point costs two streams, each drawn and clipped once, with u(c_t) evaluated
+once and its tables built over the drawn dates. Estimates are bit-for-bit
 reproducible from (seed, config). ``mc_compare``, the one public spelling of
 the comparison, walks the passes of the array core (``series._passes``)
 and sets each case's closed form beside its estimate over a grid; smoothed
@@ -165,14 +166,15 @@ def _date(case: Scenario, params: HazardParams, growth: float) -> Tuple[int, flo
 def _date_counts(tag: int, hazard: float, survival: float,
                  config: SimulationConfig) -> Tuple[np.ndarray, float]:
     """The histogram ``sample_date_counts`` draws on ``SeedSequence([seed, tag])`` over dates
-    0..cap, cap = ``config.cap(survival)``, the draws past the cap counted at it, and their share.
+    0..cap, cap = ``config.cap(survival)``, the draws past the cap counted at it, and their share;
+    it ends at the last date drawn (the cap only when a draw was clipped).
     """
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, tag]))
     counts = sample_date_counts(hazard, config.replications, config.cap(survival), rng)
     clipped = int(counts[-1])
     counts = counts[:-1]
     counts[-1] += clipped
-    return counts, clipped / config.replications
+    return counts[:np.flatnonzero(counts)[-1] + 1], clipped / config.replications
 
 
 def _estimates(
@@ -183,12 +185,13 @@ def _estimates(
 
     Per stream of the cases' ``_date``, ``_date_counts`` draws the histogram
     once and u(c_t) is evaluated once over its dates 0..cap; each case then
-    averages its table cum[t], its realized sum when the date is t: the cumsum
-    of G**t u(c_t) (social welfare: of the window terms of W(0, T)). The
-    extinction-date cases share one stream (common random numbers), so their
-    estimates are correlated, each equal to the one it gets alone. A stream
-    whose u(c_t) cannot be built gives its cases the ValueError's text. The
-    caller has checked each stream's hazard and each case's expectation.
+    averages its table cum[t], its realized sum when the date is t, over the
+    drawn dates: the cumsum of G**t u(c_t) (social welfare: of the window
+    terms of W(0, T)). The extinction-date cases share one stream (common
+    random numbers), so their estimates are correlated, each equal to the one
+    it gets alone. A stream whose u(c_t) cannot be built up to its cap gives
+    its cases the ValueError's text. The caller has checked each stream's
+    hazard and each case's expectation.
     """
     streams: Dict[Tuple[int, float, float], Dict[Scenario, float]] = {}
     for case, growth in growths.items():
@@ -196,10 +199,10 @@ def _estimates(
         streams.setdefault((tag, hazard, survival), {})[case] = g
     total = config.replications
     out: Dict[Scenario, Union[SimEstimate, str]] = {}
-    for stream, cases in streams.items():
-        counts, clipped = _date_counts(*stream, config)
+    for (tag, hazard, survival), cases in streams.items():
+        counts, clipped = _date_counts(tag, hazard, survival, config)
         try:
-            uu = u(path.values(0, len(counts)))
+            uu = u(path.values(0, config.cap(survival) + 1))[:len(counts)]
         except ValueError as exc:
             out.update(dict.fromkeys(cases, str(exc)))
             continue
@@ -264,9 +267,11 @@ def mc_compare(
     ``_estimates`` call, each at the growth of its own pass, and judged by
     ``_verdict``, unless its date is known ("deterministic (no sampling)") or
     its stream's u(c_t) cannot be built ("ok: not sampled: <reason>": the
-    closed form can hold where the sampled c_t underflow). A sampled row
-    without finite variance reads "ok: infinite variance, mc_se is not an
-    error bar". No row builds a batch of its own.
+    closed form can hold where the sampled c_t underflow). That rule reads
+    u(c_t) over every date 0..cap, not only the dates drawn, so it does not
+    depend on the draws. A sampled row without finite variance reads "ok:
+    infinite variance, mc_se is not an error bar". No row builds a batch of
+    its own.
     """
     if len(points) != len(configs):
         raise ValueError(f"one SimulationConfig per point: {len(configs)} for {len(points)} points")
@@ -459,10 +464,8 @@ def abm_smoothing_study(
         raise NoExtinctionError("the study mixes over extinction dates; needs M > 0")
     reps = config.replications
     counts, hit_frac = _date_counts(_TAG_ABM_T, params.M, 1.0 - params.M, config)
-    t_max = int(np.flatnonzero(counts)[-1])
-    counts = counts[:t_max + 1]
-    live = reps - np.concatenate(([0], np.cumsum(counts)))  # runs with T >= t, t = 0..t_max+1
-    uu = u(path.values(0, t_max + 1))
+    live = reps - np.concatenate(([0], np.cumsum(counts)))  # runs with T >= t, t = 0..len(counts)
+    uu = u(path.values(0, len(counts)))
     smooth_cum = np.cumsum(_window_terms(pref, params, uu))
     n0s = np.array([int(n0) for n0 in n0_values], dtype=np.int64)
     shape = (len(n0s), reps)
@@ -471,20 +474,23 @@ def abm_smoothing_study(
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, _TAG_ABM]))
     # Runs are sorted by date, latest first, so the runs alive at t are the prefix
     # [:live[t]] and those that see t+1 the prefix [:live[t+1]]. F_t = (1-m) F_{t-1}
-    # + N_t and welfare += u_t F_t; then deaths and births, one draw each.
-    for t in range(t_max + 1):
+    # + N_t and welfare += u_t F_t; then deaths and births, one draw each, until every
+    # moving count is 0: zero is absorbing, so later draws could only return 0.
+    drawing = True
+    for t in range(len(counts)):
         alive, moving = live[t], live[t + 1]
         fv = f[:, :alive]
         fv *= 1.0 - params.m
         fv += n[:, :alive]
         welfare[:, :alive] += uu[t] * fv
-        if moving:
+        if moving and drawing:
             nv = n[:, :moving]
             survivors = rng.binomial(nv, 1.0 - params.m)
             np.add(survivors, _offspring(rng, survivors, params.b, config.offspring_law), out=nv)
             if nv.min() < 0:  # both terms lie in [0, 2**63 - 1], so a sum past it wraps negative
                 n0 = n0s[np.any(nv < 0, axis=1)][0]
                 raise ValueError(f"the head count from n0={n0} outgrows int64 at period {t + 1}")
+            drawing = np.count_nonzero(nv) > 0
     # zero is absorbing and a count is frozen after its run's date: a run died off iff it ends at 0
     percap = welfare / n0s[:, None]
     gap = percap - np.repeat(smooth_cum[::-1], counts[::-1])

@@ -24,6 +24,7 @@ from extrisk import (
     Scenario,
     SimEstimate,
     SimulationConfig,
+    SmoothingGapRow,
     UtilitySpec,
     abm_smoothing_study,
     default_horizon_cap,
@@ -43,9 +44,10 @@ from extrisk import (
     welfare_window_terms,
 )
 from extrisk.model import _CHUNK
-from extrisk.series import _batch, _columns
+from extrisk.series import _batch, _columns, _welfare_prefactor, _window_terms
 from extrisk.simulate import (
-    _TAG_ABM_T, _TAG_EU, _TAG_EV, _date, _estimates, _mc_one, _offspring, _verdict,
+    _TAG_ABM, _TAG_ABM_T, _TAG_EU, _TAG_EV, _date, _date_counts, _estimates, _mc_one, _offspring,
+    _verdict,
 )
 
 ONE = ConsumptionPath.constant(1.0)
@@ -336,6 +338,59 @@ def test_histogram_estimate_matches_direct_mean_over_the_same_streams(monkeypatc
         assert est.standard_error == pytest.approx(direct_se, rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("hazard, cap", [(0.002, None), (0.05, 30), (1.0, None)],
+                         ids=["drawn", "clipped", "hazard-1"])
+def test_date_counts_end_at_the_last_drawn_date(hazard, cap):
+    # the clipped histogram sample_date_counts draws on the stream, cut after its last
+    # non-zero bin: the cap bin when a date was clipped, bin 0 alone at hazard 1
+    reps = 100_000
+    cfg = SimulationConfig(replications=reps, seed=41, horizon_cap=cap)
+    counts, clipped = _date_counts(_TAG_EV, hazard, 1.0 - hazard, cfg)
+    full = sample_date_counts(hazard, reps, cfg.cap(1.0 - hazard),
+                              np.random.default_rng(np.random.SeedSequence([41, _TAG_EV])))
+    beyond = int(full[-1])
+    full = full[:-1]
+    full[-1] += beyond
+    assert counts.sum() == reps and counts[-1] > 0
+    assert counts.tolist() == full[:len(counts)].tolist() and not full[len(counts):].any()
+    assert clipped == beyond / reps
+    if cap is not None:
+        assert len(counts) == cap + 1 and clipped > 0
+    elif hazard == 1.0:
+        assert counts.tolist() == [reps]
+    else:  # 1e5 dates at 0.002 reach about 7,000 of the 13,803 dates to the cap
+        assert len(counts) < cfg.cap(1.0 - hazard)
+
+
+@pytest.mark.parametrize("params", [VERIFY_GRID[3], HazardParams(m=0.02, M=0.05, b=0.03, N0=2.0)],
+                         ids=["M=0.002", "M=0.05"])
+def test_estimates_match_tables_over_every_date_to_the_cap(params):
+    # the sums over the drawn dates are the sums over 0..cap less terms of count 0, so
+    # only their order moves: 1e-12 relative is some 4,500 ulps of float64
+    reps = 200_000
+    cfg = SimulationConfig(replications=reps, seed=17)
+    cases = (INDIVIDUAL, DYNASTY, DYNASTY_THETA, LINEAGE, SOCIAL_WELFARE)
+    growths = dict(zip(cases, _batch(_columns([params]), cases).growth.tolist()))
+    ests = _estimates(params, growths, VERIFY_PATH, VERIFY_UTILITY, cfg)
+    for case, g in growths.items():
+        tag, hazard, survival, g = _date(case, params, g)
+        cap = cfg.cap(survival)
+        counts = sample_date_counts(hazard, reps, cap,
+                                    np.random.default_rng(np.random.SeedSequence([17, tag])))
+        counts[-2] += counts[-1]
+        counts = counts[:-1]
+        assert np.flatnonzero(counts)[-1] < cap  # the estimate reads only part of the table
+        if case == SOCIAL_WELFARE:
+            cum = np.cumsum(welfare_window_terms(params, VERIFY_PATH, VERIFY_UTILITY, cap + 1))
+        else:
+            uu = VERIFY_UTILITY(VERIFY_PATH.values(0, cap + 1))
+            cum = np.cumsum(g ** np.arange(cap + 1.0) * uu)
+        mean = math.fsum(counts * cum) / reps
+        se = math.sqrt(math.fsum(counts * (cum - mean) ** 2) / (reps - 1) / reps)
+        assert ests[case].mean == pytest.approx(mean, rel=1e-12, abs=0.0), case
+        assert ests[case].standard_error == pytest.approx(se, rel=1e-12, abs=0.0), case
+
+
 def test_verify_rows_equal_single_estimator_calls():
     reps, seed = 3_000, 11
     singles = {
@@ -403,6 +458,23 @@ def test_a_row_mc_compare_does_not_sample_is_a_one_case_value_error(case, estima
         estimate(MIXED_POINTS[1], cfg)
     assert type(exc.value) is ValueError
     assert str(exc.value) == "log utility needs consumption > 0"
+
+
+def test_not_sampled_is_decided_over_every_date_to_the_cap_whatever_the_draws():
+    # c_t = 0.5**t is 0.0 from t = 1075: past every date 2,000 draws reach at these hazards,
+    # so past the tables, but inside both caps (1,615 and 1,829 dates)
+    p = HazardParams(m=0.002, M=0.015, b=0.01)
+    configs = [SimulationConfig(replications=2_000, seed=seed) for seed in range(20)]
+    for cfg in configs:
+        for tag, hazard, survival in ((_TAG_EU, p.death_hazard, p.joint_survival),
+                                      (_TAG_EV, p.M, 1.0 - p.M)):
+            assert len(_date_counts(tag, hazard, survival, cfg)[0]) < 1075 <= cfg.cap(survival)
+    rows = mc_compare([p] * 20, [INDIVIDUAL, DYNASTY, LINEAGE, SOCIAL_WELFARE], HALVING,
+                      VERIFY_UTILITY, 1e-10, configs)
+    assert len(rows) == 80
+    for row in rows:
+        assert row["status"] == "ok: not sampled: log utility needs consumption > 0"
+        assert row["mc_mean"] is None and math.isfinite(row["analytic"])
 
 
 def test_mc_compare_needs_one_config_per_point():
@@ -599,6 +671,59 @@ def test_abm_total_mortality_dies_off_on_every_run_that_sees_period_one():
     for row in abm_smoothing_study(p, ONE, LINEAR, [1, 7], cfg):
         assert row.die_off_frequency == share
         assert row.mean_welfare_per_capita == 1.0  # u(c_0), the founders only
+
+
+def _study_drawing_every_period(p, path, u, n0_values, cfg):
+    """``abm_smoothing_study``'s rows from a loop that draws deaths and births in every period
+    up to the last date, even once every population has died out."""
+    reps = cfg.replications
+    counts, hit_frac = _date_counts(_TAG_ABM_T, p.M, 1.0 - p.M, cfg)
+    live = reps - np.concatenate(([0], np.cumsum(counts)))
+    uu = u(path.values(0, len(counts)))
+    smooth_cum = np.cumsum(_window_terms(_welfare_prefactor(1.0, p.b), p, uu))
+    n0s = np.array(n0_values, dtype=np.int64)
+    n = np.repeat(n0s[:, None], reps, axis=1)
+    f, welfare = np.zeros(n.shape), np.zeros(n.shape)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _TAG_ABM]))
+    for t in range(len(counts)):
+        alive, moving = live[t], live[t + 1]
+        f[:, :alive] = f[:, :alive] * (1.0 - p.m) + n[:, :alive]
+        welfare[:, :alive] += uu[t] * f[:, :alive]
+        survivors = rng.binomial(n[:, :moving], 1.0 - p.m)
+        n[:, :moving] = survivors + _offspring(rng, survivors, p.b, cfg.offspring_law)
+    percap = welfare / n0s[:, None]
+    gap = percap - np.repeat(smooth_cum[::-1], counts[::-1])
+    smooth_mean = counts @ smooth_cum / reps
+    gap_se = np.std(gap, axis=1, ddof=1) / math.sqrt(reps)
+    return [SmoothingGapRow(n0=int(n0), runs=reps, mean_abs_gap=float(np.mean(np.abs(gap[i]))),
+                            die_off_frequency=float(np.mean(n[i] == 0)),
+                            mean_welfare_per_capita=float(np.mean(percap[i])),
+                            smoothed_mean_per_capita=float(smooth_mean),
+                            cap_hit_fraction=hit_frac, welfare_gap_se=float(gap_se[i]))
+            for i, n0 in enumerate(n0s)]
+
+
+@pytest.mark.parametrize("law", ["poisson", "bernoulli-pair"])
+@pytest.mark.parametrize("m, dies_off", [(0.3, True), (0.02, False)], ids=["die-off", "survive"])
+def test_abm_study_that_stops_drawing_at_die_off_equals_the_loop_that_never_stops(
+        law, m, dies_off, monkeypatch):
+    p = HazardParams(m=m, M=0.02, b=0.05)
+    cfg = SimulationConfig(replications=400, seed=31, mode="agent", offspring_law=law)
+    n0_values = [1, 5, 40]
+    periods = []
+
+    def counting(rng, survivors, b, law):
+        periods.append(len(survivors))
+        return _offspring(rng, survivors, b, law)
+
+    monkeypatch.setattr("extrisk.simulate._offspring", counting)
+    rows = abm_smoothing_study(p, VERIFY_PATH, VERIFY_UTILITY, n0_values, cfg)
+    assert rows == _study_drawing_every_period(p, VERIFY_PATH, VERIFY_UTILITY, n0_values, cfg)
+    # (1-m)(1+b) is 0.735 at m = 0.3: every population dies out long before the last date and
+    # the draws stop there; at m = 0.02 some survive, so every period but the last draws
+    last = len(_date_counts(_TAG_ABM_T, p.M, 1.0 - p.M, cfg)[0]) - 1
+    assert len(periods) < last / 2 if dies_off else len(periods) == last
+    assert 0.0 < rows[0].die_off_frequency < 1.0
 
 
 # --- verification grid -------------------------------------------------------------------

@@ -23,7 +23,8 @@ The agent-based mode keeps an integer population with Bernoulli deaths and
 stochastic births per survivor, and quantifies the error of the smooth
 population approximation as a function of the starting head count. All head
 counts share one offspring stream and one histogram of extinction dates, drawn
-by the sampler of smoothed mode.
+by the sampler of smoothed mode. Both modes draw a stream only once u(c_t) is
+finite at every date to its cap (``_check_u_to_cap``, decided before any draw).
 """
 
 from __future__ import annotations
@@ -177,21 +178,31 @@ def _date_counts(tag: int, hazard: float, survival: float,
     return counts[:np.flatnonzero(counts)[-1] + 1], clipped / config.replications
 
 
+def _check_u_to_cap(path: ConsumptionPath, u: UtilitySpec, cap: int) -> None:
+    """Raise ValueError unless u(c_t) is finite at every date 0..cap: past the prefix c_t never
+    increases and u is increasing, so the prefix dates and the cap date decide it.
+    """
+    c = np.append(path.values(0, min(path.prefix_len, cap + 1)), path.values(cap, cap + 1))
+    with np.errstate(over="ignore"):
+        if not np.all(np.isfinite(u(c))):
+            raise ValueError(f"{u.family} utility leaves float range by the horizon cap {cap}")
+
+
 def _estimates(
     params: HazardParams, growths: Dict[Scenario, float], path: ConsumptionPath, u: UtilitySpec,
     config: SimulationConfig,
 ) -> Dict[Scenario, Union[SimEstimate, str]]:
     """Each case's estimate at its row growth, or why its stream could not be sampled.
 
-    Per stream of the cases' ``_date``, ``_date_counts`` draws the histogram
-    once and u(c_t) is evaluated once over its dates 0..cap; each case then
-    averages its table cum[t], its realized sum when the date is t, over the
-    drawn dates: the cumsum of G**t u(c_t) (social welfare: of the window
-    terms of W(0, T)). The extinction-date cases share one stream (common
-    random numbers), so their estimates are correlated, each equal to the one
-    it gets alone. A stream whose u(c_t) cannot be built up to its cap gives
-    its cases the ValueError's text. The caller has checked each stream's
-    hazard and each case's expectation.
+    Per stream of the cases' ``_date`` that ``_check_u_to_cap`` passes,
+    ``_date_counts`` draws the histogram once and u(c_t) is evaluated once over
+    its drawn dates; each case then averages its table cum[t], its realized sum
+    when the date is t, over them: the cumsum of G**t u(c_t) (social welfare:
+    of the window terms of W(0, T)). The extinction-date cases share one stream
+    (common random numbers), so their estimates are correlated, each equal to
+    the one it gets alone. A stream it rejects draws nothing and gives its
+    cases the ValueError's text. The caller has checked each stream's hazard
+    and each case's expectation.
     """
     streams: Dict[Tuple[int, float, float], Dict[Scenario, float]] = {}
     for case, growth in growths.items():
@@ -200,12 +211,13 @@ def _estimates(
     total = config.replications
     out: Dict[Scenario, Union[SimEstimate, str]] = {}
     for (tag, hazard, survival), cases in streams.items():
-        counts, clipped = _date_counts(tag, hazard, survival, config)
         try:
-            uu = u(path.values(0, config.cap(survival) + 1))[:len(counts)]
+            _check_u_to_cap(path, u, config.cap(survival))
         except ValueError as exc:
             out.update(dict.fromkeys(cases, str(exc)))
             continue
+        counts, clipped = _date_counts(tag, hazard, survival, config)
+        uu = u(path.values(0, len(counts)))
         # center on a drawn value, the median date's, so constant outcomes get SE exactly 0
         median = int(np.searchsorted(np.cumsum(counts), (total + 1) // 2))
         for case, g in cases.items():
@@ -266,12 +278,11 @@ def mc_compare(
     (``series._evaluate_rows``); the ok rows of a point are then sampled in one
     ``_estimates`` call, each at the growth of its own pass, and judged by
     ``_verdict``, unless its date is known ("deterministic (no sampling)") or
-    its stream's u(c_t) cannot be built ("ok: not sampled: <reason>": the
-    closed form can hold where the sampled c_t underflow). That rule reads
-    u(c_t) over every date 0..cap, not only the dates drawn, so it does not
-    depend on the draws. A sampled row without finite variance reads "ok:
-    infinite variance, mc_se is not an error bar". No row builds a batch of
-    its own.
+    its stream's u(c_t) leaves float range at a date 0..cap: c_t underflowing
+    to 0, or a CRRA u(c_t) overflowing ("ok: not sampled: <reason>", decided by
+    ``_check_u_to_cap`` before any draw, as in agent mode, so whatever the
+    draws). A sampled row without finite variance reads "ok: infinite
+    variance, mc_se is not an error bar". No row builds a batch of its own.
     """
     if len(points) != len(configs):
         raise ValueError(f"one SimulationConfig per point: {len(configs)} for {len(points)} points")
@@ -340,8 +351,8 @@ def mc_eu_individual(
 ) -> SimEstimate:
     """Sample the death date D and average u(c_0) + ... + u(c_D).
 
-    Unbiased for eu_individual up to the horizon-cap clipping reported in
-    truncated_mass.
+    Unbiased for eu_individual but for the dates drawn past the horizon cap and
+    counted at it; truncated_mass is their share of draws, not the bias.
     """
     return _mc_one(INDIVIDUAL, params, path, u, config)
 
@@ -454,7 +465,8 @@ def abm_smoothing_study(
     window prefactor (1+b)/b past float range with social welfare's messages
     (the smoothed window divides by b), b > 2 under bernoulli-pair, head
     counts outside ``_check_head_counts`` (the rule the CLI's config check
-    shares) and M = 0.
+    shares), M = 0, and u(c_t) past float range at any date to the cap
+    (``_check_u_to_cap``, smoothed mode's not-sampled rule).
     """
     pref = _welfare_prefactor(1.0, params.b)
     if config.offspring_law == "bernoulli-pair" and params.b > 2.0:
@@ -462,6 +474,7 @@ def abm_smoothing_study(
     _check_head_counts(n0_values)
     if params.M <= 0.0:
         raise NoExtinctionError("the study mixes over extinction dates; needs M > 0")
+    _check_u_to_cap(path, u, config.cap(1.0 - params.M))
     reps = config.replications
     counts, hit_frac = _date_counts(_TAG_ABM_T, params.M, 1.0 - params.M, config)
     live = reps - np.concatenate(([0], np.cumsum(counts)))  # runs with T >= t, t = 0..len(counts)
@@ -527,8 +540,10 @@ VERIFY_GRID: Tuple[HazardParams, ...] = (
     HazardParams(m=0.08, M=0.008, b=0.04, theta=0.7, alpha=0.45),
     HazardParams(m=0.50, M=0.30, b=0.8, theta=1.0, alpha=0.95),
 )
-# Every point satisfies (1-M)(1+n)**2 < 1 (and the theta/alpha analogues), so
-# the per-draw sums have finite variance and +-3 SE comparisons are sound.
+# Every point satisfies (1-M)(1+n)**2 < 1 (and the theta/alpha analogues), so the per-draw
+# sums have finite variance and +-3 SE comparisons are sound; the dynasty and social-welfare
+# rows at points 1 and 6 have no finite third moment (s G**3 = 1.0034 and 1.0022), so their
+# normal approximation is skewed there.
 
 VERIFY_PATH = ConsumptionPath(prefix=(0.8, 1.1, 1.25, 1.18, 1.3), tail="constant")
 VERIFY_UTILITY = UtilitySpec.log()

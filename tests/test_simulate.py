@@ -1,6 +1,7 @@
 """Monte Carlo estimators against their analytic targets, plus the agent-based mode."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -46,8 +47,8 @@ from extrisk import (
 from extrisk.model import _CHUNK
 from extrisk.series import _batch, _columns, _welfare_prefactor, _window_terms
 from extrisk.simulate import (
-    _TAG_ABM, _TAG_ABM_T, _TAG_EU, _TAG_EV, _date, _date_counts, _estimates, _mc_one, _offspring,
-    _verdict,
+    _TAG_ABM, _TAG_ABM_T, _TAG_EU, _TAG_EV, _check_u_to_cap, _date, _date_counts, _estimates,
+    _mc_one, _offspring, _verdict,
 )
 
 ONE = ConsumptionPath.constant(1.0)
@@ -475,6 +476,100 @@ def test_not_sampled_is_decided_over_every_date_to_the_cap_whatever_the_draws():
     for row in rows:
         assert row["status"] == "ok: not sampled: log utility needs consumption > 0"
         assert row["mc_mean"] is None and math.isfinite(row["analytic"])
+
+
+def _u_finite_at_every_date(path, u, cap):
+    """The rule written out: u(c_t) at every date 0..cap, raising u's own error."""
+    with np.errstate(over="ignore"):
+        return bool(np.all(np.isfinite(u(path.values(0, cap + 1)))))
+
+
+def _agree(path, u, cap):
+    """_check_u_to_cap passes where the rule written out does, else raises the same error."""
+    try:
+        finite, reason = _u_finite_at_every_date(path, u, cap), None
+    except ValueError as exc:
+        finite, reason = False, str(exc)
+    if finite:
+        _check_u_to_cap(path, u, cap)
+    else:
+        with pytest.raises(ValueError) as exc:
+            _check_u_to_cap(path, u, cap)
+        assert str(exc.value) == (
+            reason or f"{u.family} utility leaves float range by the horizon cap {cap}"), cap
+    return finite
+
+
+@pytest.mark.parametrize("u", [UtilitySpec.log(), LINEAR, UtilitySpec.crra(0.5),
+                               UtilitySpec.crra(3.0), UtilitySpec.crra(5.0)],
+                         ids=["log", "linear", "crra0.5", "crra3", "crra5"])
+@pytest.mark.parametrize("prefix", [(1.0,), (0.8, 1.1, 1.25, 1.18, 1.3), (1.0, 1.0, 1e-200, 1.0)],
+                         ids=["one", "five", "tiny-at-2"])
+@pytest.mark.parametrize("ratio", [None, 0.5, 0.8, 0.99, 0.9999])
+def test_check_u_to_cap_agrees_with_every_date_to_the_cap(ratio, prefix, u):
+    # caps inside and past the prefix, on each side of the first bad dates of
+    # test_check_u_to_cap_at_the_measured_first_bad_dates, and the prefix date 2
+    # (1e-200 under CRRA 3 and 5)
+    path = ConsumptionPath(prefix, "constant") if ratio is None else ConsumptionPath(
+        prefix, "geometric", ratio)
+    for cap in (1, 2, 3, 1074, 1075, 1590, 1591, 4096):
+        _agree(path, u, cap)
+
+
+@pytest.mark.parametrize("ratio, u, first_bad", [
+    (0.5, UtilitySpec.log(), 1075),  # c_t = 0.5**t is 0.0
+    (0.8, UtilitySpec.crra(3.0), 1591),  # expm1(-2 log c_t) passes float range
+    (0.9999, UtilitySpec.crra(5.0), 1_774_369),  # expm1(-4 log c_t), near the largest cap
+], ids=["halving-log", "0.8-crra3", "0.9999-crra5"])
+def test_check_u_to_cap_at_the_measured_first_bad_dates(ratio, u, first_bad):
+    path = ConsumptionPath((1.0,), "geometric", ratio)
+    assert _agree(path, u, first_bad - 1)
+    assert not _agree(path, u, first_bad)
+
+
+def test_estimates_ask_for_the_prefix_the_cap_date_and_the_drawn_dates_only(monkeypatch):
+    asked, values = [], ConsumptionPath.values
+
+    def spy(self, start, stop):
+        asked.append(stop - start)
+        return values(self, start, stop)
+
+    monkeypatch.setattr(ConsumptionPath, "values", spy)
+    p, cfg = VERIFY_GRID[3], SimulationConfig(replications=2_000, seed=4)
+    growths = {INDIVIDUAL: 1.0, DYNASTY: 1.0}
+    _estimates(p, growths, VERIFY_PATH, VERIFY_UTILITY, cfg)
+    drawn = [len(_date_counts(tag, h, s, cfg)[0])
+             for tag, h, s in ((_TAG_EU, p.death_hazard, p.joint_survival),
+                               (_TAG_EV, p.M, 1.0 - p.M))]
+    assert asked == [5, 1, drawn[0], 5, 1, drawn[1]]
+
+
+@pytest.mark.parametrize("seed", range(1, 21))
+def test_agent_mode_rejects_underflow_past_its_drawn_dates_at_every_seed(seed):
+    # c_t = 0.5**t is 0 from date 1,075, inside the cap (5,513); the last of 200 drawn dates
+    # falls on either side of it by seed, but the point is rejected before any draw
+    with pytest.raises(ValueError) as exc:
+        abm_smoothing_study(HazardParams(m=0.02, M=0.005, b=0.01), HALVING, VERIFY_UTILITY,
+                            [1, 10], SimulationConfig(replications=200, seed=seed, mode="agent"))
+    assert type(exc.value) is ValueError
+    assert str(exc.value) == "log utility needs consumption > 0"
+
+
+def test_crra_overflow_inside_the_cap_is_not_sampled_without_a_warning():
+    # u(c_t) = expm1(-2 log c_t) / -2 on c_t = 0.8**t passes float range at date 1,591, inside
+    # the cap of T (2,750) but past the dates 20,000 draws reach; the cap of D is 53
+    p, path, crra3 = HazardParams(m=0.4, M=0.01, b=0.001), ConsumptionPath(
+        (1.0,), "geometric", 0.8), UtilitySpec.crra(3.0)
+    reason = "ok: not sampled: crra utility leaves float range by the horizon cap 2750"
+    configs = [SimulationConfig(replications=20_000, seed=seed) for seed in range(5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = mc_compare([p] * 5, [INDIVIDUAL, DYNASTY, LINEAGE, SOCIAL_WELFARE], path, crra3,
+                          1e-10, configs)
+    for i in range(0, 20, 4):
+        assert rows[i]["mc_mean"] is not None and math.isfinite(rows[i]["mc_mean"])
+        assert [r["status"] for r in rows[i + 1 : i + 4]] == [reason] * 3
+        assert all(math.isfinite(r["analytic"]) for r in rows[i + 1 : i + 4])
 
 
 def test_mc_compare_needs_one_config_per_point():

@@ -276,7 +276,9 @@ def _load_config(args: argparse.Namespace, required: bool) -> RunConfig:
 _CSV_QUOTED = (",", '"', "\n", "\r")
 
 
-_WRITE_BLOCK = 2048  # rows per block of _write_rows: bounds the texts held at once
+# rows per block of _write_rows and per join of _stream_columns: bounds the row texts held at
+# once, whatever the size of a pass
+_WRITE_BLOCK = 2048
 
 
 def _write_rows(
@@ -300,8 +302,8 @@ def _write_columns(
     A block maps each of `columns` (other keys are not written) to its
     cells, lists of one length. One pass over the blocks streams both files
     into temp files beside their targets; each distinct value of a column is
-    formatted once per block, and its text serves both files. JSON keys
-    follow `columns`.
+    formatted once per block, and its text serves both files. Rows are
+    joined and written _WRITE_BLOCK at a time. JSON keys follow `columns`.
     Only when every block is written are the files renamed into place, so a
     failure leaves the targets untouched and no temp file or new directory behind.
     """
@@ -397,10 +399,12 @@ def _stream_columns(csv_fh: Optional[TextIO], json_fh: Optional[TextIO], columns
                     blocks: Iterable[Dict[str, Sequence[Any]]]) -> None:
     """CSV with a header row; a JSON array, one row per line.
 
-    Each block's rows are joined from its columns' texts. A cell list given
-    for two columns is formatted once, and one given again in the next block
-    is not formatted again (it must not have changed). A JSON row is one join
-    of its cells between key prefixes built once per call: '{"m": ', ...'}'.
+    Each block's rows are joined from its columns' texts and written
+    _WRITE_BLOCK rows at a time, so the text held at once does not grow with
+    the block. A cell list given for two columns is formatted once, and one
+    given again in the next block is not formatted again (it must not have
+    changed). A JSON row is one join of its cells between key prefixes built
+    once per call: '{"m": ', ...'}'.
     """
     prefixes = [("{" if i == 0 else ", ") + json.dumps(col) + ": " for i, col in enumerate(columns)]
     key_texts, close = list(map(itertools.repeat, prefixes)), itertools.repeat("}")
@@ -416,12 +420,15 @@ def _stream_columns(csv_fh: Optional[TextIO], json_fh: Optional[TextIO], columns
         texts = {key: texts.get(key) or (cells, _column_texts(cells))
                  for key, cells in distinct.items()}
         csv_cols, json_cols = zip(*[texts[id(cells)][1] for cells in block])
-        if csv_fh:
-            csv_fh.write("\n".join(map(",".join, zip(*csv_cols))) + "\n")
-        if json_fh:
-            parts = [part for pair in zip(key_texts, json_cols) for part in pair]
-            json_fh.write(sep + ",\n".join(map("".join, zip(*parts, close))))
-            sep = ",\n"
+        csv_rows = map(",".join, zip(*csv_cols))
+        parts = [part for pair in zip(key_texts, json_cols) for part in pair]
+        json_rows = map("".join, zip(*parts, close))
+        for _ in range(0, len(block[0]), _WRITE_BLOCK):
+            if csv_fh:
+                csv_fh.write("\n".join(itertools.islice(csv_rows, _WRITE_BLOCK)) + "\n")
+            if json_fh:
+                json_fh.write(sep + ",\n".join(itertools.islice(json_rows, _WRITE_BLOCK)))
+                sep = ",\n"
     if json_fh:
         json_fh.write("[]\n" if sep == "[\n" else "\n]\n")
 

@@ -324,7 +324,9 @@ def weight_sequence(case: Scenario, params: HazardParams, length: int) -> np.nda
 
 _RANGE = "the series leaves float range: math range error"  # an exp or expm1 overflowed
 _CHUNK_T = 4096  # dates per block of the prefix and of _known_date_sum
-_BLOCK = 1 << 12  # rows x prefix dates per pass of the core: bounds its memory
+# rows x prefix dates per pass of the core: bounds its arrays and the cell lists a pass hands
+# the writer (3,275 rows at a five-date prefix)
+_BLOCK = 1 << 14
 
 
 class _Failures:

@@ -31,7 +31,7 @@ from extrisk import (
     evaluate,
     known_extinction,
 )
-from extrisk import analysis, cli
+from extrisk import analysis, cli, series
 from extrisk.analysis import scenario_sweep
 from extrisk.cli import run as cli_run
 from extrisk.series import Scenario, _batch, _points, factor_exponents
@@ -502,9 +502,10 @@ def test_sensitivity_gives_a_boundary_point_a_row_status(tmp_path):
     assert [list(row) for row in doc] == [list(rows[0])] * 8
 
 
-# 11 x 6 x 5 = 330 points at a five-date prefix: three passes at the five default cases
-# (163 points each) and at these six (136 points each). m = 1 - 5e-7 and M in {0, 5e-7}
-# cross the boundary at the default step 1e-6, so their sensitivity rows are rejected.
+# 11 x 6 x 5 = 330 points at a five-date prefix: at a pass size of 1 << 12 rows x dates,
+# three passes at the five default cases (163 points each) and at these six (136 points
+# each); one pass at series._BLOCK. m = 1 - 5e-7 and M in {0, 5e-7} cross the boundary at
+# the default step 1e-6, so their sensitivity rows are rejected.
 _THREE_PASSES = {
     "cases": ["individual", "dynasty", "dynasty_theta", "lineage", "social_welfare",
               {"known_extinction": 3}],
@@ -551,14 +552,19 @@ def _rows_point_by_point(command, cfg):
                     yield {**base, "case": case.label(), **vars(reg), "status": "ok"}
 
 
-@pytest.mark.parametrize("command, columns, passes", [
-    ("table1", cli._TABLE1_COLUMNS, 3),
-    ("sensitivity", cli._SENSITIVITY_COLUMNS, 3),
-    ("profile", cli._PROFILE_COLUMNS, 1),
-    ("sweep", cli._SWEEP_COLUMNS, 3),
+@pytest.mark.parametrize("command, columns, block, passes", [
+    ("table1", cli._TABLE1_COLUMNS, 1 << 12, 3),
+    ("sensitivity", cli._SENSITIVITY_COLUMNS, 1 << 12, 3),
+    ("profile", cli._PROFILE_COLUMNS, 1 << 12, 1),
+    ("sweep", cli._SWEEP_COLUMNS, 1 << 12, 3),
+    ("table1", cli._TABLE1_COLUMNS, series._BLOCK, 1),
+    ("sensitivity", cli._SENSITIVITY_COLUMNS, series._BLOCK, 1),
+    ("profile", cli._PROFILE_COLUMNS, series._BLOCK, 1),
+    ("sweep", cli._SWEEP_COLUMNS, series._BLOCK, 1),
 ])
 def test_grid_subcommands_write_their_point_by_point_rows_from_a_batch_per_pass(
-        tmp_path, monkeypatch, capsys, command, columns, passes):
+        tmp_path, monkeypatch, capsys, command, columns, block, passes):
+    monkeypatch.setattr(series, "_BLOCK", block)
     config = write_config(tmp_path, _THREE_PASSES)
     cfg = cli.RunConfig.from_file(config)
     rows = list(_rows_point_by_point(command, cfg))
@@ -574,6 +580,32 @@ def test_grid_subcommands_write_their_point_by_point_rows_from_a_batch_per_pass(
     assert len(batches) == passes
     for name in (f"{command}.csv", f"{command}.json"):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "by_point" / name).read_bytes()
+
+
+# 3 x 3 x 5 = 45 points at a 100-date prefix: at the five default cases, 8 points per pass
+# of 1 << 12 rows x dates and 32 per pass of 1 << 14
+_SEVERAL_PASSES = {
+    "grid": {"m": [0.0, 0.02, 0.3], "M": [0.0, 0.01, 0.05],
+             "b": [0.0, 1e-12, 0.03, 0.5, 2.0]},
+    "path": {"prefix": [0.9 + 0.005 * t for t in range(100)], "tail": "geometric",
+             "ratio": 0.99},
+    "utility": {"family": "crra", "sigma": 3.0},
+    "simulation": {"replications": 200, "seed": 7},
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep", "table1", "sensitivity", "simulate"])
+def test_the_pass_size_changes_no_output_byte(tmp_path, monkeypatch, capsys, command):
+    config = write_config(tmp_path, _SEVERAL_PASSES)
+    cfg = cli.RunConfig.from_file(config)  # the five default cases, as table1's
+    written = {}
+    for block in (1 << 12, series._BLOCK):
+        monkeypatch.setattr(series, "_BLOCK", block)
+        assert len(list(series._passes(cfg.grid, len(cfg.cases), cfg.path.prefix_len))) >= 2
+        out = tmp_path / str(block)
+        assert cli_run([command, "--config", config, "--out", str(out)]) == 0
+        written[block] = [(out / f"{command}.{ext}").read_bytes() for ext in ("csv", "json")]
+    assert written[1 << 12] == written[series._BLOCK]
 
 
 def test_sweep_and_simulate_smoke(tmp_path, capsys):
@@ -1227,6 +1259,46 @@ def test_writer_matches_the_encoders_across_blocks(tmp_path, capsys):
     cli._write_rows(tmp_path, "o", _BLOCK_COLUMNS, rows, "both")
     check_written_as_the_encoders_write(tmp_path, rows, _BLOCK_COLUMNS)
     assert capsys.readouterr().out.count("wrote ") == 2
+
+
+def _block_scale_columns(rows):
+    return {col: [row[col] for row in rows] for col in _BLOCK_COLUMNS}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "both"])
+def test_one_block_is_joined_in_slices_of_write_block_rows(tmp_path, capsys, fmt):
+    rows = [_block_scale_row(i) for i in range(2 * cli._WRITE_BLOCK + 11)]
+    block = _block_scale_columns(rows)
+    cli._write_columns(tmp_path, "o", _BLOCK_COLUMNS, [block], fmt)
+    if fmt != "both":  # the other file, from the other format alone
+        cli._write_columns(tmp_path, "o", _BLOCK_COLUMNS, [block], "json" if fmt == "csv" else "csv")
+    check_written_as_the_encoders_write(tmp_path, rows, _BLOCK_COLUMNS)
+
+    class Lines(io.StringIO):  # the line breaks of each write
+        def write(self, text):
+            self.counts.append(text.count("\n"))
+            return super().write(text)
+
+    csv_fh, json_fh = Lines(), Lines()
+    csv_fh.counts, json_fh.counts = [], []
+    cli._stream_columns(csv_fh, json_fh, _BLOCK_COLUMNS, [block])
+    assert csv_fh.counts == [1, cli._WRITE_BLOCK, cli._WRITE_BLOCK, 11]  # the header first
+    assert json_fh.counts == [cli._WRITE_BLOCK, cli._WRITE_BLOCK, 11, 2]  # "[\n" or ",\n" a row
+
+
+def test_a_cell_list_given_again_in_the_next_block_is_formatted_once(tmp_path, capsys, monkeypatch):
+    rows = [_block_scale_row(i) for i in range(2 * cli._WRITE_BLOCK + 11)]
+    first = _block_scale_columns(rows)
+    again = {col: cells if col == "int" else cells[::-1] for col, cells in first.items()}
+    formatted = []
+    column_texts = cli._column_texts
+    monkeypatch.setattr(cli, "_column_texts",
+                        lambda cells: formatted.append(cells) or column_texts(cells))
+    cli._write_columns(tmp_path, "o", _BLOCK_COLUMNS, [first, again], "both")
+    assert len(formatted) == 2 * len(_BLOCK_COLUMNS) - 1
+    assert sum(cells is first["int"] for cells in formatted) == 1
+    check_written_as_the_encoders_write(
+        tmp_path, rows + [dict(zip(again, cells)) for cells in zip(*again.values())], _BLOCK_COLUMNS)
 
 
 def check_written_as_the_encoders_write(out, rows, columns=_ORACLE_COLUMNS):

@@ -14,10 +14,11 @@ from extrisk import (
     UtilitySpec,
     eg_lineage,
     eu_individual,
-    eu_known_T,
     ev_dynasty,
     ev_dynasty_theta,
+    evaluate,
     ew_social,
+    known_extinction,
 )
 
 params = HazardParams(m=0.02, M=0.01, b=0.03, theta=0.5, alpha=0.5)
@@ -40,8 +41,10 @@ for name, res in rows:
     print(f"{name:<22s} {res.value:>12.6f} {res.truncation_index + 1:>7d} "
           f"{res.tail_bound:>11.2e}")
 
-print(f"\nknown extinction date T=30: {eu_known_T(params.m, 30, path, u):.6f} "
-      "(same for every M: a fixed date carries no extinction discount)")
+# a finite sum to T: its bound is the rounding of that sum
+known = evaluate(known_extinction(30), params, path, u)
+print(f"\nknown extinction date T=30: {known.value:.6f} (bound {known.tail_bound:.2e}; "
+      "same for every M: a fixed date carries no extinction discount)")
 
 print("\nreduction identities:")
 no_births = HazardParams(m=0.02, M=0.01, b=0.0)

@@ -13,9 +13,11 @@ from extrisk import (
     INDIVIDUAL,
     LINEAGE,
     SOCIAL_WELFARE,
+    ConsumptionPath,
     HazardParams,
+    UtilitySpec,
     discount_factor,
-    factor_from_weights,
+    evaluate,
     known_extinction,
 )
 
@@ -34,8 +36,9 @@ ke = discount_factor(known_extinction(25), params)
 print(f"{'known date T=25':<16s} {ke.factor:>10.6f} {ke.factor_n0:>11.6f} "
       f"{ke.rate_simple:>12.6f} {ke.rate_log:>10.6f}  ({ke.note})")
 
-print("\nfactors recovered from the series weights w_{t+1}/w_t (constant cases):")
+print("\nfactors recovered from the series at u(c_t) = 1, sum_t f**t = 1/(1-f) (constant cases):")
+one, linear = ConsumptionPath.constant(1.0), UtilitySpec.linear()
 for case in cases[:-1]:
-    recovered = factor_from_weights(case, params)
+    recovered = 1.0 - 1.0 / evaluate(case, params, one, linear).value
     closed = discount_factor(case, params).factor
     print(f"  {case.kind:<16s} {recovered:.15f}  |closed - recovered| = {abs(closed - recovered):.1e}")

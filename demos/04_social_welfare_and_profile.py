@@ -21,8 +21,6 @@ from extrisk import (
     discount_profile,
     ew_social,
     ew_social_n0_form,
-    welfare_window,
-    welfare_window_direct,
     welfare_window_terms,
 )
 
@@ -32,10 +30,19 @@ one = ConsumptionPath.constant(1.0)
 params = HazardParams(m=0.02, M=0.01).with_n_zero()  # constant population
 print(f"constant-population economy: m={params.m}, M={params.M}, b={params.b:.6f}")
 
-print("\nwelfare windows W(0, T), closed form vs direct double sum:")
+
+def direct_window(T):
+    """W(0, T) by its definition: each cohort N0 (1+n)**t adds its remaining utility to T."""
+    uu = u(one.values(0, T + 1))
+    return math.fsum(params.N0 * params.gross_growth**t
+                     * math.fsum((1.0 - params.m) ** (s - t) * uu[s] for s in range(t, T + 1))
+                     for t in range(T + 1))
+
+
+print("\nwelfare windows W(0, T), closed-form terms vs direct double sum:")
 for T in (0, 10, 100):
-    closed = welfare_window(params, T, one, u)
-    direct = welfare_window_direct(params, T, one, u)
+    closed = math.fsum(welfare_window_terms(params, one, u, T + 1))
+    direct = direct_window(T)
     print(f"  T={T:<4d} closed={closed:>12.6f} direct={direct:>12.6f} "
           f"diff={abs(closed - direct):.2e}")
 

@@ -36,7 +36,6 @@ from .series import (
     _points,
     factor_exponents,
     one_minus_q_power,
-    weight_sequence,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "SensitivityReport",
     "SweepRow",
     "discount_factor",
-    "factor_from_weights",
     "discount_profile",
     "belief_update_response",
     "scenario_sweep",
@@ -117,24 +115,6 @@ def discount_factor(case: Scenario, params: HazardParams) -> DiscountReport:
     individual death hazard discounts and the factor ignores M entirely.
     """
     return _reports(_batch(_columns([params]), [case]))[0]
-
-
-def factor_from_weights(case: Scenario, params: HazardParams) -> float:
-    """Per-period factor recovered as w_{t+1}/w_t from the series weights.
-
-    Constant-factor cases only; the ratios over t < 51 must be constant to
-    1e-12, which ties the series engine back to the closed-form factor.
-    """
-    if case.kind == "social_welfare":
-        raise ValueError("social welfare has no constant factor; use discount_profile")
-    horizon = min(51, case.T + 1) if case.kind == "known_extinction" else 51
-    if horizon < 2:
-        raise ValueError("known_extinction with T = 0 has no consecutive weights")
-    w = weight_sequence(case, params, horizon)
-    ratios = w[1:] / w[:-1]
-    if np.ptp(ratios) > 1e-12:
-        raise AssertionError(f"weight ratios are not constant: spread {np.ptp(ratios):.3g}")
-    return float(ratios[0])
 
 
 def discount_profile(params: HazardParams, horizon: int) -> DiscountProfile:

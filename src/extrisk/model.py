@@ -1,4 +1,4 @@
-"""Hazard parameters, survival and extinction distributions, samplers.
+"""Hazard parameters, consumption paths, utilities and the date samplers.
 
 Time is discrete, t = 0, 1, 2, ... . Each period an individual alive at t dies
 with probability m, and humanity as a whole is wiped out with probability M;
@@ -27,10 +27,6 @@ __all__ = [
     "HazardParams",
     "ConsumptionPath",
     "UtilitySpec",
-    "lifetime_pmf",
-    "lifetime_cdf",
-    "lifetime_pmf_known_T",
-    "extinction_pmf",
     "sample_lifetimes",
     "sample_extinction_times",
     "sample_date_counts",
@@ -267,48 +263,6 @@ class UtilitySpec:
         return out
 
 
-# --- lifetime and extinction distributions -------------------------------
-
-
-def lifetime_pmf(params: HazardParams, t: int) -> float:
-    """P(D = t) = (1-m)**t (1-M)**t (M+m-Mm) under both hazards.
-
-    Degenerate m = M = 0 gives 0 for every t (check ``params.is_degenerate``).
-    """
-    _check_int("t", t, 0)
-    return params.joint_survival**t * params.death_hazard
-
-
-def lifetime_cdf(params: HazardParams, t: int) -> float:
-    """P(D <= t) = 1 - ((1-m)(1-M))**(t+1)."""
-    _check_int("t", t, 0)
-    return 1.0 - params.joint_survival ** (t + 1)
-
-
-def lifetime_pmf_known_T(m: float, T: int, t: int) -> float:
-    """Lifetime pmf when the extinction date T is known and certain.
-
-    P(D = t) = (1-m)**t m for t < T; the atom P(D = T) = (1-m)**T collects
-    everyone still alive when extinction strikes. Sums to 1 exactly for every
-    finite T.
-    """
-    _check_prob("m", m)
-    _check_int("T", T, 0)
-    _check_int("t", t, 0)
-    if t > T:
-        raise ValueError(f"t must lie in [0, T={T}], got {t}")
-    if t == T:
-        return (1.0 - m) ** T
-    return (1.0 - m) ** t * m
-
-
-def extinction_pmf(M: float, T: int) -> float:
-    """P_X(T) = (1-M)**T M, the geometric extinction-date law (0 for all T if M=0)."""
-    _check_prob("M", M)
-    _check_int("T", T, 0)
-    return (1.0 - M) ** T * M
-
-
 # --- sampling --------------------------------------------------------------
 
 _CHUNK = 1 << 17  # batch and block size of sample_date_counts: bounds its memory
@@ -328,8 +282,8 @@ def sample_lifetimes(
 
     D survives a period with probability (1-m)(1-M), so P(D >= k) =
     ((1-m)(1-M))**k and D is one geometric from 0 with success death_hazard:
-    the law of ``lifetime_pmf``. Rejects the degenerate m = M = 0 case
-    (infinite lifetimes).
+    P(D = t) = (1-m)**t (1-M)**t (M+m-Mm). Rejects the degenerate m = M = 0
+    case (infinite lifetimes).
     """
     if params.is_degenerate:
         raise DegenerateHazardError("m = M = 0: lifetimes are infinite")
@@ -378,9 +332,13 @@ def sample_date_counts(hazard: float, size: int, cap: int, rng: np.random.Genera
     so the bins that expect at least 64 dates are one multinomial draw, which
     numpy makes in C as the chain of conditional binomials Binomial(left,
     hazard), in blocks of at most _CHUNK bins that share one pvals; the sparse
-    tail is k plus one geometric per date, drawn in batches of _CHUNK. Needs
-    0 < hazard <= 1.
+    tail is k plus one geometric per date, drawn in batches of _CHUNK. Rejects
+    a hazard outside (0, 1] and a size or cap that is not an integer >= 0.
     """
+    if not (_is_number(hazard) and 0.0 < hazard <= 1.0):
+        raise ValueError(f"hazard must lie in (0, 1], got {hazard!r}")
+    _check_int("size", size, 0)
+    _check_int("cap", cap, 0)
     counts = np.zeros(cap + 2, dtype=np.int64)
     left, k, dense = int(size), 0, _dense_bins(hazard, size, cap)
     rem = _remainders(hazard, min(dense, _CHUNK))

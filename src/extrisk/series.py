@@ -68,7 +68,7 @@ from .model import (
     NoExtinctionError,
     UtilitySpec,
     _check_int,
-    _check_prob,
+    _is_number,
 )
 
 __all__ = [
@@ -85,14 +85,10 @@ __all__ = [
     "factor_exponents",
     "one_minus_q_power",
     "finiteness_check",
-    "weight_sequence",
     "eu_individual",
     "ev_dynasty",
     "ev_dynasty_theta",
     "eg_lineage",
-    "eu_known_T",
-    "welfare_window",
-    "welfare_window_direct",
     "welfare_window_terms",
     "ew_social",
     "ew_social_n0_form",
@@ -274,12 +270,12 @@ def _finite(kind: Union[str, np.ndarray], product: Union[float, np.ndarray]
     return (kind == "known_extinction") | (product < 1.0)
 
 
-_NO_BIRTHS = "social welfare needs b > 0; use welfare_window at b = 0"
+_NO_BIRTHS = "social welfare needs b > 0: its closed form divides by b"
 _PREFACTOR_RANGE = "the prefactor {!r} leaves float range"
 
 
 def _check_births(b: float) -> None:
-    """Social welfare's rule: its closed form divides by the birth rate b."""
+    """Social welfare's b > 0 rule at one point, with _NO_BIRTHS; _preconditions' is for rows."""
     if not b > 0.0:
         raise ValueError(_NO_BIRTHS)
 
@@ -296,28 +292,6 @@ def _welfare_prefactor(N0: float, b: float) -> float:
     if not math.isfinite(pref):
         raise ValueError(_PREFACTOR_RANGE.format(pref))
     return pref
-
-
-def weight_sequence(case: Scenario, params: HazardParams, length: int) -> np.ndarray:
-    """First ``length`` series weights w_0, w_1, ... of the case.
-
-    Constant-ratio cases are built by cumulative multiplication so consecutive
-    computed ratios equal the per-period factor to machine precision. The
-    social-welfare weights include the N0 (1+b)/b prefactor; known_extinction
-    weights are zero strictly after T.
-    """
-    _check_int("length", length, 0)
-    factor = float(_batch(_columns([params]), [case]).factor[0])
-    if case.kind == "social_welfare":
-        pref = _welfare_prefactor(params.N0, params.b)
-        t = np.arange(length)
-        return pref * np.power(factor, t) * one_minus_q_power(params.b, t + 1)
-    w = np.full(length, factor)
-    w[:1] = 1.0
-    np.cumprod(w, out=w)
-    if case.kind == "known_extinction":
-        w[case.T + 1 :] = 0.0
-    return w
 
 
 # --- closed-form core ---------------------------------------------------------
@@ -688,6 +662,11 @@ _NO_EXTINCTION = "M = 0: the extinction-date mixture is defective and the functi
 _TOLERANCE = "tolerance must be finite and > 0"
 
 
+def _bad_tolerance(tol: object) -> bool:
+    """Whether tol breaks _TOLERANCE: a bool or a string is no tolerance, as the CLI says too."""
+    return not (_is_number(tol) and tol > 0.0 and math.isfinite(tol))
+
+
 def _preconditions(rows: _Batch, fails: _Failures) -> None:
     """Fail each row whose parameters its functional rejects, in the order the functional checks.
 
@@ -737,8 +716,9 @@ def _evaluate_rows(rows: _Batch, path: ConsumptionPath, u: UtilitySpec, tol: flo
     """
     n = len(rows.kinds)
     fails = _Failures(n)
-    if not (tol > 0.0 and math.isfinite(tol)):
+    if _bad_tolerance(tol):
         fails.add(np.ones(n, dtype=bool), ValueError, _TOLERANCE)
+        tol = math.nan  # every row fails, and a str or None tolerance is not compared
     _preconditions(rows, fails)
     known = rows.kinds == "known_extinction"
     value, bound = np.zeros((2, n))
@@ -759,13 +739,12 @@ def _evaluate_rows(rows: _Batch, path: ConsumptionPath, u: UtilitySpec, tol: flo
             index[i] = T
         except ValueError as exc:
             fails.exc[i] = (type(exc), str(exc), i)
-    status = ["ok"] * n
-    out = _Results(values, index, bounds, [e <= tol for e in bounds], fails, status)
+    out = _Results(values, index, bounds, [e <= tol for e in bounds], fails, ["ok"] * n)
     for i, (kind, _, _) in fails.exc.items():
         for cells in out[:4]:
             cells[i] = None
-        status[i] = ("divergent" if issubclass(kind, DivergenceError)
-                     else f"rejected: {fails.error(i)}")
+        out.status[i] = ("divergent" if issubclass(kind, DivergenceError)
+                         else f"rejected: {fails.error(i)}")
     return out
 
 
@@ -859,30 +838,18 @@ def eg_lineage(
     return evaluate(LINEAGE, params, path, u, tol)
 
 
-def eu_known_T(
-    m: float, T: int, path: ConsumptionPath, u: UtilitySpec
-) -> float:
-    """Individual expected utility when the extinction date T is known.
-
-    The finite sum sum_{t=0}^{T} (1-m)**t u(c_t): only the individual death
-    hazard discounts, independently of when extinction is scheduled.
-    """
-    _check_int("T", T, 0)
-    return _known_date_sum(m, T, path, u)[0]
-
-
 def _known_date_sum(
     m: float, T: int, path: ConsumptionPath, u: UtilitySpec
 ) -> Tuple[float, float]:
-    """eu_known_T's value and a bound on its absolute error; ValueError outside float range.
+    """A known date's value sum_{t<=T} (1-m)**t u(c_t), and a bound on its absolute error.
 
-    The dates go in blocks of _CHUNK_T, each a dot product of the weights (1-m)**t
-    with u(c_t), and fsum adds the blocks. The bound adds, per block, gamma_n of
-    the summed |w_t u(c_t)| for the dot product, the weights' error (1-m
-    rounded once, raised to t, one libm call), the error of u(c_t) and the
-    underflow of a weight or a product; then fsum's rounding.
+    evaluate's known-date rows call it at their checked m and T; it raises ValueError
+    outside float range. The dates go in blocks of _CHUNK_T, each a dot product of the
+    weights (1-m)**t with u(c_t), and fsum adds the blocks. The bound adds, per block,
+    gamma_n of the summed |w_t u(c_t)| for the dot product, the weights' error (1-m
+    rounded once, raised to t, one libm call), the error of u(c_t) and the underflow of
+    a weight or a product; then fsum's rounding.
     """
-    _check_prob("m", m)
     vals, errs = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite sum is raised below
         for start in range(0, T + 1, _CHUNK_T):
@@ -921,38 +888,6 @@ def _window_terms(pref: float, params: HazardParams, uu: np.ndarray) -> np.ndarr
     return pref * uu * np.power(params.gross_growth, t) * one_minus_q_power(params.b, t + 1)
 
 
-def welfare_window_direct(
-    params: HazardParams, T: int, path: ConsumptionPath, u: UtilitySpec
-) -> float:
-    """W(0, T) straight from its definition sum_t N_t sum_{tau>=t} (1-m)**(tau-t) u(c_tau).
-
-    The inner remaining-utility sums use the exact backward recurrence
-    inner_t = u(c_t) + (1-m) inner_{t+1}. Works for any b >= 0.
-    """
-    _check_int("T", T, 0)
-    uu = u(path.values(0, T + 1))
-    inner = np.empty(T + 1)
-    inner[T] = uu[T]
-    for t in range(T - 1, -1, -1):
-        inner[t] = uu[t] + (1.0 - params.m) * inner[t + 1]
-    pop = params.N0 * np.power(params.gross_growth, np.arange(T + 1))
-    return math.fsum(pop * inner)
-
-
-def welfare_window(
-    params: HazardParams, T: int, path: ConsumptionPath, u: UtilitySpec
-) -> float:
-    """Total welfare W(0, T) of everyone present between 0 and the extinction date T.
-
-    Uses the closed form for b > 0 and falls back to the direct double sum at
-    b = 0 (the closed form divides by b).
-    """
-    _check_int("T", T, 0)
-    if params.b <= 0.0:
-        return welfare_window_direct(params, T, path, u)
-    return math.fsum(welfare_window_terms(params, path, u, T + 1))
-
-
 def ew_social(
     params: HazardParams,
     path: ConsumptionPath,
@@ -983,7 +918,7 @@ def ew_social_n0_form(
         raise ValueError("the n = 0 simplification divides by m; needs m > 0")
     if params.M == 0.0:
         raise NoExtinctionError(_NO_EXTINCTION)
-    if not (tol > 0.0 and math.isfinite(tol)):
+    if _bad_tolerance(tol):
         raise ValueError(_TOLERANCE)
     fails = _Failures(1)
     row = [np.array([x]) for x in (params.M, params.m, params.N0)]

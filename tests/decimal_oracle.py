@@ -13,15 +13,16 @@ whose subtractions cost at most a dozen of the 50 digits once the context
 has been widened by the decimal exponent of 1 - q (b for EW, m for EW0).
 A sum diverges when its weight ratio r >= 1, or, for CRRA utility on a
 geometric tail of ratio g, when r g**(1-sigma) >= 1. The finite known-date
-sum (exact_known) is summed term by term. exact_mixture sums EW from its
-definition as a mixture of welfare windows over the extinction date, which
-shares no algebra with the closed form above.
+sum (exact_known) is summed term by term. exact_window builds the welfare
+window W(0, T) from its definition, and exact_mixture sums EW as a mixture of
+those windows over the extinction date, which shares no algebra with the
+closed form above. exact_weight_ratios gives the ratios of the series weights.
 """
 
 import functools
 from decimal import Context, Decimal, localcontext
 from itertools import count, islice
-from typing import Iterator, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 CTX = Context(prec=50, Emin=-999999, Emax=999999)
 ONE = Decimal(1)
@@ -95,6 +96,20 @@ def _ratios(kind: str, params) -> Tuple[Decimal, Decimal]:
     raise ValueError(f"unknown functional {kind!r}")
 
 
+def exact_weight_ratios(kind: str, params, length: int) -> List[Decimal]:
+    """w_{t+1} / w_t over the first ``length`` weights, skipping the weights that are 0.
+
+    w_t = pref r**t (1 - q**(t+1)) is the weight of u(c_t), with _ratios' r
+    and pref; the modifier, q = 1/(1+b), is social welfare's alone. The
+    weights share nothing with the package's factor table.
+    """
+    with localcontext(CTX):
+        r, pref = _ratios(kind, params)
+        q = ONE / (ONE + _d(params.b)) if kind == "social_welfare" else Decimal(0)
+        w = [pref * r**t * (ONE - q ** (t + 1)) for t in range(length)]
+        return [b / a for a, b in zip(w, w[1:]) if a]
+
+
 def margin(kind: str, params, path, u) -> Decimal:
     """Distance of the binding convergence ratio from 1; finite iff positive."""
     with localcontext(CTX):
@@ -132,7 +147,8 @@ def _tail_utilities(path, u) -> Iterator[Decimal]:
     c = _d(path.prefix[-1])
     g = ONE if path.tail == "constant" else _d(path.ratio)
     if u.family == "log":
-        yield from (c.ln() + k * g.ln() for k in count(1))
+        log_c, log_g = c.ln(), g.ln()
+        yield from (log_c + k * log_g for k in count(1))
         return
     s1 = ONE if u.family == "linear" else ONE - _d(u.sigma)
     x, gs = c ** s1, g ** s1
@@ -141,14 +157,43 @@ def _tail_utilities(path, u) -> Iterator[Decimal]:
         yield x if u.family == "linear" else (x - ONE) / s1
 
 
+def _utilities(path, u) -> Iterator[Decimal]:
+    """u(c_t) for t = 0, 1, ...: the prefix, then the tail."""
+    yield from (_utility(u, _d(c)) for c in path.prefix)
+    yield from _tail_utilities(path, u)
+
+
+def _windows(params, path, u) -> Iterator[Tuple[Decimal, Decimal]]:
+    """(W(0, T), the same window of |u(c_t)|) for T = 0, 1, ..., in the caller's context.
+
+    W(0, T) = sum_{t<=T} N_t sum_{t<=tau<=T} (1-m)**(tau-t) u(c_tau) with
+    N_t = N0 ((1+b)(1-m))**t. Each window is built from the previous one,
+    W(0, T) = W(0, T-1) + u(c_T) F_T, where F_T = (1-m) F_{T-1} + N_T is the
+    weight of u(c_T) in every window that reaches T. Any b >= 0.
+    """
+    m, b, N = _d(params.m), _d(params.b), _d(params.N0)
+    growth = (ONE + b) * (ONE - m)
+    window = window_size = F = Decimal(0)
+    for ut in _utilities(path, u):
+        F = (ONE - m) * F + N
+        window += ut * F
+        window_size += abs(ut) * F
+        N *= growth
+        yield window, window_size
+
+
+def exact_window(params, T: int, path, u) -> Decimal:
+    """W(0, T) from its definition (_windows), any b >= 0 and either tail rule."""
+    with localcontext(CTX):
+        return next(islice(_windows(params, path, u), T, None))[0]
+
+
 def exact_known(params, T: int, path, u) -> Decimal:
     """The known-date sum sum_{t<=T} (1-m)**t u(c_t), one term at a time."""
     with localcontext(CTX):
         r, _ = _ratios("known_extinction", params)
-        utilities = [_utility(u, _d(c)) for c in path.prefix[:T + 1]]
-        utilities += islice(_tail_utilities(path, u), T + 1 - len(utilities))
         total, rt = Decimal(0), ONE
-        for ut in utilities:
+        for ut in islice(_utilities(path, u), T + 1):
             total += rt * ut
             rt *= r
         return total
@@ -167,10 +212,8 @@ MIXTURE_TOLERANCE = Decimal("1e-30")  # truncation bound over the mixture of |u|
 def exact_mixture(params, path, u, last: Optional[int] = None) -> Mixture:
     """EW = sum_T P_X(T) W(0, T) from its definition, one extinction date at a time.
 
-    Each window is built from the previous one, W(0, T) = W(0, T-1) + u(c_T) F_T,
-    where F_T = (1-m) F_{T-1} + N0 ((1+b)(1-m))**T is the weight of u(c_T) in
-    every window that reaches T, and P_X(T) = M (1-M)**T. The dates after T
-    add at most
+    The windows are _windows', with F_T the weight of u(c_T) in each, and
+    P_X(T) = M (1-M)**T. The dates after T add at most
       (1-M)**(T+1) sum_{t<=T} |u(c_t)| F_t + N0 (1+b)/b |u(c_last)| rho**(T+1) / (1-rho)
     with rho = (1-M)(1+n), since F_t <= N0 (1+b)/b (1+n)**t and u(c_t) =
     u(c_last) past the prefix of a constant tail. The sum stops at the first
@@ -190,16 +233,11 @@ def exact_mixture(params, path, u, last: Optional[int] = None) -> Mixture:
         rho = survival * growth
         if not (M > 0 and b > 0 and rho < ONE):
             raise ValueError("the mixture needs M > 0, b > 0 and (1-M)(1+n) < 1")
-        utilities = [_utility(u, _d(c)) for c in path.prefix]
         # times N_{T+1} (1-M)**(T+1) = N0 rho**(T+1), the second part of the bound
-        tail = (ONE + b) / b * abs(utilities[-1]) / (ONE - rho)
-        total = size = window = window_size = F = Decimal(0)
+        tail = (ONE + b) / b * abs(_utility(u, _d(path.prefix[-1]))) / (ONE - rho)
+        total = size = Decimal(0)
         S = ONE  # (1-M)**T; N is N0 (1+n)**T
-        for T in count():
-            ut = utilities[min(T, p - 1)]
-            F = (ONE - m) * F + N
-            window += ut * F
-            window_size += abs(ut) * F
+        for T, (window, window_size) in enumerate(_windows(params, path, u)):
             P = M * S
             total += P * window
             size += P * window_size

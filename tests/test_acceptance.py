@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from decimal_oracle import exact_mixture
+from decimal_oracle import exact_mixture, exact_weight_ratios
 from extrisk import (
     DYNASTY,
     DYNASTY_THETA,
@@ -34,13 +34,11 @@ from extrisk import (
     discount_factor,
     discount_profile,
     eu_individual,
-    eu_known_T,
     evaluate,
     ew_social,
     ew_social_n0_form,
-    extinction_pmf,
-    factor_from_weights,
     finiteness_check,
+    known_extinction,
     mc_ev_dynasty,
     scenario_sweep,
     verify_oracle_grid,
@@ -65,9 +63,10 @@ def test_criterion_1_table_reproduction(capsys):
     start = time.perf_counter()
     for params in VERIFY_GRID:
         for case in CONSTANT_CASES:
-            recovered = factor_from_weights(case, params)
-            closed = discount_factor(case, params).factor
-            assert abs(recovered - closed) < 1e-12
+            # exact weights r**t, t <= 50, from the decimal oracle's own formula for r
+            ratios = exact_weight_ratios(case.kind, params, 51)
+            closed = Decimal(discount_factor(case, params).factor)
+            assert max(abs(r - closed) for r in ratios) < Decimal("1e-12")
             # n = 0 column reproduced by substituting (1+b)(1-m) = 1
             substituted = discount_factor(case, params.with_n_zero()).factor
             assert abs(discount_factor(case, params).factor_n0 - substituted) < 1e-12
@@ -78,7 +77,7 @@ def test_criterion_1_table_reproduction(capsys):
         assert prof.long_run == discount_factor(DYNASTY, params).factor
     elapsed = time.perf_counter() - start
     with capsys.disabled():
-        report(1, elapsed, 1.0, "series weights reproduce every closed-form factor "
+        report(1, elapsed, 1.0, "exact series weights reproduce every closed-form factor "
                                 "and the n=0 column on the 12-point grid (1e-12)")
 
 
@@ -97,10 +96,10 @@ def test_criterion_2_total_expectation(capsys):
     start = time.perf_counter()
     for params, path, u in TOTAL_EXPECTATION_COMBOS:
         horizon = int(math.ceil(math.log(1e-14) / math.log(1.0 - params.M))) + 1
-        mixture = math.fsum(
-            extinction_pmf(params.M, T) * eu_known_T(params.m, T, path, u)
-            for T in range(horizon)
-        )
+        rows = scenario_sweep([params], [known_extinction(T) for T in range(horizon)], path, u)
+        # P_X(T) = (1-M)**T M
+        mixture = math.fsum((1.0 - params.M) ** T * params.M * row.series.value
+                            for T, row in enumerate(rows))
         assert abs(mixture - eu_individual(params, path, u).value) < 1e-9
     elapsed = time.perf_counter() - start
     with capsys.disabled():

@@ -2,9 +2,12 @@
 
 import math
 
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
+import decimal_oracle
 from extrisk import (
     DYNASTY,
     DYNASTY_THETA,
@@ -18,10 +21,8 @@ from extrisk import (
     belief_update_response,
     discount_factor,
     discount_profile,
-    factor_from_weights,
     known_extinction,
     scenario_sweep,
-    weight_sequence,
 )
 
 CONSTANT_CASES = (INDIVIDUAL, DYNASTY, DYNASTY_THETA, LINEAGE)
@@ -74,22 +75,22 @@ def test_rates_are_derived_from_factor():
         assert rep.rate_log == pytest.approx(-math.log(rep.factor), rel=1e-14)
 
 
-# --- factors recovered from series weights ----------------------------------------
+# --- factors against the ratios of exact series weights --------------------------
 
 
-def test_factor_from_weights_individual():
+def test_individual_factor_hand_value():
     p = HazardParams(m=0.02, M=0.01)
-    assert factor_from_weights(INDIVIDUAL, p) == pytest.approx(0.9702, abs=1e-12)
+    assert discount_factor(INDIVIDUAL, p).factor == pytest.approx(0.9702, abs=1e-12)
 
 
-def test_factor_from_weights_theta_zero():
+def test_dynasty_theta_zero_factor_hand_value():
     p = HazardParams(m=0.3, M=0.04, b=0.6, theta=0.0)
-    assert factor_from_weights(DYNASTY_THETA, p) == pytest.approx(0.96, abs=1e-12)
+    assert discount_factor(DYNASTY_THETA, p).factor == pytest.approx(0.96, abs=1e-12)
 
 
-def test_factor_from_weights_lineage():
+def test_lineage_factor_hand_value():
     p = HazardParams(m=0.02, M=0.01, b=0.03, alpha=0.5)
-    assert factor_from_weights(LINEAGE, p) == pytest.approx(
+    assert discount_factor(LINEAGE, p).factor == pytest.approx(
         0.99 * 0.98 * 1.03**0.5, abs=1e-12
     )
 
@@ -97,17 +98,9 @@ def test_factor_from_weights_lineage():
 @pytest.mark.parametrize("case", CONSTANT_CASES)
 @pytest.mark.parametrize("params", VERIFY_GRID)
 def test_weights_reproduce_closed_form_factor(case, params):
-    assert abs(factor_from_weights(case, params) - discount_factor(case, params).factor) < 1e-12
-
-
-def test_factor_from_weights_rejects_social_welfare():
-    with pytest.raises(ValueError):
-        factor_from_weights(SOCIAL_WELFARE, HazardParams(m=0.1, M=0.1, b=0.1))
-
-
-def test_factor_from_weights_rejects_a_known_date_with_one_weight():
-    with pytest.raises(ValueError, match="^known_extinction with T = 0 has no consecutive weights$"):
-        factor_from_weights(known_extinction(0), HazardParams(m=0.1, M=0.1, b=0.1))
+    factor = Decimal(discount_factor(case, params).factor)
+    ratios = decimal_oracle.exact_weight_ratios(case.kind, params, 51)
+    assert max(abs(r - factor) for r in ratios) < Decimal("1e-12")
 
 
 @pytest.mark.parametrize("case", ALL_TABLE_CASES)
@@ -152,8 +145,7 @@ def test_profile_long_run_equals_dynasty_factor():
 
 def test_profile_matches_series_weight_ratios():
     p = HazardParams(m=0.02, M=0.01, b=0.03, N0=3.0)
-    w = weight_sequence(SOCIAL_WELFARE, p, 41)
-    ratios = w[1:] / w[:-1]
+    ratios = [float(r) for r in decimal_oracle.exact_weight_ratios("social_welfare", p, 41)]
     prof = discount_profile(p, 40)
     np.testing.assert_allclose(ratios, prof.ratios, rtol=1e-12)
 

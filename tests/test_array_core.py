@@ -196,12 +196,13 @@ def test_every_rejection_message_is_the_functional_s():
     rejected = {r.status for r in rows if r.status.startswith("rejected")}
     assert rejected == {
         "rejected: M = 0: the extinction-date mixture is defective and the functional undefined",
-        "rejected: social welfare needs b > 0; use welfare_window at b = 0",
+        "rejected: social welfare needs b > 0: its closed form divides by b",
         "rejected: the prefactor inf leaves float range",
     }
 
 
-@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-10])
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan, 0.0, -1e-10, True, np.True_,
+                                 "1e-10"])
 def test_a_tolerance_not_finite_and_positive_fails_every_row(tol):
     path, u = ConsumptionPath(prefix=PREFIX), UtilitySpec.log()
     message = "tolerance must be finite and > 0"

@@ -764,8 +764,8 @@ def test_agent_mode_runs_none_of_its_queued_studies_after_a_point_fails(
     out = tmp_path / "abm"
     assert cli_run(["simulate", "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == ("config error: agent-mode simulate at m=0.02, M=0.05, "
-                                       "b=0.0: social welfare needs b > 0; use welfare_window "
-                                       "at b = 0\n")
+                                       "b=0.0: social welfare needs b > 0: its closed form "
+                                       "divides by b\n")
     assert not out.exists()
     assert sorted(log.read_text(encoding="utf-8").splitlines()) == ["0.0", "0.01"]
 
@@ -1119,7 +1119,8 @@ def test_eval_sweep_simulate_agree_on_every_row(tmp_path, grid):
     assert codes["eval"] == codes["sweep"] == codes["simulate"]
     if grid is CONSISTENCY_CONFIG["grid"]:
         seen = {s.split(";")[0] for _, s in statuses["sweep"]}
-        assert {"ok", "divergent", "rejected: social welfare needs b > 0"} <= seen
+        assert {"ok", "divergent",
+                "rejected: social welfare needs b > 0: its closed form divides by b"} <= seen
         assert any(s.startswith("rejected: M = 0") for s in seen)
         sweep = read_csv(tmp_path / "sweep" / "sweep.csv")
         assert any(r["finite"] == "True" and r["status"] == "divergent" for r in sweep)  # CRRA tail

@@ -20,11 +20,6 @@ from extrisk import (
     HazardParams,
     NoExtinctionError,
     UtilitySpec,
-    eu_known_T,
-    extinction_pmf,
-    lifetime_cdf,
-    lifetime_pmf,
-    lifetime_pmf_known_T,
     sample_date_counts,
     sample_extinction_times,
     sample_lifetimes,
@@ -122,84 +117,6 @@ def test_with_n_zero_pins_growth_to_one():
         HazardParams(m=1.0, M=0.1).with_n_zero()
 
 
-# --- lifetime pmf ---------------------------------------------------------------
-
-
-def test_lifetime_pmf_at_zero():
-    # direct evaluation of M + m - M*m
-    p = HazardParams(m=0.02, M=0.01)
-    assert lifetime_pmf(p, 0) == pytest.approx(0.0298, abs=1e-15)
-
-
-def test_lifetime_pmf_immortal_case_is_zero():
-    p = HazardParams(m=0.0, M=0.0)
-    assert lifetime_pmf(p, 5) == 0.0
-    assert p.is_degenerate
-
-
-def test_lifetime_pmf_at_two():
-    # hand evaluation: 0.0298 * (0.98*0.99)**2 = 0.028050383592
-    p = HazardParams(m=0.02, M=0.01)
-    assert lifetime_pmf(p, 2) == pytest.approx(0.028050383592, abs=1e-15)
-
-
-@given(m=hazard_floats, M=hazard_floats)
-@settings(max_examples=100, deadline=None)
-def test_lifetime_pmf_normalises_with_analytic_tail(m, M):
-    p = HazardParams(m=m, M=M)
-    K = 300
-    partial = math.fsum(lifetime_pmf(p, t) for t in range(K + 1))
-    tail = p.joint_survival ** (K + 1)
-    assert partial + tail == pytest.approx(1.0, abs=1e-12)
-
-
-@given(m=hazard_floats, M=hazard_floats, t=st.integers(min_value=0, max_value=200))
-@settings(max_examples=50, deadline=None)
-def test_lifetime_cdf_matches_pmf_sums(m, M, t):
-    p = HazardParams(m=m, M=M)
-    s = math.fsum(lifetime_pmf(p, k) for k in range(t + 1))
-    assert lifetime_cdf(p, t) == pytest.approx(s, abs=1e-12)
-
-
-# --- known extinction date pmf ---------------------------------------------------
-
-
-def test_known_T_two_point_case():
-    assert lifetime_pmf_known_T(0.5, 1, 0) == 0.5
-    assert lifetime_pmf_known_T(0.5, 1, 1) == 0.5
-
-
-def test_known_T_certain_death_at_date_zero():
-    assert lifetime_pmf_known_T(0.02, 0, 0) == 1.0
-
-
-def test_known_T_exact_finite_sum():
-    # 0.1 + 0.09 + 0.081 + 0.729 = 1
-    total = math.fsum(lifetime_pmf_known_T(0.1, 3, t) for t in range(4))
-    assert total == pytest.approx(1.0, abs=1e-15)
-
-
-def test_known_T_rejects_dates_beyond_T():
-    with pytest.raises(ValueError):
-        lifetime_pmf_known_T(0.1, 3, 4)
-
-
-@given(m=st.floats(min_value=0.0, max_value=1.0), T=st.integers(min_value=0, max_value=200))
-@settings(max_examples=100, deadline=None)
-def test_known_T_pmf_sums_to_one(m, T):
-    total = math.fsum(lifetime_pmf_known_T(m, T, t) for t in range(T + 1))
-    assert total == pytest.approx(1.0, abs=1e-12)
-
-
-# --- extinction pmf ---------------------------------------------------------------
-
-
-def test_extinction_pmf_values():
-    assert extinction_pmf(0.01, 0) == 0.01
-    assert extinction_pmf(0.0, 10) == 0.0
-    assert extinction_pmf(0.2, 2) == pytest.approx(0.128, abs=1e-15)  # 0.8**2 * 0.2
-
-
 # --- sampling ----------------------------------------------------------------------
 
 
@@ -222,7 +139,7 @@ def _max_cdf_deviation(params, draws):
     hi = int(draws.max())
     counts = np.bincount(draws, minlength=hi + 1)
     ecdf = np.cumsum(counts) / n
-    cdf = np.array([lifetime_cdf(params, t) for t in range(hi + 1)])
+    cdf = 1.0 - params.joint_survival ** (np.arange(hi + 1) + 1)  # P(D <= t)
     return float(np.max(np.abs(ecdf - cdf)))
 
 
@@ -350,6 +267,15 @@ def test_dense_bins_are_the_chain_of_conditional_binomials(block, monkeypatch):
         chain.append(int(rng.binomial(left, p * rem[j] / remaining)))
         left -= chain[-1]
     assert dense == 503 and counts[:dense].tolist() == chain
+
+
+@pytest.mark.parametrize("size, cap, expected", [
+    (0, 3, [0, 0, 0, 0, 0]),  # no dates: no draws
+    (10, 0, [2, 8]),  # one bin and the bin beyond it
+    (np.int64(10), np.int64(0), [2, 8]),  # numpy integers are integers
+], ids=["size-zero", "cap-zero", "numpy-integers"])
+def test_date_counts_accept_the_edges_of_their_domain(size, cap, expected):
+    assert sample_date_counts(0.3, size, cap, np.random.default_rng(0)).tolist() == expected
 
 
 def test_date_counts_of_one_date():
@@ -489,30 +415,38 @@ def test_log_rejects_nonpositive_consumption():
     assert UtilitySpec.linear()(0.0) == 0.0
 
 
+RNG = np.random.default_rng(0)  # the sampler rows below are rejected before any draw
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: ConsumptionPath.constant(1.0).value(-1), "t must be >= 0"),
     (lambda: ConsumptionPath.constant(1.0).values(3, 2), "need 0 <= start <= stop"),
     (lambda: UtilitySpec("cubic"), "unknown utility family 'cubic'"),
     (lambda: UtilitySpec("log", sigma=2.0), "log utility takes no sigma"),
-], ids=["negative-date", "reversed-range", "unknown-family", "log-with-sigma"])
+    (lambda: sample_date_counts(0.5, 10, -1, RNG), "cap must be an integer >= 0, got -1"),
+    (lambda: sample_date_counts(0.5, 10, 2.0, RNG), "cap must be an integer >= 0, got 2.0"),
+    (lambda: sample_date_counts(0.5, True, 5, RNG), "size must be an integer >= 0, got True"),
+    (lambda: sample_date_counts(0.5, 10.0, 5, RNG), "size must be an integer >= 0, got 10.0"),
+    (lambda: sample_date_counts(0.5, -1, 5, RNG), "size must be an integer >= 0, got -1"),
+], ids=["negative-date", "reversed-range", "unknown-family", "log-with-sigma", "negative-cap",
+        "float-cap", "bool-size", "float-size", "negative-size"])
 def test_paths_and_utilities_reject_what_they_cannot_evaluate(call, message):
     with pytest.raises(ValueError) as exc:
         call()
     assert str(exc.value) == message
 
 
-# a bool or a str is not a hazard or a sigma, as HazardParams already says of its fields
+# a bool, a str or nan is not a hazard or a sigma, as HazardParams already says of its fields
 @pytest.mark.parametrize("call, message", [
-    (lambda: eu_known_T(True, 3, ConsumptionPath.constant(2.0), UtilitySpec.log()),
-     "m must lie in [0, 1], got True"),
-    (lambda: eu_known_T("0.5", 3, ConsumptionPath.constant(2.0), UtilitySpec.log()),
-     "m must lie in [0, 1], got '0.5'"),
-    (lambda: extinction_pmf(True, 2), "M must lie in [0, 1], got True"),
-    (lambda: lifetime_pmf_known_T(True, 2, 1), "m must lie in [0, 1], got True"),
+    (lambda: sample_date_counts(True, 10, 5, RNG), "hazard must lie in (0, 1], got True"),
+    (lambda: sample_date_counts("0.5", 10, 5, RNG), "hazard must lie in (0, 1], got '0.5'"),
+    (lambda: sample_date_counts(math.nan, 10, 5, RNG), "hazard must lie in (0, 1], got nan"),
+    (lambda: sample_date_counts(0.0, 10, 5, RNG), "hazard must lie in (0, 1], got 0.0"),
+    (lambda: sample_date_counts(1.5, 10, 5, RNG), "hazard must lie in (0, 1], got 1.5"),
     (lambda: UtilitySpec.crra("2"), "crra needs a finite sigma > 0"),
     (lambda: UtilitySpec.crra(True), "crra needs a finite sigma > 0"),
     (lambda: UtilitySpec.crra(10**400), "crra needs a finite sigma > 0"),
-], ids=["known-date-bool", "known-date-str", "extinction-pmf-bool", "known-pmf-bool",
+], ids=["hazard-bool", "hazard-str", "hazard-nan", "hazard-zero", "hazard-above-one",
         "sigma-str", "sigma-bool", "sigma-past-float-range"])
 def test_hazards_and_sigma_must_be_numbers(call, message):
     with pytest.raises(ValueError) as exc:

@@ -1,5 +1,6 @@
 """Each module of the package uses every name it imports, defines every name it exports
-and imports only the modules of the layers below it.
+and imports only the modules of the layers below it; the package's public names are a
+pinned list.
 
 Read with the standard library's ast only, so the check needs nothing the
 suite does not already have. The imports of the package's __init__ are its
@@ -107,3 +108,30 @@ def test_every_module_imports_only_the_layers_below_it(path):
     wrong = [f"{name} (line {line})" for name, line in _package_imports(_parse(path))
              if name not in LAYERS[path.stem]]
     assert not wrong, f"{path.name} imports modules outside its layers: {', '.join(wrong)}"
+
+
+# the package's public names: the __all__ of every module its __init__ star-imports, sorted;
+# adding or removing a public name is an edit of this list
+PUBLIC_NAMES = [
+    "ConsumptionPath", "DEFAULT_TOLERANCE", "DYNASTY", "DYNASTY_THETA", "DegenerateHazardError",
+    "DiscountProfile", "DiscountReport", "DivergenceError", "FinitenessResult", "HazardParams",
+    "INDIVIDUAL", "LINEAGE", "NoExtinctionError", "RegimeSensitivity", "SOCIAL_WELFARE",
+    "Scenario", "SensitivityReport", "SeriesResult", "SimEstimate", "SimulationConfig",
+    "SmoothingGapRow", "SweepRow", "UtilitySpec", "VERIFY_GRID", "VERIFY_PATH",
+    "VERIFY_UTILITY", "abm_smoothing_study", "belief_update_response", "default_horizon_cap",
+    "discount_factor", "discount_profile", "eg_lineage", "eu_individual", "ev_dynasty",
+    "ev_dynasty_theta", "evaluate", "ew_social", "ew_social_n0_form", "factor_exponents",
+    "finiteness_check", "known_extinction", "mc_compare", "mc_eg_lineage", "mc_eu_individual",
+    "mc_ev_dynasty", "mc_ew_social", "one_minus_q_power", "reproducibility_selfcheck",
+    "sample_date_counts", "sample_extinction_times", "sample_lifetimes", "scenario_sweep",
+    "verify_oracle_grid", "welfare_window_terms",
+]
+
+
+def test_the_public_names_are_the_pinned_list():
+    init = _parse(SRC / "__init__.py")
+    starred = [node.module for node in init.body if isinstance(node, ast.ImportFrom)
+               and [alias.name for alias in node.names] == ["*"]]
+    names = [name for module in starred for name in _exported(_parse(SRC / f"{module}.py"))]
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    assert sorted(names) == PUBLIC_NAMES

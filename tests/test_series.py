@@ -5,6 +5,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import decimal_oracle
 from extrisk import (
@@ -12,31 +14,24 @@ from extrisk import (
     DYNASTY_THETA,
     INDIVIDUAL,
     LINEAGE,
-    SOCIAL_WELFARE,
     ConsumptionPath,
     DivergenceError,
     HazardParams,
     NoExtinctionError,
     Scenario,
+    SimulationConfig,
     UtilitySpec,
     discount_factor,
     discount_profile,
     eg_lineage,
     eu_individual,
-    eu_known_T,
     ev_dynasty,
     ev_dynasty_theta,
     evaluate,
     ew_social_n0_form,
-    extinction_pmf,
     finiteness_check,
     known_extinction,
-    lifetime_cdf,
-    lifetime_pmf,
-    lifetime_pmf_known_T,
-    weight_sequence,
-    welfare_window,
-    welfare_window_direct,
+    scenario_sweep,
     welfare_window_terms,
 )
 from extrisk.series import _LIBM, _U, _rigorous, _tail_terms
@@ -182,26 +177,55 @@ def test_lineage_divergence():
 # --- known extinction date ------------------------------------------------------------
 
 
-def test_eu_known_T_single_period():
+def known_value(m, T, path, u, M=0.05):
+    """The value at the known extinction date T; M is any hazard, as the sum ignores it."""
+    return evaluate(known_extinction(T), HazardParams(m=m, M=M), path, u).value
+
+
+def test_known_date_single_period():
     path = ConsumptionPath.constant(2.5)
-    assert eu_known_T(0.3, 0, path, LINEAR) == 2.5
+    assert known_value(0.3, 0, path, LINEAR) == 2.5
 
 
-def test_eu_known_T_undiscounted_count():
-    assert eu_known_T(0.0, 3, ONE, LINEAR) == pytest.approx(4.0, abs=1e-12)
+def test_known_date_undiscounted_count():
+    assert known_value(0.0, 3, ONE, LINEAR) == pytest.approx(4.0, abs=1e-12)
 
 
-def test_eu_known_T_hand_sum():
+def test_known_date_hand_sum():
     # 1 + 0.9 + 0.81 = 2.71
-    assert eu_known_T(0.1, 2, ONE, LINEAR) == pytest.approx(2.71, abs=1e-12)
+    assert known_value(0.1, 2, ONE, LINEAR) == pytest.approx(2.71, abs=1e-12)
 
 
-def test_eu_known_T_ignores_M_by_construction():
-    # same m, any M: the functional does not even accept M
+def test_known_date_ignores_M():
+    # same m, any M: the finite sum never reads the extinction hazard
     path = ConsumptionPath(prefix=(1.0, 2.0, 1.5))
-    assert eu_known_T(0.2, 10, path, LOG) == eu_known_T(0.2, 10, path, LOG)
+    assert {known_value(0.2, 10, path, LOG, M) for M in (0.0, 0.05, 1.0)} == {
+        known_value(0.2, 10, path, LOG)}
     with pytest.raises(ValueError):
-        eu_known_T(0.2, -1, path, LOG)
+        known_value(0.2, -1, path, LOG)
+
+
+@pytest.mark.parametrize("m, T, expected", [
+    (0.5, 1, 1.5),  # 1 + 0.5
+    (0.1, 3, 3.439),  # 1 + 0.9 + 0.81 + 0.729
+    (1.0, 5, 1.0),  # certain death at date 0: only u(c_0) counts
+], ids=["two-point", "four-dates", "certain-death"])
+def test_known_date_hand_values(m, T, expected):
+    assert known_value(m, T, ONE, LINEAR) == pytest.approx(expected, abs=1e-12)
+
+
+def test_known_extinction_weights_stop_at_T():
+    # consumption jumps to 5 at date 4, past T = 3: the sum never reads it
+    path = ConsumptionPath(prefix=(1.0, 1.0, 1.0, 1.0, 5.0))
+    assert known_value(0.2, 3, path, LINEAR) == pytest.approx(2.952, abs=1e-12)  # 1+.8+.64+.512
+
+
+@given(m=st.floats(min_value=0.0, max_value=1.0), T=st.integers(min_value=0, max_value=200))
+@settings(max_examples=100, deadline=None)
+def test_known_date_unit_utility_counts_the_dates_alive(m, T):
+    """At u = 1 the known-date value is sum_{t <= T} (1-m)**t, the expected dates alive."""
+    expected = math.fsum((1.0 - m) ** t for t in range(T + 1))
+    assert known_value(m, T, ONE, LINEAR) == pytest.approx(expected, rel=1e-12)
 
 
 # --- law of total expectation -----------------------------------------------------------
@@ -220,12 +244,19 @@ TOTAL_EXPECTATION_COMBOS = [
 def test_total_expectation_links_known_T_to_unconditional(params, path, u):
     """sum_T P_X(T) EU|T equals the unconditional individual expected utility."""
     horizon = int(math.ceil(math.log(1e-14) / math.log(1.0 - params.M))) + 1
-    mixture = math.fsum(
-        extinction_pmf(params.M, T) * eu_known_T(params.m, T, path, u)
-        for T in range(horizon)
-    )
+    rows = scenario_sweep([params], [known_extinction(T) for T in range(horizon)], path, u)
+    # P_X(T) = (1-M)**T M
+    mixture = math.fsum((1.0 - params.M) ** T * params.M * row.series.value
+                        for T, row in enumerate(rows))
     target = eu_individual(params, path, u).value
     assert mixture == pytest.approx(target, abs=1e-9)
+
+
+@pytest.mark.parametrize("params,path,u", TOTAL_EXPECTATION_COMBOS)
+def test_known_date_sweep_is_bit_identical_to_per_date_evaluate(params, path, u):
+    rows = scenario_sweep([params], [known_extinction(T) for T in range(120)], path, u)
+    for T, row in enumerate(rows):
+        assert row.series == evaluate(known_extinction(T), params, path, u), T
 
 
 # --- tail bound honesty -------------------------------------------------------------------
@@ -309,23 +340,21 @@ def test_tail_terms_sum_to_the_utility_past_the_prefix(path, u):
 # --- weights and finiteness -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("case", [INDIVIDUAL, DYNASTY, DYNASTY_THETA, LINEAGE])
-def test_weight_ratios_are_constant(case):
-    p = HazardParams(m=0.07, M=0.03, b=0.06, theta=0.4, alpha=0.6)
-    w = weight_sequence(case, p, 52)
-    ratios = w[1:] / w[:-1]
-    assert np.max(np.abs(ratios - discount_factor(case, p).factor)) < 1e-12
-    loop = [1.0]  # the running product w_t = w_{t-1} * rho, bit for bit
-    for _ in range(51):
-        loop.append(loop[-1] * discount_factor(case, p).factor)
-    assert w.tolist() == loop
+FACTOR_POINTS = [
+    HazardParams(m=0.07, M=0.03, b=0.06, theta=0.4, alpha=0.6),
+    HazardParams(m=0.07, M=0.03, b=0.06, theta=0.4, alpha=0.6).with_n_zero(),
+    HazardParams(m=0.02, M=0.01, b=0.025, theta=0.0, alpha=0.5),
+]
 
 
-def test_known_extinction_weights_stop_at_T():
-    p = HazardParams(m=0.2, M=0.1)
-    w = weight_sequence(known_extinction(3), p, 6)
-    np.testing.assert_allclose(w[:4], [1.0, 0.8, 0.64, 0.512], rtol=1e-12)
-    assert np.all(w[4:] == 0.0)
+@pytest.mark.parametrize("params", FACTOR_POINTS, ids=["growing", "n-zero", "theta-zero"])
+@pytest.mark.parametrize("case", [INDIVIDUAL, DYNASTY, DYNASTY_THETA, LINEAGE],
+                         ids=lambda c: c.kind)
+def test_unit_utility_value_is_the_geometric_sum_of_the_factor(case, params):
+    """The weights are factor**t: at u = 1 the series sums to 1 / (1 - factor)."""
+    factor = discount_factor(case, params).factor
+    assert evaluate(case, params, ONE, LINEAR).value == pytest.approx(1.0 / (1.0 - factor),
+                                                                    rel=1e-12)
 
 
 def test_finiteness_check_examples():
@@ -352,21 +381,15 @@ GROWING = HazardParams(m=0.1, M=0.05, b=0.2)
 # each call takes its integer argument k = 2 in one place
 INTEGER_ARGUMENTS = {
     "known_extinction T": lambda k: known_extinction(k),
-    "eu_known_T T": lambda k: eu_known_T(0.1, k, ONE, LINEAR),
-    "welfare_window T": lambda k: welfare_window(GROWING, k, ONE, LINEAR),
-    "welfare_window_direct T": lambda k: welfare_window_direct(GROWING, k, ONE, LINEAR),
-    "weight_sequence length": lambda k: weight_sequence(DYNASTY, GROWING, k),
     "discount_profile horizon": lambda k: discount_profile(GROWING, k),
-    "lifetime_pmf t": lambda k: lifetime_pmf(GROWING, k),
-    "lifetime_cdf t": lambda k: lifetime_cdf(GROWING, k),
-    "lifetime_pmf_known_T T": lambda k: lifetime_pmf_known_T(0.1, k, 1),
-    "lifetime_pmf_known_T t": lambda k: lifetime_pmf_known_T(0.1, 3, k),
-    "extinction_pmf T": lambda k: extinction_pmf(0.05, k),
     "welfare_window_terms length": lambda k: welfare_window_terms(GROWING, ONE, LINEAR, k),
+    "SimulationConfig replications": lambda k: SimulationConfig(replications=k),
+    "SimulationConfig seed": lambda k: SimulationConfig(seed=k),
+    "SimulationConfig horizon_cap": lambda k: SimulationConfig(horizon_cap=k),
 }
 
 
-@pytest.mark.parametrize("bad", [2.7, 2.0, np.float64(2.0), True, -1], ids=repr)
+@pytest.mark.parametrize("bad", [2.7, 2.0, np.float64(2.0), True, np.True_, "2", -1], ids=repr)
 @pytest.mark.parametrize("name", INTEGER_ARGUMENTS)
 def test_integer_arguments_reject_floats_bools_and_negatives(name, bad):
     call = INTEGER_ARGUMENTS[name]

@@ -192,7 +192,7 @@ def test_mc_rejections():
                                   "functional undefined")
     assert str(dynasty.value) == ("dynasty_theta: finiteness requires the weight product < 1, "
                                   "got 1.00495 (margin -0.00495)")
-    assert str(no_births.value) == "social welfare needs b > 0; use welfare_window at b = 0"
+    assert str(no_births.value) == "social welfare needs b > 0: its closed form divides by b"
 
 
 def test_simulation_config_validation():

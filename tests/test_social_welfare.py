@@ -1,8 +1,9 @@
 """Welfare-window and expected-social-welfare cross-checks.
 
-ew_social is checked against the decimal oracle's extinction-date mixture,
-which builds every window W(0, T) from its definition, and the oracle's
-mixture against its own closed form.
+The window terms are checked against the decimal oracle's windows W(0, T),
+built from their definition, and ew_social against the oracle's mixture of
+those windows over the extinction date, and that mixture against the
+oracle's own closed form.
 """
 
 import math
@@ -27,13 +28,13 @@ from extrisk import (
     UtilitySpec,
     abm_smoothing_study,
     discount_profile,
+    evaluate,
+    mc_compare,
     mc_ew_social,
     ew_social,
     ew_social_n0_form,
-    welfare_window,
-    welfare_window_direct,
+    scenario_sweep,
     welfare_window_terms,
-    weight_sequence,
 )
 from extrisk.analysis import _sweep_columns
 from extrisk.series import _columns
@@ -47,22 +48,21 @@ BUMPY = ConsumptionPath(prefix=(0.9, 1.4, 1.1, 2.0, 1.7))
 # --- welfare window -----------------------------------------------------------
 
 
+def window(params, T, path, u):
+    """W(0, T) in floats: the sum of the first T + 1 window terms."""
+    return math.fsum(welfare_window_terms(params, path, u, T + 1))
+
+
 def test_window_at_date_zero_is_initial_population_utility():
     p = HazardParams(m=0.02, M=0.01, b=0.03, N0=5.0)
     path = ConsumptionPath.constant(2.0)
-    assert welfare_window(p, 0, path, LINEAR) == pytest.approx(10.0, rel=1e-14)
+    assert window(p, 0, path, LINEAR) == pytest.approx(10.0, rel=1e-14)
 
 
-def test_window_b_zero_falls_back_to_double_sum():
+def test_exact_window_at_b_zero_is_the_hand_double_sum():
     # t=0 cohort: 1 + 0.9; t=1 cohort of size 0.9: 0.9 -> total 2.8
     p = HazardParams(m=0.1, M=0.05, b=0.0, N0=1.0)
-    assert welfare_window(p, 1, ONE, LINEAR) == pytest.approx(2.8, abs=1e-12)
-
-
-def test_window_rejects_negative_T():
-    p = HazardParams(m=0.1, M=0.05, b=0.01)
-    with pytest.raises(ValueError):
-        welfare_window(p, -1, ONE, LINEAR)
+    assert float(decimal_oracle.exact_window(p, 1, ONE, LINEAR)) == pytest.approx(2.8, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -77,9 +77,8 @@ def test_window_rejects_negative_T():
     ],
 )
 def test_window_closed_form_equals_double_sum(params, path, u, T):
-    closed = welfare_window(params, T, path, u)
-    direct = welfare_window_direct(params, T, path, u)
-    assert closed == pytest.approx(direct, rel=1e-10)
+    direct = decimal_oracle.exact_window(params, T, path, u)
+    assert window(params, T, path, u) == pytest.approx(float(direct), rel=1e-10)
 
 
 @given(
@@ -90,8 +89,8 @@ def test_window_closed_form_equals_double_sum(params, path, u, T):
 @settings(max_examples=80, deadline=None)
 def test_window_identity_random_params(m, b, T):
     params = HazardParams(m=m, M=0.01, b=b, N0=2.0)
-    closed = welfare_window(params, T, BUMPY, LOG)
-    direct = welfare_window_direct(params, T, BUMPY, LOG)
+    closed = window(params, T, BUMPY, LOG)
+    direct = float(decimal_oracle.exact_window(params, T, BUMPY, LOG))
     scale = max(abs(closed), abs(direct), 1.0)
     assert abs(closed - direct) <= 1e-10 * scale
 
@@ -102,7 +101,8 @@ def test_window_terms_cumulate_to_windows():
     acc = 0.0
     for T in (0, 7, 30):
         acc = math.fsum(terms[: T + 1])
-        assert acc == pytest.approx(welfare_window(p, T, BUMPY, LOG), rel=1e-12)
+        assert acc == pytest.approx(float(decimal_oracle.exact_window(p, T, BUMPY, LOG)),
+                                    rel=1e-12)
 
 
 # --- expected social welfare ----------------------------------------------------
@@ -190,12 +190,25 @@ def _rejection(call):
     return str(exc.value)
 
 
+def _reason(status):
+    """The reason of a rejected row's status cell."""
+    assert status.startswith("rejected: ")
+    return status.removeprefix("rejected: ")
+
+
 def _sweep_reason(params):
     """The reason in the status cell that sweep writes for social welfare at the point."""
     (status,) = next(_sweep_columns(_columns([params]), [SOCIAL_WELFARE], ONE, LOG,
                                     1e-10))["status"]
-    assert status.startswith("rejected: ")
-    return status.removeprefix("rejected: ")
+    return _reason(status)
+
+
+def _row_reasons(params):
+    """The reasons in the status of social welfare's scenario_sweep row and mc_compare row."""
+    (row,) = scenario_sweep([params], [SOCIAL_WELFARE], ONE, LOG)
+    (mc_row,) = mc_compare([params], [SOCIAL_WELFARE], ONE, LINEAR, 1e-10,
+                           [SimulationConfig(replications=10, seed=0)])
+    return _reason(row.status), _reason(mc_row["status"])
 
 
 NO_BIRTHS = HazardParams(m=0.02, M=0.01)  # b = 0
@@ -203,35 +216,39 @@ NO_BIRTHS = HazardParams(m=0.02, M=0.01)  # b = 0
 # or the status cell sweep writes after "rejected: "
 NO_BIRTHS_TEXTS = {
     "ew_social": lambda: _rejection(lambda: ew_social(NO_BIRTHS, ONE, LOG)),
-    "weight_sequence": lambda: _rejection(lambda: weight_sequence(SOCIAL_WELFARE, NO_BIRTHS, 5)),
     "welfare_window_terms": lambda: _rejection(
         lambda: welfare_window_terms(NO_BIRTHS, ONE, LOG, 5)),
     "discount_profile": lambda: _rejection(lambda: discount_profile(NO_BIRTHS, 10)),
     "abm_smoothing_study": lambda: _rejection(lambda: abm_smoothing_study(
         NO_BIRTHS, ONE, LINEAR, [1], SimulationConfig(replications=10, seed=0, mode="agent"))),
     "sweep status": lambda: _sweep_reason(NO_BIRTHS),
+    "evaluate": lambda: _rejection(lambda: evaluate(SOCIAL_WELFARE, NO_BIRTHS, ONE, LOG)),
+    "mc_ew_social": lambda: _rejection(lambda: mc_ew_social(
+        NO_BIRTHS, ONE, LINEAR, SimulationConfig(replications=10, seed=0))),
+    "scenario_sweep status": lambda: _row_reasons(NO_BIRTHS)[0],
+    "mc_compare status": lambda: _row_reasons(NO_BIRTHS)[1],
 }
 
 
 @pytest.mark.parametrize("name", NO_BIRTHS_TEXTS)
 def test_every_social_welfare_entry_point_gives_the_one_message_at_b_zero(name):
-    # the closed form divides by b; welfare_window alone falls back to the direct double sum
-    assert NO_BIRTHS_TEXTS[name]() == "social welfare needs b > 0; use welfare_window at b = 0"
+    assert NO_BIRTHS_TEXTS[name]() == "social welfare needs b > 0: its closed form divides by b"
 
 
 TINY_BIRTHS = HazardParams(m=0.02, M=0.01, b=1e-309)  # N0 (1+b)/b = 1e309 is past float range
 # every entry point that reads the prefactor, as a call's message or sweep's status cell
 TINY_BIRTHS_TEXTS = {
     "ew_social": lambda: _rejection(lambda: ew_social(TINY_BIRTHS, ONE, LINEAR)),
-    "weight_sequence": lambda: _rejection(lambda: weight_sequence(SOCIAL_WELFARE, TINY_BIRTHS, 5)),
     "welfare_window_terms": lambda: _rejection(
         lambda: welfare_window_terms(TINY_BIRTHS, ONE, LINEAR, 5)),
-    "welfare_window": lambda: _rejection(lambda: welfare_window(TINY_BIRTHS, 4, ONE, LINEAR)),
     "mc_ew_social": lambda: _rejection(lambda: mc_ew_social(
         TINY_BIRTHS, ONE, LINEAR, SimulationConfig(replications=10, seed=0))),
     "abm_smoothing_study": lambda: _rejection(lambda: abm_smoothing_study(
         TINY_BIRTHS, ONE, LINEAR, [1], SimulationConfig(replications=10, seed=0, mode="agent"))),
     "sweep status": lambda: _sweep_reason(TINY_BIRTHS),
+    "evaluate": lambda: _rejection(lambda: evaluate(SOCIAL_WELFARE, TINY_BIRTHS, ONE, LINEAR)),
+    "scenario_sweep status": lambda: _row_reasons(TINY_BIRTHS)[0],
+    "mc_compare status": lambda: _row_reasons(TINY_BIRTHS)[1],
 }
 
 
@@ -253,7 +270,7 @@ def test_ew_tail_bound_honest_against_longer_sum():
 
 @pytest.mark.parametrize("b", [1e-2, 1e-4, 1e-8, 1e-11])
 def test_social_welfare_ratios_keep_their_digits(b):
-    """1 - (1+b)**-(t+1) loses no digits at small b in the profile, weights or window terms."""
+    """1 - (1+b)**-(t+1) loses no digits at small b in the profile or the window terms."""
     params = HazardParams(m=0.02, M=0.01, b=b)
     horizon = 60
     D, D1 = decimal_oracle._d, decimal_oracle.ONE
@@ -263,12 +280,9 @@ def test_social_welfare_ratios_keep_their_digits(b):
         a = [D1 - q ** (k + 1) for k in range(horizon + 1)]
         ratios = [long_run * a[t + 1] / a[t] for t in range(horizon)]
         pref = (D1 + D(b)) / D(b)
-        weights = [pref * long_run**t * a[t] for t in range(horizon + 1)]
         growth = (D1 + D(b)) * (D1 - D(params.m))
         window = [pref * growth**t * a[t] for t in range(horizon + 1)]
     prof = discount_profile(params, horizon).ratios
     np.testing.assert_allclose(prof, [float(r) for r in ratios], rtol=4e-15, atol=0.0)
-    w = weight_sequence(SOCIAL_WELFARE, params, horizon + 1)
-    np.testing.assert_allclose(w, [float(x) for x in weights], rtol=1e-13, atol=0.0)
     terms = welfare_window_terms(params, ONE, LINEAR, horizon + 1)
     np.testing.assert_allclose(terms, [float(x) for x in window], rtol=1e-13, atol=0.0)

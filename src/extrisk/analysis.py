@@ -5,22 +5,21 @@ consecutive series weights. It is constant for every case except social
 welfare, whose ratio starts higher and falls geometrically to the long-run
 value (1-M)(1-m)(1+b), the dynasty factor.
 
-Sensitivities of the factor to the perceived hazards are computed in two
-regimes: b-fixed (the birth rate stays put when m moves, so n moves) and
-n-fixed (b is adjusted to hold the population growth rate constant). Closed
-forms are primary; central finite differences are reported alongside as a
-cross-check.
+Sensitivities of the factor to the perceived hazards come in two regimes:
+b-fixed (the birth rate stays put when m moves, so n moves) and n-fixed (b
+moves to hold 1+n). Closed forms (_Batch.slopes) are primary; central finite
+differences from the same batch are reported alongside as a cross-check.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import ConsumptionPath, HazardParams, UtilitySpec, _check_int
+from .model import ConsumptionPath, HazardParams, UtilitySpec, _check_int, _is_positive_finite
 from .series import (
     DEFAULT_TOLERANCE,
     DYNASTY,
@@ -34,7 +33,6 @@ from .series import (
     _finite,
     _passes,
     _points,
-    factor_exponents,
     one_minus_q_power,
 )
 
@@ -162,28 +160,10 @@ class SensitivityReport:
     n_fixed: RegimeSensitivity
 
 
-def _closed_derivatives(case: Scenario, params: HazardParams, regime: str):
-    """(d factor / dM, d factor / dm) from the case's exponents, a zero exponent giving +0."""
-    eM, eb, em = factor_exponents(case, params)
-    sM, sm, g = 1.0 - params.M, 1.0 - params.m, params.gross_growth
-    if regime == "n-fixed":  # sM**eM sm**(em-eb) g**eb with g held
-        rest = sm ** (em - eb) * g**eb
-        # (em - 1) - eb keeps the lineage exponent -alpha exact
-        d_m = 0.0 if em == eb else -(em - eb) * sM**eM * sm ** (em - 1.0 - eb) * g**eb
-    elif eb == em:  # sM**eM g**e
-        rest = g**eb
-        d_m = -em * sM**eM * (1.0 + params.b) * g ** (em - 1.0)
-    else:  # sM**eM (1+b)**eb sm**em
-        rest = (1.0 + params.b) ** eb * sm**em
-        d_m = -em * sM**eM * (1.0 + params.b) ** eb * sm ** (em - 1.0)
-    d_M = 0.0 if eM == 0.0 else -eM * sM ** (eM - 1.0) * rest
-    return d_M, d_m
-
-
-def _step_error(params: HazardParams, dM: float, dm: float) -> Optional[str]:
-    """Why the steps dM, dm are rejected at params, or None: not finite and > 0, or crossing."""
-    for name, x, h in (("M", params.M, dM), ("m", params.m, dm)):
-        if not (h > 0.0 and math.isfinite(h)):
+def _step_error(m: float, M: float, dM: float, dm: float) -> Optional[str]:
+    """Why the steps dM, dm are rejected at (m, M), or None: not finite and > 0, or crossing."""
+    for name, x, h in (("M", M, dM), ("m", m, dm)):
+        if not _is_positive_finite(h):
             return f"d{name} must be finite and > 0, got {h!r}"
         if x - h < 0.0 or x + h >= 1.0:
             return f"finite-difference step d{name}={h!r} crosses the boundary at {name}={x!r}"
@@ -194,31 +174,36 @@ _PARAMS = [f.name for f in fields(HazardParams)]  # the columns of series._colum
 _SENSITIVITY_CELLS = [*_PARAMS[:5], "case", *_REGIME_FIELDS, "status"]  # a block's keys in order
 
 
+def _derivatives(points: np.ndarray, cases: Sequence[Scenario], dM: float,
+                 dm: float) -> List[List[float]]:
+    """The four RegimeSensitivity numbers per (point, case, regime) at columns _step_error passes:
+    closed forms (_Batch.slopes), then central differences of factor and factor_n, one batch.
+    """
+    n, k = len(points), len(cases)
+    run = np.tile(points, (5, 1))  # the points, then all at M + dM, M - dM, m + dm, m - dm
+    run[n:, :2] += np.repeat(np.array([[0, dM], [0, -dM], [dm, 0], [-dm, 0]], dtype=float), n, 0)
+    g = np.tile(np.repeat((1.0 + points[:, 2]) * (1.0 - points[:, 0]), k), 5)  # each point's 1+n
+    batch = _batch(run, cases)
+    # f[regime, (M + dM, M - dM, m + dm, m - dm), point, case]
+    f = np.stack([batch.factor, batch.factor_n(g)])[:, n * k :].reshape(2, 4, n, k)
+    fd = (f[:, 0::2] - f[:, 1::2]) / np.array([2.0 * dM, 2.0 * dm])[:, None, None]
+    closed = batch.slopes(g[: n * k], slice(n * k)).reshape(n, k, 2, 2)
+    return np.concatenate([closed, fd.transpose(2, 3, 0, 1)], axis=3).reshape(-1, 4).tolist()
+
+
 def _sensitivity_columns(points: np.ndarray, cases: Sequence[Scenario], dM: float,
                          dm: float, prefix_len: int) -> Iterator[Dict[str, Sequence]]:
     """belief_update_response at every (point, case) of parameter columns as columns: a b-fixed
-    row, then n-fixed.
-
-    A pass's points perturbed by +-dM and +-dm are one batch, whose factors are
-    the b-fixed ones and whose factor_n at each point's own 1+n the n-fixed
-    ones. A point _step_error rejects reads "rejected: <reason>" in both rows.
+    row, then n-fixed, from one batch per pass (_derivatives) and no HazardParams; a point
+    _step_error rejects reads "rejected: <reason>" in both rows.
     """
     for columns in _passes(points, len(cases), prefix_len):
-        run = _points(columns)
-        errors = [_step_error(p, dM, dm) for p in run]
-        ok = [p for p, error in zip(run, errors) if error is None]
-        batch = _batch(_columns([replace(p, m=m, M=M) for p in ok for m, M in (
-            (p.m, p.M + dM), (p.m, p.M - dM), (p.m + dm, p.M), (p.m - dm, p.M))]), cases)
-        g = np.repeat([p.gross_growth for p in ok], 4 * len(cases))
-        # f[regime, point, (M + dM, M - dM, m + dm, m - dm), case]
-        f = np.stack([batch.factor, batch.factor_n(g)]).reshape(2, len(ok), 4, len(cases))
-        fd = (f[:, :, 0::2] - f[:, :, 1::2]) / np.array([[2.0 * dM], [2.0 * dm]])
-        fd = iter(fd.transpose(1, 3, 0, 2).reshape(-1, 2).tolist())  # per point, case, regime
-        rows = [[case.label(), regime,
-                 *([None] * 4 if error else [*_closed_derivatives(case, p, regime), *next(fd)]),
+        errors = [_step_error(m, M, dM, dm) for m, M in columns[:, :2].tolist()]
+        ok = columns[[error is None for error in errors]]
+        numbers = iter(_derivatives(ok, cases, dM, dm) if len(ok) else [])
+        rows = [[case.label(), regime, *([None] * 4 if error else next(numbers)),
                  f"rejected: {error}" if error else "ok"]
-                for p, error in zip(run, errors) for case in cases
-                for regime in ("b-fixed", "n-fixed")]
+                for error in errors for case in cases for regime in ("b-fixed", "n-fixed")]
         yield dict(zip(_SENSITIVITY_CELLS, [*np.repeat(columns[:, :5], 2 * len(cases), axis=0).T,
                                             *map(list, zip(*rows))]))
 

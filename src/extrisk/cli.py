@@ -41,7 +41,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 
 import numpy as np
 
-from .model import ConsumptionPath, HazardParams, UtilitySpec, _is_number
+from .model import ConsumptionPath, HazardParams, UtilitySpec, _is_number, _is_positive_finite
 from .series import _EXPONENTS, DEFAULT_TOLERANCE, Scenario, _columns, _points
 from .analysis import (_PARAMS, _SENSITIVITY_CELLS, _SWEEP_CELLS, _factor_columns,
                        _profile_columns, _sensitivity_columns, _sweep_columns)
@@ -238,7 +238,7 @@ def _parse_int(text: str) -> int:
 
 def _positive_finite(x: Any, where: str) -> float:
     """x as a float when it is a finite number > 0."""
-    if not (_is_number(x) and x > 0 and math.isfinite(x)):
+    if not _is_positive_finite(x):
         raise ConfigError(f"{where} must be finite and > 0, got {x!r}")
     return float(x)
 

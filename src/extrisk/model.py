@@ -60,6 +60,11 @@ def _is_number(value: object) -> bool:
     return True
 
 
+def _is_positive_finite(value: object) -> bool:
+    """A finite number > 0, as _is_number reads a number."""
+    return _is_number(value) and value > 0.0 and math.isfinite(value)
+
+
 def _check_prob(name: str, value: object) -> None:
     """Reject anything but a number in [0, 1]."""
     if not (_is_number(value) and 0.0 <= value <= 1.0):
@@ -106,7 +111,7 @@ class HazardParams:
         _check_prob("theta", self.theta)
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
-        if not (self.N0 > 0.0 and math.isfinite(self.N0)):
+        if not _is_positive_finite(self.N0):
             raise ValueError(f"N0 must be finite and > 0, got {self.N0!r}")
 
     @property
@@ -168,7 +173,7 @@ class ConsumptionPath:
         object.__setattr__(self, "prefix", prefix)
         if len(prefix) == 0:
             raise ValueError("prefix must contain at least one period")
-        if any(not (c > 0.0 and math.isfinite(c)) for c in prefix):
+        if not all(map(_is_positive_finite, prefix)):
             raise ValueError("all prefix consumptions must be finite and strictly positive")
         if self.tail == "constant":
             if self.ratio is not None:
@@ -227,7 +232,7 @@ class UtilitySpec:
         if self.family not in ("log", "crra", "linear"):
             raise ValueError(f"unknown utility family {self.family!r}")
         if self.family == "crra":
-            if not (_is_number(self.sigma) and self.sigma > 0.0 and math.isfinite(self.sigma)):
+            if not _is_positive_finite(self.sigma):
                 raise ValueError("crra needs a finite sigma > 0")
             if self.sigma == 1.0:
                 raise ValueError("crra sigma = 1 is the log family; use log")

@@ -4,8 +4,8 @@ Every functional here has the shape  sum_t w_t u(c_t)  where the weights w_t
 encode survival odds and population weighting. Each case discounts at one
 per-period factor f = (1-M)**eM (1+b)**eb (1-m)**em, and the exponent table
 ``_EXPONENTS`` (read through factor_exponents) is the only place the cases'
-formulas are written, and ``_batch`` the only code that multiplies them into
-factors and growths; every factor, log-ratio, regime factor and derivative
+formulas are written, and ``_batch`` and its methods the only code that
+multiplies them out; every factor, log-ratio, regime factor and derivative
 elsewhere is derived from them. With (1+n) = (1+b)(1-m):
 
     case              (eM, eb, em)            weights
@@ -68,7 +68,7 @@ from .model import (
     NoExtinctionError,
     UtilitySpec,
     _check_int,
-    _is_number,
+    _is_positive_finite,
 )
 
 __all__ = [
@@ -204,8 +204,8 @@ def _points(columns: np.ndarray) -> List[HazardParams]:
 class _Batch(NamedTuple):
     """Every (point, case) row of a grid as arrays, point-major, with its exponents and factor.
 
-    Row i is (points[i // len(cases)], cases[i % len(cases)]). ``_batch`` and
-    factor_n are the only code that multiplies the exponents' pieces into factors.
+    Row i is (points[i // len(cases)], cases[i % len(cases)]). ``_batch``, factor_n
+    and slopes are the only code that multiplies the exponents' pieces.
     """
 
     points: np.ndarray  # parameter columns, as _columns gives them
@@ -223,6 +223,20 @@ class _Batch(NamedTuple):
         """(1-M)**eM (1-m)**(em-eb) g**eb per row: the factor with g = 1+n in place of b."""
         eM, eb, em = self.exps.T
         return _pow(1.0 - self.M, eM) * _pow(1.0 - self.m, em - eb) * _pow(g, eb)
+
+    def slopes(self, g: np.ndarray, rows: slice) -> np.ndarray:
+        """(rows, 2, 2): d/dM, d/dm of the factor (b held), then of factor_n(g) (1+n held): each
+        -e x**(e-1) times the rest of the product, +0 at eM = 0 and, 1+n held, at em = eb.
+        """
+        eM, eb, em = self.exps[rows].T
+        sM, sm, b, one = 1.0 - self.M[rows], 1.0 - self.m[rows], self.b[rows], eb == em
+        dM = [np.where(eM == 0.0, 0.0, -eM * _pow(sM, eM - 1.0) * rest)
+              for rest in (self.growth[rows], _pow(sm, em - eb) * _pow(g, eb))]
+        dm_b = (-em * _pow(sM, eM) * _pow(1.0 + b, np.where(one, 1.0, eb))  # one piece (1+n)**e
+                * _pow(np.where(one, (1.0 + b) * sm, sm), em - 1.0))
+        # (em - 1) - eb keeps the lineage exponent -alpha exact
+        dm_n = np.where(one, 0.0, -(em - eb) * _pow(sM, eM) * _pow(sm, em - 1.0 - eb) * _pow(g, eb))
+        return np.stack([dM[0], dm_b, dM[1], dm_n], axis=1).reshape(-1, 2, 2)
 
 
 def _batch(points: np.ndarray, cases: Sequence[Scenario]) -> _Batch:
@@ -662,16 +676,8 @@ _NO_EXTINCTION = "M = 0: the extinction-date mixture is defective and the functi
 _TOLERANCE = "tolerance must be finite and > 0"
 
 
-def _bad_tolerance(tol: object) -> bool:
-    """Whether tol breaks _TOLERANCE: a bool or a string is no tolerance, as the CLI says too."""
-    return not (_is_number(tol) and tol > 0.0 and math.isfinite(tol))
-
-
 def _preconditions(rows: _Batch, fails: _Failures) -> None:
-    """Fail each row whose parameters its functional rejects, in the order the functional checks.
-
-    The Monte Carlo wrappers (simulate._mc_one) reject with these failures too.
-    """
+    """Fail each row whose parameters its functional rejects, in the order the functional checks."""
     kinds, M, m, factor = rows.kinds, rows.M, rows.m, rows.factor
     individual = kinds == "individual"
     mixes = ~individual & (kinds != "known_extinction")  # a mixture over extinction dates
@@ -716,7 +722,7 @@ def _evaluate_rows(rows: _Batch, path: ConsumptionPath, u: UtilitySpec, tol: flo
     """
     n = len(rows.kinds)
     fails = _Failures(n)
-    if _bad_tolerance(tol):
+    if not _is_positive_finite(tol):  # a bool or a string is no tolerance, as the CLI says too
         fails.add(np.ones(n, dtype=bool), ValueError, _TOLERANCE)
         tol = math.nan  # every row fails, and a str or None tolerance is not compared
     _preconditions(rows, fails)
@@ -865,7 +871,7 @@ def _known_date_sum(
         value = math.fsum(vals)
         # the error terms are themselves sums of up to _CHUNK_T rounded products
         bound = float((math.fsum(errs) + _U * abs(value))
-                      * (1.0 + _rigorous(4.0 * (_CHUNK_T + 16) * _U)))
+                      * (1.0 + _gamma(4 * (_CHUNK_T + 16))))
     if not (math.isfinite(value) and math.isfinite(bound)):
         raise ValueError("the series value leaves float range")
     return value, bound
@@ -918,7 +924,7 @@ def ew_social_n0_form(
         raise ValueError("the n = 0 simplification divides by m; needs m > 0")
     if params.M == 0.0:
         raise NoExtinctionError(_NO_EXTINCTION)
-    if _bad_tolerance(tol):
+    if not _is_positive_finite(tol):
         raise ValueError(_TOLERANCE)
     fails = _Failures(1)
     row = [np.array([x]) for x in (params.M, params.m, params.N0)]

@@ -17,7 +17,7 @@ the comparison, walks the passes of the array core (``series._passes``)
 and sets each case's closed form beside its estimate over a grid; smoothed
 ``simulate`` and ``verify_oracle_grid`` (``verify``) each write one call of
 it. The one-case wrappers (``mc_eu_individual`` and its siblings) sample one
-row the same way, rejecting as the core does.
+row the same way, raising what that row's closed form raises.
 
 The agent-based mode keeps an integer population with Bernoulli deaths and
 stochastic births per survivor, and quantifies the error of the smooth
@@ -56,10 +56,8 @@ from .series import (
     Scenario,
     _batch,
     _columns,
-    _Failures,
     _evaluate_rows,
     _passes,
-    _preconditions,
     _tail_terms,
     _welfare_prefactor,
     _window_terms,
@@ -327,16 +325,15 @@ def _mc_one(
     u: UtilitySpec,
     config: SimulationConfig,
 ) -> SimEstimate:
-    """One case's estimate at one point; raises on no date to sample, else as _preconditions."""
+    """One case's estimate at one point; raises on no date to sample, else as its closed form."""
     if case.kind == "individual" and params.is_degenerate:
         raise DegenerateHazardError("m = M = 0: lifetimes are infinite")
     if case.kind == "known_extinction":
         raise ValueError(f"{case.label()} is deterministic: there is no date to sample")
     rows = _batch(_columns([params]), [case])
-    fails = _Failures(1)
-    _preconditions(rows, fails)
-    if fails.exc:
-        raise fails.error(0)
+    result = _evaluate_rows(rows, path, u, DEFAULT_TOLERANCE).result(0)
+    if isinstance(result, Exception):
+        raise result
     est = _estimates(params, {case: float(rows.growth[0])}, path, u, config)[case]
     if isinstance(est, str):
         raise ValueError(est)
@@ -591,7 +588,9 @@ def verify_oracle_grid(
 
 
 def reproducibility_selfcheck() -> bool:
-    """Run one estimator twice with the same seed; True when bit-identical."""
-    args = (VERIFY_GRID[0], VERIFY_PATH, VERIFY_UTILITY,
+    """Run mc_eu_individual's estimator twice with the same seed at VERIFY_GRID[0], without its
+    closed form: True when bit-identical. Its G is 1 whatever growth it is given (_date).
+    """
+    args = (VERIFY_GRID[0], {INDIVIDUAL: 1.0}, VERIFY_PATH, VERIFY_UTILITY,
             SimulationConfig(replications=50_000, seed=97))
-    return mc_eu_individual(*args) == mc_eu_individual(*args)
+    return _estimates(*args) == _estimates(*args)

@@ -16,12 +16,14 @@ geometric tail of ratio g, when r g**(1-sigma) >= 1. The finite known-date
 sum (exact_known) is summed term by term. exact_window builds the welfare
 window W(0, T) from its definition, and exact_mixture sums EW as a mixture of
 those windows over the extinction date, which shares no algebra with the
-closed form above. exact_weight_ratios gives the ratios of the series weights.
+closed form above. exact_weight_ratios gives the ratios of the series weights,
+exact_slopes the derivatives of their ratio r in M and in m.
 """
 
 import functools
 from decimal import Context, Decimal, localcontext
 from itertools import count, islice
+from types import SimpleNamespace
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 CTX = Context(prec=50, Emin=-999999, Emax=999999)
@@ -31,7 +33,8 @@ FUNCTIONALS = ("individual", "dynasty", "dynasty_theta", "lineage", "social_welf
 
 
 def _d(x) -> Decimal:
-    return Decimal(float(x))
+    """x as a Decimal: a Decimal unrounded, anything else through its exact float."""
+    return x if isinstance(x, Decimal) else Decimal(float(x))
 
 
 def _pow(x: Decimal, e: float) -> Decimal:
@@ -94,6 +97,27 @@ def _ratios(kind: str, params) -> Tuple[Decimal, Decimal]:
     if kind == "known_extinction":
         return sm, ONE
     raise ValueError(f"unknown functional {kind!r}")
+
+
+def exact_slopes(kind: str, params, regime: str) -> Tuple[Decimal, Decimal]:
+    """(dr/dM, dr/dm) of _ratios' weight ratio r at params, as central differences at 50 digits.
+
+    The step 1e-20 leaves a truncation error near 1e-40 and a rounding error
+    near 1e-30 of the slope. Under "n-fixed" b moves with m so that
+    (1+b)(1-m) holds to 50 digits; under "b-fixed" b stays put. Like r, the
+    slopes share nothing with the package's factor table.
+    """
+    h = Decimal("1e-20")
+    with localcontext(CTX):
+        m, M, b = _d(params.m), _d(params.M), _d(params.b)
+
+        def r(dm: Decimal, dM: Decimal) -> Decimal:
+            b_new = (ONE + b) * (ONE - m) / (ONE - m - dm) - ONE if regime == "n-fixed" else b
+            point = SimpleNamespace(**{**vars(params), "m": m + dm, "M": M + dM, "b": b_new})
+            return _ratios(kind, point)[0]
+
+        zero = Decimal(0)
+        return (r(zero, h) - r(zero, -h)) / (2 * h), (r(h, zero) - r(-h, zero)) / (2 * h)
 
 
 def exact_weight_ratios(kind: str, params, length: int) -> List[Decimal]:

@@ -205,6 +205,20 @@ def test_finite_differences_agree_with_closed_forms(params, case):
                 assert fd == pytest.approx(closed, rel=1e-6)
 
 
+@pytest.mark.parametrize("params", VERIFY_GRID)
+@pytest.mark.parametrize("case", ALL_TABLE_CASES + (known_extinction(7),), ids=lambda c: c.label())
+def test_closed_form_slopes_match_exact_slopes(params, case):
+    """Each closed-form slope against 50-digit central differences of the exact weight ratio."""
+    rep = belief_update_response(case, params)
+    for reg in (rep.b_fixed, rep.n_fixed):
+        exact = decimal_oracle.exact_slopes(case.kind, params, reg.regime)
+        for closed, slope in zip((reg.d_factor_d_M, reg.d_factor_d_m), exact):
+            if closed == 0.0:
+                assert abs(slope) < Decimal("1e-25"), (reg.regime, slope)
+            else:
+                assert abs(Decimal(closed) - slope) <= Decimal("1e-13") * abs(slope), reg.regime
+
+
 @pytest.mark.parametrize("params", INTERIOR_POINTS)
 @pytest.mark.parametrize("case", ALL_TABLE_CASES)
 def test_extinction_risk_always_raises_impatience(params, case):
@@ -221,9 +235,10 @@ def test_step_crossing_boundary_is_flagged():
         belief_update_response(INDIVIDUAL, HazardParams(m=0.1, M=0.1), dM=0.0)
 
 
-@pytest.mark.parametrize("step", [math.nan, math.inf])
+@pytest.mark.parametrize("step", [math.nan, math.inf, "1e-6", None, True])
 def test_non_finite_step_is_rejected(step):
-    with pytest.raises(ValueError, match=r"dM must be finite and > 0"):
+    # a string, None or a bool is no step, as "finite and > 0" reads it everywhere
+    with pytest.raises(ValueError, match=r"^dM must be finite and > 0, got "):
         belief_update_response(INDIVIDUAL, HazardParams(m=0.1, M=0.1), dM=step)
 
 

@@ -160,10 +160,10 @@ def test_mc_ew_general_point():
 # --- rejections ------------------------------------------------------------------------
 
 
-def core_rejection(case, params):
+def core_rejection(case, params, path=ONE, u=LINEAR):
     """The type and message of the exception the closed form raises at one row."""
     with pytest.raises((ValueError, DivergenceError)) as exc:
-        evaluate(case, params, ONE, LINEAR)
+        evaluate(case, params, path, u)
     return type(exc.value), str(exc.value)
 
 
@@ -180,14 +180,28 @@ def test_mc_rejections():
         mc_ew_social(HazardParams(m=0.02, M=0.01, b=0.0), ONE, LINEAR, CFG)
     with pytest.raises(ValueError):
         mc_ev_dynasty(HazardParams(m=0.1, M=0.1, b=0.1), ONE, LINEAR, 1.5, CFG)
+    # a CRRA tail that outgrows every case's weights: the wrappers raise, as the closed forms do,
+    # where they would otherwise return a mean of -1e31 or less with an SE of the same size
+    tail = (HazardParams(m=0.02, M=0.01, b=0.03),
+            ConsumptionPath(prefix=(1.0,), tail="geometric", ratio=0.9), UtilitySpec.crra(3.0))
+    cfg = SimulationConfig(replications=20_000, seed=1)
+    tail_raised = []
+    for wrapper in (mc_eu_individual, mc_eg_lineage, mc_ew_social,
+                    lambda *args: mc_ev_dynasty(*args[:3], None, args[3])):
+        with pytest.raises(DivergenceError) as raised:
+            wrapper(*tail, cfg)
+        tail_raised.append(raised)
     # each wrapper's rejection is the array core's, type and message
-    for exc, case, params in [
+    for exc, case, params, *path_u in [
         (no_date, DYNASTY_THETA, HazardParams(m=0.1, M=0.0, b=0.1)),
         (dynasty, DYNASTY_THETA, HazardParams(m=0.0, M=0.005, b=0.01)),
         (social, SOCIAL_WELFARE, HazardParams(m=0.02, M=0.004, b=0.05)),
         (no_births, SOCIAL_WELFARE, HazardParams(m=0.02, M=0.01, b=0.0)),
+        *((exc, case, *tail) for exc, case in
+          zip(tail_raised, (INDIVIDUAL, LINEAGE, SOCIAL_WELFARE, DYNASTY_THETA))),
     ]:
-        assert (type(exc.value), str(exc.value)) == core_rejection(case, params)
+        assert (type(exc.value), str(exc.value)) == core_rejection(case, params, *path_u)
+    assert str(tail_raised[0].value).startswith("utility tail grows at rate exp(0.210721)")
     assert str(no_date.value) == ("M = 0: the extinction-date mixture is defective and the "
                                   "functional undefined")
     assert str(dynasty.value) == ("dynasty_theta: finiteness requires the weight product < 1, "
